@@ -52,17 +52,10 @@ lint-suppressions:
 fuzz-smoke:
 	$(GO) test -run='^Fuzz' ./internal/mnet/... ./internal/analysis ./internal/randx
 
-# Small-scale end-to-end benchmark: emits BENCH.json (timings, allocs,
-# study peak heap, sequential-vs-parallel determinism cross-check) and
-# fails when a phase timing — or study peak heap, the bounded-memory
-# contract of DESIGN.md §8 — regressed more than 2x against a committed
-# baseline. The repo commits
-# one BENCH_PR<n>.json per PR; the glob picks the best-matching report
-# (same -small flag, closest NumCPU/GOMAXPROCS to this host). The
-# parallel-speedup floor is skipped on single-CPU hosts and the skip is
-# recorded in the JSON.
+# Short run of the repository benchmark (cmd/wearperf) on one workload.
+# Its exit status is wearperf's correctness verdict, which includes the
+# seed-1234 golden digests pinned in cmd/wearperf/golden.go.
 bench-smoke:
-	$(GO) run ./cmd/wearbench -small -bench-json -bench-baseline 'BENCH_*.json' -o BENCH.json
-	@cat BENCH.json
+	bash cmd/wearperf/run.sh --workload study-files --seconds 3 --trace 0
 
 check: build lint lint-fixtures race fuzz-smoke

@@ -1,11 +1,8 @@
 package wearwild
 
-// The benchmark harness: one testing.B target per figure and takeaway of
-// the paper (see DESIGN.md's experiment index), plus the ablation benches
-// DESIGN.md calls out. Figure benches time the analysis that regenerates
-// the figure over a shared pre-generated dataset and report the figure's
-// headline statistic as a custom benchmark metric, so `go test -bench=.`
-// both times the pipeline and reprints the paper's numbers.
+// Micro-benchmarks under go test -bench: the whole study, its worker
+// sweep, generation, and the ablations DESIGN.md calls out. The
+// repository benchmark, end to end and layer by layer, is cmd/wearperf.
 
 import (
 	"bytes"
@@ -25,14 +22,13 @@ import (
 )
 
 var (
-	benchOnce  sync.Once
-	benchDS    *sim.Dataset
-	benchStudy *core.Study
-	benchErr   error
+	benchOnce sync.Once
+	benchDS   *sim.Dataset
+	benchErr  error
 )
 
 // benchSetup generates the shared benchmark dataset once per process.
-func benchSetup(b *testing.B) *core.Study {
+func benchSetup(b *testing.B) *sim.Dataset {
 	b.Helper()
 	benchOnce.Do(func() {
 		cfg := sim.DefaultConfig(1234)
@@ -42,15 +38,11 @@ func benchSetup(b *testing.B) *core.Study {
 		cfg.Cells.RuralSectors = 250
 		cfg.OrdinaryMobilitySample = 1000
 		benchDS, benchErr = sim.Generate(cfg)
-		if benchErr != nil {
-			return
-		}
-		benchStudy, benchErr = core.NewStudy(benchDS, core.DefaultConfig())
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
 	}
-	return benchStudy
+	return benchDS
 }
 
 // BenchmarkGenerate times full dataset generation (the substrate sweep
@@ -72,11 +64,11 @@ func BenchmarkGenerate(b *testing.B) {
 
 // BenchmarkStudyFull times the complete analysis pipeline.
 func BenchmarkStudyFull(b *testing.B) {
-	s := benchSetup(b)
+	ds := benchSetup(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Run(); err != nil {
+		if _, err := core.RunDataset(ds, core.DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -87,20 +79,16 @@ func BenchmarkStudyFull(b *testing.B) {
 // TestParallelEquivalence); the sweep quantifies the shard-and-merge
 // speedup on this machine's cores.
 func BenchmarkStudyFullParallel(b *testing.B) {
-	benchSetup(b)
+	ds := benchSetup(b)
 	sweep := []int{1, 2, runtime.NumCPU()}
 	for _, workers := range sweep {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			cfg := core.DefaultConfig()
 			cfg.Workers = workers
-			s, err := core.NewStudy(benchDS, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Run(); err != nil {
+				if _, err := core.RunDataset(ds, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -108,218 +96,15 @@ func BenchmarkStudyFullParallel(b *testing.B) {
 	}
 }
 
-func BenchmarkFig2aAdoption(b *testing.B) {
-	s := benchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var out core.Adoption
-	for i := 0; i < b.N; i++ {
-		out = s.ComputeFig2a()
-	}
-	b.ReportMetric(out.TotalGrowthPct, "growth_pct")
-	b.ReportMetric(100*out.DataActiveShare, "active_pct")
-}
-
-func BenchmarkFig2bRetention(b *testing.B) {
-	s := benchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var out core.Retention
-	for i := 0; i < b.N; i++ {
-		out = s.ComputeFig2b()
-	}
-	b.ReportMetric(100*out.RetainedFrac, "retained_pct")
-	b.ReportMetric(100*out.AbandonedFrac, "abandoned_pct")
-}
-
-func BenchmarkFig3aHourly(b *testing.B) {
-	s := benchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var out core.HourlyPattern
-	for i := 0; i < b.N; i++ {
-		out = s.ComputeFig3a()
-	}
-	b.ReportMetric(100*out.DailyActiveShare, "dailyactive_pct")
-}
-
-func BenchmarkFig3bActivity(b *testing.B) {
-	s := benchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var out core.ActivityDistributions
-	for i := 0; i < b.N; i++ {
-		out = s.ComputeFig3b()
-	}
-	b.ReportMetric(out.MeanDays, "days_per_week")
-	b.ReportMetric(out.MeanHours, "hours_per_day")
-}
-
-func BenchmarkFig3cTransactions(b *testing.B) {
-	s := benchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var out core.Transactions
-	for i := 0; i < b.N; i++ {
-		out = s.ComputeFig3c()
-	}
-	b.ReportMetric(out.MedianSizeBytes, "median_B")
-	b.ReportMetric(100*out.FracUnder10KB, "under10KB_pct")
-}
-
-func BenchmarkFig3dCorrelation(b *testing.B) {
-	s := benchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var out core.ActivityCoupling
-	for i := 0; i < b.N; i++ {
-		out = s.ComputeFig3d()
-	}
-	b.ReportMetric(out.Spearman, "spearman")
-}
-
-func BenchmarkFig4aOwnersVsRest(b *testing.B) {
-	s := benchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var out core.OwnersVsRest
-	for i := 0; i < b.N; i++ {
-		out = s.ComputeFig4a()
-	}
-	b.ReportMetric(out.DataGainPct, "datagain_pct")
-	b.ReportMetric(out.TxGainPct, "txgain_pct")
-}
-
-func BenchmarkFig4bDeviceShare(b *testing.B) {
-	s := benchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var out core.DeviceShare
-	for i := 0; i < b.N; i++ {
-		out = s.ComputeFig4b()
-	}
-	b.ReportMetric(out.OrdersOfMagnitude, "ooms")
-}
-
-func BenchmarkFig4cDisplacement(b *testing.B) {
-	s := benchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var out core.Mobility
-	for i := 0; i < b.N; i++ {
-		out, _ = s.ComputeFig4c()
-	}
-	b.ReportMetric(out.OwnerMeanKm, "owner_km")
-	b.ReportMetric(out.EntropyGainPct, "entropygain_pct")
-}
-
-func BenchmarkFig4dMobilityActivity(b *testing.B) {
-	s := benchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var out core.MobilityCoupling
-	for i := 0; i < b.N; i++ {
-		_, out = s.ComputeFig4c()
-	}
-	b.ReportMetric(out.Spearman, "spearman")
-}
-
-func BenchmarkFig5aAppPopularity(b *testing.B) {
-	s := benchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var out *core.Results
-	for i := 0; i < b.N; i++ {
-		out = s.ComputeAppFigures()
-	}
-	if len(out.Fig5a) > 0 {
-		b.ReportMetric(out.Fig5a[0].DailyUsersSharePct, "top_users_pct")
-	}
-}
-
-func BenchmarkFig5bAppUsage(b *testing.B) {
-	s := benchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var out *core.Results
-	for i := 0; i < b.N; i++ {
-		out = s.ComputeAppFigures()
-	}
-	if len(out.Fig5b) > 0 {
-		b.ReportMetric(out.Fig5b[0].FreqSharePct, "top_freq_pct")
-	}
-}
-
-func BenchmarkFig6Categories(b *testing.B) {
-	s := benchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var out *core.Results
-	for i := 0; i < b.N; i++ {
-		out = s.ComputeAppFigures()
-	}
-	if len(out.Fig6) > 0 {
-		b.ReportMetric(out.Fig6[0].UsersSharePct, "top_cat_pct")
-	}
-}
-
-func BenchmarkFig7PerUsage(b *testing.B) {
-	s := benchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var out *core.Results
-	for i := 0; i < b.N; i++ {
-		out = s.ComputeAppFigures()
-	}
-	if len(out.Fig7) > 0 {
-		b.ReportMetric(out.Fig7[0].KBPerUsage, "top_KB_per_usage")
-	}
-}
-
-func BenchmarkFig8ThirdParty(b *testing.B) {
-	s := benchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var out *core.Results
-	for i := 0; i < b.N; i++ {
-		out = s.ComputeAppFigures()
-	}
-	b.ReportMetric(out.Fig8[apps.KindApplication].DataSharePct, "firstparty_pct")
-	b.ReportMetric(out.Fig8[apps.KindAdvertising].DataSharePct, "ads_pct")
-}
-
-func BenchmarkTakeawayApps(b *testing.B) {
-	s := benchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var out *core.Results
-	for i := 0; i < b.N; i++ {
-		out = s.ComputeAppFigures()
-	}
-	b.ReportMetric(out.Takeaways.MeanAppsPerUser, "apps_per_user")
-	b.ReportMetric(100*out.Takeaways.OneAppDayFrac, "oneapp_pct")
-}
-
-func BenchmarkThroughDevice(b *testing.B) {
-	s := benchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var out core.ThroughDevice
-	for i := 0; i < b.N; i++ {
-		out = s.ComputeThroughDevice()
-	}
-	b.ReportMetric(float64(out.Identified), "identified")
-}
-
 // --- Ablation benches (design choices called out in DESIGN.md) ---
 
 // Codec ablation: the compact binary proxy-log codec vs CSV.
 func benchProxyRecords(b *testing.B) []proxylog.Record {
 	b.Helper()
-	benchSetup(b)
+	ds := benchSetup(b)
 	var recs []proxylog.Record
-	for _, rec := range benchDS.Proxy.Records {
-		if !benchDS.Devices.IsWearable(rec.IMEI) {
+	for _, rec := range ds.Proxy.Records {
+		if !ds.Devices.IsWearable(rec.IMEI) {
 			continue
 		}
 		recs = append(recs, rec)

@@ -5,18 +5,8 @@
 // Usage:
 //
 //	wearbench [-seed 1234] [-small] [-markdown] [-o EXPERIMENTS.md]
-//	wearbench -small -bench-json [-workers N] [-bench-baseline BENCH_BASELINE.json]
 //
-// -bench-json replaces the report with a machine-readable benchmark of
-// the pipeline (timings, allocations, study peak heap,
-// sequential-vs-parallel speedup and determinism cross-check);
-// -bench-baseline additionally fails the run when a phase timing or the
-// study's peak heap regressed more than 2x against a committed baseline. It
-// defaults to the tracked BENCH_BASELINE.json and is skipped with a note
-// when that default is absent; pass -bench-baseline "" to disable. The
-// path may be a glob ('BENCH_*.json'): the repo commits one report per
-// PR, and the gate picks the best-matching entry — same -small flag,
-// then closest NumCPU and GOMAXPROCS to the current host.
+// The repository benchmark is cmd/wearperf.
 package main
 
 import (
@@ -29,55 +19,21 @@ import (
 	"wearwild"
 )
 
-// defaultBaseline is the committed canonical benchmark baseline at the
-// repo root; make bench-smoke gates against it by default.
-const defaultBaseline = "BENCH_BASELINE.json"
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("wearbench: ")
 
 	var (
-		seed      = flag.Uint64("seed", 1234, "generation seed")
-		small     = flag.Bool("small", false, "use the fast small-scale configuration")
-		markdown  = flag.Bool("markdown", false, "emit markdown instead of the terminal table")
-		outPath   = flag.String("o", "", "write output to a file instead of stdout")
-		benchJSON = flag.Bool("bench-json", false, "emit a machine-readable benchmark report instead of the study report")
-		baseline  = flag.String("bench-baseline", defaultBaseline, `with -bench-json: baseline report to gate regressions against — a path or a glob like 'BENCH_*.json', which picks the best-matching committed report ("" disables; the default is skipped with a note when the file is absent)`)
-		workers   = flag.Int("workers", 0, "analysis worker bound (0 = one per CPU); results are identical at any setting")
+		seed     = flag.Uint64("seed", 1234, "generation seed")
+		small    = flag.Bool("small", false, "use the fast small-scale configuration")
+		markdown = flag.Bool("markdown", false, "emit markdown instead of the terminal table")
+		outPath  = flag.String("o", "", "write output to a file instead of stdout")
 	)
 	flag.Parse()
 
 	cfg := wearwild.DefaultConfig(*seed)
 	if *small {
 		cfg = wearwild.SmallConfig(*seed)
-	}
-
-	if *benchJSON {
-		out := os.Stdout
-		if *outPath != "" {
-			f, err := os.Create(*outPath)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer func() {
-				if err := f.Close(); err != nil {
-					log.Fatal(err)
-				}
-			}()
-			out = f
-		}
-		basePath := *baseline
-		if basePath == defaultBaseline {
-			if _, err := os.Stat(basePath); err != nil {
-				log.Printf("baseline %s not found; skipping the regression gate", basePath)
-				basePath = ""
-			}
-		}
-		if err := runBenchJSON(out, cfg, *seed, *small, *workers, basePath); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 
 	t0 := time.Now()

@@ -52,7 +52,6 @@ type engine struct {
 	analyzer *mobmetrics.Analyzer
 	detector *fingerprint.Detector
 
-	nShards int
 	accs    []*shardAcc
 	pending []map[subs.IMSI]*userBundle
 }
@@ -65,18 +64,16 @@ func newEngine(env Env, cfg Config) (*engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := shard.Shards(cfg.Shards)
 	e := &engine{
 		cfg:      cfg,
 		env:      env,
 		resolver: appid.NewResolver(env.Catalog),
 		analyzer: analyzer,
 		detector: fingerprint.NewDetector(fingerprint.DefaultSignatures()),
-		nShards:  n,
-		accs:     make([]*shardAcc, n),
-		pending:  make([]map[subs.IMSI]*userBundle, n),
+		accs:     make([]*shardAcc, shard.DefaultShards),
+		pending:  make([]map[subs.IMSI]*userBundle, shard.DefaultShards),
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < shard.DefaultShards; i++ {
 		e.accs[i] = newShardAcc()
 		e.pending[i] = make(map[subs.IMSI]*userBundle)
 	}
@@ -87,7 +84,7 @@ func newEngine(env Env, cfg Config) (*engine, error) {
 // resident pipeline partitioned with, so shard populations are identical
 // across sources, machines and worker counts.
 func (e *engine) shardOf(user subs.IMSI) int {
-	return int(shard.Hash64(uint64(user)) % uint64(e.nShards))
+	return int(shard.Hash64(uint64(user)) % shard.DefaultShards)
 }
 
 func (e *engine) bundle(si int, user subs.IMSI) *userBundle {
@@ -213,8 +210,8 @@ func (e *engine) handle(m shardMsg) {
 // channels; the fan-out changes scheduling only, never results.
 func (e *engine) consume(src stream.Source) error {
 	w := shard.Workers(e.cfg.Workers)
-	if w > e.nShards {
-		w = e.nShards
+	if w > shard.DefaultShards {
+		w = shard.DefaultShards
 	}
 	if w <= 1 {
 		return src.Stream(directSink{e})
@@ -244,7 +241,7 @@ func (e *engine) consume(src stream.Source) error {
 // Leftovers are folded in ascending IMSI order per shard, matching what a
 // user-major source would have emitted; shards seal in parallel.
 func (e *engine) seal() {
-	shard.Run(e.nShards, shard.Workers(e.cfg.Workers), func(si int) {
+	shard.Run(shard.DefaultShards, shard.Workers(e.cfg.Workers), func(si int) {
 		for _, user := range sortx.Keys(e.pending[si]) {
 			e.addUser(e.accs[si], user, e.pending[si][user])
 			delete(e.pending[si], user)
@@ -281,8 +278,8 @@ func (e *engine) run(src stream.Source) (*Results, error) {
 
 // RunStream executes the full analysis over any record stream — generator,
 // decoded log files, or a live proxy tail — without ever materialising a
-// whole log. Results are identical at every Workers and Shards setting,
-// and identical for any source emitting the same records.
+// whole log. Results are identical at every Workers setting, and
+// identical for any source emitting the same records.
 func RunStream(env Env, src stream.Source, cfg Config) (*Results, error) {
 	cfg = cfg.withDefaults()
 	e, err := newEngine(env, cfg)

@@ -20,10 +20,6 @@ type Config struct {
 	// Workers bounds analysis parallelism (0 = one worker per CPU).
 	// Results are byte-identical at every setting.
 	Workers int
-	// Shards is the per-subscriber shard count for the shard-and-merge
-	// aggregations (0 selects shard.DefaultShards). Like Workers, it
-	// changes only the execution schedule, never the Results.
-	Shards int
 }
 
 // DefaultConfig returns the paper's analysis parameters.
@@ -42,62 +38,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Study binds the analysis to one resident dataset. It holds no derived
-// record slices: Run streams the dataset's logs through the bounded-memory
-// engine, which materialises at most one subscriber's records at a time.
-// Datasets too large to sit in memory skip Study entirely and feed
-// RunStream from a decoder or live tail.
-type Study struct {
-	ds  *sim.Dataset
-	cfg Config
-}
-
-// NewStudy prepares a study over a dataset.
-func NewStudy(ds *sim.Dataset, cfg Config) (*Study, error) {
+// RunDataset executes the full analysis over a resident dataset: RunStream
+// over its logs, with the dataset's substrate as the environment. Each call
+// streams through a fresh engine, so repeated runs are independent and
+// byte-identical.
+func RunDataset(ds *sim.Dataset, cfg Config) (*Results, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("core: nil dataset")
 	}
-	cfg = cfg.withDefaults()
-	s := &Study{ds: ds, cfg: cfg}
-	// Validate the environment now so the per-figure entry points have no
-	// error path.
-	if _, err := newEngine(s.env(), cfg); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// env assembles the static study context from the dataset.
-func (s *Study) env() Env {
-	return Env{Devices: s.ds.Devices, Topology: s.ds.Topology, Catalog: s.ds.Catalog}
-}
-
-// source adapts the resident logs to the record-stream interface.
-func (s *Study) source() stream.Source {
-	return &stream.Logs{Proxy: &s.ds.Proxy, MME: &s.ds.MME, UDR: &s.ds.UDR}
-}
-
-// Run executes every analysis and assembles the Results tree. Each call
-// streams the logs through a fresh engine, so repeated runs are
-// independent and byte-identical.
-func (s *Study) Run() (*Results, error) {
-	return RunStream(s.env(), s.source(), s.cfg)
-}
-
-// runAll executes the engine without the empty-population guard, for the
-// per-figure wrappers whose signatures carry no error. The environment was
-// validated by NewStudy and resident sources cannot fail mid-stream, so
-// the remaining error paths are unreachable.
-func (s *Study) runAll() *Results {
-	e, err := newEngine(s.env(), s.cfg)
-	if err != nil {
-		panic(err)
-	}
-	res, err := e.run(s.source())
-	if err != nil {
-		panic(err)
-	}
-	return res
+	return RunStream(Env{Devices: ds.Devices, Topology: ds.Topology, Catalog: ds.Catalog},
+		&stream.Logs{Proxy: &ds.Proxy, MME: &ds.MME, UDR: &ds.UDR}, cfg)
 }
 
 // detailWeeks is the number of weeks in the detail window.

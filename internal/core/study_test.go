@@ -31,12 +31,7 @@ func results(t *testing.T) (*sim.Dataset, *Results) {
 		if sharedErr != nil {
 			return
 		}
-		var study *Study
-		study, sharedErr = NewStudy(sharedDS, DefaultConfig())
-		if sharedErr != nil {
-			return
-		}
-		sharedRes, sharedErr = study.Run()
+		sharedRes, sharedErr = RunDataset(sharedDS, DefaultConfig())
 	})
 	if sharedErr != nil {
 		t.Fatal(sharedErr)
@@ -44,8 +39,8 @@ func results(t *testing.T) (*sim.Dataset, *Results) {
 	return sharedDS, sharedRes
 }
 
-func TestNewStudyErrors(t *testing.T) {
-	if _, err := NewStudy(nil, DefaultConfig()); err == nil {
+func TestRunDatasetErrors(t *testing.T) {
+	if _, err := RunDataset(nil, DefaultConfig()); err == nil {
 		t.Fatal("nil dataset accepted")
 	}
 }

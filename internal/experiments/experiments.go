@@ -298,16 +298,6 @@ type Evaluated struct {
 	Metrics []Metric
 }
 
-// Passed reports whether every metric landed in band.
-func (e Evaluated) Passed() bool {
-	for _, m := range e.Metrics {
-		if !m.OK() {
-			return false
-		}
-	}
-	return true
-}
-
 // Evaluate runs every experiment's extraction over one study result.
 func Evaluate(res *core.Results) []Evaluated {
 	exps := All()

@@ -78,11 +78,7 @@ func TestEvaluateEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	study, err := core.NewStudy(ds, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := study.Run()
+	res, err := core.RunDataset(ds, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -476,13 +476,6 @@ func churnDay(cfg Config, r *randx.Rand, adopt simtime.Day) simtime.Day {
 	return simtime.Day(lo + r.IntN(hi-lo))
 }
 
-func clampLow(v, lo float64) float64 {
-	if v < lo {
-		return lo
-	}
-	return v
-}
-
 // homeSampler places homes: city-weighted with a rural remainder.
 type homeSampler struct {
 	country geo.Country

@@ -110,11 +110,6 @@ func (r *Rand) Pareto(xm, alpha float64) float64 {
 	return xm / math.Pow(u, 1/alpha)
 }
 
-// Exponential returns an exponential variate with the given mean.
-func (r *Rand) Exponential(mean float64) float64 {
-	return mean * r.src.ExpFloat64()
-}
-
 // Poisson returns a Poisson variate with the given mean. It uses Knuth's
 // product method for small means and a normal approximation (rounded and
 // clamped at zero) for large ones, which is adequate for workload counts.

@@ -154,21 +154,3 @@ func Map[S, R any](shards []S, workers int, fn func(i int, s S) R) []R {
 	})
 	return out
 }
-
-// MergeMaps unions per-shard maps whose key sets are disjoint (the
-// guarantee Partition gives per-key aggregations). Iteration order over
-// the parts does not matter because no key appears twice; the result is
-// exactly the map a sequential pass would have built.
-func MergeMaps[K comparable, V any](parts []map[K]V) map[K]V {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make(map[K]V, total)
-	for _, p := range parts {
-		for k, v := range p {
-			out[k] = v
-		}
-	}
-	return out
-}

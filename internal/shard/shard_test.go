@@ -110,22 +110,6 @@ func TestMapOrderIndependentOfWorkers(t *testing.T) {
 	}
 }
 
-// TestMergeMapsDisjointUnion rebuilds the map a sequential pass would
-// have produced.
-func TestMergeMapsDisjointUnion(t *testing.T) {
-	parts := []map[string]int{
-		{"a": 1, "b": 2},
-		{},
-		{"c": 3},
-		{"d": 4, "e": 5},
-	}
-	got := MergeMaps(parts)
-	want := map[string]int{"a": 1, "b": 2, "c": 3, "d": 4, "e": 5}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-}
-
 // TestHash64Spread: the finalizer must not collapse small sequential
 // keys (IMSIs are sequential) onto few shards.
 func TestHash64Spread(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"wearwild/internal/mnet/proxylog"
-	"wearwild/internal/shard"
 
 	"wearwild/internal/gen/apps"
 	"wearwild/internal/study/sessions"
@@ -98,20 +97,6 @@ func (r *Resolver) Attribute(usages []sessions.Usage) []Attributed {
 	for _, u := range usages {
 		out = append(out, Attributed{Usage: u, App: r.attributeOne(u)})
 	}
-	return out
-}
-
-// AttributeParallel is Attribute fanned out over a bounded worker pool:
-// each usage's vote is independent and the catalogue is read-only, so
-// chunked per-index writes reproduce Attribute's output exactly at any
-// worker count.
-func (r *Resolver) AttributeParallel(usages []sessions.Usage, workers int) []Attributed {
-	out := make([]Attributed, len(usages))
-	shard.ForChunked(len(usages), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = Attributed{Usage: usages[i], App: r.attributeOne(usages[i])}
-		}
-	})
 	return out
 }
 

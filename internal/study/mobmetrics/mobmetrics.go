@@ -14,7 +14,6 @@ import (
 	"wearwild/internal/mnet/mme"
 	"wearwild/internal/mnet/proxylog"
 	"wearwild/internal/mnet/subs"
-	"wearwild/internal/shard"
 	"wearwild/internal/simtime"
 	"wearwild/internal/sortx"
 	"wearwild/internal/stats"
@@ -124,19 +123,6 @@ func (a *Analyzer) Collect(records []mme.Record, window simtime.Window, keep fun
 	return out
 }
 
-// CollectSharded runs Collect per shard on a bounded worker pool and
-// unions the disjoint per-subscriber maps. The shards must partition
-// subscribers; each Mobility profile (per-user sort, dwell weights,
-// entropy) is computed entirely inside its user's shard from the same
-// records in the same relative order a sequential Collect would see, so
-// the merged map is identical at any worker or shard count.
-func (a *Analyzer) CollectSharded(shards [][]mme.Record, window simtime.Window, keep func(mme.Record) bool, workers int) map[subs.IMSI]*Mobility {
-	parts := shard.Map(shards, workers, func(_ int, recs []mme.Record) map[subs.IMSI]*Mobility {
-		return a.Collect(recs, window, keep)
-	})
-	return shard.MergeMaps(parts)
-}
-
 // maxPairwiseKm returns the max distance between any two sectors of a
 // day's visit list. Days have few distinct sectors, so the quadratic scan
 // is cheap.
@@ -205,21 +191,4 @@ func TxSectors(mmeRecords []mme.Record, proxyRecords []proxylog.Record,
 		m[ctx.Sector]++
 	}
 	return out
-}
-
-// TxSectorsSharded runs TxSectors per shard pair on a bounded worker
-// pool. Both shard sets must partition subscribers with the same key and
-// shard count (so a user's MME timeline and transactions are
-// co-resident); the join is per-user, so the union of the disjoint
-// per-shard results is identical to the sequential join.
-func TxSectorsSharded(mmeShards [][]mme.Record, proxyShards [][]proxylog.Record,
-	keepMME func(mme.Record) bool, keepTx func(proxylog.Record) bool, workers int) map[subs.IMSI]map[cells.SectorID]int64 {
-
-	if len(mmeShards) != len(proxyShards) {
-		panic("mobmetrics: mismatched shard counts")
-	}
-	parts := shard.Map(mmeShards, workers, func(i int, recs []mme.Record) map[subs.IMSI]map[cells.SectorID]int64 {
-		return TxSectors(recs, proxyShards[i], keepMME, keepTx)
-	})
-	return shard.MergeMaps(parts)
 }

@@ -11,7 +11,6 @@ import (
 	"wearwild/internal/mnet/proxylog"
 	"wearwild/internal/mnet/subs"
 	"wearwild/internal/mnet/udr"
-	"wearwild/internal/shard"
 	"wearwild/internal/simtime"
 )
 
@@ -129,19 +128,6 @@ func Collect(records []proxylog.Record, keep func(proxylog.Record) bool) map[sub
 	return out
 }
 
-// CollectSharded runs Collect per shard on a bounded worker pool and
-// unions the disjoint per-subscriber maps. The shards must partition
-// subscribers; each Activity is then built from exactly the records (in
-// the same relative order) a sequential Collect would see, so the merged
-// map is identical to Collect over the concatenation at any worker or
-// shard count.
-func CollectSharded(shards [][]proxylog.Record, keep func(proxylog.Record) bool, workers int) map[subs.IMSI]*Activity {
-	parts := shard.Map(shards, workers, func(_ int, recs []proxylog.Record) map[subs.IMSI]*Activity {
-		return Collect(recs, keep)
-	})
-	return shard.MergeMaps(parts)
-}
-
 // Totals is one subscriber's volume across all devices, with the wearable
 // share broken out.
 type Totals struct {
@@ -181,15 +167,4 @@ func TotalsFromUDR(records []udr.Record, window simtime.Window, isWearable func(
 		}
 	}
 	return out
-}
-
-// TotalsFromUDRSharded runs TotalsFromUDR per shard on a bounded worker
-// pool and unions the disjoint per-subscriber maps. The shards must
-// partition subscribers; Totals fields are integer sums, so the union is
-// exactly the sequential result.
-func TotalsFromUDRSharded(shards [][]udr.Record, window simtime.Window, isWearable func(imei.IMEI) bool, workers int) map[subs.IMSI]*Totals {
-	parts := shard.Map(shards, workers, func(_ int, recs []udr.Record) map[subs.IMSI]*Totals {
-		return TotalsFromUDR(recs, window, isWearable)
-	})
-	return shard.MergeMaps(parts)
 }

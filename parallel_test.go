@@ -27,13 +27,12 @@ func eqDataset(t *testing.T) *Dataset {
 	return eqDS
 }
 
-// runWith executes the study at one (Workers, Shards) setting and returns
-// the Results plus their canonical JSON serialisation.
-func runWith(t *testing.T, ds *Dataset, workers, shards int) (*Results, []byte) {
+// runWith executes the study at one Workers setting and returns the
+// Results plus their canonical JSON serialisation.
+func runWith(t *testing.T, ds *Dataset, workers int) (*Results, []byte) {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Workers = workers
-	cfg.Shards = shards
 	res, err := RunStudyWith(ds, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -47,47 +46,35 @@ func runWith(t *testing.T, ds *Dataset, workers, shards int) (*Results, []byte) 
 
 // TestParallelEquivalence is the determinism gate of the shard-and-merge
 // pipeline: the Results tree must be deeply equal AND serialise to
-// byte-identical JSON at every worker bound and shard count, including
-// the fully sequential Workers=1/Shards=1 path. Any scheduling- or
-// partition-dependent float or ordering difference fails here.
+// byte-identical JSON at every worker bound, against the fully sequential
+// Workers=1 path. Any scheduling-dependent float or ordering difference
+// fails here.
 func TestParallelEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a full small dataset")
 	}
 	ds := eqDataset(t)
-	refRes, refJSON := runWith(t, ds, 1, 1)
+	refRes, refJSON := runWith(t, ds, 1)
 
 	for _, workers := range []int{1, 2, 8} {
-		for _, shards := range []int{1, 4, 32} {
-			if workers == 1 && shards == 1 {
-				continue
+		res, raw := runWith(t, ds, workers)
+		if !reflect.DeepEqual(refRes, res) {
+			t.Errorf("workers=%d: Results not deeply equal to sequential run", workers)
+		}
+		if string(raw) != string(refJSON) {
+			i := 0
+			for i < len(raw) && i < len(refJSON) && raw[i] == refJSON[i] {
+				i++
 			}
-			res, raw := runWith(t, ds, workers, shards)
-			if !reflect.DeepEqual(refRes, res) {
-				t.Errorf("workers=%d shards=%d: Results not deeply equal to sequential run", workers, shards)
-			}
-			if string(raw) != string(refJSON) {
-				i := 0
-				for i < len(raw) && i < len(refJSON) && raw[i] == refJSON[i] {
-					i++
-				}
-				lo := i - 80
-				if lo < 0 {
-					lo = 0
-				}
-				hi := i + 80
-				if hi > len(raw) {
-					hi = len(raw)
-				}
-				t.Errorf("workers=%d shards=%d: JSON diverges at byte %d: …%s…",
-					workers, shards, i, raw[lo:hi])
-			}
+			lo := max(i-80, 0)
+			hi := min(i+80, len(raw))
+			t.Errorf("workers=%d: JSON diverges at byte %d: …%s…", workers, i, raw[lo:hi])
 		}
 	}
 }
 
-// TestParallelEquivalenceRepeatedRuns re-runs the same parallel study on
-// one Study value: the pipeline must not mutate shared state between
+// TestParallelEquivalenceRepeatedRuns re-runs the same parallel study
+// over one dataset: the pipeline must not mutate shared state between
 // runs.
 func TestParallelEquivalenceRepeatedRuns(t *testing.T) {
 	if testing.Short() {
@@ -96,21 +83,17 @@ func TestParallelEquivalenceRepeatedRuns(t *testing.T) {
 	ds := eqDataset(t)
 	cfg := core.DefaultConfig()
 	cfg.Workers = 4
-	study, err := core.NewStudy(ds, cfg)
+	first, err := core.RunDataset(ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := study.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := study.Run()
+	second, err := core.RunDataset(ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, _ := json.Marshal(first)
 	b, _ := json.Marshal(second)
 	if string(a) != string(b) {
-		t.Fatal("two Runs of one Study differ")
+		t.Fatal("two runs over one dataset differ")
 	}
 }

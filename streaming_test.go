@@ -40,7 +40,7 @@ func TestStreamingMetricsEquivalence(t *testing.T) {
 		t.Skip("generates a full small dataset")
 	}
 	ds := eqDataset(t)
-	_, refJSON := runWith(t, ds, 1, 0)
+	_, refJSON := runWith(t, ds, 1)
 	refRes := new(Results)
 	if err := json.Unmarshal(refJSON, refRes); err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestStreamingMetricsEquivalence(t *testing.T) {
 		t.Fatalf("metric surface changed: got %d metrics, want %d", len(ref), wantMetrics)
 	}
 	for _, workers := range []int{2, 8} {
-		res, _ := runWith(t, ds, workers, 0)
+		res, _ := runWith(t, ds, workers)
 		got := metricValues(t, res)
 		for key, want := range ref {
 			if got[key] != want {
@@ -71,7 +71,7 @@ func TestGeneratorStreamEquivalence(t *testing.T) {
 		t.Skip("generates a full small dataset")
 	}
 	ds := eqDataset(t)
-	_, refJSON := runWith(t, ds, 2, 0)
+	_, refJSON := runWith(t, ds, 2)
 
 	src, err := sim.NewStreamSource(SmallConfig(42))
 	if err != nil {
@@ -107,7 +107,7 @@ func TestGeneratorStreamEquivalence(t *testing.T) {
 }
 
 // peakHeapDuring runs fn while sampling runtime.MemStats, returning the
-// highest HeapAlloc observed (test-local twin of the wearbench sampler).
+// highest HeapAlloc observed.
 func peakHeapDuring(fn func() error) (uint64, error) {
 	runtime.GC()
 	read := func() uint64 {
@@ -145,13 +145,18 @@ func peakHeapDuring(fn func() error) (uint64, error) {
 	return peak, err
 }
 
+// bigMemCeiling is the heap ceiling of TestBoundedMemory100x: 2× the
+// 143,074,400 B peak heap of the streaming study at SmallConfig scale,
+// measured when the engine became streaming.
+const bigMemCeiling = 286_148_800
+
 // TestBoundedMemory100x is the bounded-memory contract of the streaming
 // engine: a population 100× the small benchmark scale, streamed straight
 // from the generator (no resident dataset anywhere), must complete the
-// full study under a heap ceiling of 2× the small-run peak recorded in
-// BENCH_PR7.json. The surviving heap is O(population) subscriber state
-// (substrate + one userStat each), never O(records) — the old engine
-// materialised every record and could not finish this run at all.
+// full study under bigMemCeiling. The surviving heap is O(population)
+// subscriber state (substrate + one userStat each), never O(records) —
+// the old engine materialised every record and could not finish this run
+// at all.
 //
 // The run takes several minutes single-threaded, so it is opt-in:
 //
@@ -160,20 +165,6 @@ func TestBoundedMemory100x(t *testing.T) {
 	if os.Getenv("WEARWILD_BIGMEM") == "" {
 		t.Skip("set WEARWILD_BIGMEM=1 to run the 100× bounded-memory study")
 	}
-	raw, err := os.ReadFile("BENCH_PR7.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bench struct {
-		StudyPeakHeapBytes uint64 `json:"study_peak_heap_bytes"`
-	}
-	if err := json.Unmarshal(raw, &bench); err != nil {
-		t.Fatal(err)
-	}
-	if bench.StudyPeakHeapBytes == 0 {
-		t.Fatal("BENCH_PR7.json records no study_peak_heap_bytes")
-	}
-	ceiling := 2 * bench.StudyPeakHeapBytes
 
 	// The ceiling bounds heap occupancy, not allocation throughput; run
 	// the collector eagerly so floating garbage does not dominate the
@@ -211,10 +202,9 @@ func TestBoundedMemory100x(t *testing.T) {
 	if res.Fig2a.WearableUsers == 0 {
 		t.Fatal("100× study identified no wearable users")
 	}
-	t.Logf("100× population: peak heap %d bytes (ceiling %d, small-run %d)",
-		peak, ceiling, bench.StudyPeakHeapBytes)
-	if peak >= ceiling {
+	t.Logf("100× population: peak heap %d bytes (ceiling %d)", peak, bigMemCeiling)
+	if peak >= bigMemCeiling {
 		t.Fatalf("peak heap %d bytes breaches the 2× small-run ceiling %d: %.2fx",
-			peak, ceiling, float64(peak)/float64(bench.StudyPeakHeapBytes))
+			peak, bigMemCeiling, 2*float64(peak)/bigMemCeiling)
 	}
 }

@@ -68,11 +68,7 @@ func RunStudy(ds *Dataset) (*Results, error) {
 
 // RunStudyWith executes the full analysis with explicit parameters.
 func RunStudyWith(ds *Dataset, cfg StudyConfig) (*Results, error) {
-	study, err := core.NewStudy(ds, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return study.Run()
+	return core.RunDataset(ds, cfg)
 }
 
 // Render prints every figure to w. maxRows truncates app-level tables
