@@ -52,10 +52,13 @@ lint-suppressions:
 fuzz-smoke:
 	$(GO) test -run='^Fuzz' ./internal/mnet/... ./internal/analysis ./internal/randx
 
-# Short run of the repository benchmark (cmd/wearperf) on one workload.
-# Its exit status is wearperf's correctness verdict, which includes the
-# seed-1234 golden digests pinned in cmd/wearperf/golden.go.
+# Short runs of the repository benchmark (cmd/wearperf) on two workloads.
+# Each exit status is wearperf's correctness verdict, which includes the
+# seed-1234 golden digests pinned in cmd/wearperf/golden.go. batch is the
+# only workload whose passes re-run the generator and check its re-encoded
+# logs against those digests.
 bench-smoke:
 	bash cmd/wearperf/run.sh --workload study-files --seconds 3 --trace 0
+	bash cmd/wearperf/run.sh --workload batch --seconds 3 --trace 0
 
 check: build lint lint-fixtures race fuzz-smoke

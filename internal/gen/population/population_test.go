@@ -290,6 +290,22 @@ func TestGeographyAnchors(t *testing.T) {
 	}
 }
 
+// TestAnchorSectorsAreNearest pins the invariant mobility relies on when it
+// reuses the anchors instead of looking them up again: every user's home
+// and work sectors are the topology's nearest sectors to those points.
+func TestAnchorSectorsAreNearest(t *testing.T) {
+	pop := buildTestPop(t, smallConfig())
+	topo := pop.Topo
+	for _, u := range pop.Users {
+		if got, want := u.HomeSector, topo.Nearest(u.Home); got != want {
+			t.Fatalf("user %v: HomeSector = %d, Nearest(Home) = %d", u.IMSI, got, want)
+		}
+		if got, want := u.WorkSector, topo.Nearest(u.Work); got != want {
+			t.Fatalf("user %v: WorkSector = %d, Nearest(Work) = %d", u.IMSI, got, want)
+		}
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	cfg := smallConfig()
 	a := buildTestPop(t, cfg)

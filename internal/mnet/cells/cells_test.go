@@ -1,6 +1,7 @@
 package cells
 
 import (
+	"math"
 	"testing"
 
 	"wearwild/internal/geo"
@@ -117,6 +118,116 @@ func TestNearestMatchesLinear(t *testing.T) {
 				t.Fatalf("point %v: grid %d at %.6f km, linear %d at %.6f km", p, fast, df, slow, ds)
 			}
 		}
+	}
+}
+
+// nearestRef is gridIndex.nearest as it was before candidates were ranked
+// by dot product: one haversine per candidate. TestNearestMatchesReference
+// holds the fast lookup to its answers, misses included, because the
+// generated MME logs depend on them.
+func (g *gridIndex) nearestRef(sectors []Sector, p geo.Point) SectorID {
+	if len(sectors) == 0 {
+		return 0
+	}
+	r0, c0 := g.cellOf(p)
+	best := -1
+	bestD := math.Inf(1)
+	// Expand ring by ring. Once a candidate is found, one extra ring
+	// guarantees correctness: any closer sector must lie within a circle
+	// that the next ring fully covers (cells are axis-aligned, so a point
+	// in ring k+2 is at least one full cell width away).
+	maxRing := g.rows + g.cols
+	for ring := 0; ring <= maxRing; ring++ {
+		found := false
+		for r := r0 - ring; r <= r0+ring; r++ {
+			if r < 0 || r >= g.rows {
+				continue
+			}
+			for c := c0 - ring; c <= c0+ring; c++ {
+				if c < 0 || c >= g.cols {
+					continue
+				}
+				// Only the ring border; inner cells were already scanned.
+				if ring > 0 && r != r0-ring && r != r0+ring && c != c0-ring && c != c0+ring {
+					continue
+				}
+				for _, i := range g.buckets[r*g.cols+c] {
+					d := geo.DistanceKm(p, sectors[i].Pos)
+					if d < bestD {
+						bestD = d
+						best = i
+						found = true
+					} else {
+						found = true
+					}
+				}
+			}
+		}
+		// Stop after scanning one full ring beyond the first hit.
+		if best >= 0 && !found && ring > 0 {
+			break
+		}
+		if best >= 0 && ring >= 2 {
+			// Conservative: with a hit and two rings scanned past the
+			// origin cell, closer sectors are impossible unless the hit
+			// was on the outermost ring; allow one more iteration in that
+			// case by comparing distances in cell units.
+			cellKm := math.Max(g.cellLat, g.cellLon) * 111 // ~km per degree
+			if bestD < float64(ring-1)*cellKm {
+				break
+			}
+		}
+	}
+	if best < 0 {
+		return 0
+	}
+	return sectors[best].ID
+}
+
+// TestNearestMatchesReference requires the dot-product ranking to return
+// exactly the sector of the haversine-per-candidate scan on 1M seeded
+// points: sector positions, midpoints of sector pairs (near-ties), 5 km
+// and 50 km Gaussian offsets around sectors, and uniform points over the
+// country and up to 200 km outside it.
+func TestNearestMatchesReference(t *testing.T) {
+	topo := buildDefault(t)
+	country := geo.DefaultCountry()
+	sectors := topo.Sectors()
+	pick := func(r *randx.Rand) geo.Point { return sectors[r.IntN(len(sectors))].Pos }
+	kinds := []struct {
+		name  string
+		point func(r *randx.Rand) geo.Point
+	}{
+		{"sector", pick},
+		{"midpoint", func(r *randx.Rand) geo.Point {
+			a, b := pick(r), pick(r)
+			return geo.Point{Lat: (a.Lat + b.Lat) / 2, Lon: (a.Lon + b.Lon) / 2}
+		}},
+		{"gauss5km", func(r *randx.Rand) geo.Point {
+			return geo.Offset(pick(r), 5*r.NormFloat64(), 5*r.NormFloat64())
+		}},
+		{"gauss50km", func(r *randx.Rand) geo.Point {
+			return geo.Offset(pick(r), 50*r.NormFloat64(), 50*r.NormFloat64())
+		}},
+		{"uniform", func(r *randx.Rand) geo.Point {
+			const margin = 200
+			return geo.Offset(country.Origin,
+				-margin+r.Float64()*(country.WidthKm+2*margin),
+				-margin+r.Float64()*(country.HeightKm+2*margin))
+		}},
+	}
+	const perKind = 200_000
+	for ki, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			t.Parallel()
+			r := randx.New(2024).Split(k.name, uint64(ki))
+			for i := 0; i < perKind; i++ {
+				p := k.point(r)
+				if got, want := topo.Nearest(p), topo.grid.nearestRef(sectors, p); got != want {
+					t.Fatalf("point %d %v: Nearest = %d, reference = %d", i, p, got, want)
+				}
+			}
+		})
 	}
 }
 

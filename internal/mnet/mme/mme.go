@@ -6,7 +6,7 @@ package mme
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"wearwild/internal/mnet/cells"
@@ -79,9 +79,7 @@ func (l *Log) Len() int { return len(l.Records) }
 // SortByTime orders records chronologically (stable, so equal-time records
 // keep generation order).
 func (l *Log) SortByTime() {
-	sort.SliceStable(l.Records, func(i, j int) bool {
-		return l.Records[i].Time.Before(l.Records[j].Time)
-	})
+	slices.SortStableFunc(l.Records, func(a, b Record) int { return a.Time.Compare(b.Time) })
 }
 
 // Sorted reports whether the log is in chronological order.

@@ -3,6 +3,8 @@ package mme
 import (
 	"bytes"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -53,6 +55,30 @@ func TestLogSort(t *testing.T) {
 	}
 	if l.Len() != 4 {
 		t.Fatalf("len = %d", l.Len())
+	}
+}
+
+// TestSortByTimeStable requires SortByTime to keep equal-time records in
+// their original order, element for element the order sort.SliceStable
+// gives, on a log where every timestamp is shared by hundreds of records.
+func TestSortByTimeStable(t *testing.T) {
+	t0 := time.Date(2018, 1, 10, 0, 0, 0, 0, time.UTC)
+	var l Log
+	for i := 0; i < 5000; i++ {
+		l.Append(Record{
+			Time:   t0.Add(time.Duration(i*7919%16) * time.Minute),
+			IMSI:   subs.MustNew(uint64(i % 37)),
+			Sector: cells.SectorID(i),
+			Event:  Update,
+		})
+	}
+	want := slices.Clone(l.Records)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].Time.Before(want[j].Time) })
+	l.SortByTime()
+	for i := range want {
+		if l.Records[i] != want[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, l.Records[i], want[i])
+		}
 	}
 }
 

@@ -5,8 +5,9 @@
 package proxylog
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"wearwild/internal/mnet/imei"
@@ -198,11 +199,40 @@ func (l *Log) Append(r Record) { l.Records = append(l.Records, r) }
 // Len returns the record count.
 func (l *Log) Len() int { return len(l.Records) }
 
-// SortByTime orders records chronologically (stable).
+// SortByTime orders records chronologically (stable). Records are large,
+// so rather than moving them through a merge sort it sorts a permutation
+// keyed on (time, original index), which is the stable order, then
+// applies it in place cycle by cycle, moving each record once. int32
+// indices reach 2^31 records, over 200 GB of them.
 func (l *Log) SortByTime() {
-	sort.SliceStable(l.Records, func(i, j int) bool {
-		return l.Records[i].Time.Before(l.Records[j].Time)
+	recs := l.Records
+	perm := make([]int32, len(recs))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := recs[a].Time.Compare(recs[b].Time); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
+	// perm[i] names the record that belongs at i; a placed slot is marked
+	// perm[i] == i.
+	for i := range perm {
+		if perm[i] == int32(i) {
+			continue
+		}
+		held := recs[i]
+		j := int32(i)
+		for perm[j] != int32(i) {
+			k := perm[j]
+			recs[j] = recs[k]
+			perm[j] = j
+			j = k
+		}
+		recs[j] = held
+		perm[j] = j
+	}
 }
 
 // Sorted reports whether the log is chronological.

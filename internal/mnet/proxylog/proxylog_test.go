@@ -2,7 +2,10 @@ package proxylog
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -336,6 +339,31 @@ func TestFileRoundTripAllFormats(t *testing.T) {
 	}
 	if _, err := ReadFile(filepath.Join(dir, "missing.csv")); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestSortByTimeStable requires SortByTime to keep equal-time records in
+// their original order, element for element the order sort.SliceStable
+// gives, on a log where every timestamp is shared by hundreds of records.
+func TestSortByTimeStable(t *testing.T) {
+	t0 := time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC)
+	var l Log
+	for i := 0; i < 5000; i++ {
+		l.Append(Record{
+			Time:    t0.Add(time.Duration(i*7919%16) * time.Second),
+			IMSI:    subs.MustNew(uint64(i % 37)),
+			Scheme:  HTTPS,
+			Host:    fmt.Sprintf("h%d.example.com", i%11),
+			BytesUp: int64(i),
+		})
+	}
+	want := slices.Clone(l.Records)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].Time.Before(want[j].Time) })
+	l.SortByTime()
+	for i := range want {
+		if l.Records[i] != want[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, l.Records[i], want[i])
+		}
 	}
 }
 
