@@ -47,10 +47,11 @@ lint-suppressions:
 # Run the native fuzz targets over their seed corpus only (no mutation):
 # the mme/proxylog codec fuzzers, the collection-path parsers (httplog
 # FuzzReadHead, sni FuzzReadClientHello), the wearlint suppression
-# grammar (FuzzIgnoreDirective, FuzzSuppressionInventory), and the randx
-# Split derivation (FuzzSplitLabel).
+# grammar (FuzzIgnoreDirective, FuzzSuppressionInventory), the randx
+# Split derivation (FuzzSplitLabel), and the study over truncated or
+# corrupted log encodings (core FuzzRunStreamReaders).
 fuzz-smoke:
-	$(GO) test -run='^Fuzz' ./internal/mnet/... ./internal/analysis ./internal/randx
+	$(GO) test -run='^Fuzz' ./internal/mnet/... ./internal/analysis ./internal/randx ./internal/core
 
 # Short runs of the repository benchmark (cmd/wearperf) on two workloads.
 # Each exit status is wearperf's correctness verdict, which includes the

@@ -69,7 +69,11 @@ func main() {
 	// goroutine exits the moment the deferred Close stops the proxy.
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- proxy.Serve(ln) }()
-	defer proxy.Close()
+	defer func() {
+		if err := proxy.Close(); err != nil {
+			log.Printf("proxy shutdown: %v", err)
+		}
+	}()
 	fmt.Printf("transparent proxy on %s\n\n", ln.Addr())
 
 	// Drive a realistic burst: a Weather usage (app + CDN + analytics)

@@ -45,15 +45,19 @@ var goldenResults = map[string]string{
 	"TD":        "4b86db41ef853ed612d90752aae85b1d810fdda4bb1c1eafd39cab958dbc0d45",
 }
 
+// goldenMarkdown is the SHA-256 of the rendered EXPERIMENTS markdown,
+// WriteExperimentsMarkdown(Evaluate(res)), for the same study.
+const goldenMarkdown = "1968b0c76c4e6e9f742d2f18eac953ec49d57cfcc7cd4928d20935b810ba193a"
+
 func sha256Hex(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 
 // TestGoldenDigests is the behaviour oracle: digests recorded outside the
-// engine pin the generator, the codecs and every figure of the study, so a
-// refactor that moves a byte fails here and names the log or Results field
-// that diverged.
+// engine pin the generator, the codecs, every figure of the study and the
+// rendered markdown, so a refactor that moves a byte fails here and names
+// the log, Results field or markdown that diverged.
 func TestGoldenDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a full small dataset")
@@ -93,5 +97,13 @@ func TestGoldenDigests(t *testing.T) {
 	}
 	if len(goldenResults) != v.NumField() {
 		t.Errorf("%d golden Results fields for %d in Results", len(goldenResults), v.NumField())
+	}
+
+	var md bytes.Buffer
+	if err := WriteExperimentsMarkdown(&md, Evaluate(res)); err != nil {
+		t.Fatal(err)
+	}
+	if got := sha256Hex(md.Bytes()); got != goldenMarkdown {
+		t.Errorf("markdown: digest %s, golden %s", got, goldenMarkdown)
 	}
 }

@@ -156,9 +156,10 @@ func (p *Pass) calleeFunc(call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// DefaultAnalyzers returns every check, in stable order: the six
-// intraprocedural tripwires, then the twelve call-graph / dataflow
-// checks (growbound through mergeable are the memory-discipline layer;
+// DefaultAnalyzers returns every check, in stable order: the three
+// intraprocedural tripwires (maporder, waitgroup, errdrop), then the
+// twelve call-graph / dataflow checks (detreach, the determinism check,
+// first; growbound through mergeable are the memory-discipline layer;
 // randsplit through sinkretain are the generator-discipline layer built
 // on the escape/alias summaries), then the concurrency-safety four
 // (ctxflow, atomicmix, chanbound, tickstop) that pin the load-tested
@@ -166,11 +167,8 @@ func (p *Pass) calleeFunc(call *ast.CallExpr) *types.Func {
 // timer-lifecycle invariants.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
-		WalltimeAnalyzer,
-		GlobalrandAnalyzer,
 		MaporderAnalyzer,
 		WaitgroupAnalyzer,
-		ClosecheckAnalyzer,
 		ErrdropAnalyzer,
 		DetreachAnalyzer,
 		DeadlineAnalyzer,
@@ -256,21 +254,16 @@ func (m *Module) Run(analyzers ...*Analyzer) ([]Diagnostic, error) {
 }
 
 // overlapPriority maps a general check to the more specific checks that
-// outrank it when both flag the same site: closecheck beats errdrop
-// (both flag one dropped Close/Flush error at one call),
-// retain/growbound beat allochot (a slab-retention or unbounded-growth
-// finding subsumes the generic per-iteration allocation complaint),
-// deadline beats ctxflow on a shared conn-I/O line (its every-caller-path
-// analysis is the sharper verdict on the same park), and tickstop beats
-// walltime on a per-iteration time.Tick/time.After (the lifecycle leak
-// subsumes the wall-clock complaint). The overlap key is the line, not
-// the column — the specific checks anchor on the offending argument
+// outrank it when both flag the same site: retain/growbound beat
+// allochot (a slab-retention or unbounded-growth finding subsumes the
+// generic per-iteration allocation complaint), and deadline beats
+// ctxflow on a shared conn-I/O line (its every-caller-path analysis is
+// the sharper verdict on the same park). The overlap key is the line,
+// not the column — the specific checks anchor on the offending argument
 // while the general ones anchor on the statement.
 var overlapPriority = map[string][]string{
-	"errdrop":  {"closecheck"},
 	"allochot": {"retain", "growbound"},
 	"ctxflow":  {"deadline"},
-	"walltime": {"tickstop"},
 }
 
 // dedupeOverlaps drops a general check's diagnostic when a more

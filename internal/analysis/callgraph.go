@@ -71,6 +71,9 @@ type Edge struct {
 	// Dynamic marks edges added by over-approximation: interface
 	// dispatch, func-value calls, and value references.
 	Dynamic bool
+	// Ref marks a value reference: the site names Callee without
+	// calling it.
+	Ref bool
 }
 
 // CallGraph is the module-wide graph plus the lookup tables the
@@ -241,7 +244,7 @@ func (g *CallGraph) walkExpr(n *Node, pass *Pass, root ast.Node) {
 		// interface-method edge keeps the leaf visible and the registered
 		// signature lets func-value call sites find the implementations.
 		callee := g.node(fn)
-		n.Out = append(n.Out, Edge{Caller: n, Callee: callee, Pos: id.Pos(), Dynamic: true})
+		n.Out = append(n.Out, Edge{Caller: n, Callee: callee, Pos: id.Pos(), Dynamic: true, Ref: true})
 		key := sigKey(fn.Type())
 		if key != "" {
 			g.addressTaken[key] = append(g.addressTaken[key], callee)

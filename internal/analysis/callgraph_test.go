@@ -142,7 +142,7 @@ func TestWriteJSONStable(t *testing.T) {
 		t.Errorf("JSON output differs between identical runs:\n--- run 1\n%s\n--- run 2\n%s", bufs[0].String(), bufs[1].String())
 	}
 	out := bufs[0].String()
-	for _, want := range []string{`"check": "detreach"`, `"file": "clockutil/clockutil.go"`, `"path": [`, `"func": "internal/study.Pipeline"`} {
+	for _, want := range []string{`"check": "detreach"`, `"file": "mnet/netproxy/netproxy.go"`, `"path": [`, `"func": "internal/study.Pipeline"`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("JSON missing %s:\n%s", want, out)
 		}

@@ -6,49 +6,83 @@ import (
 )
 
 // detreachRoots are the determinism roots: the packages whose outputs
-// EXPERIMENTS.md pins byte-for-byte. walltime and globalrand police
-// direct calls with package allowlists; detreach removes the trust those
-// allowlists imply by checking the transitive property instead — a
-// time.Now three packages away is exactly as fatal to reproducibility as
-// one written in sim code, and an allowlisted networked package is only
-// safe while the deterministic pipeline cannot reach it.
+// EXPERIMENTS.md pins byte-for-byte. A time.Now three packages away is
+// exactly as fatal to reproducibility as one written in sim code, and an
+// allowlisted networked package is only safe while the deterministic
+// pipeline cannot reach it.
 var detreachRoots = []string{
 	"cmd/wearstudy",
 	"internal/study/...",
 	"internal/gen/...",
 }
 
-// DetreachAnalyzer reports every wall-clock or global-rand call the
-// determinism roots can reach through any call chain, with the chain in
-// the diagnostic.
+// ban is one class of determinism-hostile call: the packages that may
+// use it directly, whether _test.go files may too, and the remedy the
+// diagnostic names.
+type ban struct {
+	allowed []string
+	testsOK bool
+	remedy  string
+}
+
+// clockBan: only the two genuinely-networked packages (the live proxy
+// and the replay harness speak real TCP, so deadlines and stamps must be
+// real time), binaries and examples (which time their own phases for
+// operators) and test files (which poll real deadlines) read the clock.
+// Everything else works in simtime hour indices.
+var clockBan = &ban{
+	allowed: []string{"internal/mnet/netproxy", "internal/mnet/replay", "cmd/...", "examples/..."},
+	testsOK: true,
+	remedy:  "use internal/simtime hour indices, or take the clock from cmd/",
+}
+
+// randBan: only the randomness package itself touches math/rand, and
+// even there only to construct seeded generators.
+var randBan = &ban{
+	allowed: []string{"internal/randx"},
+	remedy:  "split a seeded stream from internal/randx",
+}
+
+// clockReaders are the time functions that couple output to the host
+// clock or scheduler.
+var clockReaders = map[string]bool{
+	"Now": true, "Since": true, "Until": true, "Sleep": true,
+	"After": true, "Tick": true, "NewTicker": true, "NewTimer": true,
+	"AfterFunc": true,
+}
+
+// DetreachAnalyzer reports every wall-clock or global-rand call site
+// once: with its call chain when the determinism roots can reach it,
+// otherwise when it sits outside its ban's allowlist.
 var DetreachAnalyzer = &Analyzer{
 	Name:      "detreach",
-	Doc:       "wall-clock or global math/rand call reachable from the deterministic pipeline (wearstudy, internal/study, internal/gen), reported with the call chain",
+	Doc:       "wall-clock or global math/rand use outside its allowlist, or reachable from the deterministic pipeline (wearstudy, internal/study, internal/gen) with the call chain",
 	RunModule: runDetreach,
 }
 
 // detreachBanned classifies a non-module function as determinism-hostile:
-// the package-level time clock readers (walltime's list) and the
-// package-level math/rand stream draws (globalrand's predicate).
-func detreachBanned(fn *types.Func) string {
+// the package-level time clock readers and the package-level math/rand
+// stream draws. Methods compare instants or draw from seeded streams,
+// and rand.New* constructs one, so none of those is banned.
+func detreachBanned(fn *types.Func) (string, *ban) {
 	pkg := fn.Pkg()
 	if pkg == nil {
-		return ""
+		return "", nil
 	}
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return "" // methods compare instants or draw from seeded streams
+		return "", nil
 	}
 	switch pkg.Path() {
 	case "time":
-		if walltimeBanned[fn.Name()] {
-			return "time." + fn.Name() + " couples output to the wall clock"
+		if clockReaders[fn.Name()] {
+			return "time." + fn.Name() + " couples output to the wall clock", clockBan
 		}
 	case "math/rand", "math/rand/v2":
 		if !strings.HasPrefix(fn.Name(), "New") {
-			return "rand." + fn.Name() + " draws from the process-global stream"
+			return "rand." + fn.Name() + " draws from the process-global stream", randBan
 		}
 	}
-	return ""
+	return "", nil
 }
 
 func runDetreach(mp *ModulePass) {
@@ -61,26 +95,36 @@ func runDetreach(mp *ModulePass) {
 	})
 	reach := g.ReachableFrom(roots)
 
-	// Report once per offending call site: every edge whose caller the
-	// roots reach and whose callee is banned. The chain is the shortest
-	// discovery path to the caller plus the offending call itself.
+	// Every edge into a banned function is one site, judged once: by
+	// reachability first (the chain is the shortest discovery path to the
+	// caller plus the offending call), then by the ban's allowlist. The
+	// allowlist judges only sites that name the function; a call through
+	// a func value is matched by signature and names nothing.
 	g.Walk(func(caller *Node) {
-		if !reach.Contains(caller) || caller.Test {
-			return
-		}
 		for _, e := range caller.Out {
 			if e.Callee.Fn == nil || e.Callee.InModule {
 				continue
 			}
-			why := detreachBanned(e.Callee.Fn)
-			if why == "" {
+			why, b := detreachBanned(e.Callee.Fn)
+			if b == nil {
 				continue
 			}
-			chain := append(reach.PathTo(caller), e)
-			root := chain[0].Caller
-			mp.Reportf(e.Pos, pathSteps(mp.Mod, chain),
-				"%s and is reachable from determinism root %s: %s; thread simtime/randx values in instead of reaching the clock or global stream",
-				why, root.DisplayName(mp.Mod), renderChain(mp.Mod, chain))
+			if reach.Contains(caller) && !caller.Test {
+				chain := append(reach.PathTo(caller), e)
+				root := chain[0].Caller
+				mp.Reportf(e.Pos, pathSteps(mp.Mod, chain),
+					"%s and is reachable from determinism root %s: %s; %s",
+					why, root.DisplayName(mp.Mod), renderChain(mp.Mod, chain), b.remedy)
+				continue
+			}
+			if (e.Dynamic && !e.Ref) || matchRel(caller.Rel, b.allowed) {
+				continue
+			}
+			if b.testsOK && strings.HasSuffix(mp.Mod.Fset.Position(e.Pos).Filename, "_test.go") {
+				continue
+			}
+			mp.Reportf(e.Pos, nil, "%s; only %s may use it directly; %s",
+				why, strings.Join(b.allowed, ", "), b.remedy)
 		}
 	})
 }

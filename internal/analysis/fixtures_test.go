@@ -69,12 +69,12 @@ func runFixture(t *testing.T, dir, rel string, as ...*Analyzer) []Diagnostic {
 	return diags
 }
 
-// checkFixture asserts the analyzer's diagnostics over testdata/<dir>
-// match the want markers exactly, with sane positions and non-empty
-// messages.
-func checkFixture(t *testing.T, dir, rel string, a *Analyzer) {
+// checkFixture asserts the analyzers' diagnostics over testdata/<dir>
+// (the full catalog when none are named) match the want markers exactly,
+// with sane positions and non-empty messages.
+func checkFixture(t *testing.T, dir, rel string, as ...*Analyzer) {
 	t.Helper()
-	diags := runFixture(t, dir, rel, a)
+	diags := runFixture(t, dir, rel, as...)
 	want := expectations(t, filepath.Join("testdata", dir))
 
 	got := map[string]map[int][]string{}
@@ -239,12 +239,18 @@ func checkTree(t *testing.T, dir, mount string, a *Analyzer) []Diagnostic {
 	return diags
 }
 
+// TestGoldenWalltime pins detreach's wall-clock rule: every marked clock
+// read is flagged exactly once, by the chain rule inside a determinism
+// root and by the allowlist rule outside one, and the _test.go file's
+// real-deadline poll stays silent in both.
 func TestGoldenWalltime(t *testing.T) {
-	checkFixture(t, "walltime", "internal/gen/fixture", WalltimeAnalyzer)
+	for _, rel := range []string{"internal/gen/fixture", "internal/core/fixture"} {
+		t.Run(rel, func(t *testing.T) { checkFixture(t, "walltime", rel, DetreachAnalyzer) })
+	}
 }
 
-// TestGoldenWalltimeAllowlist reruns the same violating fixture at allowlisted
-// module paths; the path, not the code, decides.
+// TestGoldenWalltimeAllowlist reruns the same violating fixture at the
+// clock's allowlisted module paths; the path, not the code, decides.
 func TestGoldenWalltimeAllowlist(t *testing.T) {
 	for _, rel := range []string{
 		"cmd/fixture",
@@ -252,18 +258,23 @@ func TestGoldenWalltimeAllowlist(t *testing.T) {
 		"internal/mnet/netproxy",
 		"internal/mnet/replay",
 	} {
-		if diags := runFixture(t, "walltime", rel, WalltimeAnalyzer); len(diags) != 0 {
+		if diags := runFixture(t, "walltime", rel, DetreachAnalyzer); len(diags) != 0 {
 			t.Errorf("rel %q: allowlisted package still flagged: %v", rel, diags)
 		}
 	}
 }
 
+// TestGoldenGlobalrand pins detreach's global-rand rule, inside and
+// outside a determinism root; unlike the clock rule it checks test files
+// too.
 func TestGoldenGlobalrand(t *testing.T) {
-	checkFixture(t, "globalrand", "internal/gen/fixture", GlobalrandAnalyzer)
+	for _, rel := range []string{"internal/gen/fixture", "internal/core/fixture"} {
+		t.Run(rel, func(t *testing.T) { checkFixture(t, "globalrand", rel, DetreachAnalyzer) })
+	}
 }
 
 func TestGoldenGlobalrandAllowlist(t *testing.T) {
-	if diags := runFixture(t, "globalrand", "internal/randx", GlobalrandAnalyzer); len(diags) != 0 {
+	if diags := runFixture(t, "globalrand", "internal/randx", DetreachAnalyzer); len(diags) != 0 {
 		t.Errorf("internal/randx may construct rand streams, got: %v", diags)
 	}
 }
@@ -276,20 +287,35 @@ func TestGoldenWaitgroup(t *testing.T) {
 	checkFixture(t, "waitgroup", "internal/fixture", WaitgroupAnalyzer)
 }
 
+// TestGoldenClosecheck pins errdrop's writer-path rule in _test.go
+// files: a dropped Close/Flush on an io.Writer in a function returning
+// error is flagged, while the acknowledged, read-only, no-error-result and
+// non-writer drops stay silent there — and the same drops in the package's
+// non-test file fall under the full rule.
 func TestGoldenClosecheck(t *testing.T) {
-	checkFixture(t, "closecheck", "internal/report/fixture", ClosecheckAnalyzer)
+	checkFixture(t, "closecheck", "internal/report/fixture", ErrdropAnalyzer)
 }
 
 // TestLoadTreeDetreach pins the interprocedural clock check: banned
-// calls two hops from a root are flagged with the full chain, and an
-// identical banned call the roots cannot reach stays silent.
+// calls two hops from a root are flagged with the full chain, an
+// identical clock read the roots cannot reach in an allowlisted package
+// stays silent, an unreachable global-stream draw there is still
+// flagged by the allowlist rule, without a chain, and an unreachable call
+// through a func value that could be time.Now stays silent: the allowlist
+// rule judges only sites that name the banned function.
 func TestLoadTreeDetreach(t *testing.T) {
 	diags := checkTree(t, "detreach", "internal", DetreachAnalyzer)
-	var stamp *Diagnostic
+	var stamp, draw *Diagnostic
 	for i := range diags {
 		if strings.Contains(diags[i].Message, "time.Now") {
 			stamp = &diags[i]
 		}
+		if diags[i].Path == nil {
+			draw = &diags[i]
+		}
+	}
+	if draw == nil || !strings.Contains(draw.Message, "only internal/randx may use it directly") {
+		t.Errorf("want the unreachable rand.Intn flagged by the allowlist rule, got %v", draw)
 	}
 	if stamp == nil {
 		t.Fatal("no diagnostic for the time.Now leg")
@@ -297,7 +323,7 @@ func TestLoadTreeDetreach(t *testing.T) {
 	if len(stamp.Path) < 2 {
 		t.Errorf("want a >=2-hop chain on the time.Now finding, got %d steps: %v", len(stamp.Path), stamp.Path)
 	}
-	wantChain := "internal/study.Pipeline → internal/clockutil.Stamp → time.Now"
+	wantChain := "internal/study.Pipeline → internal/mnet/netproxy.Stamp → time.Now"
 	if !strings.Contains(stamp.Message, wantChain) {
 		t.Errorf("message missing chain %q:\n%s", wantChain, stamp.Message)
 	}
@@ -354,7 +380,7 @@ func TestLoadTreeLockheld(t *testing.T) {
 // is itself reported under the unsuppressable "ignore" pseudo-check.
 func TestGoldenSuppress(t *testing.T) {
 	checkFixtureMessages(t)
-	diags := runFixture(t, "suppress", "internal/fixture", WalltimeAnalyzer)
+	diags := runFixture(t, "suppress", "internal/fixture", DetreachAnalyzer)
 
 	src, err := os.ReadFile(filepath.Join("testdata", "suppress", "suppress.go"))
 	if err != nil {
@@ -370,19 +396,19 @@ func TestGoldenSuppress(t *testing.T) {
 		t.Fatal("fixture lost its bare //wearlint:ignore directive")
 	}
 
-	var walltime, ignore []Diagnostic
+	var detreach, ignore []Diagnostic
 	for _, d := range diags {
 		switch d.Check {
-		case "walltime":
-			walltime = append(walltime, d)
+		case "detreach":
+			detreach = append(detreach, d)
 		case "ignore":
 			ignore = append(ignore, d)
 		default:
 			t.Errorf("unexpected check %q: %s", d.Check, d)
 		}
 	}
-	if len(walltime) != 1 {
-		t.Fatalf("want exactly 1 surviving walltime diagnostic (wrong-check directive), got %d: %v", len(walltime), walltime)
+	if len(detreach) != 1 {
+		t.Fatalf("want exactly 1 surviving detreach diagnostic (wrong-check directive), got %d: %v", len(detreach), detreach)
 	}
 	if len(ignore) != 1 {
 		t.Fatalf("want exactly 1 malformed-directive diagnostic, got %d: %v", len(ignore), ignore)
@@ -500,38 +526,21 @@ func TestLoadTreeErrdrop(t *testing.T) {
 }
 
 // TestGoldenErrdropScope reruns the violating errdrop package mounted
-// outside internal/ and cmd/: the check's scope is the module path, so
-// examples stay unflagged.
+// outside internal/ and cmd/: the full rule covers all non-test code, so
+// examples and the module root are flagged exactly as internal/ is.
 func TestGoldenErrdropScope(t *testing.T) {
-	if diags := runFixture(t, "errdrop/emit", "examples/demo", ErrdropAnalyzer); len(diags) != 0 {
-		t.Errorf("errdrop fired outside internal/ and cmd/: %v", diags)
+	for _, rel := range []string{"examples/demo", ""} {
+		t.Run("rel="+rel, func(t *testing.T) { checkFixture(t, "errdrop/emit", rel, ErrdropAnalyzer) })
 	}
 }
 
-// TestGoldenOverlapDedupe pins the closecheck/errdrop overlap rule: a
-// dropped Close/Flush both checks match yields the single closecheck
-// diagnostic, and errdrop alone still covers the site when closecheck
-// is not in the run.
+// TestGoldenOverlapDedupe pins one diagnostic per site under the full
+// check catalog where two checks once both fired: a dropped writer
+// Flush/Close (errdrop alone), and a clock read plus a global-stream draw
+// in a determinism root (detreach alone, not a second allowlist twin).
 func TestGoldenOverlapDedupe(t *testing.T) {
-	both := runFixture(t, "overlap", "internal/report/fixture", ClosecheckAnalyzer, ErrdropAnalyzer)
-	if len(both) != 2 {
-		t.Fatalf("want exactly 2 deduped diagnostics, got %d: %v", len(both), both)
-	}
-	for _, d := range both {
-		if d.Check != "closecheck" {
-			t.Errorf("dedupe must keep closecheck over errdrop, got %q at %s", d.Check, d)
-		}
-	}
-
-	alone := runFixture(t, "overlap", "internal/report/fixture", ErrdropAnalyzer)
-	if len(alone) != 2 {
-		t.Fatalf("errdrop alone must still flag both drops, got %d: %v", len(alone), alone)
-	}
-	for _, d := range alone {
-		if d.Check != "errdrop" {
-			t.Errorf("solo run produced %q, want errdrop: %s", d.Check, d)
-		}
-	}
+	checkFixture(t, "overlap", "internal/report/fixture")
+	checkFixture(t, "detonce", "internal/gen/sim")
 }
 
 // TestWriteJSONSuppressed proves suppression happens before emission:
@@ -544,7 +553,7 @@ func TestWriteJSONSuppressed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		diags, err := m.Run(WalltimeAnalyzer)
+		diags, err := m.Run(DetreachAnalyzer)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -556,8 +565,8 @@ func TestWriteJSONSuppressed(t *testing.T) {
 		t.Errorf("JSON output differs between identical runs:\n--- run 1\n%s\n--- run 2\n%s", bufs[0].String(), bufs[1].String())
 	}
 	out := bufs[0].String()
-	if got := strings.Count(out, `"check": "walltime"`); got != 1 {
-		t.Errorf("want exactly the 1 unsuppressed walltime finding in JSON, got %d:\n%s", got, out)
+	if got := strings.Count(out, `"check": "detreach"`); got != 1 {
+		t.Errorf("want exactly the 1 unsuppressed detreach finding in JSON, got %d:\n%s", got, out)
 	}
 	// The fixture's suppressed violations sit on lines 9, 15 and 20; none
 	// may surface in the emitted JSON.
@@ -578,11 +587,11 @@ func checkFixtureMessages(t *testing.T) {
 		a        *Analyzer
 		contains string
 	}{
-		{"walltime", "internal/gen/fixture", WalltimeAnalyzer, "internal/simtime"},
-		{"globalrand", "internal/gen/fixture", GlobalrandAnalyzer, "internal/randx"},
+		{"walltime", "internal/core/fixture", DetreachAnalyzer, "internal/simtime"},
+		{"globalrand", "internal/core/fixture", DetreachAnalyzer, "internal/randx"},
 		{"maporder", "internal/core/fixture", MaporderAnalyzer, "collect the keys, sort them"},
 		{"waitgroup", "internal/fixture", WaitgroupAnalyzer, "before the go statement"},
-		{"closecheck", "internal/report/fixture", ClosecheckAnalyzer, "writer path"},
+		{"closecheck", "internal/report/fixture", ErrdropAnalyzer, "assign to _"},
 	} {
 		diags := runFixture(t, tc.dir, tc.rel, tc.a)
 		if len(diags) == 0 {
@@ -783,7 +792,7 @@ func TestWriteJSONMemoryChecks(t *testing.T) {
 		{"ctxflow", "internal/mnet", CtxflowAnalyzer},
 		{"atomicmix", "internal", AtomicmixAnalyzer},
 		{"chanbound", "internal/mnet", ChanboundAnalyzer},
-		{"tickstop", "internal", TickstopAnalyzer},
+		{"tickstop", "cmd", TickstopAnalyzer},
 	} {
 		var bufs [2]bytes.Buffer
 		for i := range bufs {
@@ -1142,9 +1151,14 @@ func TestLoadTreeChanboundClean(t *testing.T) {
 // ticker, the early return that escapes a plain Stop, the per-iteration
 // time.After/time.Tick and the unstopped closure-local ticker all flag;
 // defer-Stop in both spellings, every handoff class, AfterFunc and the
-// time.Time.After method stay silent.
+// time.Time.After method stay silent. The tree mounts under cmd/, where
+// the clock is allowed; mounted outside the clock allowlist it yields no
+// tickstop finding, since detreach already owns every timer there.
 func TestLoadTreeTickstop(t *testing.T) {
-	diags := checkTree(t, "tickstop", "internal", TickstopAnalyzer)
+	diags := checkTree(t, "tickstop", "cmd", TickstopAnalyzer)
+	if _, outside := runTree(t, "tickstop", "internal", TickstopAnalyzer); len(outside) != 0 {
+		t.Errorf("tickstop judged a package outside the clock allowlist: %v", outside)
+	}
 
 	var never, escape *Diagnostic
 	for i := range diags {
@@ -1173,7 +1187,7 @@ func TestLoadTreeTickstop(t *testing.T) {
 // TestLoadTreeTickstopClean runs the check over every sanctioned
 // lifecycle: zero findings.
 func TestLoadTreeTickstopClean(t *testing.T) {
-	if _, diags := runTree(t, "tickstopclean", "internal", TickstopAnalyzer); len(diags) != 0 {
+	if _, diags := runTree(t, "tickstopclean", "cmd", TickstopAnalyzer); len(diags) != 0 {
 		t.Errorf("clean tree flagged: %v", diags)
 	}
 }

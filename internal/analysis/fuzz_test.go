@@ -37,14 +37,14 @@ func fuzzDirectiveOracle(text string) (check, reason string, malformed, directiv
 // and unicode reasons.
 func FuzzIgnoreDirective(f *testing.F) {
 	for _, s := range []string{
-		"//wearlint:ignore walltime sim code stamps with simtime",
+		"//wearlint:ignore detreach sim code stamps with simtime",
 		"//wearlint:ignore all fixture",
 		"//wearlint:ignore",
 		"//wearlint:ignore ",
-		"//wearlint:ignore walltime",
-		"//wearlint:ignorewalltime reason words",
+		"//wearlint:ignore detreach",
+		"//wearlint:ignoredetreach reason words",
 		"//wearlint:ignoreXYZ a b",
-		"//wearlint:ignore\twalltime\ttabbed reason",
+		"//wearlint:ignore\tdetreach\ttabbed reason",
 		"//wearlint:ignore growbound   spaced   out   reason",
 		"//wearlint:ignore retain é unicode reason",
 		"// plain comment",

@@ -82,11 +82,11 @@ func TestSuppressionInventory(t *testing.T) {
 // must be byte-stable and decode back to the same inventory.
 func FuzzSuppressionInventory(f *testing.F) {
 	for _, s := range []string{
-		"//wearlint:ignore walltime sim code stamps with simtime",
+		"//wearlint:ignore detreach sim code stamps with simtime",
 		"//wearlint:ignore all fixture",
-		"//wearlint:ignore walltime",
-		"//wearlint:ignorewalltime reason words",
-		"//wearlint:ignore\twalltime\ttabbed reason",
+		"//wearlint:ignore detreach",
+		"//wearlint:ignoredetreach reason words",
+		"//wearlint:ignore\tdetreach\ttabbed reason",
 		"//wearlint:ignore growbound   spaced   out   reason",
 		"//wearlint:ignore retain é unicode reason",
 		"// plain comment",

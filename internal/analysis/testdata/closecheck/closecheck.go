@@ -1,4 +1,6 @@
-// Package fixture exercises the closecheck check.
+// Package fixture exercises errdrop's writer-path rule, the one that
+// applies in _test.go files (closecheck_test.go), next to the full rule
+// that applies here.
 package fixture
 
 import (
@@ -7,53 +9,10 @@ import (
 	"os"
 )
 
-// DropFlush ignores the buffered writer's Flush error in a function that
-// could have propagated it: flagged.
-func DropFlush(w io.Writer) error {
+// Truncate drops a write-side Close in a function with no error result:
+// outside test files every discarded error is flagged.
+func Truncate(w io.Writer, path string) {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("row\n"); err != nil {
-		return err
-	}
-	bw.Flush() // want closecheck
-	return nil
-}
-
-// DeferDrop defers the close of a created (written) file: flagged.
-func DeferDrop(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close() // want closecheck
-	_, err = f.WriteString("data")
-	return err
-}
-
-// AckFlush assigns the error to _, the explicit greppable
-// acknowledgment: passes.
-func AckFlush(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("row\n"); err != nil {
-		return err
-	}
-	_ = bw.Flush()
-	return nil
-}
-
-// ReadOnly closes an os.Open handle; there are no buffered writes to
-// lose, so the deferred Close passes.
-func ReadOnly(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	_, err = io.ReadAll(f)
-	return err
-}
-
-// NoErrorReturn cannot propagate the error anyway, so it is not flagged.
-func NoErrorReturn(w io.Writer) {
-	bw := bufio.NewWriter(w)
-	bw.Flush()
+	bw.Flush()      // want errdrop
+	os.Remove(path) // want errdrop
 }

@@ -1,10 +1,10 @@
 // Package study mounts at internal/study: a determinism root. The
-// banned calls it reaches sit two hops away in clockutil.
+// banned calls it reaches sit two hops away in netproxy.
 package study
 
-import "wearwild/internal/clockutil"
+import "wearwild/internal/mnet/netproxy"
 
 // Pipeline is the root entry point of the fixture chain.
 func Pipeline() (int64, int) {
-	return clockutil.Stamp(), clockutil.Draw() + clockutil.Seeded()
+	return netproxy.Stamp(), netproxy.Draw() + netproxy.Seeded()
 }

@@ -62,8 +62,8 @@ func Exempt(w *bufio.Writer, path string) string {
 	return sb.String()
 }
 
-// DroppedWriter drops a flushable writer's error: errdrop's overlap
-// with closecheck (the dedupe test runs both together elsewhere).
+// DroppedWriter drops a flushable writer's error: the writer path, which
+// errdrop also guards in test files.
 func DroppedWriter(w *bufio.Writer) {
 	w.Flush() // want errdrop
 }

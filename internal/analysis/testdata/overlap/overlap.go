@@ -1,6 +1,6 @@
-// Package overlap pins the closecheck/errdrop dedupe: both checks match
-// a dropped writer Close/Flush at the same position, and Module.Run
-// must fold the pair into the single closecheck diagnostic.
+// Package overlap pins one diagnostic per site for a dropped writer
+// Close/Flush under the full check catalog: errdrop owns the site, and
+// no other check reports it again.
 package overlap
 
 import (
@@ -20,7 +20,7 @@ func WriteReport(path string) error {
 	if _, err := fmt.Fprintln(w, "report"); err != nil {
 		return err
 	}
-	w.Flush()       // want closecheck
-	defer f.Close() // want closecheck
+	w.Flush()       // want errdrop
+	defer f.Close() // want errdrop
 	return nil
 }

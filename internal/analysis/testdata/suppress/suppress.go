@@ -1,17 +1,17 @@
 // Package fixture exercises the //wearlint:ignore suppression directive
-// against deliberate walltime violations.
+// against deliberate detreach violations.
 package fixture
 
 import "time"
 
 // Stamp is suppressed on the same line.
 func Stamp() time.Time {
-	return time.Now() //wearlint:ignore walltime fixture exercises same-line suppression
+	return time.Now() //wearlint:ignore detreach fixture exercises same-line suppression
 }
 
 // StampAbove is suppressed from the line directly above.
 func StampAbove() time.Time {
-	//wearlint:ignore walltime fixture exercises line-above suppression
+	//wearlint:ignore detreach fixture exercises line-above suppression
 	return time.Now()
 }
 
@@ -20,10 +20,10 @@ func StampAll() time.Time {
 	return time.Now() //wearlint:ignore all fixture exercises the wildcard
 }
 
-// StampWrongCheck names a different check, so the walltime finding
+// StampWrongCheck names a different check, so the detreach finding
 // survives the filter.
 func StampWrongCheck() time.Time {
-	return time.Now() //wearlint:ignore maporder wrong check leaves walltime live // want walltime
+	return time.Now() //wearlint:ignore maporder wrong check leaves detreach live // want detreach
 }
 
 // The bare directive below is malformed (no check, no reason) and must

@@ -1,5 +1,5 @@
-// Package fixture exercises the walltime check. Marked lines must
-// produce exactly one walltime diagnostic each.
+// Package fixture exercises detreach's wall-clock rule. Marked lines must
+// produce exactly one detreach diagnostic each.
 package fixture
 
 import "time"
@@ -9,19 +9,19 @@ import "time"
 var Epoch = time.Unix(0, 0)
 
 func Stamp() time.Time {
-	return time.Now() // want walltime
+	return time.Now() // want detreach
 }
 
 func Elapsed(start time.Time) time.Duration {
-	return time.Since(start) // want walltime
+	return time.Since(start) // want detreach
 }
 
 func Pause() {
-	time.Sleep(time.Millisecond) // want walltime
+	time.Sleep(time.Millisecond) // want detreach
 }
 
 func Expire() <-chan time.Time {
-	return time.After(time.Second) // want walltime
+	return time.After(time.Second) // want detreach
 }
 
 // Later compares two simulated instants; (time.Time).After is a method,

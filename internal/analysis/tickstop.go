@@ -35,6 +35,8 @@ import (
 //     inside a closure needs its Stop (or defer) inside that closure.
 //   - Test files are exempt: t.Cleanup and test-scoped leaks are the
 //     harness's business.
+//   - Only the packages allowed to read the clock are judged: everywhere
+//     else every timer constructor is already a detreach finding.
 var TickstopAnalyzer = &Analyzer{
 	Name: "tickstop",
 	Doc:  "time.Ticker/time.Timer must be stopped on all exit paths; time.Tick/time.After in a loop leak a timer per iteration",
@@ -42,6 +44,9 @@ var TickstopAnalyzer = &Analyzer{
 }
 
 func runTickstop(p *Pass) {
+	if !matchRel(p.Rel, clockBan.allowed) {
+		return
+	}
 	for _, f := range p.Files {
 		if p.IsTestFile(f.Pos()) {
 			continue
