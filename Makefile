@@ -3,10 +3,13 @@
 
 GO ?= go
 
-.PHONY: build test race lint lint-json lint-only lint-fixtures lint-suppressions fuzz-smoke bench-smoke check
+.PHONY: build vet test race lint lint-json lint-only lint-fixtures lint-suppressions fuzz-smoke bench-smoke check
 
 build:
 	$(GO) build ./...
+
+vet:
+	$(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -62,4 +65,4 @@ bench-smoke:
 	bash cmd/wearperf/run.sh --workload study-files --seconds 3 --trace 0
 	bash cmd/wearperf/run.sh --workload batch --seconds 3 --trace 0
 
-check: build lint lint-fixtures race fuzz-smoke
+check: build vet lint lint-fixtures race fuzz-smoke

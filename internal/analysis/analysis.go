@@ -156,19 +156,19 @@ func (p *Pass) calleeFunc(call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// DefaultAnalyzers returns every check, in stable order: the three
-// intraprocedural tripwires (maporder, waitgroup, errdrop), then the
-// twelve call-graph / dataflow checks (detreach, the determinism check,
-// first; growbound through mergeable are the memory-discipline layer;
-// randsplit through sinkretain are the generator-discipline layer built
-// on the escape/alias summaries), then the concurrency-safety four
-// (ctxflow, atomicmix, chanbound, tickstop) that pin the load-tested
-// collection tier's cancellation, snapshot, queue-bound and
-// timer-lifecycle invariants.
+// DefaultAnalyzers returns every check, in stable order: the two
+// intraprocedural tripwires (maporder, errdrop), then the eleven
+// call-graph / dataflow checks (detreach, the determinism check, first;
+// growbound through mergeable are the memory-discipline layer; randsplit
+// through sinkretain are the generator-discipline layer built on the
+// escape/alias summaries), then the concurrency-safety four: ctxflow,
+// the one goroutine-lifecycle check (WaitGroup placement, bounded exit,
+// cancellable collection-tier paths), and atomicmix, chanbound and
+// tickstop, which pin the load-tested collection tier's snapshot,
+// queue-bound and timer-lifecycle invariants.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		MaporderAnalyzer,
-		WaitgroupAnalyzer,
 		ErrdropAnalyzer,
 		DetreachAnalyzer,
 		DeadlineAnalyzer,
@@ -177,7 +177,6 @@ func DefaultAnalyzers() []*Analyzer {
 		FloatfoldAnalyzer,
 		GrowboundAnalyzer,
 		RetainAnalyzer,
-		GoleakAnalyzer,
 		MergeableAnalyzer,
 		RandsplitAnalyzer,
 		AllochotAnalyzer,

@@ -148,7 +148,7 @@ func isAcceptCall(pass *Pass, call *ast.CallExpr, listener *types.Interface) boo
 func chanboundSend(mp *ModulePass, n *Node, send *ast.SendStmt, loopKind string, chain []PathStep, reported map[string]bool) {
 	pass, mod := n.Pass, mp.Mod
 	if sel := enclosingSelect(n.Decl.Body, send); sel != nil {
-		if selectHasDefault(sel) || selectHasShutdownCase(pass, sel) {
+		if selectHasDefault(sel) || selectHasShutdownCase(pass, sel, true) {
 			return
 		}
 	} else if receiverJoined(pass, n.Decl.Body, chanObject(pass, send.Chan)) {
@@ -202,9 +202,9 @@ func selectHasDefault(sel *ast.SelectStmt) bool {
 }
 
 // selectHasShutdownCase reports whether any comm clause of the select
-// receives from a Done()-style call, a shutdown-named channel, or a
-// timer/ticker C field.
-func selectHasShutdownCase(pass *Pass, sel *ast.SelectStmt) bool {
+// receives from a done source (shutdownRecvSource; timers says whether a
+// timer/ticker C counts).
+func selectHasShutdownCase(pass *Pass, sel *ast.SelectStmt, timers bool) bool {
 	for _, clause := range sel.Body.List {
 		cc, ok := clause.(*ast.CommClause)
 		if !ok || cc.Comm == nil {
@@ -226,22 +226,25 @@ func selectHasShutdownCase(pass *Pass, sel *ast.SelectStmt) bool {
 		if src == nil {
 			continue
 		}
-		if shutdownRecvSource(pass, src) {
+		if shutdownRecvSource(pass, src, timers) {
 			return true
 		}
 	}
 	return false
 }
 
-// shutdownRecvSource classifies a receive source as a cancellation or
-// deadline signal: ctx.Done()-style calls, shutdown-named channels, and
-// the C field of a time.Timer/time.Ticker.
-func shutdownRecvSource(pass *Pass, src ast.Expr) bool {
+// shutdownRecvSource is the one done vocabulary: it classifies a receive
+// source as a cancellation signal — a ctx.Done()-style call or a
+// shutdown-named channel — or, when timers is set, as a deadline: the C
+// field of a time.Timer/time.Ticker. A timer bounds one wait, so it
+// counts for a site that must not park forever, never as a goroutine's
+// exit (a loop on a ticker never ends).
+func shutdownRecvSource(pass *Pass, src ast.Expr, timers bool) bool {
 	if call, ok := ast.Unparen(src).(*ast.CallExpr); ok {
 		id := refIdent(call.Fun)
 		return id != nil && id.Name == "Done"
 	}
-	if sel, ok := ast.Unparen(src).(*ast.SelectorExpr); ok && sel.Sel.Name == "C" {
+	if sel, ok := ast.Unparen(src).(*ast.SelectorExpr); ok && timers && sel.Sel.Name == "C" {
 		if t := pass.TypeOf(sel.X); t != nil {
 			if p, ok := t.(*types.Pointer); ok {
 				t = p.Elem()

@@ -1,63 +1,86 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
+	"strings"
 )
 
-// CtxflowAnalyzer enforces cancellation on the collection tier's
-// goroutine paths: every blocking site reachable from a go statement in
-// the proxy/replay packages — blocking channel operations, raw net.Conn
-// I/O, and Accept loops — must be cancellable, or Close() can wait
-// forever on a parked worker. The accepted disciplines are exactly the
-// ones the issue's sibling checks already define:
+// CtxflowAnalyzer is the goroutine-lifecycle check. It makes one pass
+// over every go statement in the module, resolves what each one spawns
+// once — a function literal, a named function, or a func value (skipped:
+// unresolvable, a documented under-approximation) — and applies three
+// rules, each at its own scope (DESIGN.md §5):
 //
-//   - deadline-guarded conn I/O: a SetDeadline-family call for the
-//     direction, in the site's function, in the spawning function, or in
-//     any function along the spawn chain (the deadline check's guard,
-//     accumulated forward from the spawn);
-//   - selected against shutdown: a select with a default, a done/stop
-//     channel case, a ctx.Done() case, or a timer/ticker C case;
-//   - joined lifecycle per goleak: a spawned body that joins a WaitGroup
-//     bounds its channel operations — some owner waits, and the module's
-//     join points are themselves deadline-bounded;
-//   - buffered handoff and semaphore: a send into a channel the
-//     containing function made with constant capacity, a receive from
-//     one (the dial-reaper shape), or a receive from a channel the same
-//     function also sends to (a token the function itself deposited).
+//   - WaitGroup placement (whole module, test files included): no
+//     wg.Add inside the spawned literal, where the spawner can reach Wait
+//     first, and no literal spawned after wg.Add whose body neither calls
+//     wg.Done nor waits on the group. A body that calls Wait is the
+//     group's waiter (the fan-in closer), not a worker it guards.
+//   - Bounded exit at the go statement (exitPkgs outside the collection
+//     tier, non-test): a spawned body that can block — per the blocking
+//     fixpoint lockheld uses — must join a WaitGroup, receive a done
+//     signal, or close a completion channel; a body that blocks through
+//     channel operations alone may instead make only operations the site
+//     vocabulary below bounds, with timer and ticker receives excluded.
+//   - Per-site walk (the collection tier, ctxflowPkgs, non-test): every
+//     potentially-parking site on the spawned path, followed through the
+//     call graph, must be cancellable. It is the only verdict on the
+//     sites it models, so a spawn is reported once. A spawn whose path
+//     flags no site but reaches a blocking leaf the walk does not model
+//     (sync Wait, time.Sleep, a net call other than Read, Write or
+//     Accept), and a bodiless target the walk cannot enter (go
+//     wg.Wait()), are judged at the go statement by the bounded-exit
+//     disciplines.
 //
-// An Accept loop is stricter: a WaitGroup join does not unpark a kernel
-// accept, so the loop's function must visibly observe a done/stop signal
-// — the netproxy.Serve shape. Closing the listener from another function
-// is invisible to the analysis (documented over-approximation); the
-// visible gate also bounds the accept/Close race.
+// No position is reported twice: the placement rule runs first, so a
+// guarded spawn with no Done is reported by it alone.
 //
-// Approximation rules (DESIGN.md §5):
+// The site vocabulary both lifecycle rules share: a send into, or a
+// receive from, a channel the containing function made with constant
+// capacity (buffered handoff; the dial-reaper shape — the rule assumes
+// some sender fills it); a receive of a token the containing function
+// itself sends (semaphore); a receive from a done source
+// (shutdownRecvSource: ctx.Done(), a done/stop-named channel, and for
+// the walk a timer or ticker C); and a select with a default or such a
+// case. The walk adds three disciplines of its own:
 //
-//   - Roots are go statements lexically in the collection packages;
-//     dynamic (func-valued) spawns are skipped, as in goleak.
-//   - Traversal follows call edges but never descends into a nested go
-//     statement's body — that body is its own root.
-//   - Deadline guards accumulate along the discovery chain only; a guard
-//     armed in a sibling call is invisible. sync.WaitGroup.Wait parks
-//     are goleak/lockheld territory, not flagged here.
-//   - A line both ctxflow and deadline flag keeps the deadline finding
-//     (overlapPriority): its every-caller-path analysis is sharper.
+//   - a body that calls wg.Done is a joined lifecycle: some owner waits,
+//     so its channel operations are bounded;
+//   - an Accept loop must visibly observe a done signal — a join does not
+//     unpark a kernel accept, and the gate bounds the accept/Close race
+//     (closing the listener from another function is invisible:
+//     documented over-approximation);
+//   - raw net.Conn I/O must be deadline-guarded for its direction in its
+//     function, in the spawning function, or along the spawn chain (the
+//     deadline check's facts, accumulated per hop).
+//
+// The walk never descends into a nested go statement's body — that is
+// its own spawn — and a guard armed in a sibling call is invisible. A
+// line both ctxflow and deadline flag keeps the deadline finding
+// (overlapPriority).
 var CtxflowAnalyzer = &Analyzer{
 	Name:      "ctxflow",
-	Doc:       "blocking channel ops, net.Conn I/O and Accept loops on collection-tier goroutine paths must be cancellable: deadline guard, shutdown select, or joined lifecycle",
+	Doc:       "goroutine lifecycle: WaitGroup Add before the spawn and Done in it, a bounded exit for every spawn, and cancellable blocking sites on collection-tier goroutine paths",
 	RunModule: runCtxflow,
 }
 
-// ctxflowPkgs holds the packages whose go statements root the analysis:
-// the live collection tier and its commands.
+// ctxflowPkgs is the collection tier, whose spawns the per-site walk
+// judges: the live proxy and replay packages and their commands.
 var ctxflowPkgs = []string{
 	"internal/mnet/netproxy",
 	"internal/mnet/replay",
 	"cmd/wearproxy",
 	"cmd/wearreplay",
 }
+
+// exitPkgs scopes the bounded-exit rule to the packages that own
+// long-lived goroutines: the measurement network tier, the shard
+// runtime, the commands and the runnable examples.
+var exitPkgs = []string{"internal/mnet/...", "internal/shard", "cmd/...", "examples/..."}
 
 // ctxGuards is the accumulated deadline state along a spawn chain.
 type ctxGuards struct{ read, write bool }
@@ -70,49 +93,211 @@ func (g ctxGuards) add(f *deadlineFacts) ctxGuards {
 	return g
 }
 
-func runCtxflow(mp *ModulePass) {
-	conn := mp.NetConn()
-	listener := mp.NetListener()
-	g := mp.Graph
+// ctxflow is one run's state: the interface types, the blocking
+// fixpoint, per-node memos the walk fills on demand, and the positions
+// already reported.
+type ctxflow struct {
+	mp       *ModulePass
+	conn     *types.Interface
+	listener *types.Interface
+	blocking map[*Node]bool
+	facts    map[*Node]*deadlineFacts
+	goExt    map[*Node][][2]token.Pos
+	reported map[token.Pos]bool
+}
 
-	facts := map[*Node]*deadlineFacts{}
-	goExt := map[*Node][][2]token.Pos{}
-	g.Walk(func(n *Node) {
-		if n.Decl == nil || n.Decl.Body == nil {
-			return
+func runCtxflow(mp *ModulePass) {
+	c := &ctxflow{
+		mp:       mp,
+		conn:     mp.NetConn(),
+		listener: mp.NetListener(),
+		blocking: mp.Graph.BlockingNodes(),
+		facts:    map[*Node]*deadlineFacts{},
+		goExt:    map[*Node][][2]token.Pos{},
+		reported: map[token.Pos]bool{},
+	}
+	for _, u := range mp.Mod.Units {
+		pass, _ := mp.Mod.pass(u)
+		for _, f := range u.Files {
+			for _, decl := range f.Decls {
+				var n *Node // nil in a package-level initializer
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					if fn, ok := pass.ObjectOf(fd.Name).(*types.Func); ok {
+						n = mp.Graph.Nodes[fn.FullName()]
+					}
+				}
+				pending := map[*ast.GoStmt][]string{}
+				ast.Inspect(decl, func(nd ast.Node) bool {
+					switch nd := nd.(type) {
+					case *ast.BlockStmt:
+						wgPending(pass, nd, pending)
+					case *ast.GoStmt:
+						c.spawn(n, pass, nd, pending[nd])
+					}
+					return true
+				})
+			}
 		}
-		if conn != nil {
-			facts[n] = connFacts(n.Pass, n.Decl.Body, conn)
+	}
+}
+
+// wgPending walks one statement list in order and records, for each go
+// statement in it, the WaitGroups with an Add not yet followed by a Wait
+// at this nesting level. Calls inside function literals run elsewhere
+// and are not counted.
+func wgPending(pass *Pass, block *ast.BlockStmt, out map[*ast.GoStmt][]string) {
+	pending := map[string]bool{}
+	for _, stmt := range block.List {
+		if gs, ok := stmt.(*ast.GoStmt); ok {
+			for recv := range pending {
+				out[gs] = append(out[gs], recv)
+			}
+			sort.Strings(out[gs])
+			continue
 		}
-		ast.Inspect(n.Decl.Body, func(nd ast.Node) bool {
-			if gs, ok := nd.(*ast.GoStmt); ok {
-				if lit, ok := ast.Unparen(gs.Call.Fun).(*ast.FuncLit); ok {
-					goExt[n] = append(goExt[n], [2]token.Pos{lit.Body.Pos(), lit.Body.End()})
-				} else {
-					goExt[n] = append(goExt[n], [2]token.Pos{gs.Pos(), gs.End()})
+		ast.Inspect(stmt, func(n ast.Node) bool {
+			if _, ok := n.(*ast.FuncLit); ok {
+				return false
+			}
+			if call, ok := n.(*ast.CallExpr); ok {
+				switch recv, name, _ := syncMethod(pass, call, "sync.WaitGroup"); name {
+				case "Add":
+					pending[recv] = true
+				case "Wait":
+					delete(pending, recv)
 				}
 			}
 			return true
 		})
-	})
-
-	reported := map[string]bool{}
-	g.Walk(func(n *Node) {
-		if n.Decl == nil || n.Decl.Body == nil || n.Test || !matchRel(n.Rel, ctxflowPkgs) {
-			return
-		}
-		ast.Inspect(n.Decl.Body, func(nd ast.Node) bool {
-			if gs, ok := nd.(*ast.GoStmt); ok {
-				ctxflowRoot(mp, n, gs, listener, facts, goExt, reported)
-			}
-			return true
-		})
-	})
+	}
 }
 
-// ctxVisit is one BFS frame: a function (optionally restricted to a
-// literal body's extent) with the guards and chain accumulated from the
-// spawn.
+// spawn resolves one go statement and applies the rules whose scope
+// holds it. n is the spawning function (nil in a package-level
+// initializer); pending lists the WaitGroups whose Add the spawn follows.
+func (c *ctxflow) spawn(n *Node, pass *Pass, gs *ast.GoStmt, pending []string) {
+	lit, _ := ast.Unparen(gs.Call.Fun).(*ast.FuncLit)
+	if lit != nil {
+		c.placement(pass, gs, lit, pending)
+	}
+	if n == nil || n.Test {
+		return
+	}
+	var fn *types.Func
+	var target *Node // a named target with a module body
+	if lit == nil {
+		if fn = pass.calleeFunc(gs.Call); fn == nil {
+			return // dynamic spawn: unresolvable
+		}
+		if target = c.mp.Graph.Nodes[fn.FullName()]; target != nil && (target.Decl == nil || target.Decl.Body == nil) {
+			target = nil
+		}
+	}
+	switch {
+	case matchRel(n.Rel, ctxflowPkgs) && (lit != nil || target != nil):
+		c.walk(n, gs, lit, target)
+	case matchRel(n.Rel, exitPkgs):
+		c.exit(n, gs, lit, fn, target)
+	}
+}
+
+// placement applies the WaitGroup rule to one literal spawn.
+func (c *ctxflow) placement(pass *Pass, gs *ast.GoStmt, lit *ast.FuncLit, pending []string) {
+	ast.Inspect(lit.Body, func(nd ast.Node) bool {
+		if _, ok := nd.(*ast.GoStmt); ok {
+			return false // a nested spawn is judged on its own
+		}
+		if call, ok := nd.(*ast.CallExpr); ok {
+			if recv, name, ok := syncMethod(pass, call, "sync.WaitGroup"); ok && name == "Add" {
+				c.report(call.Pos(), nil, "%s.Add runs inside the goroutine it guards; the spawner can reach Wait first — call Add before the go statement", recv)
+			}
+		}
+		return true
+	})
+	for _, recv := range pending {
+		if !wgCalls(pass, lit.Body, recv, "Done") && !wgCalls(pass, lit.Body, recv, "Wait") {
+			c.report(gs.Pos(), nil, "goroutine spawned after %s.Add never calls %s.Done; Wait will block forever (move an unrelated spawn above the Add, or add the Done)", recv, recv)
+			return
+		}
+	}
+}
+
+// exit demands a bounded exit of one spawn whose body can block.
+func (c *ctxflow) exit(n *Node, gs *ast.GoStmt, lit *ast.FuncLit, fn *types.Func, target *Node) {
+	g, mod := c.mp.Graph, c.mp.Mod
+	pass, fnBody := n.Pass, n.Decl.Body
+	var (
+		body   *ast.BlockStmt
+		reason string
+		path   []PathStep
+	)
+	switch {
+	case lit != nil:
+		body = lit.Body
+		if hasBlockingConstruct(pass, body) {
+			reason = "it performs channel operations"
+		} else {
+			// The literal's calls are attributed to the enclosing node;
+			// filter its out-edges to the literal's extent.
+			for _, e := range n.Out {
+				if e.Pos >= body.Pos() && e.Pos < body.End() && c.blocking[e.Callee] {
+					reason = "it calls " + e.Callee.DisplayName(mod) + ", which " + g.BlockingReason(e.Callee, c.blocking)
+					break
+				}
+			}
+			if reason == "" {
+				return // the body cannot block: exit is bounded by its own code
+			}
+		}
+	case target == nil:
+		if blockingLeaf(fn) {
+			c.report(gs.Pos(), nil, "goroutine has no bounded exit: %s blocks outright with no join (DESIGN.md §5)", fn.FullName())
+		}
+		return
+	default:
+		if !c.blocking[target] {
+			return
+		}
+		pass, fnBody, body = target.Pass, target.Decl.Body, target.Decl.Body
+		reason = target.DisplayName(mod) + " " + g.BlockingReason(target, c.blocking)
+		path = []PathStep{{Func: n.DisplayName(mod), Pos: mod.Fset.Position(gs.Pos())}}
+	}
+	if exitJoined(pass, body) {
+		return
+	}
+	// The site vocabulary bounds channel operations: it applies to a body
+	// that parks on one, and blocking calls beside a bounded handoff are
+	// the deadline check's to judge. A body that blocks only through
+	// calls has no handoff to bound.
+	if hasBlockingConstruct(pass, body) {
+		parked := false
+		chanParks(pass, fnBody, body, false, func(_ token.Pos, park string) {
+			parked = parked || park != ""
+		})
+		if !parked {
+			return // every channel operation is bounded by the site vocabulary
+		}
+	}
+	c.reportNoExit(gs.Pos(), path, reason)
+}
+
+// exitJoined reports the exit disciplines that bound a spawned body
+// whatever it blocks on: a WaitGroup join, a done signal, or a
+// completion close.
+func exitJoined(pass *Pass, body *ast.BlockStmt) bool {
+	return wgCalls(pass, body, "", "Done") || hasDoneSignal(pass, body) || callsClose(pass, body)
+}
+
+// reportNoExit reports a spawn with no bounded exit at its go statement.
+func (c *ctxflow) reportNoExit(pos token.Pos, path []PathStep, reason string) {
+	c.report(pos, path,
+		"goroutine has no bounded exit: %s; join it with a WaitGroup, select on a done channel, or hand off on a buffered channel and return (DESIGN.md §5)",
+		reason)
+}
+
+// ctxVisit is one BFS frame of the walk: a function (optionally
+// restricted to a literal body's extent) with the guards and chain
+// accumulated from the spawn.
 type ctxVisit struct {
 	node   *Node
 	region *ast.BlockStmt // nil: the whole declared body
@@ -120,66 +305,122 @@ type ctxVisit struct {
 	chain  []PathStep
 }
 
-// ctxflowRoot resolves one go statement and scans every function on the
-// spawned path.
-func ctxflowRoot(mp *ModulePass, n *Node, gs *ast.GoStmt, listener *types.Interface,
-	facts map[*Node]*deadlineFacts, goExt map[*Node][][2]token.Pos, reported map[string]bool) {
-
-	mod := mp.Mod
-	spawn := PathStep{Func: n.DisplayName(mod), Pos: mod.Fset.Position(gs.Pos())}
-	var root ctxVisit
-	var joined bool
-	if lit, ok := ast.Unparen(gs.Call.Fun).(*ast.FuncLit); ok {
-		joined = hasWaitGroupJoin(n.Pass, lit.Body)
-		root = ctxVisit{node: n, region: lit.Body, guards: ctxGuards{}.add(facts[n]), chain: []PathStep{spawn}}
-	} else {
-		fn := n.Pass.calleeFunc(gs.Call)
-		if fn == nil {
-			return // dynamic spawn: unresolvable (documented under-approximation)
-		}
-		target := mp.Graph.Nodes[fn.FullName()]
-		if target == nil || !target.InModule || target.Decl == nil || target.Decl.Body == nil || target.Test {
-			return // foreign or bodiless target: goleak judges the spawn itself
-		}
-		joined = hasWaitGroupJoin(target.Pass, target.Decl.Body)
-		root = ctxVisit{node: target, guards: ctxGuards{}.add(facts[n]).add(facts[target]), chain: []PathStep{spawn}}
+// walk scans every function on one spawned path. When it flags no site
+// but the path reaches a blocking leaf it does not model, the spawn is
+// judged at the go statement by the bounded-exit disciplines.
+func (c *ctxflow) walk(n *Node, gs *ast.GoStmt, lit *ast.FuncLit, target *Node) {
+	mod := c.mp.Mod
+	root := ctxVisit{
+		node:   n,
+		guards: ctxGuards{}.add(c.factsOf(n)),
+		chain:  []PathStep{{Func: n.DisplayName(mod), Pos: mod.Fset.Position(gs.Pos())}},
 	}
+	pass, body := n.Pass, (*ast.BlockStmt)(nil)
+	if lit != nil {
+		root.region, body = lit.Body, lit.Body
+	} else {
+		root.node = target
+		root.guards = root.guards.add(c.factsOf(target))
+		pass, body = target.Pass, target.Decl.Body
+	}
+	joined := wgCalls(pass, body, "", "Done")
 
+	var (
+		flagged  bool
+		leaf     string // the first unmodelled blocking leaf reached
+		leafPath []PathStep
+	)
 	visited := map[*Node]bool{root.node: true}
 	queue := []ctxVisit{root}
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		ctxflowScan(mp, v, joined, listener, facts, goExt, reported)
+		flagged = c.scan(v, joined) || flagged
 
 		lo, hi := v.node.Decl.Body.Pos(), v.node.Decl.Body.End()
 		if v.region != nil {
 			lo, hi = v.region.Pos(), v.region.End()
 		}
 		for _, e := range v.node.Out {
-			if e.Pos < lo || e.Pos >= hi || ctxExcluded(e.Pos, v, goExt) {
+			if e.Pos < lo || e.Pos >= hi || c.excluded(e.Pos, v) {
 				continue
 			}
-			c := e.Callee
-			if !c.InModule || c.Decl == nil || c.Decl.Body == nil || c.Test || visited[c] {
-				continue
-			}
-			visited[c] = true
+			callee := e.Callee
 			step := PathStep{Func: v.node.DisplayName(mod), Pos: mod.Fset.Position(e.Pos)}
+			if leaf == "" && unmodelledLeaf(callee) {
+				leaf = "it calls " + callee.DisplayName(mod) + ", which blocks outright"
+				if v.node != n {
+					leaf = "it reaches " + callee.DisplayName(mod) + " via " + v.node.DisplayName(mod) + ", which blocks outright"
+				}
+				leafPath = append(append([]PathStep(nil), v.chain...), step)
+			}
+			if !callee.InModule || callee.Decl == nil || callee.Decl.Body == nil || callee.Test || visited[callee] {
+				continue
+			}
+			visited[callee] = true
 			queue = append(queue, ctxVisit{
-				node:   c,
-				guards: v.guards.add(facts[c]),
+				node:   callee,
+				guards: v.guards.add(c.factsOf(callee)),
 				chain:  append(append([]PathStep(nil), v.chain...), step),
 			})
 		}
 	}
+	if !flagged && leaf != "" && !exitJoined(pass, body) {
+		c.reportNoExit(gs.Pos(), leafPath, leaf)
+	}
 }
 
-// ctxExcluded reports whether pos falls inside a nested go statement's
-// extent within the visited frame — those bodies are their own roots.
+// unmodelledLeaf reports a parking leaf the walk does not judge site by
+// site: sync's Wait methods, time.Sleep, and the net calls that can park
+// other than the conn Read/Write and listener Accept the walk models.
+// Close, the deadline setters and the address getters never park.
+func unmodelledLeaf(n *Node) bool {
+	if n.InModule || n.Fn == nil || !blockingLeaf(n.Fn) {
+		return false
+	}
+	if n.Fn.Pkg().Path() != "net" {
+		return true
+	}
+	switch name := n.Fn.Name(); {
+	case name == "Read", name == "Write", name == "Accept":
+		return false
+	case name == "Close", strings.HasPrefix(name, "Set"), strings.HasSuffix(name, "Addr"):
+		return false
+	}
+	return true
+}
+
+// factsOf returns a node's conn I/O and deadline facts, computed once.
+func (c *ctxflow) factsOf(n *Node) *deadlineFacts {
+	f, ok := c.facts[n]
+	if !ok {
+		if c.conn != nil {
+			f = connFacts(n.Pass, n.Decl.Body, c.conn)
+		}
+		c.facts[n] = f
+	}
+	return f
+}
+
+// excluded reports whether pos falls inside a nested go statement's
+// extent within the visited frame — those bodies are their own spawns.
 // The frame's own region (a literal-spawn root) is not an exclusion.
-func ctxExcluded(pos token.Pos, v ctxVisit, goExt map[*Node][][2]token.Pos) bool {
-	for _, r := range goExt[v.node] {
+func (c *ctxflow) excluded(pos token.Pos, v ctxVisit) bool {
+	ext, ok := c.goExt[v.node]
+	if !ok {
+		ast.Inspect(v.node.Decl.Body, func(nd ast.Node) bool {
+			if gs, ok := nd.(*ast.GoStmt); ok {
+				if lit, ok := ast.Unparen(gs.Call.Fun).(*ast.FuncLit); ok {
+					ext = append(ext, [2]token.Pos{lit.Body.Pos(), lit.Body.End()})
+				} else {
+					ext = append(ext, [2]token.Pos{gs.Pos(), gs.End()})
+				}
+			}
+			return true
+		})
+		c.goExt[v.node] = ext
+	}
+	for _, r := range ext {
 		if v.region != nil && r[0] == v.region.Pos() && r[1] == v.region.End() {
 			continue
 		}
@@ -190,108 +431,47 @@ func ctxExcluded(pos token.Pos, v ctxVisit, goExt map[*Node][][2]token.Pos) bool
 	return false
 }
 
-// ctxflowScan judges every blocking site inside one visited frame.
-func ctxflowScan(mp *ModulePass, v ctxVisit, joined bool, listener *types.Interface,
-	facts map[*Node]*deadlineFacts, goExt map[*Node][][2]token.Pos, reported map[string]bool) {
+// scan judges every blocking site inside one visited frame and reports
+// whether it flagged one.
+func (c *ctxflow) scan(v ctxVisit, joined bool) (flagged bool) {
 	n := v.node
-	pass, mod := n.Pass, mp.Mod
-	body := n.Decl.Body
+	pass, mod := n.Pass, c.mp.Mod
 	region := v.region
 	if region == nil {
-		region = body
+		region = n.Decl.Body
 	}
 	lo, hi := region.Pos(), region.End()
 	inRegion := func(pos token.Pos) bool {
-		return pos >= lo && pos < hi && !ctxExcluded(pos, v, goExt)
+		return pos >= lo && pos < hi && !c.excluded(pos, v)
 	}
-
 	flag := func(pos token.Pos, format string, args ...any) {
-		key := mod.Fset.Position(pos).String()
-		if reported[key] {
-			return
-		}
-		reported[key] = true
+		flagged = true
 		where := " (on goroutine path " + renderSteps(v.chain) + " → " + n.DisplayName(mod) + ")"
-		mp.Reportf(pos, v.chain, format+"%s", append(args, where)...)
+		c.report(pos, v.chain, format+"%s", append(args, where)...)
 	}
 
-	// Comm-clause extents: channel ops that are a select's comm are
-	// judged at the select, not individually.
-	var commRanges [][2]token.Pos
-	ast.Inspect(region, func(nd ast.Node) bool {
-		if sel, ok := nd.(*ast.SelectStmt); ok {
-			for _, clause := range sel.Body.List {
-				if cc, ok := clause.(*ast.CommClause); ok && cc.Comm != nil {
-					commRanges = append(commRanges, [2]token.Pos{cc.Comm.Pos(), cc.Comm.End()})
-				}
+	if !joined {
+		chanParks(pass, n.Decl.Body, region, true, func(pos token.Pos, park string) {
+			if park != "" && inRegion(pos) {
+				flag(pos, "%s", park)
 			}
-		}
-		return true
-	})
-	inComm := func(pos token.Pos) bool {
-		for _, r := range commRanges {
-			if pos >= r[0] && pos < r[1] {
-				return true
-			}
-		}
-		return false
+		})
 	}
-
-	ast.Inspect(region, func(nd ast.Node) bool {
-		switch nd := nd.(type) {
-		case *ast.SelectStmt:
-			if !inRegion(nd.Pos()) || selectHasDefault(nd) || selectHasShutdownCase(pass, nd) || joined {
-				return true
-			}
-			flag(nd.Pos(), "select can park forever: no default, done/stop, or timer case and no joined lifecycle; add a shutdown case (DESIGN.md §5)")
-		case *ast.SendStmt:
-			if !inRegion(nd.Pos()) || inComm(nd.Pos()) || joined {
-				return true
-			}
-			if obj := chanObject(pass, nd.Chan); obj != nil && chanMadeBuffered(pass, body, obj) {
-				return true // buffered handoff made in this function
-			}
-			flag(nd.Pos(), "blocking send %s <- … with no cancellation: not selected, not a buffered handoff, no joined lifecycle; select it against a done/stop channel (DESIGN.md §5)",
-				types.ExprString(nd.Chan))
-		case *ast.UnaryExpr:
-			if nd.Op != token.ARROW || !inRegion(nd.Pos()) || inComm(nd.Pos()) || joined {
-				return true
-			}
-			if shutdownRecvSource(pass, nd.X) {
-				return true
-			}
-			obj := chanObject(pass, nd.X)
-			if obj != nil && (chanMadeBuffered(pass, body, obj) || ctxSendsTo(pass, body, obj)) {
-				return true // reaper receive from an own buffered handoff, or semaphore token
-			}
-			flag(nd.Pos(), "blocking receive from %s with no cancellation: not a done/stop channel, not an own buffered handoff or semaphore, no joined lifecycle; select it against a done/stop channel (DESIGN.md §5)",
-				types.ExprString(nd.X))
-		case *ast.RangeStmt:
-			if !inRegion(nd.Pos()) || joined {
-				return true
-			}
-			if t := pass.TypeOf(nd.X); t != nil {
-				if _, isChan := t.Underlying().(*types.Chan); isChan {
-					flag(nd.Pos(), "range over channel %s with no joined lifecycle: the loop parks until the sender closes it; join the goroutine or select with a done/stop case (DESIGN.md §5)",
-						types.ExprString(nd.X))
-				}
-			}
-		case *ast.CallExpr:
-			if !inRegion(nd.Pos()) {
-				return true
-			}
-			if listener != nil && isAcceptCall(pass, nd, listener) && !hasDoneSignal(pass, region) {
-				sel := ast.Unparen(nd.Fun).(*ast.SelectorExpr)
-				flag(nd.Pos(), "accept loop is not cancellable: %s.Accept is not gated on a done/stop signal in %s; check a done channel each iteration so Close cannot race a fresh handler (DESIGN.md §5)",
+	if c.listener != nil {
+		ast.Inspect(region, func(nd ast.Node) bool {
+			call, ok := nd.(*ast.CallExpr)
+			if ok && inRegion(call.Pos()) && isAcceptCall(pass, call, c.listener) && !hasDoneSignal(pass, region) {
+				sel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+				flag(call.Pos(), "accept loop is not cancellable: %s.Accept is not gated on a done/stop signal in %s; check a done channel each iteration so Close cannot race a fresh handler (DESIGN.md §5)",
 					types.ExprString(sel.X), n.DisplayName(mod))
 			}
-		}
-		return true
-	})
+			return true
+		})
+	}
 
 	// Raw conn I/O: every site in the region must have its direction
 	// guarded in this function or along the spawn chain.
-	if f := facts[n]; f != nil {
+	if f := c.factsOf(n); f != nil {
 		for _, site := range f.io {
 			if !inRegion(site.pos) {
 				continue
@@ -309,6 +489,85 @@ func ctxflowScan(mp *ModulePass, v ctxVisit, joined bool, listener *types.Interf
 				site.expr, verb, guard)
 		}
 	}
+	return flagged
+}
+
+// report emits one diagnostic per position.
+func (c *ctxflow) report(pos token.Pos, path []PathStep, format string, args ...any) {
+	if c.reported[pos] {
+		return
+	}
+	c.reported[pos] = true
+	c.mp.Reportf(pos, path, format, args...)
+}
+
+// chanParks calls fn for every channel construct in region — select,
+// send, receive, range over a channel — with the reason it can park, or
+// "" when the site vocabulary bounds it. fnBody is the containing
+// function's body, where buffered channels are made and semaphore
+// tokens deposited; timers says whether a timer or ticker receive is
+// bounded (shutdownRecvSource). Operations in a select's comm clauses
+// are judged at the select.
+func chanParks(pass *Pass, fnBody, region *ast.BlockStmt, timers bool, fn func(pos token.Pos, park string)) {
+	var comms [][2]token.Pos
+	inComm := func(pos token.Pos) bool {
+		for _, r := range comms {
+			if pos >= r[0] && pos < r[1] {
+				return true
+			}
+		}
+		return false
+	}
+	// bounded reports a buffered handoff made in the containing function
+	// or, for receives, a token it deposits itself (semaphore).
+	bounded := func(ch ast.Expr, recv bool) bool {
+		obj := chanObject(pass, ch)
+		return obj != nil && (chanMadeBuffered(pass, fnBody, obj) || recv && ctxSendsTo(pass, fnBody, obj))
+	}
+	ast.Inspect(region, func(nd ast.Node) bool {
+		switch nd := nd.(type) {
+		case *ast.SelectStmt:
+			// Pre-order: the select is visited before its comm clauses.
+			for _, clause := range nd.Body.List {
+				if cc, ok := clause.(*ast.CommClause); ok && cc.Comm != nil {
+					comms = append(comms, [2]token.Pos{cc.Comm.Pos(), cc.Comm.End()})
+				}
+			}
+			park := ""
+			if !selectHasDefault(nd) && !selectHasShutdownCase(pass, nd, timers) {
+				park = "select can park forever: no default, done/stop, or timer case and no joined lifecycle; add a shutdown case (DESIGN.md §5)"
+			}
+			fn(nd.Pos(), park)
+		case *ast.SendStmt:
+			if inComm(nd.Pos()) {
+				return true
+			}
+			park := ""
+			if !bounded(nd.Chan, false) {
+				park = fmt.Sprintf("blocking send %s <- … with no cancellation: not selected, not a buffered handoff, no joined lifecycle; select it against a done/stop channel (DESIGN.md §5)",
+					types.ExprString(nd.Chan))
+			}
+			fn(nd.Pos(), park)
+		case *ast.UnaryExpr:
+			if nd.Op != token.ARROW || inComm(nd.Pos()) {
+				return true
+			}
+			park := ""
+			if !shutdownRecvSource(pass, nd.X, timers) && !bounded(nd.X, true) {
+				park = fmt.Sprintf("blocking receive from %s with no cancellation: not a done/stop channel, not an own buffered handoff or semaphore, no joined lifecycle; select it against a done/stop channel (DESIGN.md §5)",
+					types.ExprString(nd.X))
+			}
+			fn(nd.Pos(), park)
+		case *ast.RangeStmt:
+			if t := pass.TypeOf(nd.X); t != nil {
+				if _, isChan := t.Underlying().(*types.Chan); isChan {
+					fn(nd.Pos(), fmt.Sprintf("range over channel %s with no joined lifecycle: the loop parks until the sender closes it; join the goroutine or select with a done/stop case (DESIGN.md §5)",
+						types.ExprString(nd.X)))
+				}
+			}
+		}
+		return true
+	})
 }
 
 // ctxSendsTo reports whether the body contains a send into the same
@@ -326,4 +585,140 @@ func ctxSendsTo(pass *Pass, body *ast.BlockStmt, obj types.Object) bool {
 		return !found
 	})
 	return found
+}
+
+// hasDoneSignal reports whether the body receives from a cancellation
+// source (shutdownRecvSource, timers excluded).
+func hasDoneSignal(pass *Pass, body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(nd ast.Node) bool {
+		if ue, ok := nd.(*ast.UnaryExpr); ok && ue.Op == token.ARROW && shutdownRecvSource(pass, ue.X, false) {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// shutdownName matches channel names that conventionally signal
+// termination.
+func shutdownName(name string) bool {
+	l := strings.ToLower(name)
+	for _, kw := range []string{"done", "stop", "quit", "exit", "cancel", "shut", "kill"} {
+		if strings.Contains(l, kw) {
+			return true
+		}
+	}
+	return false
+}
+
+// callsClose reports whether the body calls the close builtin.
+func callsClose(pass *Pass, body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(nd ast.Node) bool {
+		if found {
+			return false
+		}
+		call, ok := nd.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "close" {
+			if _, isBuiltin := pass.ObjectOf(id).(*types.Builtin); isBuiltin {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// chanMadeBuffered reports whether obj is assigned make(chan T, k) with
+// constant k >= 1 anywhere in scope.
+func chanMadeBuffered(pass *Pass, scope *ast.BlockStmt, obj types.Object) bool {
+	buffered := false
+	ast.Inspect(scope, func(nd ast.Node) bool {
+		if buffered {
+			return false
+		}
+		as, ok := nd.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != len(as.Rhs) {
+			return true
+		}
+		for i, lhs := range as.Lhs {
+			id, ok := ast.Unparen(lhs).(*ast.Ident)
+			if !ok || pass.ObjectOf(id) != obj {
+				continue
+			}
+			if makeBufferedChan(pass, as.Rhs[i]) {
+				buffered = true
+			}
+		}
+		return !buffered
+	})
+	return buffered
+}
+
+// makeBufferedChan matches make(chan T, k) with constant k >= 1.
+func makeBufferedChan(pass *Pass, e ast.Expr) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok || len(call.Args) != 2 {
+		return false
+	}
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || id.Name != "make" {
+		return false
+	}
+	if _, isBuiltin := pass.ObjectOf(id).(*types.Builtin); !isBuiltin {
+		return false
+	}
+	tv, ok := pass.Info.Types[call.Args[1]]
+	if !ok || tv.Value == nil {
+		return false
+	}
+	return tv.Value.String() != "0" && !strings.HasPrefix(tv.Value.String(), "-")
+}
+
+// wgCalls reports whether the body (nested literals included) calls
+// method on a sync.WaitGroup whose receiver reads recv; an empty recv
+// matches any group.
+func wgCalls(pass *Pass, body *ast.BlockStmt, recv, method string) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && !found {
+			r, name, ok := syncMethod(pass, call, "sync.WaitGroup")
+			found = ok && name == method && (recv == "" || r == recv)
+		}
+		return !found
+	})
+	return found
+}
+
+// syncMethod matches a call to a method of one of the named sync types
+// (through a pointer or not), returning the receiver expression text and
+// the method name. Receivers match textually: p.wg and wg, or p.mu and
+// mu, are distinct, as they should be.
+func syncMethod(pass *Pass, call *ast.CallExpr, typeNames ...string) (recv, name string, ok bool) {
+	sel, selOK := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !selOK {
+		return "", "", false
+	}
+	fn, fnOK := pass.ObjectOf(sel.Sel).(*types.Func)
+	if !fnOK {
+		return "", "", false
+	}
+	sig, sigOK := fn.Type().(*types.Signature)
+	if !sigOK || sig.Recv() == nil {
+		return "", "", false
+	}
+	t := sig.Recv().Type()
+	if ptr, isPtr := t.(*types.Pointer); isPtr {
+		t = ptr.Elem()
+	}
+	for _, tn := range typeNames {
+		if t.String() == tn {
+			return types.ExprString(sel.X), fn.Name(), true
+		}
+	}
+	return "", "", false
 }

@@ -283,8 +283,13 @@ func TestGoldenMaporder(t *testing.T) {
 	checkFixture(t, "maporder", "internal/core/fixture", MaporderAnalyzer)
 }
 
+// TestGoldenWaitgroup pins ctxflow's WaitGroup placement rule: Add
+// inside the spawned literal and a guarded literal with no Done are
+// flagged, in non-test and test files alike, while the canonical
+// Add-before-spawn worker and the fan-in closer (a body that waits on the
+// group) stay silent.
 func TestGoldenWaitgroup(t *testing.T) {
-	checkFixture(t, "waitgroup", "internal/fixture", WaitgroupAnalyzer)
+	checkFixture(t, "waitgroup", "internal/fixture", CtxflowAnalyzer)
 }
 
 // TestGoldenClosecheck pins errdrop's writer-path rule in _test.go
@@ -590,7 +595,7 @@ func checkFixtureMessages(t *testing.T) {
 		{"walltime", "internal/core/fixture", DetreachAnalyzer, "internal/simtime"},
 		{"globalrand", "internal/core/fixture", DetreachAnalyzer, "internal/randx"},
 		{"maporder", "internal/core/fixture", MaporderAnalyzer, "collect the keys, sort them"},
-		{"waitgroup", "internal/fixture", WaitgroupAnalyzer, "before the go statement"},
+		{"waitgroup", "internal/fixture", CtxflowAnalyzer, "before the go statement"},
 		{"closecheck", "internal/report/fixture", ErrdropAnalyzer, "assign to _"},
 	} {
 		diags := runFixture(t, tc.dir, tc.rel, tc.a)
@@ -679,14 +684,16 @@ func TestGoldenRetainClean(t *testing.T) {
 	}
 }
 
-// TestLoadTreeGoleak pins the goroutine-lifecycle check: the literal,
-// named (with spawn step), bodiless-leaf and blocking-callee spawns
-// flag; the four disciplines, the dynamic spawn and the non-blocking
-// body stay silent.
+// TestLoadTreeGoleak pins ctxflow's bounded-exit rule outside the
+// collection tier: the literal, named (with spawn step), bodiless-leaf,
+// blocking-callee, ticker-loop, ticker-select and poll-and-sleep spawns
+// flag; the exit disciplines, the dynamic spawn and the non-blocking
+// body stay silent; and a guarded spawn with no Done is reported once,
+// by the placement rule.
 func TestLoadTreeGoleak(t *testing.T) {
-	diags := checkTree(t, "goleak", "internal/mnet", GoleakAnalyzer)
+	diags := checkTree(t, "goleak", "internal/mnet", CtxflowAnalyzer)
 
-	var named, viaCall, leaf *Diagnostic
+	var named, viaCall, leaf, guarded *Diagnostic
 	for i := range diags {
 		d := &diags[i]
 		switch {
@@ -696,6 +703,12 @@ func TestLoadTreeGoleak(t *testing.T) {
 			named = d
 		case strings.Contains(d.Message, "blocks outright"):
 			leaf = d
+		case strings.Contains(d.Message, "never calls wg.Done"):
+			guarded = d
+			continue
+		}
+		if !strings.Contains(d.Message, "WaitGroup") {
+			t.Errorf("bounded-exit message lacks the remediation menu: %q", d.Message)
 		}
 	}
 	if named == nil {
@@ -710,27 +723,38 @@ func TestLoadTreeGoleak(t *testing.T) {
 	if leaf == nil {
 		t.Errorf("no diagnostic for the bodiless blocking leaf (wg.Wait); got %v", diags)
 	}
-	for _, d := range diags {
-		if !strings.Contains(d.Message, "WaitGroup") {
-			t.Errorf("goleak message lacks the remediation menu: %q", d.Message)
-		}
+	if guarded == nil {
+		t.Errorf("no placement diagnostic for the guarded spawn with no Done; got %v", diags)
 	}
 }
 
 // TestGoldenGoleakScope remounts the flagged literal spawn outside the
-// audited packages: the scope is the module path, so it stays silent.
+// bounded-exit rule's packages: the scope is the module path, so it
+// stays silent.
 func TestGoldenGoleakScope(t *testing.T) {
-	if diags := runFixture(t, "goleak/litspawn", "internal/study/fixture", GoleakAnalyzer); len(diags) != 0 {
-		t.Errorf("goleak fired outside its package scope: %v", diags)
+	if diags := runFixture(t, "goleak/litspawn", "internal/study/fixture", CtxflowAnalyzer); len(diags) != 0 {
+		t.Errorf("bounded-exit rule fired outside its package scope: %v", diags)
 	}
 }
 
 // TestLoadTreeGoleakClean runs the check over the worker-pool idiom
-// using every sanctioned discipline: zero findings.
+// using every sanctioned discipline, the fan-in closer included: zero
+// findings.
 func TestLoadTreeGoleakClean(t *testing.T) {
-	if _, diags := runTree(t, "goleakclean", "internal/shard", GoleakAnalyzer); len(diags) != 0 {
+	if _, diags := runTree(t, "goleakclean", "internal/shard", CtxflowAnalyzer); len(diags) != 0 {
 		t.Errorf("clean tree flagged: %v", diags)
 	}
+}
+
+// TestGoldenCtxflowTier pins the collection tier: a bodiless blocking
+// target the walk cannot enter (go wg.Wait()) and a spawned path that
+// parks on a leaf the walk does not model (wg.Wait in a literal,
+// time.Sleep one call down) are flagged at the go statement unless they
+// observe a stop channel; a literal spawn the walk flags inside is not
+// reported again at the go statement; and the dial-reaper shape stays
+// silent.
+func TestGoldenCtxflowTier(t *testing.T) {
+	checkFixture(t, "ctxflowtier", "internal/mnet/netproxy", CtxflowAnalyzer)
 }
 
 // TestLoadTreeMergeable pins the accumulator audit: bare floats,
@@ -784,7 +808,7 @@ func TestWriteJSONMemoryChecks(t *testing.T) {
 	}{
 		{"growbound", "internal", GrowboundAnalyzer},
 		{"retain", "internal/mnet/codec", RetainAnalyzer},
-		{"goleak", "internal/mnet", GoleakAnalyzer},
+		{"goleak", "internal/mnet", CtxflowAnalyzer},
 		{"mergeable", "internal", MergeableAnalyzer},
 		{"randsplit", "internal", RandsplitAnalyzer},
 		{"allochot", "internal", AllochotAnalyzer},

@@ -80,7 +80,7 @@ func (s *lockScan) scanStmts(n ast.Node) {
 			// A deferred unlock runs at return: the lock stays held for the
 			// rest of the scan, which is exactly the tracked state. Other
 			// deferred calls run after the body too; skip them.
-			if recv, name, ok := s.mutexMethod(nd.Call); ok && (name == "Unlock" || name == "RUnlock") {
+			if recv, name, ok := syncMethod(s.pass, nd.Call, "sync.Mutex", "sync.RWMutex"); ok && (name == "Unlock" || name == "RUnlock") {
 				_ = recv // the lock is deliberately NOT released from the set
 			}
 			return false
@@ -100,7 +100,7 @@ func (s *lockScan) scanStmts(n ast.Node) {
 			}
 			return false
 		case *ast.CallExpr:
-			if recv, name, ok := s.mutexMethod(nd); ok {
+			if recv, name, ok := syncMethod(s.pass, nd, "sync.Mutex", "sync.RWMutex"); ok {
 				switch name {
 				case "Lock", "RLock":
 					s.held[recv] = true
@@ -142,33 +142,6 @@ func (s *lockScan) checkCall(call *ast.CallExpr) {
 		return
 	}
 	s.report(call.Pos(), node.DisplayName(s.g.Mod)+", which "+s.g.BlockingReason(node, s.blocking))
-}
-
-// mutexMethod matches a call to a sync.Mutex/sync.RWMutex method,
-// returning the receiver expression text and the method name. The
-// receiver is matched textually, like the waitgroup check: p.mu and mu
-// are distinct locks, as they should be.
-func (s *lockScan) mutexMethod(call *ast.CallExpr) (recv, name string, ok bool) {
-	sel, selOK := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !selOK {
-		return "", "", false
-	}
-	fn, fnOK := s.pass.ObjectOf(sel.Sel).(*types.Func)
-	if !fnOK {
-		return "", "", false
-	}
-	sig, sigOK := fn.Type().(*types.Signature)
-	if !sigOK || sig.Recv() == nil {
-		return "", "", false
-	}
-	t := sig.Recv().Type()
-	if ptr, isPtr := t.(*types.Pointer); isPtr {
-		t = ptr.Elem()
-	}
-	if t.String() != "sync.Mutex" && t.String() != "sync.RWMutex" {
-		return "", "", false
-	}
-	return types.ExprString(sel.X), fn.Name(), true
 }
 
 // report emits one diagnostic naming the held mutexes (sorted for

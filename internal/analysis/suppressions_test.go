@@ -72,6 +72,39 @@ func TestSuppressionInventory(t *testing.T) {
 			t.Errorf("%s:%d: suppression names unknown check %q — a typo here silences nothing", s.File, s.Line, s.Check)
 		}
 	}
+
+	// Liveness: with no suppression applied, every inventoried directive
+	// must silence a diagnostic of its check — on its own line or the
+	// line below, at the reported position or on a step of the chain. A
+	// renamed or left-over directive that silences nothing fails here.
+	mod.ign = ignoreIndex{}
+	diags, err := mod.Run()
+	if err != nil {
+		t.Fatalf("unfiltered run: %v", err)
+	}
+	type site struct {
+		check, file string
+		line        int
+	}
+	silenced := map[site]bool{}
+	for _, d := range diags {
+		positions := []token.Position{d.Pos}
+		for _, step := range d.Path {
+			positions = append(positions, step.Pos)
+		}
+		for _, pos := range positions {
+			file := relSlash(root, pos.Filename)
+			for _, check := range []string{d.Check, "all"} {
+				silenced[site{check, file, pos.Line}] = true
+				silenced[site{check, file, pos.Line - 1}] = true
+			}
+		}
+	}
+	for _, s := range sups {
+		if !silenced[site{s.Check, s.File, s.Line}] {
+			t.Errorf("%s:%d: //wearlint:ignore %s silences no diagnostic of that check; delete it or move it onto the finding", s.File, s.Line, s.Check)
+		}
+	}
 }
 
 // FuzzSuppressionInventory drives Module.Suppressions with arbitrary

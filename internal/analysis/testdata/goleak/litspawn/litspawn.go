@@ -6,7 +6,7 @@ package litspawn
 // Leak blocks on a bare receive with no exit discipline.
 func Leak() {
 	hold := make(chan int)
-	go func() { // want goleak
+	go func() { // want ctxflow
 		<-hold
 	}()
 }

@@ -1,11 +1,13 @@
-// Package spawn exercises every goleak verdict: the flagged spawns
-// (literal, named-with-chain, bodiless blocking leaf, blocking callee
-// inside a literal) and each of the four exit disciplines, which must
-// stay silent.
+// Package spawn exercises every verdict of ctxflow's bounded-exit rule:
+// the flagged spawns (literal, named-with-chain, bodiless blocking leaf,
+// blocking callee inside a literal) and each exit discipline, which must
+// stay silent. A spawn the WaitGroup placement rule flags is reported
+// once.
 package spawn
 
 import (
 	"sync"
+	"time"
 
 	"wearwild/internal/mnet/pipe"
 )
@@ -14,7 +16,7 @@ import (
 // to fill.
 func LeakLiteral() {
 	results := make(chan int)
-	go func() { // want goleak
+	go func() { // want ctxflow
 		<-results
 	}()
 }
@@ -22,20 +24,20 @@ func LeakLiteral() {
 // LeakNamed launches the blocking named worker with no join: the
 // finding lands on the go statement and carries the spawn step.
 func LeakNamed(ch chan int) {
-	go pipe.Pump(ch) // want goleak
+	go pipe.Pump(ch) // want ctxflow
 }
 
 // LeakViaCall spawns a literal whose only blocking act is the call
 // into the parked worker: the out-edge, not the body, is the evidence.
 func LeakViaCall(ch chan int) {
-	go func() { // want goleak
+	go func() { // want ctxflow
 		pipe.Pump(ch)
 	}()
 }
 
 // LeakWait parks a bodiless blocking leaf directly.
 func LeakWait(wg *sync.WaitGroup) {
-	go wg.Wait() // want goleak
+	go wg.Wait() // want ctxflow
 }
 
 // JoinedWorker carries a WaitGroup join: clean.
@@ -45,6 +47,16 @@ func JoinedWorker(wg *sync.WaitGroup, ch chan int) {
 		defer wg.Done()
 		for range ch {
 		}
+	}()
+}
+
+// GuardedLeak spawns after wg.Add a body with no Done that also parks
+// on a receive: the placement rule flags the go statement, and the
+// bounded-exit rule gives no second verdict.
+func GuardedLeak(wg *sync.WaitGroup, ch chan int) {
+	wg.Add(1)
+	go func() { // want ctxflow
+		<-ch
 	}()
 }
 
@@ -93,5 +105,45 @@ func DynamicSpawn(ch chan int) {
 func NonBlocking(counter *int) {
 	go func() {
 		*counter = *counter + 1
+	}()
+}
+
+// TickLoop wakes on a ticker forever: a timer receive bounds one wait,
+// never the goroutine, so it is no exit.
+func TickLoop(flush func()) {
+	tk := time.NewTicker(time.Second)
+	go func() { // want ctxflow
+		for {
+			<-tk.C
+			flush()
+		}
+	}()
+}
+
+// TickSelect selects on work or a ticker, never on a shutdown signal.
+func TickSelect(work chan int, flush func()) {
+	tk := time.NewTicker(time.Second)
+	go func() { // want ctxflow
+		for {
+			select {
+			case <-work:
+			case <-tk.C:
+				flush()
+			}
+		}
+	}()
+}
+
+// PollSleep polls with a default select and sleeps between polls: it
+// blocks through the call, which no channel vocabulary bounds.
+func PollSleep(work chan int) {
+	go func() { // want ctxflow
+		for {
+			select {
+			case <-work:
+			default:
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}()
 }

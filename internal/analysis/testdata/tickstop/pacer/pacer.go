@@ -104,7 +104,7 @@ func Closure() func() {
 	}
 }
 
-// Debounce uses AfterFunc, which owns a goroutine: goleak territory,
+// Debounce uses AfterFunc, which owns a goroutine: ctxflow territory,
 // not lifecycle.
 func Debounce(f func()) *time.Timer {
 	return time.AfterFunc(time.Second, f)

@@ -1,4 +1,4 @@
-// Package fixture exercises the waitgroup check.
+// Package fixture exercises ctxflow's WaitGroup placement rule.
 package fixture
 
 import "sync"
@@ -8,7 +8,7 @@ import "sync"
 func AddInside() {
 	var wg sync.WaitGroup
 	go func() {
-		wg.Add(1) // want waitgroup
+		wg.Add(1) // want ctxflow
 		defer wg.Done()
 	}()
 	wg.Wait()
@@ -19,7 +19,7 @@ func AddInside() {
 func MissingDone(work func()) {
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // want waitgroup
+	go func() { // want ctxflow
 		work()
 	}()
 	wg.Wait()
@@ -35,4 +35,24 @@ func Canonical(work func()) {
 		work()
 	}()
 	wg.Wait()
+}
+
+// FanIn is the canonical fan-in closer: after a loop of wg.Add, the last
+// goroutine waits on the group and closes the output. It calls Wait, so
+// it is the group's waiter, not a worker the Add guards.
+func FanIn(n int, work func() int) chan int {
+	out := make(chan int, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out <- work()
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(out)
+	}()
+	return out
 }

@@ -136,7 +136,7 @@ func timerCtor(p *Pass, e ast.Expr) string {
 	switch fn.Name() {
 	case "NewTimer", "AfterFunc":
 		if fn.Name() == "AfterFunc" {
-			return "" // owns a goroutine; goleak territory, not lifecycle
+			return "" // owns a goroutine; ctxflow territory, not lifecycle
 		}
 		return "Timer"
 	case "NewTicker":

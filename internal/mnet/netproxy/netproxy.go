@@ -378,7 +378,6 @@ func (p *Proxy) dial(host string, isTLS bool) (net.Conn, error) {
 		// which always sends exactly one result into the buffered channel;
 		// the reaper lives precisely as long as the in-flight dial it
 		// exists to clean up after.
-		//wearlint:ignore goleak reaper blocks only until the single buffered dial result arrives, then closes the late conn and exits
 		go func() {
 			if r := <-ch; r.c != nil {
 				_ = r.c.Close()
