@@ -31,7 +31,7 @@ lint-json:
 
 # Fast single-check iteration while tuning one analyzer:
 #   make lint-only CHECK=randsplit
-#   make lint-only CHECK=allochot,sinkretain
+#   make lint-only CHECK=membound,ctxflow
 lint-only:
 	$(GO) run ./cmd/wearlint -checks $(CHECK) ./...
 

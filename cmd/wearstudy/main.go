@@ -1,5 +1,8 @@
 // Command wearstudy runs the paper's full analysis over a dataset and
 // prints every figure. Without -data it generates a dataset in memory.
+// -eval appends the paper-vs-measured table (the EXPERIMENTS.md body),
+// reports "N/M metrics in band" on stderr and exits 1 when any metric is
+// out of band.
 //
 // Usage:
 //
@@ -51,8 +54,22 @@ func main() {
 	wearwild.Render(os.Stdout, res, *rows)
 
 	if *eval {
-		if err := wearwild.WriteExperimentsMarkdown(os.Stdout, wearwild.Evaluate(res)); err != nil {
+		evals := wearwild.Evaluate(res)
+		if err := wearwild.WriteExperimentsMarkdown(os.Stdout, evals); err != nil {
 			log.Fatal(err)
+		}
+		pass, total := 0, 0
+		for _, e := range evals {
+			for _, m := range e.Metrics {
+				total++
+				if m.OK() {
+					pass++
+				}
+			}
+		}
+		log.Printf("%d/%d metrics in band", pass, total)
+		if pass < total {
+			os.Exit(1)
 		}
 	}
 }

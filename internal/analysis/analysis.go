@@ -157,33 +157,29 @@ func (p *Pass) calleeFunc(call *ast.CallExpr) *types.Func {
 }
 
 // DefaultAnalyzers returns every check, in stable order: the two
-// intraprocedural tripwires (maporder, errdrop), then the eleven
-// call-graph / dataflow checks (detreach, the determinism check, first;
-// growbound through mergeable are the memory-discipline layer; randsplit
-// through sinkretain are the generator-discipline layer built on the
-// escape/alias summaries), then the concurrency-safety four: ctxflow,
-// the one goroutine-lifecycle check (WaitGroup placement, bounded exit,
-// cancellable collection-tier paths), and atomicmix, chanbound and
-// tickstop, which pin the load-tested collection tier's snapshot,
-// queue-bound and timer-lifecycle invariants.
+// intraprocedural tripwires (maporder, errdrop), then the call-graph and
+// dataflow checks — detreach, the determinism check; lockheld;
+// shardpure, floatfold and mergeable, the shard-merge discipline;
+// membound, the one memory check (slab retention, record growth, Sink
+// retention, hot-path allocation); randsplit, the RNG-stream discipline —
+// then the concurrency-safety three: ctxflow, the one collection-path
+// and goroutine-lifecycle check (deadline-guarded conn I/O, bounded
+// hot-loop sends, WaitGroup placement, bounded exit, cancellable
+// collection-tier paths), and atomicmix and tickstop, which pin the
+// collection tier's snapshot and timer-lifecycle invariants.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		MaporderAnalyzer,
 		ErrdropAnalyzer,
 		DetreachAnalyzer,
-		DeadlineAnalyzer,
 		LockheldAnalyzer,
 		ShardpureAnalyzer,
 		FloatfoldAnalyzer,
-		GrowboundAnalyzer,
-		RetainAnalyzer,
+		MemboundAnalyzer,
 		MergeableAnalyzer,
 		RandsplitAnalyzer,
-		AllochotAnalyzer,
-		SinkretainAnalyzer,
 		CtxflowAnalyzer,
 		AtomicmixAnalyzer,
-		ChanboundAnalyzer,
 		TickstopAnalyzer,
 	}
 }
@@ -227,7 +223,6 @@ func (m *Module) Run(analyzers ...*Analyzer) ([]Diagnostic, error) {
 			a.RunModule(mp)
 		}
 	}
-	diags = dedupeOverlaps(diags)
 	diags = ign.filter(diags, 0)
 	if len(typeErrs) > 0 {
 		n := len(typeErrs)
@@ -250,52 +245,6 @@ func (m *Module) Run(analyzers ...*Analyzer) ([]Diagnostic, error) {
 		return a.Check < b.Check
 	})
 	return diags, nil
-}
-
-// overlapPriority maps a general check to the more specific checks that
-// outrank it when both flag the same site: retain/growbound beat
-// allochot (a slab-retention or unbounded-growth finding subsumes the
-// generic per-iteration allocation complaint), and deadline beats
-// ctxflow on a shared conn-I/O line (its every-caller-path analysis is
-// the sharper verdict on the same park). The overlap key is the line,
-// not the column — the specific checks anchor on the offending argument
-// while the general ones anchor on the statement.
-var overlapPriority = map[string][]string{
-	"allochot": {"retain", "growbound"},
-	"ctxflow":  {"deadline"},
-}
-
-// dedupeOverlaps drops a general check's diagnostic when a more
-// specific check (per overlapPriority) flagged the same line. It runs
-// before suppression filtering, so one //wearlint:ignore of the winning
-// check silences the site entirely rather than unmasking the general
-// twin.
-func dedupeOverlaps(diags []Diagnostic) []Diagnostic {
-	type key struct {
-		check string
-		file  string
-		line  int
-	}
-	at := make(map[key]bool)
-	for _, d := range diags {
-		if _, general := overlapPriority[d.Check]; !general {
-			at[key{d.Check, d.Pos.Filename, d.Pos.Line}] = true
-		}
-	}
-	out := diags[:0]
-	for _, d := range diags {
-		drop := false
-		for _, winner := range overlapPriority[d.Check] {
-			if at[key{winner, d.Pos.Filename, d.Pos.Line}] {
-				drop = true
-				break
-			}
-		}
-		if !drop {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // matchRel reports whether a module-relative package path matches a

@@ -181,7 +181,7 @@ func atomicmixBody(mp *ModulePass, n *Node, first map[string]atomicSite) {
 		if !ok {
 			return true
 		}
-		if _, name, ok := mutexMethodCall(pass, call); ok {
+		if _, name, ok := syncMethod(pass, call, "sync.Mutex", "sync.RWMutex"); ok {
 			switch name {
 			case "Lock", "RLock":
 				locks = append(locks, lockEvent{call.Pos(), +1})

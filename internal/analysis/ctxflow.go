@@ -9,11 +9,24 @@ import (
 	"strings"
 )
 
-// CtxflowAnalyzer is the goroutine-lifecycle check. It makes one pass
-// over every go statement in the module, resolves what each one spawns
-// once — a function literal, a named function, or a func value (skipped:
-// unresolvable, a documented under-approximation) — and applies three
-// rules, each at its own scope (DESIGN.md §5):
+// CtxflowAnalyzer is the collection-path and goroutine-lifecycle check.
+// It applies five rules, each at its own scope (DESIGN.md §5). Two judge
+// sites:
+//
+//   - Conn I/O (connIOPkgs, non-test): every raw net.Conn Read or Write
+//     needs a SetDeadline-family call for its direction — SetDeadline
+//     guards both — in its function, or in a caller on every path into it.
+//   - Hot-loop send (functions reachable from the collection tier,
+//     ctxflowPkgs, non-test): a send inside a record loop (the membound
+//     grammar) or an accept loop, nested literals included, must be
+//     selected with a default drop path or a shutdown/timer case, or go to
+//     a receiver the function itself spawns and closes the channel on (the
+//     owned pipeline). Buffering alone is not a bound: it only delays the
+//     park by its capacity.
+//
+// Three make one pass over every go statement in the module and resolve
+// what each one spawns once — a function literal, a named function, or a
+// func value (skipped: unresolvable, a documented under-approximation):
 //
 //   - WaitGroup placement (whole module, test files included): no
 //     wg.Add inside the spawned literal, where the spawner can reach Wait
@@ -28,16 +41,18 @@ import (
 //     vocabulary below bounds, with timer and ticker receives excluded.
 //   - Per-site walk (the collection tier, ctxflowPkgs, non-test): every
 //     potentially-parking site on the spawned path, followed through the
-//     call graph, must be cancellable. It is the only verdict on the
-//     sites it models, so a spawn is reported once. A spawn whose path
+//     call graph, must be cancellable. It is the only lifecycle verdict on
+//     the sites it models, so a spawn is reported once. A spawn whose path
 //     flags no site but reaches a blocking leaf the walk does not model
 //     (sync Wait, time.Sleep, a net call other than Read, Write or
 //     Accept), and a bodiless target the walk cannot enter (go
 //     wg.Wait()), are judged at the go statement by the bounded-exit
 //     disciplines.
 //
-// No position is reported twice: the placement rule runs first, so a
-// guarded spawn with no Done is reported by it alone.
+// One position gets one finding, from the first rule in the order above
+// to flag it: a conn I/O site or hot-loop send the walk also reaches
+// keeps its sharper message, and a guarded spawn with no Done is reported
+// by the placement rule alone.
 //
 // The site vocabulary both lifecycle rules share: a send into, or a
 // receive from, a channel the containing function made with constant
@@ -56,20 +71,19 @@ import (
 //     documented over-approximation);
 //   - raw net.Conn I/O must be deadline-guarded for its direction in its
 //     function, in the spawning function, or along the spawn chain (the
-//     deadline check's facts, accumulated per hop).
+//     conn-I/O rule's facts, accumulated per hop).
 //
 // The walk never descends into a nested go statement's body — that is
-// its own spawn — and a guard armed in a sibling call is invisible. A
-// line both ctxflow and deadline flag keeps the deadline finding
-// (overlapPriority).
+// its own spawn — and a guard armed in a sibling call is invisible.
 var CtxflowAnalyzer = &Analyzer{
 	Name:      "ctxflow",
-	Doc:       "goroutine lifecycle: WaitGroup Add before the spawn and Done in it, a bounded exit for every spawn, and cancellable blocking sites on collection-tier goroutine paths",
+	Doc:       "collection path and goroutine lifecycle: deadline-guarded conn I/O, bounded hot-loop sends, WaitGroup Add before the spawn and Done in it, a bounded exit for every spawn, and cancellable blocking sites on collection-tier goroutine paths",
 	RunModule: runCtxflow,
 }
 
 // ctxflowPkgs is the collection tier, whose spawns the per-site walk
-// judges: the live proxy and replay packages and their commands.
+// judges and whose reach the hot-loop send rule covers: the live proxy
+// and replay packages and their commands.
 var ctxflowPkgs = []string{
 	"internal/mnet/netproxy",
 	"internal/mnet/replay",
@@ -82,15 +96,25 @@ var ctxflowPkgs = []string{
 // runtime, the commands and the runnable examples.
 var exitPkgs = []string{"internal/mnet/...", "internal/shard", "cmd/...", "examples/..."}
 
-// ctxGuards is the accumulated deadline state along a spawn chain.
+// connIOPkgs scopes the conn-I/O rule: the collection path is the only
+// code that reads and writes real sockets, and DESIGN.md §6 promises none
+// of it can wedge on a dead peer.
+var connIOPkgs = []string{"internal/mnet/..."}
+
+// ctxGuards is the set of deadline directions armed in one function, or
+// accumulated along a spawn chain.
 type ctxGuards struct{ read, write bool }
 
 func (g ctxGuards) add(f *deadlineFacts) ctxGuards {
-	if f != nil {
-		g.read = g.read || f.guardsRead
-		g.write = g.write || f.guardsWrite
+	return ctxGuards{read: g.read || f.guards.read, write: g.write || f.guards.write}
+}
+
+// covers reports whether a deadline is armed for the I/O direction.
+func (g ctxGuards) covers(write bool) bool {
+	if write {
+		return g.write
 	}
-	return g
+	return g.read
 }
 
 // ctxflow is one run's state: the interface types, the blocking
@@ -116,6 +140,8 @@ func runCtxflow(mp *ModulePass) {
 		goExt:    map[*Node][][2]token.Pos{},
 		reported: map[token.Pos]bool{},
 	}
+	c.connIO()
+	c.hotSends()
 	for _, u := range mp.Mod.Units {
 		pass, _ := mp.Mod.pass(u)
 		for _, f := range u.Files {
@@ -139,6 +165,347 @@ func runCtxflow(mp *ModulePass) {
 			}
 		}
 	}
+}
+
+// connIO applies the conn-I/O rule.
+func (c *ctxflow) connIO() {
+	mod := c.mp.Mod
+	for _, n := range c.mp.Graph.FuncsIn(connIOPkgs) {
+		if n.Test {
+			continue
+		}
+		f := c.factsOf(n)
+		for _, site := range f.io {
+			if f.guards.covers(site.write) {
+				continue
+			}
+			entry, chain := c.unguardedEntry(n, site.write)
+			if entry == nil {
+				continue
+			}
+			verb, guard := site.verbs()
+			from := ""
+			if entry != n {
+				from = " (unguarded entry " + entry.DisplayName(mod) + ": " + renderChain(mod, chain) + ")"
+			}
+			c.report(site.pos, pathSteps(mod, chain),
+				"%s.%s can park forever: no %s/SetDeadline in %s or on every caller path into it%s",
+				site.expr, verb, guard, n.DisplayName(mod), from)
+		}
+	}
+}
+
+// unguardedEntry walks the caller graph backwards from n looking for a
+// path every function of which lacks a matching deadline guard, ending
+// at an entry (a function with no non-test module callers). It returns
+// that entry and the unguarded call chain entry→…→n, or nil when every
+// path into n is guarded. Test callers are skipped: a test harness
+// driving an unexported helper is a controlled environment, and the
+// helper is reported through its production entries instead.
+func (c *ctxflow) unguardedEntry(n *Node, write bool) (*Node, []Edge) {
+	type item struct {
+		n     *Node
+		chain []Edge // reversed: edge into n first
+	}
+	seen := map[*Node]bool{n: true}
+	queue := []item{{n: n}}
+	for len(queue) > 0 {
+		it := queue[0]
+		queue = queue[1:]
+		entry := true
+		for _, e := range it.n.In {
+			caller := e.Caller
+			if caller.Test || !caller.InModule {
+				continue
+			}
+			entry = false
+			if seen[caller] {
+				continue
+			}
+			seen[caller] = true
+			if c.factsOf(caller).guards.covers(write) {
+				continue // this path is guarded; others may not be
+			}
+			queue = append(queue, item{n: caller, chain: append(append([]Edge(nil), it.chain...), e)})
+		}
+		if entry {
+			chain := make([]Edge, 0, len(it.chain))
+			for i := len(it.chain) - 1; i >= 0; i-- {
+				chain = append(chain, it.chain[i])
+			}
+			return it.n, chain
+		}
+	}
+	return nil, nil
+}
+
+// hotSends applies the hot-loop send rule to every function reachable
+// from the collection tier.
+func (c *ctxflow) hotSends() {
+	g, mod := c.mp.Graph, c.mp.Mod
+	reach := g.ReachableFromPkgs(ctxflowPkgs)
+	g.Walk(func(n *Node) {
+		if n.Decl == nil || n.Decl.Body == nil || n.Test || !reach.Contains(n) {
+			return
+		}
+		chain := pathSteps(mod, reach.PathTo(n))
+		ast.Inspect(n.Decl.Body, func(nd ast.Node) bool {
+			body, kind := hotLoop(n.Pass, mod, c.listener, nd)
+			if body == nil {
+				return true
+			}
+			ast.Inspect(body, func(inner ast.Node) bool {
+				if send, ok := inner.(*ast.SendStmt); ok {
+					c.hotSend(n, send, kind, chain)
+				}
+				return true
+			})
+			return true // nested hot loops rescan; positions dedupe
+		})
+	})
+}
+
+// hotLoop classifies nd as a record or accept loop and returns its body.
+func hotLoop(pass *Pass, mod *Module, listener *types.Interface, nd ast.Node) (*ast.BlockStmt, string) {
+	if loop, body := recordLoop(pass, mod, nd); loop != nil {
+		return body, "record"
+	}
+	var body *ast.BlockStmt
+	switch nd := nd.(type) {
+	case *ast.ForStmt:
+		body = nd.Body
+	case *ast.RangeStmt:
+		body = nd.Body
+	}
+	if body == nil || listener == nil {
+		return nil, ""
+	}
+	accepts := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && isAcceptCall(pass, call, listener) {
+			accepts = true
+		}
+		return !accepts
+	})
+	if !accepts {
+		return nil, ""
+	}
+	return body, "accept"
+}
+
+// isAcceptCall matches x.Accept() where x implements net.Listener.
+func isAcceptCall(pass *Pass, call *ast.CallExpr, listener *types.Interface) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Accept" {
+		return false
+	}
+	t := pass.TypeOf(sel.X)
+	return t != nil && (types.Implements(t, listener) || types.Implements(types.NewPointer(t), listener))
+}
+
+// hotSend judges one send inside a hot loop.
+func (c *ctxflow) hotSend(n *Node, send *ast.SendStmt, loopKind string, chain []PathStep) {
+	pass := n.Pass
+	if sel := enclosingSelect(n.Decl.Body, send); sel != nil {
+		if selectHasDefault(sel) || selectHasShutdownCase(pass, sel, true) {
+			return
+		}
+	} else if receiverJoined(pass, n.Decl.Body, fieldOrVarObject(pass, send.Chan)) {
+		return
+	}
+	c.report(send.Pos(), chain,
+		"unbounded send: %s <- … inside an %s hot loop parks the collection path when the receiver stalls%s; add a select with a default drop path, a shutdown/timer case, or close-and-join the receiver (DESIGN.md §5)",
+		types.ExprString(send.Chan), loopKind, reachedVia(c.mp.Mod, chain, n))
+}
+
+// enclosingSelect returns the select statement whose comm clause is this
+// send, or nil when the send is a plain statement.
+func enclosingSelect(scope *ast.BlockStmt, send *ast.SendStmt) *ast.SelectStmt {
+	var found *ast.SelectStmt
+	ast.Inspect(scope, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectStmt); ok && found == nil {
+			for _, clause := range sel.Body.List {
+				if cc, ok := clause.(*ast.CommClause); ok && cc.Comm == send {
+					found = sel
+				}
+			}
+		}
+		return found == nil
+	})
+	return found
+}
+
+// receiverJoined reports the owned-pipeline shape: the function both
+// spawns a goroutine receiving from (or ranging over) the channel and
+// closes it. The close proves the sender owns the lifecycle; the spawned
+// receiver proves a consumer drains while the loop runs.
+func receiverJoined(pass *Pass, body *ast.BlockStmt, obj types.Object) bool {
+	if obj == nil {
+		return false
+	}
+	closed, consumed := false, false
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "close" && len(n.Args) == 1 {
+				if _, isBuiltin := pass.ObjectOf(id).(*types.Builtin); isBuiltin && fieldOrVarObject(pass, n.Args[0]) == obj {
+					closed = true
+				}
+			}
+		case *ast.GoStmt:
+			lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit)
+			if !ok {
+				return true
+			}
+			ast.Inspect(lit.Body, func(inner ast.Node) bool {
+				switch inner := inner.(type) {
+				case *ast.UnaryExpr:
+					consumed = consumed || inner.Op == token.ARROW && fieldOrVarObject(pass, inner.X) == obj
+				case *ast.RangeStmt:
+					if t := pass.TypeOf(inner.X); t != nil && fieldOrVarObject(pass, inner.X) == obj {
+						_, isChan := t.Underlying().(*types.Chan)
+						consumed = consumed || isChan
+					}
+				}
+				return !consumed
+			})
+		}
+		return !closed || !consumed
+	})
+	return closed && consumed
+}
+
+// connIOSite is one raw Read/Write on a net.Conn.
+type connIOSite struct {
+	pos   token.Pos
+	write bool
+	expr  string // receiver text, for the message
+}
+
+// verbs names the site's method and the deadline setter that guards it.
+func (s connIOSite) verbs() (verb, guard string) {
+	if s.write {
+		return "Write", "SetWriteDeadline"
+	}
+	return "Read", "SetReadDeadline"
+}
+
+// deadlineFacts summarises one function's raw conn I/O and the deadline
+// directions it arms.
+type deadlineFacts struct {
+	io     []connIOSite
+	guards ctxGuards
+}
+
+// connFacts scans one body for raw conn IO and deadline guards.
+func connFacts(pass *Pass, body *ast.BlockStmt, conn *types.Interface) *deadlineFacts {
+	f := &deadlineFacts{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		name := sel.Sel.Name
+		switch name {
+		case "Read", "Write", "SetDeadline", "SetReadDeadline", "SetWriteDeadline":
+		default:
+			return true
+		}
+		if fn, ok := pass.ObjectOf(sel.Sel).(*types.Func); !ok || fn.Pkg() == nil {
+			return true
+		} else if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() == nil {
+			return true
+		}
+		t := pass.TypeOf(sel.X)
+		if t == nil || !types.Implements(t, conn) && !types.Implements(types.NewPointer(t), conn) {
+			return true
+		}
+		switch name {
+		case "Read":
+			f.io = append(f.io, connIOSite{pos: call.Pos(), write: false, expr: types.ExprString(sel.X)})
+		case "Write":
+			f.io = append(f.io, connIOSite{pos: call.Pos(), write: true, expr: types.ExprString(sel.X)})
+		case "SetDeadline":
+			f.guards = ctxGuards{read: true, write: true}
+		case "SetReadDeadline":
+			f.guards.read = true
+		case "SetWriteDeadline":
+			f.guards.write = true
+		}
+		return true
+	})
+	return f
+}
+
+// selectHasDefault reports whether the select carries a default clause.
+func selectHasDefault(sel *ast.SelectStmt) bool {
+	for _, clause := range sel.Body.List {
+		if cc, ok := clause.(*ast.CommClause); ok && cc.Comm == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// selectHasShutdownCase reports whether any comm clause of the select
+// receives from a done source (shutdownRecvSource; timers says whether a
+// timer/ticker C counts).
+func selectHasShutdownCase(pass *Pass, sel *ast.SelectStmt, timers bool) bool {
+	for _, clause := range sel.Body.List {
+		cc, ok := clause.(*ast.CommClause)
+		if !ok || cc.Comm == nil {
+			continue
+		}
+		var src ast.Expr
+		switch comm := cc.Comm.(type) {
+		case *ast.ExprStmt:
+			if ue, ok := ast.Unparen(comm.X).(*ast.UnaryExpr); ok && ue.Op == token.ARROW {
+				src = ue.X
+			}
+		case *ast.AssignStmt:
+			for _, rhs := range comm.Rhs {
+				if ue, ok := ast.Unparen(rhs).(*ast.UnaryExpr); ok && ue.Op == token.ARROW {
+					src = ue.X
+				}
+			}
+		}
+		if src == nil {
+			continue
+		}
+		if shutdownRecvSource(pass, src, timers) {
+			return true
+		}
+	}
+	return false
+}
+
+// shutdownRecvSource is the one done vocabulary: it classifies a receive
+// source as a cancellation signal — a ctx.Done()-style call or a
+// shutdown-named channel — or, when timers is set, as a deadline: the C
+// field of a time.Timer/time.Ticker. A timer bounds one wait, so it
+// counts for a site that must not park forever, never as a goroutine's
+// exit (a loop on a ticker never ends).
+func shutdownRecvSource(pass *Pass, src ast.Expr, timers bool) bool {
+	if call, ok := ast.Unparen(src).(*ast.CallExpr); ok {
+		id := refIdent(call.Fun)
+		return id != nil && id.Name == "Done"
+	}
+	if sel, ok := ast.Unparen(src).(*ast.SelectorExpr); ok && timers && sel.Sel.Name == "C" {
+		if t := pass.TypeOf(sel.X); t != nil {
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			if s := t.String(); s == "time.Timer" || s == "time.Ticker" {
+				return true
+			}
+		}
+	}
+	id := refIdent(src)
+	return id != nil && shutdownName(id.Name)
 }
 
 // wgPending walks one statement list in order and records, for each go
@@ -390,11 +757,13 @@ func unmodelledLeaf(n *Node) bool {
 	return true
 }
 
-// factsOf returns a node's conn I/O and deadline facts, computed once.
+// factsOf returns a node's conn I/O and deadline facts, computed once;
+// empty for a node without a body, or when net cannot be loaded.
 func (c *ctxflow) factsOf(n *Node) *deadlineFacts {
 	f, ok := c.facts[n]
 	if !ok {
-		if c.conn != nil {
+		f = &deadlineFacts{}
+		if c.conn != nil && n.Decl != nil && n.Decl.Body != nil {
 			f = connFacts(n.Pass, n.Decl.Body, c.conn)
 		}
 		c.facts[n] = f
@@ -471,23 +840,13 @@ func (c *ctxflow) scan(v ctxVisit, joined bool) (flagged bool) {
 
 	// Raw conn I/O: every site in the region must have its direction
 	// guarded in this function or along the spawn chain.
-	if f := c.factsOf(n); f != nil {
-		for _, site := range f.io {
-			if !inRegion(site.pos) {
-				continue
-			}
-			guarded := v.guards.read
-			verb, guard := "Read", "SetReadDeadline"
-			if site.write {
-				guarded = v.guards.write
-				verb, guard = "Write", "SetWriteDeadline"
-			}
-			if guarded {
-				continue
-			}
-			flag(site.pos, "%s.%s can park a goroutine forever: no %s/SetDeadline in this function or along the spawn chain; arm a deadline before the I/O (DESIGN.md §5)",
-				site.expr, verb, guard)
+	for _, site := range c.factsOf(n).io {
+		if !inRegion(site.pos) || v.guards.covers(site.write) {
+			continue
 		}
+		verb, guard := site.verbs()
+		flag(site.pos, "%s.%s can park a goroutine forever: no %s/SetDeadline in this function or along the spawn chain; arm a deadline before the I/O (DESIGN.md §5)",
+			site.expr, verb, guard)
 	}
 	return flagged
 }
@@ -521,7 +880,7 @@ func chanParks(pass *Pass, fnBody, region *ast.BlockStmt, timers bool, fn func(p
 	// bounded reports a buffered handoff made in the containing function
 	// or, for receives, a token it deposits itself (semaphore).
 	bounded := func(ch ast.Expr, recv bool) bool {
-		obj := chanObject(pass, ch)
+		obj := fieldOrVarObject(pass, ch)
 		return obj != nil && (chanMadeBuffered(pass, fnBody, obj) || recv && ctxSendsTo(pass, fnBody, obj))
 	}
 	ast.Inspect(region, func(nd ast.Node) bool {
@@ -579,7 +938,7 @@ func ctxSendsTo(pass *Pass, body *ast.BlockStmt, obj types.Object) bool {
 		if found {
 			return false
 		}
-		if s, ok := n.(*ast.SendStmt); ok && chanObject(pass, s.Chan) == obj {
+		if s, ok := n.(*ast.SendStmt); ok && fieldOrVarObject(pass, s.Chan) == obj {
 			found = true
 		}
 		return !found

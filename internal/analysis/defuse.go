@@ -238,14 +238,13 @@ func (w *defUseWalk) walk(n ast.Node) {
 			// A deferred Unlock runs at exit, so the mutex stays held for
 			// the rest of the body — the decrement must not fire here.
 			// Deferred Locks are equally exit-time and ignored.
-			if _, _, ok := mutexMethodCall(w.du.pass, nd.Call); ok {
+			if _, _, ok := syncMethod(w.du.pass, nd.Call, "sync.Mutex", "sync.RWMutex"); ok {
 				w.recordUsesIn(nd.Call)
 				return false
 			}
 			return true
 		case *ast.CallExpr:
-			if recv, name, ok := mutexMethodCall(w.du.pass, nd); ok {
-				_ = recv
+			if _, name, ok := syncMethod(w.du.pass, nd, "sync.Mutex", "sync.RWMutex"); ok {
 				switch name {
 				case "Lock", "RLock", "TryLock", "TryRLock":
 					w.held++
@@ -443,30 +442,4 @@ func isAppendTo(p *Pass, lhs, rhs ast.Expr) bool {
 	lobj := rootObject(p, lhs)
 	aobj := rootObject(p, call.Args[0])
 	return lobj != nil && lobj == aobj
-}
-
-// mutexMethodCall matches a call to a sync.Mutex/RWMutex method,
-// returning the receiver text and method name (shared with lockheld's
-// textual discipline but universe-independent).
-func mutexMethodCall(p *Pass, call *ast.CallExpr) (recv, name string, ok bool) {
-	sel, selOK := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !selOK {
-		return "", "", false
-	}
-	fn, fnOK := p.ObjectOf(sel.Sel).(*types.Func)
-	if !fnOK {
-		return "", "", false
-	}
-	sig, sigOK := fn.Type().(*types.Signature)
-	if !sigOK || sig.Recv() == nil {
-		return "", "", false
-	}
-	t := sig.Recv().Type()
-	if ptr, isPtr := t.(*types.Pointer); isPtr {
-		t = ptr.Elem()
-	}
-	if t.String() != "sync.Mutex" && t.String() != "sync.RWMutex" {
-		return "", "", false
-	}
-	return types.ExprString(sel.X), fn.Name(), true
 }

@@ -179,17 +179,17 @@ func runTree(t *testing.T, dir, mount string, as ...*Analyzer) (*Module, []Diagn
 	return m, diags
 }
 
-// checkTree asserts an analyzer's diagnostics over a fixture tree match
-// the want markers exactly, keyed by tree-relative path so same-named
+// checkTree asserts the analyzers' diagnostics over a fixture tree (the
+// full catalog when none are named) match the want markers exactly, keyed by tree-relative path so same-named
 // files in different packages stay distinct. It returns the diagnostics
 // for follow-up assertions on messages and chains.
-func checkTree(t *testing.T, dir, mount string, a *Analyzer) []Diagnostic {
+func checkTree(t *testing.T, dir, mount string, as ...*Analyzer) []Diagnostic {
 	t.Helper()
 	root, err := filepath.Abs(filepath.Join("testdata", dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, diags := runTree(t, dir, mount, a)
+	_, diags := runTree(t, dir, mount, as...)
 	want := treeExpectations(t, root)
 
 	got := map[string]map[int][]string{}
@@ -347,11 +347,11 @@ func TestLoadTreeDetreachSuppress(t *testing.T) {
 	}
 }
 
-// TestLoadTreeDeadline pins the caller-path deadline analysis: own-guard
-// and all-callers-guarded reads stay silent, an unguarded entry and a
-// direction mismatch are flagged.
+// TestLoadTreeDeadline pins ctxflow's conn-I/O rule, the caller-path
+// deadline analysis: own-guard and all-callers-guarded reads stay silent,
+// an unguarded entry and a direction mismatch are flagged.
 func TestLoadTreeDeadline(t *testing.T) {
-	diags := checkTree(t, "deadline", "internal/mnet", DeadlineAnalyzer)
+	diags := checkTree(t, "deadline", "internal/mnet", CtxflowAnalyzer)
 	foundEntry := false
 	for _, d := range diags {
 		if strings.Contains(d.Message, "unguarded entry internal/mnet/wire.Relay") {
@@ -541,11 +541,16 @@ func TestGoldenErrdropScope(t *testing.T) {
 
 // TestGoldenOverlapDedupe pins one diagnostic per site under the full
 // check catalog where two checks once both fired: a dropped writer
-// Flush/Close (errdrop alone), and a clock read plus a global-stream draw
-// in a determinism root (detreach alone, not a second allowlist twin).
+// Flush/Close (errdrop alone); a clock read plus a global-stream draw in
+// a determinism root (detreach alone, not a second allowlist twin); the
+// materialising and slab-header appends the allocation rule also judges
+// (exactly two membound findings); and the unguarded conn reads and
+// writes (one ctxflow finding per conn-I/O line).
 func TestGoldenOverlapDedupe(t *testing.T) {
 	checkFixture(t, "overlap", "internal/report/fixture")
 	checkFixture(t, "detonce", "internal/gen/sim")
+	checkTree(t, "allocoverlap", "internal")
+	checkTree(t, "deadline", "internal/mnet")
 }
 
 // TestWriteJSONSuppressed proves suppression happens before emission:
@@ -615,14 +620,14 @@ func checkFixtureMessages(t *testing.T) {
 	}
 }
 
-// TestLoadTreeGrowbound pins the unbounded-growth check over the
+// TestLoadTreeGrowbound pins membound's growth rule over the
 // seeded tree: both growth spellings flag in the root package without
 // a chain, the helper one hop below the root carries its chain, the
 // reachable-but-exempt generator and the exempt stats package stay
 // silent, the returned-regroup and channel-drain shapes flag despite
 // the bounded-regroup rule, and every sanctioned bounded shape passes.
 func TestLoadTreeGrowbound(t *testing.T) {
-	diags := checkTree(t, "growbound", "internal", GrowboundAnalyzer)
+	diags := checkTree(t, "growbound", "internal", MemboundAnalyzer)
 
 	var chained, rooted *Diagnostic
 	for i := range diags {
@@ -657,18 +662,18 @@ func TestLoadTreeGrowbound(t *testing.T) {
 // TestLoadTreeGrowboundClean runs the check over the all-bounded tree:
 // zero findings.
 func TestLoadTreeGrowboundClean(t *testing.T) {
-	if _, diags := runTree(t, "growboundclean", "internal", GrowboundAnalyzer); len(diags) != 0 {
+	if _, diags := runTree(t, "growboundclean", "internal", MemboundAnalyzer); len(diags) != 0 {
 		t.Errorf("clean tree flagged: %v", diags)
 	}
 }
 
-// TestGoldenRetain pins the slab-retention check: both reuse markers
+// TestGoldenRetain pins membound's slab-retention rule: both reuse markers
 // arm the slab, every escape spelling (return, two-hop alias return,
 // field store, map store, header append) flags, and the copy-first
 // idioms stay silent.
 func TestGoldenRetain(t *testing.T) {
-	checkFixture(t, "retain", "internal/mnet/codec", RetainAnalyzer)
-	diags := runFixture(t, "retain", "internal/mnet/codec", RetainAnalyzer)
+	checkFixture(t, "retain", "internal/mnet/codec", MemboundAnalyzer)
+	diags := runFixture(t, "retain", "internal/mnet/codec", MemboundAnalyzer)
 	for _, d := range diags {
 		if !strings.Contains(d.Message, "copy first") {
 			t.Errorf("retain message lacks the copy-first remediation: %q", d.Message)
@@ -679,7 +684,7 @@ func TestGoldenRetain(t *testing.T) {
 // TestGoldenRetainClean runs the check over the copying decoder: zero
 // findings.
 func TestGoldenRetainClean(t *testing.T) {
-	if diags := runFixture(t, "retainclean", "internal/mnet/codec", RetainAnalyzer); len(diags) != 0 {
+	if diags := runFixture(t, "retainclean", "internal/mnet/codec", MemboundAnalyzer); len(diags) != 0 {
 		t.Errorf("clean fixture flagged: %v", diags)
 	}
 }
@@ -751,10 +756,23 @@ func TestLoadTreeGoleakClean(t *testing.T) {
 // parks on a leaf the walk does not model (wg.Wait in a literal,
 // time.Sleep one call down) are flagged at the go statement unless they
 // observe a stop channel; a literal spawn the walk flags inside is not
-// reported again at the go statement; and the dial-reaper shape stays
-// silent.
+// reported again at the go statement; the dial-reaper shape stays
+// silent; and a send in a spawned accept loop keeps the hot-loop send
+// rule's message.
 func TestGoldenCtxflowTier(t *testing.T) {
 	checkFixture(t, "ctxflowtier", "internal/mnet/netproxy", CtxflowAnalyzer)
+	found := false
+	for _, d := range runFixture(t, "ctxflowtier", "internal/mnet/netproxy", CtxflowAnalyzer) {
+		if strings.Contains(d.Message, "conns <-") {
+			found = true
+			if !strings.HasPrefix(d.Message, "unbounded send: conns <- … inside an accept hot loop") {
+				t.Errorf("the spawned accept-loop send must keep the hot-loop send message, got %q", d.Message)
+			}
+		}
+	}
+	if !found {
+		t.Errorf("no finding on the spawned accept-loop send")
+	}
 }
 
 // TestLoadTreeMergeable pins the accumulator audit: bare floats,
@@ -806,16 +824,16 @@ func TestWriteJSONMemoryChecks(t *testing.T) {
 		dir, mount string
 		a          *Analyzer
 	}{
-		{"growbound", "internal", GrowboundAnalyzer},
-		{"retain", "internal/mnet/codec", RetainAnalyzer},
+		{"growbound", "internal", MemboundAnalyzer},
+		{"retain", "internal/mnet/codec", MemboundAnalyzer},
 		{"goleak", "internal/mnet", CtxflowAnalyzer},
 		{"mergeable", "internal", MergeableAnalyzer},
 		{"randsplit", "internal", RandsplitAnalyzer},
-		{"allochot", "internal", AllochotAnalyzer},
-		{"sinkretain", "internal", SinkretainAnalyzer},
+		{"allochot", "internal", MemboundAnalyzer},
+		{"sinkretain", "internal", MemboundAnalyzer},
 		{"ctxflow", "internal/mnet", CtxflowAnalyzer},
 		{"atomicmix", "internal", AtomicmixAnalyzer},
-		{"chanbound", "internal/mnet", ChanboundAnalyzer},
+		{"chanbound", "internal/mnet", CtxflowAnalyzer},
 		{"tickstop", "cmd", TickstopAnalyzer},
 	} {
 		var bufs [2]bytes.Buffer
@@ -916,14 +934,14 @@ func TestLoadTreeRandsplitClean(t *testing.T) {
 	}
 }
 
-// TestLoadTreeAllochot pins the hot-path allocation check: every
+// TestLoadTreeAllochot pins membound's hot-path allocation rule: every
 // per-iteration shape in the sim root flags (pointer and container
 // literals, cap-unguarded append, bare make, Sprintf, string
 // conversion, closure), the helper one hop below carries its chain, the
 // reachable-but-exempt population package stays silent, and every reuse
 // discipline passes.
 func TestLoadTreeAllochot(t *testing.T) {
-	diags := checkTree(t, "allochot", "internal", AllochotAnalyzer)
+	diags := checkTree(t, "allochot", "internal", MemboundAnalyzer)
 
 	var chained *Diagnostic
 	for i := range diags {
@@ -949,18 +967,18 @@ func TestLoadTreeAllochot(t *testing.T) {
 // TestLoadTreeAllochotClean runs the check over the all-reuse tree:
 // zero findings.
 func TestLoadTreeAllochotClean(t *testing.T) {
-	if _, diags := runTree(t, "allochotclean", "internal", AllochotAnalyzer); len(diags) != 0 {
+	if _, diags := runTree(t, "allochotclean", "internal", MemboundAnalyzer); len(diags) != 0 {
 		t.Errorf("clean tree flagged: %v", diags)
 	}
 }
 
-// TestLoadTreeSinkretain pins the Sink-contract retention check: every
+// TestLoadTreeSinkretain pins membound's Sink-retention rule: every
 // escape spelling on the record parameter flags (field store, map
 // insert, append, channel send, goroutine capture), the retention one
 // call below the method carries the forwarding chain, and the scalar
 // UserDone parameter stays silent everywhere.
 func TestLoadTreeSinkretain(t *testing.T) {
-	diags := checkTree(t, "sinkretain", "internal", SinkretainAnalyzer)
+	diags := checkTree(t, "sinkretain", "internal", MemboundAnalyzer)
 
 	for _, verb := range []string{
 		"stored into state that outlives the call",
@@ -1003,50 +1021,62 @@ func TestLoadTreeSinkretain(t *testing.T) {
 // TestLoadTreeSinkretainClean runs the check over the folding sink and
 // the half-contract keeper: zero findings.
 func TestLoadTreeSinkretainClean(t *testing.T) {
-	if _, diags := runTree(t, "sinkretainclean", "internal", SinkretainAnalyzer); len(diags) != 0 {
+	if _, diags := runTree(t, "sinkretainclean", "internal", MemboundAnalyzer); len(diags) != 0 {
 		t.Errorf("clean tree flagged: %v", diags)
 	}
 }
 
-// TestGoldenAllocOverlapDedupe pins the allochot overlap rule: when the
-// specific checks run alongside it, growbound wins the materialising
-// append and retain wins the slab-header append, each yielding a single
-// diagnostic per line — and allochot alone still covers both sites.
+// TestGoldenAllocOverlapDedupe pins membound's one verdict per line:
+// the allocation rule flags both append sites of the overlap tree, and
+// the line goes to the rule ranked first — growth on the materialising
+// append, retention on the slab-header append.
 func TestGoldenAllocOverlapDedupe(t *testing.T) {
-	_, both := runTree(t, "allocoverlap", "internal", GrowboundAnalyzer, RetainAnalyzer, AllochotAnalyzer)
-	if len(both) != 2 {
-		t.Fatalf("want exactly 2 deduped diagnostics, got %d: %v", len(both), both)
+	m, diags := runTree(t, "allocoverlap", "internal", MemboundAnalyzer)
+	verdicts := map[int]string{}
+	for _, d := range diags {
+		verdicts[d.Pos.Line], _, _ = strings.Cut(d.Message, ":")
 	}
-	for _, d := range both {
-		if d.Check == "allochot" {
-			t.Errorf("dedupe must keep the specific check over allochot, got %q at %s", d.Check, d)
+	want := map[int]string{14: "unbounded growth", 26: "slab retention"}
+	if len(verdicts) != len(want) || len(diags) != len(want) {
+		t.Fatalf("want one verdict on each of lines 14 and 26, got %v", diags)
+	}
+	for line, kind := range want {
+		if verdicts[line] != kind {
+			t.Errorf("line %d: verdict %q, want %q", line, verdicts[line], kind)
 		}
 	}
 
-	_, alone := runTree(t, "allocoverlap", "internal", AllochotAnalyzer)
-	if len(alone) != 2 {
-		t.Fatalf("allochot alone must still flag both append sites, got %d: %v", len(alone), alone)
-	}
-	for _, d := range alone {
-		if d.Check != "allochot" {
-			t.Errorf("solo run produced %q, want allochot: %s", d.Check, d)
+	mb := newMembound(&ModulePass{Mod: m, Graph: m.CallGraph()})
+	mb.collect()
+	alloc := map[int]bool{}
+	for _, f := range mb.found {
+		if f.rule == memAlloc {
+			alloc[m.Fset.Position(f.pos).Line] = true
 		}
+	}
+	if !alloc[14] || !alloc[26] {
+		t.Errorf("the allocation rule must flag both append sites before the line verdict, got lines %v", alloc)
 	}
 }
 
 // TestLoadTreeCtxflow pins the cancellation check over the seeded tree:
 // the plain receive, plain send, bare select, channel range, ungated
 // accept loop and unguarded conn read all flag inside their spawned
-// bodies; the named spawn into sink.Drain carries the spawn chain; and
+// bodies, the conn read with the conn-I/O rule's message; the named
+// spawn into sink.Drain carries the spawn chain; and
 // every discipline — done receive, buffered handoff, semaphore token,
 // joined worker, shutdown select, gated accept, spawner-armed deadline
 // (local and through the chain) and the dynamic spawn — stays silent.
 func TestLoadTreeCtxflow(t *testing.T) {
 	diags := checkTree(t, "ctxflow", "internal/mnet", CtxflowAnalyzer)
 
-	var chained, accept *Diagnostic
+	var chained, accept, conn *Diagnostic
 	for i := range diags {
 		d := &diags[i]
+		if strings.Contains(d.Message, "on every caller path") {
+			conn = d
+			continue // the conn-I/O rule's verdict on a site the walk reaches
+		}
 		if strings.Contains(filepath.ToSlash(d.Pos.Filename), "/sink/") {
 			chained = d
 		}
@@ -1074,6 +1104,9 @@ func TestLoadTreeCtxflow(t *testing.T) {
 	}
 	if !strings.Contains(accept.Message, "done/stop signal") {
 		t.Errorf("accept finding must name the missing gate: %q", accept.Message)
+	}
+	if conn == nil || !strings.HasPrefix(conn.Message, "c.Read can park forever") {
+		t.Errorf("the spawned conn read must keep the conn-I/O rule's message, got %v", conn)
 	}
 }
 
@@ -1124,18 +1157,22 @@ func TestLoadTreeAtomicmixClean(t *testing.T) {
 	}
 }
 
-// TestLoadTreeChanbound pins the bounded-send check: the accept-loop
-// push, the record-loop push, the buffered-but-undropped push and the
-// nested-literal push all flag in the root package without a chain; the
-// sink helper carries its chain from netproxy.Collect; and the
+// TestLoadTreeChanbound pins ctxflow's hot-loop send rule: the
+// accept-loop push, the record-loop push, the buffered-but-undropped push
+// and the nested-literal push all flag in the root package without a
+// chain; the sink helper carries its chain from netproxy.Collect; and the
 // select-default, shutdown-case, owned-pipeline and non-loop sends stay
-// silent.
+// silent. The owned pipeline's spawned consumer is the walk's to judge,
+// and it flags the consumer's channel range.
 func TestLoadTreeChanbound(t *testing.T) {
-	diags := checkTree(t, "chanbound", "internal/mnet", ChanboundAnalyzer)
+	diags := checkTree(t, "chanbound", "internal/mnet", CtxflowAnalyzer)
 
 	var chained, accept *Diagnostic
 	for i := range diags {
 		d := &diags[i]
+		if !strings.Contains(d.Message, "unbounded send") {
+			continue // the walk's verdict on the owned pipeline's consumer
+		}
 		if strings.Contains(filepath.ToSlash(d.Pos.Filename), "/sink/") {
 			chained = d
 		}
@@ -1163,11 +1200,15 @@ func TestLoadTreeChanbound(t *testing.T) {
 	}
 }
 
-// TestLoadTreeChanboundClean runs the check over the three bounding
-// disciplines and a non-loop send: zero findings.
+// TestLoadTreeChanboundClean runs ctxflow over the three bounding
+// disciplines and a non-loop send: no send is flagged. The one finding is
+// the walk's, on the owned pipeline's consumer range, as in
+// TestLoadTreeChanbound.
 func TestLoadTreeChanboundClean(t *testing.T) {
-	if _, diags := runTree(t, "chanboundclean", "internal/mnet", ChanboundAnalyzer); len(diags) != 0 {
-		t.Errorf("clean tree flagged: %v", diags)
+	for _, d := range checkTree(t, "chanboundclean", "internal/mnet", CtxflowAnalyzer) {
+		if strings.Contains(d.Message, "unbounded send") {
+			t.Errorf("clean tree flagged a send: %s", d)
+		}
 	}
 }
 

@@ -334,13 +334,7 @@ func randGoRefs(pass *Pass, mod *Module, g *ast.GoStmt) []randRef {
 // reachable from the generator roots.
 func randsplitKeyDiscipline(mp *ModulePass, reported map[string]bool) {
 	g, mod := mp.Graph, mp.Mod
-	var roots []*Node
-	for _, n := range g.FuncsIn(randsplitRootPkgs) {
-		if !n.Test {
-			roots = append(roots, n)
-		}
-	}
-	reach := g.ReachableFrom(roots)
+	reach := g.ReachableFromPkgs(randsplitRootPkgs)
 	g.Walk(func(n *Node) {
 		if n.Decl == nil || n.Decl.Body == nil || n.Test || !reach.Contains(n) {
 			return
@@ -354,10 +348,7 @@ func randsplitKeyDiscipline(mp *ModulePass, reported map[string]bool) {
 func randsplitKeys(mp *ModulePass, n *Node, chain []PathStep, reported map[string]bool) {
 	pass, mod := n.Pass, mp.Mod
 	unstable := unstableIterVars(pass, mod, n.Decl.Body)
-	where := ""
-	if len(chain) > 0 {
-		where = " (reached via " + renderSteps(chain) + " → " + n.DisplayName(mod) + ")"
-	}
+	where := reachedVia(mod, chain, n)
 	ast.Inspect(n.Decl.Body, func(nd ast.Node) bool {
 		call, ok := nd.(*ast.CallExpr)
 		if !ok {

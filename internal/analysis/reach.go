@@ -49,6 +49,18 @@ func (g *CallGraph) ReachableFrom(roots []*Node) *Reach {
 	return r
 }
 
+// ReachableFromPkgs runs ReachableFrom with the non-test functions of
+// the packages matching patterns as roots.
+func (g *CallGraph) ReachableFromPkgs(patterns []string) *Reach {
+	var roots []*Node
+	for _, n := range g.FuncsIn(patterns) {
+		if !n.Test {
+			roots = append(roots, n)
+		}
+	}
+	return g.ReachableFrom(roots)
+}
+
 // Contains reports whether n was reached.
 func (r *Reach) Contains(n *Node) bool {
 	_, ok := r.parent[n]
@@ -98,6 +110,15 @@ func pathSteps(mod *Module, path []Edge) []PathStep {
 		})
 	}
 	return steps
+}
+
+// reachedVia renders the chain from a root to n for a message suffix:
+// " (reached via a → b → n)", or "" when n is a root.
+func reachedVia(mod *Module, chain []PathStep, n *Node) string {
+	if len(chain) == 0 {
+		return ""
+	}
+	return " (reached via " + renderSteps(chain) + " → " + n.DisplayName(mod) + ")"
 }
 
 // renderChain formats "a → b → c" for a diagnostic message: the callers

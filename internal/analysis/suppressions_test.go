@@ -17,7 +17,7 @@ import (
 // suppression must show up as a reviewed diff to the inventory file (run
 // `make lint-suppressions` to regenerate it). It also enforces the
 // standing policy pins that used to live as ad-hoc CI greps: internal/gen
-// carries no allochot suppressions (DESIGN.md §9), every inventoried
+// carries no membound suppressions (DESIGN.md §9), every inventoried
 // check name exists in the catalog, and no suppression uses the blanket
 // "all" outside example code.
 func TestSuppressionInventory(t *testing.T) {
@@ -59,8 +59,8 @@ func TestSuppressionInventory(t *testing.T) {
 		if s.Reason == "" {
 			t.Errorf("%s:%d: suppression for %q has no reason", s.File, s.Line, s.Check)
 		}
-		if s.Check == "allochot" && strings.HasPrefix(s.File, "internal/gen/") {
-			t.Errorf("%s:%d: internal/gen must pass allochot without suppressions (DESIGN.md §9)", s.File, s.Line)
+		if s.Check == "membound" && strings.HasPrefix(s.File, "internal/gen/") {
+			t.Errorf("%s:%d: internal/gen must pass membound without suppressions (DESIGN.md §9)", s.File, s.Line)
 		}
 		if s.Check == "all" {
 			if !strings.HasPrefix(s.File, "examples/") {

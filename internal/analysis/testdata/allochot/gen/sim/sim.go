@@ -24,14 +24,14 @@ func Generate(n int) int {
 	var ptrs []*Event
 	total := 0
 	for i := 0; i < n; i++ {
-		e := &Event{ID: i}           // want allochot
-		ptrs = append(ptrs, e)       // want allochot
-		ids := []int{i}              // want allochot
-		m := map[int]int{i: i}       // want allochot
-		buf := make([]byte, 16)      // want allochot
-		s := fmt.Sprintf("ev-%d", i) // want allochot
-		bs := []byte(s)              // want allochot
-		f := func() int { return i } // want allochot
+		e := &Event{ID: i}           // want membound
+		ptrs = append(ptrs, e)       // want membound
+		ids := []int{i}              // want membound
+		m := map[int]int{i: i}       // want membound
+		buf := make([]byte, 16)      // want membound
+		s := fmt.Sprintf("ev-%d", i) // want membound
+		bs := []byte(s)              // want membound
+		f := func() int { return i } // want membound
 		total += e.ID + len(ids) + len(m) + len(buf) + len(bs) + f()
 	}
 	return total + len(ptrs) + help.Fill(n) + population.Setup(n)

@@ -6,7 +6,7 @@ package help
 func Fill(n int) int {
 	var out []int
 	for i := 0; i < n; i++ {
-		out = append(out, i) // want allochot
+		out = append(out, i) // want membound
 	}
 	return len(out)
 }

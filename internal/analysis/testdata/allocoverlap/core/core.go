@@ -1,5 +1,5 @@
-// Package core mounts at the study root, putting pack on the growbound
-// surface.
+// Package core mounts at the study root, putting pack on the growth
+// rule's surface.
 package core
 
 import (

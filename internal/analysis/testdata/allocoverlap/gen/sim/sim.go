@@ -1,5 +1,5 @@
 // Package sim mounts at the generator root, putting pack on the
-// allochot surface.
+// allocation rule's surface.
 package sim
 
 import (

@@ -1,5 +1,5 @@
-// Package proxylog declares the record type both growbound and the
-// allocation check key on.
+// Package proxylog declares the record type both the growth and the
+// allocation rules key on.
 package proxylog
 
 // Record is one proxy log line.

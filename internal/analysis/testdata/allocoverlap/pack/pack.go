@@ -1,8 +1,8 @@
-// Package pack is reachable from both the study root (growbound's
-// surface) and the generator root (allochot's surface): Collect's
-// materialising append is flagged by both checks on the same line, and
-// Pack's slab-header append is flagged by retain and allochot on the
-// same line. The dedupe keeps the more specific check each time.
+// Package pack is reachable from both the study root (the growth rule's
+// surface) and the generator root (the allocation rule's surface):
+// Collect's materialising append is flagged by both rules on the same
+// line, and Pack's slab-header append by the retention and allocation
+// rules. Each line keeps the verdict of the higher-ranked rule.
 package pack
 
 import "wearwild/internal/mnet/proxylog"
@@ -11,7 +11,7 @@ import "wearwild/internal/mnet/proxylog"
 func Collect(recs []proxylog.Record) []proxylog.Record {
 	var all []proxylog.Record
 	for _, r := range recs {
-		all = append(all, r) // want growbound
+		all = append(all, r) // want membound
 	}
 	return all
 }
@@ -23,7 +23,7 @@ func Pack(chunks [][]byte) [][]byte {
 	for _, c := range chunks {
 		buf = buf[:0]
 		buf = append(buf, c...)
-		out = append(out, buf) // want retain
+		out = append(out, buf) // want membound
 	}
 	return out
 }

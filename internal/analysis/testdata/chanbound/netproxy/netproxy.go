@@ -18,14 +18,14 @@ func AcceptPush(ln net.Listener, conns chan net.Conn) {
 		if err != nil {
 			return
 		}
-		conns <- c // want chanbound
+		conns <- c // want ctxflow
 	}
 }
 
 // PumpRecords pushes every record through an unbounded send.
 func PumpRecords(recs []proxylog.Record, out chan proxylog.Record) {
 	for _, r := range recs {
-		out <- r // want chanbound
+		out <- r // want ctxflow
 	}
 }
 
@@ -34,7 +34,7 @@ func PumpRecords(recs []proxylog.Record, out chan proxylog.Record) {
 func PushBuffered(recs []proxylog.Record) chan proxylog.Record {
 	out := make(chan proxylog.Record, 64)
 	for _, r := range recs {
-		out <- r // want chanbound
+		out <- r // want ctxflow
 	}
 	return out
 }
@@ -45,7 +45,7 @@ func PushViaClosure(recs []proxylog.Record, out chan proxylog.Record) {
 	for _, r := range recs {
 		r := r
 		func() {
-			out <- r // want chanbound
+			out <- r // want ctxflow
 		}()
 	}
 }
@@ -85,7 +85,7 @@ func DrainOwned(recs []proxylog.Record) int {
 	donec := make(chan struct{})
 	total := 0
 	go func() {
-		for range ch {
+		for range ch { // want ctxflow
 			total++
 		}
 		close(donec)
@@ -98,7 +98,7 @@ func DrainOwned(recs []proxylog.Record) int {
 	return total
 }
 
-// Publish sends outside any hot loop: not chanbound's business.
+// Publish sends outside any hot loop: not the hot-loop send rule's business.
 func Publish(r proxylog.Record, out chan proxylog.Record) {
 	out <- r
 }

@@ -8,6 +8,6 @@ import "wearwild/internal/mnet/proxylog"
 // root.
 func Forward(recs []proxylog.Record, out chan proxylog.Record) {
 	for _, r := range recs {
-		out <- r // want chanbound
+		out <- r // want ctxflow
 	}
 }

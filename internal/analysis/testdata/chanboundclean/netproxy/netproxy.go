@@ -1,6 +1,7 @@
-// Package netproxy is the all-clean chanbound fixture: every hot-loop
-// send is bounded by one of the three disciplines, and the remaining
-// sends sit outside hot loops. Zero findings.
+// Package netproxy is the all-clean hot-loop send fixture: every
+// hot-loop send is bounded by one of the three disciplines, and the
+// remaining sends sit outside hot loops. The one finding is the
+// goroutine walk's, on the owned pipeline's consumer range.
 package netproxy
 
 import (
@@ -58,7 +59,7 @@ func DrainOwned(recs []proxylog.Record) int {
 	donec := make(chan struct{})
 	total := 0
 	go func() {
-		for range ch {
+		for range ch { // want ctxflow
 			total++
 		}
 		close(donec)

@@ -6,6 +6,7 @@
 package netproxy
 
 import (
+	"net"
 	"sync"
 	"time"
 )
@@ -76,5 +77,21 @@ func Reap(dial func() int) {
 	}()
 	go func() {
 		<-ch
+	}()
+}
+
+// AcceptPush hands each accepted conn to a channel from a spawned accept
+// loop. The walk reaches both sites: the ungated Accept is its verdict,
+// and the send, which the hot-loop send rule also flags, keeps that
+// rule's message.
+func AcceptPush(ln net.Listener, conns chan net.Conn) {
+	go func() {
+		for {
+			c, err := ln.Accept() // want ctxflow
+			if err != nil {
+				return
+			}
+			conns <- c // want ctxflow
+		}
 	}()
 }

@@ -23,7 +23,7 @@ func Helper(c net.Conn, buf []byte) (int, error) {
 
 // Leaky reads with no guard anywhere: wire.Relay reaches it unguarded.
 func Leaky(c net.Conn, buf []byte) (int, error) {
-	return c.Read(buf) // want deadline
+	return c.Read(buf) // want ctxflow
 }
 
 // WrongWay arms only the read deadline, then writes: deadlines are
@@ -32,5 +32,5 @@ func WrongWay(c net.Conn, b []byte) (int, error) {
 	if err := c.SetReadDeadline(time.Time{}); err != nil {
 		return 0, err
 	}
-	return c.Write(b) // want deadline
+	return c.Write(b) // want ctxflow
 }

@@ -23,8 +23,8 @@ type Ledger struct {
 // stays clean because its value carries no records.
 func (l *Ledger) Load(recs []proxylog.Record) {
 	for _, r := range recs {
-		l.all = append(l.all, r)                       // want growbound
-		l.byUser[r.User] = append(l.byUser[r.User], r) // want growbound
+		l.all = append(l.all, r)                       // want membound
+		l.byUser[r.User] = append(l.byUser[r.User], r) // want membound
 		l.counts[r.User] = l.counts[r.User] + 1
 	}
 }
@@ -44,7 +44,7 @@ func Study(recs []proxylog.Record, l *Ledger, res *stats.Reservoir) {
 func Publish(recs []proxylog.Record) map[string][]proxylog.Record {
 	byUser := make(map[string][]proxylog.Record)
 	for _, r := range recs {
-		byUser[r.User] = append(byUser[r.User], r) // want growbound
+		byUser[r.User] = append(byUser[r.User], r) // want membound
 	}
 	return byUser
 }
@@ -54,7 +54,7 @@ func Publish(recs []proxylog.Record) map[string][]proxylog.Record {
 func Drain(ch chan proxylog.Record) int {
 	var all []proxylog.Record
 	for r := range ch {
-		all = append(all, r) // want growbound
+		all = append(all, r) // want membound
 	}
 	n := len(all)
 	return n
@@ -111,7 +111,7 @@ func Pair(recs []proxylog.Record) int {
 func Snapshot(recs []proxylog.Record) []proxylog.Record {
 	var keep []proxylog.Record
 	for _, r := range recs {
-		//wearlint:ignore growbound fixture: deliberate materialisation kept for the suppression path
+		//wearlint:ignore membound fixture: deliberate materialisation kept for the suppression path
 		keep = append(keep, r)
 	}
 	return keep

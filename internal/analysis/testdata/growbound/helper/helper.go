@@ -11,6 +11,6 @@ var All []proxylog.Record
 // Accumulate grows package state inside a record loop.
 func Accumulate(recs []proxylog.Record) {
 	for _, r := range recs {
-		All = append(All, r) // want growbound
+		All = append(All, r) // want membound
 	}
 }

@@ -1,5 +1,5 @@
 // Package proxylog is the fixture codec: it owns the Record type the
-// growbound check keys on and the decoder idiom both loop shapes come
+// growth rule keys on and the decoder idiom both loop shapes come
 // from. The package mounts at internal/mnet/proxylog, so its functions
 // are audit roots themselves.
 package proxylog
@@ -32,7 +32,7 @@ func (d *Decoder) Decode() (Record, error) {
 }
 
 // ReadAll materialises the whole log through the decoder-idiom for
-// loop: the canonical growbound finding, in a root package so the
+// loop: the canonical growth finding, in a root package so the
 // diagnostic carries no chain.
 func ReadAll(d *Decoder) ([]Record, error) {
 	var out []Record
@@ -41,7 +41,7 @@ func ReadAll(d *Decoder) ([]Record, error) {
 		if err != nil {
 			break
 		}
-		out = append(out, rec) // want growbound
+		out = append(out, rec) // want membound
 	}
 	return out, nil
 }

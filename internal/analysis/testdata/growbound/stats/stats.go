@@ -1,5 +1,5 @@
-// Package stats mounts at the bounded-accumulator set: growbound
-// exempts it wholesale (DESIGN.md §7), so even a record-retaining loop
+// Package stats mounts at the bounded-accumulator set: membound's
+// growth rule exempts it wholesale (DESIGN.md §7), so even a record-retaining loop
 // here stays silent.
 package stats
 

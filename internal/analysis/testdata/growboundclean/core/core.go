@@ -1,4 +1,4 @@
-// Package core is the growbound clean tree: every record loop uses a
+// Package core is the growth-rule clean tree: every record loop uses a
 // sanctioned bounded shape — per-population counts, fixed slots,
 // reset scratch, per-iteration locals — and the check must stay
 // silent over all of it.

@@ -37,7 +37,7 @@ func setLine(n int) {
 // Token returns the slab itself: the alias escapes the iteration that
 // filled it.
 func (d *Decoder) Token() []byte {
-	return d.scratch // want retain
+	return d.scratch // want membound
 }
 
 // Window returns a sub-slice through a two-hop alias chain: the alias
@@ -45,23 +45,23 @@ func (d *Decoder) Token() []byte {
 func (d *Decoder) Window(n int) []byte {
 	head := d.scratch[:n]
 	tail := head
-	return tail // want retain
+	return tail // want membound
 }
 
 // Keep stores the slab into a field: it survives into the decoder.
 func (d *Decoder) Keep() {
-	d.last = d.scratch // want retain
+	d.last = d.scratch // want membound
 }
 
 // Index parks the alias in a map: retained past the loop.
 func (d *Decoder) Index(m map[string][]byte, k string) {
-	m[k] = d.scratch // want retain
+	m[k] = d.scratch // want membound
 }
 
 // Header appends the slab header into a frame list: the alias lives on
 // inside the outer slice.
 func (d *Decoder) Header(frames [][]byte) [][]byte {
-	frames = append(frames, d.scratch) // want retain
+	frames = append(frames, d.scratch) // want membound
 	return frames
 }
 
@@ -89,6 +89,6 @@ func (d *Decoder) Refill(src []byte) {
 // Peek returns the live slab deliberately; the directive records that
 // callers treat the view as transient.
 func (d *Decoder) Peek() []byte {
-	//wearlint:ignore retain fixture: documented transient view the caller consumes before the next Decode
+	//wearlint:ignore membound fixture: documented transient view the caller consumes before the next Decode
 	return d.scratch
 }

@@ -1,4 +1,4 @@
-// Package codec is the retain clean tree: the same slab markers as the
+// Package codec is the slab-retention clean tree: the same slab markers as the
 // flagged fixture, but every use copies first or stays within the
 // iteration. Zero findings.
 package codec

@@ -14,7 +14,7 @@ type fieldSink struct {
 
 // Proxy implements stream.Sink.
 func (s *fieldSink) Proxy(r proxylog.Record) error {
-	s.last = r // want sinkretain
+	s.last = r // want membound
 	return nil
 }
 
@@ -29,7 +29,7 @@ type mapSink struct{ byUser map[uint64]proxylog.Record }
 
 // Proxy implements stream.Sink.
 func (s *mapSink) Proxy(r proxylog.Record) error {
-	s.byUser[r.IMSI] = r // want sinkretain
+	s.byUser[r.IMSI] = r // want membound
 	return nil
 }
 
@@ -44,7 +44,7 @@ type appendSink struct{ all []proxylog.Record }
 
 // Proxy implements stream.Sink.
 func (s *appendSink) Proxy(r proxylog.Record) error {
-	s.all = append(s.all, r) // want sinkretain
+	s.all = append(s.all, r) // want membound
 	return nil
 }
 
@@ -56,7 +56,7 @@ type chanSink struct{ ch chan proxylog.Record }
 
 // Proxy implements stream.Sink.
 func (s *chanSink) Proxy(r proxylog.Record) error {
-	s.ch <- r // want sinkretain
+	s.ch <- r // want membound
 	return nil
 }
 
@@ -68,7 +68,7 @@ type goSink struct{ out chan proxylog.Record }
 
 // Proxy implements stream.Sink.
 func (s *goSink) Proxy(r proxylog.Record) error {
-	go func() { s.out <- r }() // want sinkretain
+	go func() { s.out <- r }() // want membound
 	return nil
 }
 
@@ -80,7 +80,7 @@ func (s *goSink) UserDone(imsi uint64) error { return nil }
 type vault struct{ all []proxylog.Record }
 
 func (v *vault) put(r proxylog.Record) {
-	v.all = append(v.all, r) // want sinkretain
+	v.all = append(v.all, r) // want membound
 }
 
 // fwdSink retains through a callee instead of in the method body.

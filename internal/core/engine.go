@@ -100,19 +100,19 @@ func (e *engine) bundle(si int, user subs.IMSI) *userBundle {
 
 func (e *engine) proxy(si int, r proxylog.Record) {
 	b := e.bundle(si, r.IMSI)
-	//wearlint:ignore sinkretain per-subscriber bundle is the DESIGN.md §8 bounded buffer, evicted at UserDone
+	//wearlint:ignore membound per-subscriber bundle is the DESIGN.md §8 bounded buffer, evicted at UserDone
 	b.proxy = append(b.proxy, r)
 }
 
 func (e *engine) mme(si int, r mme.Record) {
 	b := e.bundle(si, r.IMSI)
-	//wearlint:ignore sinkretain per-subscriber bundle is the DESIGN.md §8 bounded buffer, evicted at UserDone
+	//wearlint:ignore membound per-subscriber bundle is the DESIGN.md §8 bounded buffer, evicted at UserDone
 	b.mme = append(b.mme, r)
 }
 
 func (e *engine) udr(si int, r udr.Record) {
 	b := e.bundle(si, r.IMSI)
-	//wearlint:ignore sinkretain per-subscriber bundle is the DESIGN.md §8 bounded buffer, evicted at UserDone
+	//wearlint:ignore membound per-subscriber bundle is the DESIGN.md §8 bounded buffer, evicted at UserDone
 	b.udr = append(b.udr, r)
 }
 
@@ -171,7 +171,7 @@ type fanSink struct {
 }
 
 func (s *fanSink) send(m shardMsg) error {
-	//wearlint:ignore sinkretain bounded worker-channel handoff; the owning shard goroutine folds the record and frees it (DESIGN.md §8)
+	//wearlint:ignore membound bounded worker-channel handoff; the owning shard goroutine folds the record and frees it (DESIGN.md §8)
 	s.chans[m.si%s.workers] <- m
 	return nil
 }

@@ -1,7 +1,7 @@
 // Package experiments defines one reproduction experiment per figure and
 // quantitative takeaway of the paper: the paper-reported value, the band we
 // accept as "shape holds", and how to extract the measured value from a
-// study run. The table drives cmd/wearbench and EXPERIMENTS.md.
+// study run. The table drives wearstudy -eval and EXPERIMENTS.md.
 package experiments
 
 import (

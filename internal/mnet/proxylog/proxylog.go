@@ -249,7 +249,7 @@ func (l *Log) Sorted() bool {
 func (l *Log) ByUser() map[subs.IMSI][]Record {
 	out := make(map[subs.IMSI][]Record)
 	for _, r := range l.Records {
-		//wearlint:ignore growbound ByUser regroups an already-resident log; no growth beyond the input it was handed
+		//wearlint:ignore membound ByUser regroups an already-resident log; no growth beyond the input it was handed
 		out[r.IMSI] = append(out[r.IMSI], r)
 	}
 	return out
