@@ -14,7 +14,6 @@ import (
 
 	"wearwild/internal/gen/apps"
 	"wearwild/internal/study/mobmetrics"
-	"wearwild/internal/study/sessions"
 	"wearwild/internal/study/usermetrics"
 )
 
@@ -304,7 +303,7 @@ func (a *shardAcc) merge(o *shardAcc) {
 // addUser folds one subscriber's complete record bundle into the shard
 // accumulator and discards the records: the single eviction point that
 // keeps the engine's residency per-population instead of per-log.
-func (e *engine) addUser(acc *shardAcc, user subs.IMSI, b *userBundle) {
+func (e *engine) addUser(acc *shardAcc, user subs.IMSI, b *userBundle, sc *workerScratch) {
 	st := &userStat{}
 	db := e.env.Devices
 
@@ -338,7 +337,7 @@ func (e *engine) addUser(acc *shardAcc, user subs.IMSI, b *userBundle) {
 	}
 
 	// Proxy split: wearable-device records vs the handset baseline.
-	var wearRecs, phoneRecs []proxylog.Record
+	wearRecs, phoneRecs := sc.wearRecs[:0], sc.phoneRecs[:0]
 	for _, rec := range b.proxy {
 		if db.IsWearable(rec.IMEI) {
 			wearRecs = append(wearRecs, rec)
@@ -346,13 +345,14 @@ func (e *engine) addUser(acc *shardAcc, user subs.IMSI, b *userBundle) {
 			phoneRecs = append(phoneRecs, rec)
 		}
 	}
+	sc.wearRecs, sc.phoneRecs = wearRecs, phoneRecs
 
 	e.addPresence(acc, b.mme)
 	e.addUDR(acc, st, b.udr)
 	e.addWearTraffic(acc, st, wearRecs)
 	e.addPhoneTraffic(acc, st, phoneRecs)
-	e.addApps(acc, st, user, wearRecs)
-	e.addMobility(acc, st, user, b.mme, wearRecs)
+	e.addApps(acc, st, wearRecs, sc)
+	e.addMobility(acc, st, b.mme, wearRecs, &sc.mob)
 	e.addThroughDevice(acc, st, b.proxy)
 
 	acc.stats[user] = st
@@ -547,12 +547,13 @@ func (e *engine) addPhoneTraffic(acc *shardAcc, st *userStat, recs []proxylog.Re
 
 // addApps sessionises and attributes the user's wearable traffic (§5) and
 // folds the per-app, per-category and takeaway counters.
-func (e *engine) addApps(acc *shardAcc, st *userStat, user subs.IMSI, recs []proxylog.Record) {
+func (e *engine) addApps(acc *shardAcc, st *userStat, recs []proxylog.Record, sc *workerScratch) {
 	if len(recs) == 0 {
 		return
 	}
-	usages := sessions.Sessionize(recs, e.cfg.SessionGap)
-	attributed := e.resolver.Attribute(usages)
+	sc.usages = sc.usages[:0]
+	sc.usages = sc.sessions.Append(sc.usages, recs, e.cfg.SessionGap)
+	attributed := e.resolver.Attribute(sc.usages)
 
 	type localApp struct {
 		app  *apps.App
@@ -609,49 +610,40 @@ func (e *engine) addApps(acc *shardAcc, st *userStat, user subs.IMSI, recs []pro
 
 // addMobility folds the user's mobility profiles (Fig 4c/4d) and the
 // tx-to-sector join behind the single-location takeaway (§4.4).
-func (e *engine) addMobility(acc *shardAcc, st *userStat, user subs.IMSI, mmeRecs []mme.Record, wearRecs []proxylog.Record) {
+func (e *engine) addMobility(acc *shardAcc, st *userStat, mmeRecs []mme.Record, wearRecs []proxylog.Record, sc *mobmetrics.Scratch) {
 	if len(mmeRecs) == 0 {
 		return
 	}
 	window := simtime.Detail()
 	isWearDev := func(r mme.Record) bool { return e.env.Devices.IsWearable(r.IMEI) }
 
-	for _, m := range e.analyzer.Collect(mmeRecs, window, isWearDev) {
-		st.wearMob = &mobScalar{
-			meanKm:     m.MeanDailyMaxKm(),
-			entropy:    m.Entropy,
-			days:       int64(len(m.DailyMaxKm)),
-			stationary: m.Stationary(),
-		}
+	if p, ok := e.analyzer.Profile(mmeRecs, window, isWearDev, sc); ok {
+		st.wearMob = newMobScalar(p)
 	}
 	if !st.wear {
 		isRestPhone := func(r mme.Record) bool {
 			m, ok := e.env.Devices.Lookup(r.IMEI)
 			return ok && m.Class == devicedb.Smartphone
 		}
-		for _, m := range e.analyzer.Collect(mmeRecs, window, isRestPhone) {
-			st.restMob = &mobScalar{
-				meanKm:     m.MeanDailyMaxKm(),
-				entropy:    m.Entropy,
-				days:       int64(len(m.DailyMaxKm)),
-				stationary: m.Stationary(),
-			}
+		if p, ok := e.analyzer.Profile(mmeRecs, window, isRestPhone, sc); ok {
+			st.restMob = newMobScalar(p)
 		}
 	}
 
 	if len(wearRecs) > 0 {
-		joined := mobmetrics.TxSectors(mmeRecs, wearRecs, isWearDev,
+		sectors := sc.TxSectors(mmeRecs, wearRecs, isWearDev,
 			func(r proxylog.Record) bool { return e.env.Devices.IsWearable(r.IMEI) })
-		for _, sectors := range joined {
-			if len(sectors) == 0 {
-				continue
-			}
+		if len(sectors) > 0 {
 			acc.txWithData++
 			if len(sectors) == 1 {
 				acc.txSingleLoc++
 			}
 		}
 	}
+}
+
+func newMobScalar(p mobmetrics.Profile) *mobScalar {
+	return &mobScalar{meanKm: p.MeanDailyMaxKm, entropy: p.Entropy, days: int64(p.Days), stationary: p.Stationary}
 }
 
 // addThroughDevice runs the companion-traffic fingerprinting (conclusion)

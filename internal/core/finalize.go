@@ -210,7 +210,7 @@ func (e *engine) userFigures(res *Results, acc *shardAcc, users []subs.IMSI, byS
 	identified := 0
 
 	for _, user := range users {
-		owner := byShard[e.shardOf(user)]
+		owner := byShard[shardOf(user)]
 		st := owner[user]
 
 		if st.active {
@@ -563,7 +563,7 @@ func (e *engine) planCost(res *Results, acc *shardAcc, users []subs.IMSI, byShar
 	// engine's peak.
 	b.DiscardUsers = true
 	for _, user := range users {
-		if k := byShard[e.shardOf(user)][user].planKinds; k != nil {
+		if k := byShard[shardOf(user)][user].planKinds; k != nil {
 			b.AddUser(user, k)
 		}
 	}

@@ -1,7 +1,7 @@
 package stream
 
 import (
-	"sort"
+	"slices"
 
 	"wearwild/internal/mnet/mme"
 	"wearwild/internal/mnet/proxylog"
@@ -58,7 +58,7 @@ func (l *Logs) Stream(sink Sink) error {
 	for imsi := range byUser {
 		users = append(users, imsi)
 	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
+	slices.Sort(users)
 	for _, imsi := range users {
 		ix := byUser[imsi]
 		for _, i := range ix.proxy {

@@ -1,18 +1,24 @@
 package mobmetrics
 
 import (
+	"maps"
 	"math"
+	"sort"
 	"testing"
 	"time"
 
+	"wearwild/internal/gen/sim"
 	"wearwild/internal/geo"
 	"wearwild/internal/mnet/cells"
+	"wearwild/internal/mnet/devicedb"
 	"wearwild/internal/mnet/imei"
 	"wearwild/internal/mnet/mme"
 	"wearwild/internal/mnet/proxylog"
 	"wearwild/internal/mnet/subs"
 	"wearwild/internal/randx"
 	"wearwild/internal/simtime"
+	"wearwild/internal/sortx"
+	"wearwild/internal/stats"
 )
 
 var (
@@ -170,5 +176,173 @@ func TestTxSectorsFilters(t *testing.T) {
 		func(r proxylog.Record) bool { return r.IMEI == watch })
 	if got[alice][1] != 1 || len(got[alice]) != 1 {
 		t.Fatalf("filtered join = %v", got[alice])
+	}
+}
+
+// collectRef is the map-based per-user Collect that Profile replaced: a
+// per-day sector map and a map-deduplicated pairwise scan. It is the
+// reference the scratch path must match bit for bit.
+func collectRef(a *Analyzer, records []mme.Record, window simtime.Window, keep func(mme.Record) bool) map[subs.IMSI]*Mobility {
+	perUser := make(map[subs.IMSI][]mme.Record)
+	for _, rec := range records {
+		if (keep == nil || keep(rec)) && window.Contains(simtime.DayOf(rec.Time)) {
+			perUser[rec.IMSI] = append(perUser[rec.IMSI], rec)
+		}
+	}
+	out := make(map[subs.IMSI]*Mobility, len(perUser))
+	for user, recs := range perUser {
+		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time.Before(recs[j].Time) })
+		m := &Mobility{IMSI: user, DailyMaxKm: make(map[simtime.Day]float64)}
+		dwell := make(map[cells.SectorID]float64)
+		perDay := make(map[simtime.Day][]cells.SectorID)
+		for i, rec := range recs {
+			d := simtime.DayOf(rec.Time)
+			perDay[d] = append(perDay[d], rec.Sector)
+			end := d.Time().Add(24 * time.Hour)
+			if i+1 < len(recs) && recs[i+1].Time.Before(end) {
+				end = recs[i+1].Time
+			}
+			if dur := end.Sub(rec.Time).Hours(); dur > 0 {
+				dwell[rec.Sector] += dur
+			}
+		}
+		for d, sectors := range perDay {
+			var distinct []cells.SectorID
+			seen := make(map[cells.SectorID]bool)
+			for _, s := range sectors {
+				if !seen[s] {
+					seen[s] = true
+					distinct = append(distinct, s)
+				}
+			}
+			var max float64
+			for i := range distinct {
+				for j := i + 1; j < len(distinct); j++ {
+					if km := a.topo.DistanceKm(distinct[i], distinct[j]); km > max {
+						max = km
+					}
+				}
+			}
+			m.DailyMaxKm[d] = max
+		}
+		var weights []float64
+		for _, sec := range sortx.Keys(dwell) {
+			weights = append(weights, dwell[sec])
+		}
+		m.Entropy = stats.Entropy(weights)
+		m.Sectors = len(dwell)
+		out[user] = m
+	}
+	return out
+}
+
+// txSectorsRef is the TxSectors that the per-subscriber Scratch.TxSectors
+// replaced: one global pass over the transactions against per-subscriber
+// timelines.
+func txSectorsRef(mmeRecords []mme.Record, proxyRecords []proxylog.Record,
+	keepMME func(mme.Record) bool, keepTx func(proxylog.Record) bool) map[subs.IMSI]map[cells.SectorID]int64 {
+
+	timeline := make(map[subs.IMSI][]mme.Record)
+	for _, rec := range mmeRecords {
+		if keepMME == nil || keepMME(rec) {
+			timeline[rec.IMSI] = append(timeline[rec.IMSI], rec)
+		}
+	}
+	for _, recs := range timeline {
+		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time.Before(recs[j].Time) })
+	}
+	out := make(map[subs.IMSI]map[cells.SectorID]int64)
+	for _, tx := range proxyRecords {
+		if keepTx != nil && !keepTx(tx) {
+			continue
+		}
+		recs := timeline[tx.IMSI]
+		i := sort.Search(len(recs), func(i int) bool { return recs[i].Time.After(tx.Time) })
+		if i == 0 || simtime.DayOf(recs[i-1].Time) != simtime.DayOf(tx.Time) {
+			continue
+		}
+		if out[tx.IMSI] == nil {
+			out[tx.IMSI] = make(map[cells.SectorID]int64)
+		}
+		out[tx.IMSI][recs[i-1].Sector]++
+	}
+	return out
+}
+
+// TestProfileMatchesCollect runs Profile and the scratch TxSectors over
+// every subscriber of SmallConfig(42), with one Scratch reused across all
+// of them and both device filters interleaved, so state left over from
+// one call shows in the next. The scalars must equal, bit for bit, those
+// of the map-based reference and of Collect, and the join must equal the
+// reference join and the package TxSectors.
+func TestProfileMatchesCollect(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a full small dataset")
+	}
+	ds, err := sim.Generate(sim.SmallConfig(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := New(ds.Topology)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := simtime.Detail()
+	filters := []func(mme.Record) bool{
+		func(r mme.Record) bool { return ds.Devices.IsWearable(r.IMEI) },
+		func(r mme.Record) bool {
+			m, ok := ds.Devices.Lookup(r.IMEI)
+			return ok && m.Class == devicedb.Smartphone
+		},
+	}
+	isWearTx := func(r proxylog.Record) bool { return ds.Devices.IsWearable(r.IMEI) }
+	refs := make([]map[subs.IMSI]*Mobility, len(filters))
+	colls := make([]map[subs.IMSI]*Mobility, len(filters))
+	for i, keep := range filters {
+		refs[i] = collectRef(a, ds.MME.Records, window, keep)
+		colls[i] = a.Collect(ds.MME.Records, window, keep)
+	}
+	joined := txSectorsRef(ds.MME.Records, ds.Proxy.Records, filters[0], isWearTx)
+	if got := TxSectors(ds.MME.Records, ds.Proxy.Records, filters[0], isWearTx); !maps.EqualFunc(got, joined, maps.Equal) {
+		t.Fatal("TxSectors differs from the reference join")
+	}
+	byMME, byProxy := ds.MME.ByUser(), ds.Proxy.ByUser()
+
+	scalars := func(m *Mobility) Profile {
+		return Profile{MeanDailyMaxKm: m.MeanDailyMaxKm(), Entropy: m.Entropy, Days: len(m.DailyMaxKm),
+			Sectors: m.Sectors, Stationary: m.Stationary()}
+	}
+	same := func(a, b Profile) bool {
+		return math.Float64bits(a.MeanDailyMaxKm) == math.Float64bits(b.MeanDailyMaxKm) &&
+			math.Float64bits(a.Entropy) == math.Float64bits(b.Entropy) &&
+			a.Days == b.Days && a.Sectors == b.Sectors && a.Stationary == b.Stationary
+	}
+	var s Scratch
+	profiled := 0
+	for _, user := range sortx.Keys(byMME) {
+		for i, keep := range filters {
+			got, ok := a.Profile(byMME[user], window, keep, &s)
+			ref := refs[i][user]
+			if ok != (ref != nil) || ok != (colls[i][user] != nil) {
+				t.Fatalf("user %d filter %d: Profile ok=%v, reference has user: %v", user, i, ok, ref != nil)
+			}
+			if !ok {
+				continue
+			}
+			profiled++
+			if want := scalars(ref); !same(got, want) {
+				t.Fatalf("user %d filter %d: Profile %+v, reference %+v", user, i, got, want)
+			}
+			if want := scalars(colls[i][user]); !same(got, want) || !maps.Equal(colls[i][user].DailyMaxKm, ref.DailyMaxKm) {
+				t.Fatalf("user %d filter %d: Collect differs from the reference", user, i)
+			}
+		}
+		got := s.TxSectors(byMME[user], byProxy[user], filters[0], isWearTx)
+		if !maps.Equal(got, joined[user]) {
+			t.Fatalf("user %d: scratch TxSectors %v, reference %v", user, got, joined[user])
+		}
+	}
+	if profiled == 0 {
+		t.Fatal("no subscriber profiled")
 	}
 }

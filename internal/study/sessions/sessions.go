@@ -5,7 +5,8 @@
 package sessions
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"wearwild/internal/mnet/imei"
@@ -53,49 +54,69 @@ func (u *Usage) Hosts() []string {
 // Sessionize groups records into usages per (subscriber, device). Records
 // need not be pre-sorted. gap <= 0 selects DefaultGap.
 func Sessionize(records []proxylog.Record, gap time.Duration) []Usage {
+	var s Scratch
+	return s.Append(nil, records, gap)
+}
+
+// Scratch holds the buffer Append groups records in, so sessionising one
+// subscriber after another reuses it instead of allocating per call.
+type Scratch struct {
+	recs []proxylog.Record
+}
+
+// Append sessionises records as Sessionize does and appends the usages to
+// dst in Sessionize's order. Their Records alias the scratch: they stay
+// valid until the next Append on s.
+func (s *Scratch) Append(dst []Usage, records []proxylog.Record, gap time.Duration) []Usage {
 	if gap <= 0 {
 		gap = DefaultGap
 	}
-	type devKey struct {
-		user subs.IMSI
-		dev  imei.IMEI
-	}
-	byDev := make(map[devKey][]proxylog.Record)
-	for _, r := range records {
-		k := devKey{r.IMSI, r.IMEI}
-		byDev[k] = append(byDev[k], r)
-	}
-
-	var out []Usage
-	for k, recs := range byDev {
-		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time.Before(recs[j].Time) })
-		start := 0
-		for i := 1; i <= len(recs); i++ {
-			if i == len(recs) || recs[i].Time.Sub(recs[i-1].Time) >= gap {
-				chunk := recs[start:i]
-				out = append(out, Usage{
-					IMSI:    k.user,
-					IMEI:    k.dev,
-					Start:   chunk[0].Time,
-					End:     chunk[len(chunk)-1].Time,
-					Records: chunk,
-				})
-				start = i
-			}
+	// One stable sort by (subscriber, device, time) lays out each device's
+	// records as a contiguous run in the order a per-device stable time
+	// sort gives.
+	s.recs = append(s.recs[:0], records...)
+	slices.SortStableFunc(s.recs, byDeviceTime)
+	first := len(dst)
+	recs := s.recs
+	start := 0
+	for i := 1; i <= len(recs); i++ {
+		if i < len(recs) && recs[i].IMSI == recs[start].IMSI && recs[i].IMEI == recs[start].IMEI &&
+			recs[i].Time.Sub(recs[i-1].Time) < gap {
+			continue
 		}
+		chunk := recs[start:i]
+		dst = append(dst, Usage{
+			IMSI:    chunk[0].IMSI,
+			IMEI:    chunk[0].IMEI,
+			Start:   chunk[0].Time,
+			End:     chunk[len(chunk)-1].Time,
+			Records: chunk,
+		})
+		start = i
 	}
 	// The deterministic output order: by start time, then subscriber/device
 	// — a total order, since one device has at most one usage per start
 	// instant.
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if !a.Start.Equal(b.Start) {
-			return a.Start.Before(b.Start)
-		}
-		if a.IMSI != b.IMSI {
-			return a.IMSI < b.IMSI
-		}
-		return a.IMEI < b.IMEI
-	})
-	return out
+	slices.SortFunc(dst[first:], byStart)
+	return dst
+}
+
+func byDeviceTime(a, b proxylog.Record) int {
+	if a.IMSI != b.IMSI {
+		return cmp.Compare(a.IMSI, b.IMSI)
+	}
+	if a.IMEI != b.IMEI {
+		return cmp.Compare(a.IMEI, b.IMEI)
+	}
+	return a.Time.Compare(b.Time)
+}
+
+func byStart(a, b Usage) int {
+	if c := a.Start.Compare(b.Start); c != 0 {
+		return c
+	}
+	if a.IMSI != b.IMSI {
+		return cmp.Compare(a.IMSI, b.IMSI)
+	}
+	return cmp.Compare(a.IMEI, b.IMEI)
 }

@@ -1,13 +1,17 @@
 package sessions
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"wearwild/internal/gen/sim"
 	"wearwild/internal/mnet/imei"
 	"wearwild/internal/mnet/proxylog"
 	"wearwild/internal/mnet/subs"
+	"wearwild/internal/sortx"
 )
 
 var (
@@ -127,7 +131,7 @@ func TestOutputDeterministicallyOrdered(t *testing.T) {
 
 // Property: sessionization conserves transactions and bytes, every usage is
 // internally dense (< gap) and usages of the same device are separated by
-// >= gap.
+// >= gap; and the usages equal the map-based reference's.
 func TestSessionizeInvariants(t *testing.T) {
 	f := func(offsets []uint16, twoDevices bool) bool {
 		var records []proxylog.Record
@@ -159,9 +163,77 @@ func TestSessionizeInvariants(t *testing.T) {
 		for _, r := range records {
 			wantBytes += r.Bytes()
 		}
-		return totalTx == len(records) && totalBytes == wantBytes
+		return totalTx == len(records) && totalBytes == wantBytes &&
+			reflect.DeepEqual(usages, sessionizeRef(records, gap))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sessionizeRef is the map-based Sessionize that Scratch.Append replaced:
+// records grouped per device in a map, each group stably time-sorted and
+// split, the usages then sorted by start. It is the reference Append must
+// match.
+func sessionizeRef(records []proxylog.Record, gap time.Duration) []Usage {
+	type devKey struct {
+		user subs.IMSI
+		dev  imei.IMEI
+	}
+	byDev := make(map[devKey][]proxylog.Record)
+	for _, r := range records {
+		k := devKey{r.IMSI, r.IMEI}
+		byDev[k] = append(byDev[k], r)
+	}
+	var out []Usage
+	for k, recs := range byDev {
+		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time.Before(recs[j].Time) })
+		start := 0
+		for i := 1; i <= len(recs); i++ {
+			if i == len(recs) || recs[i].Time.Sub(recs[i-1].Time) >= gap {
+				chunk := recs[start:i]
+				out = append(out, Usage{IMSI: k.user, IMEI: k.dev, Start: chunk[0].Time, End: chunk[len(chunk)-1].Time, Records: chunk})
+				start = i
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if !a.Start.Equal(b.Start) {
+			return a.Start.Before(b.Start)
+		}
+		if a.IMSI != b.IMSI {
+			return a.IMSI < b.IMSI
+		}
+		return a.IMEI < b.IMEI
+	})
+	return out
+}
+
+// TestScratchMatchesSessionize sessionises every subscriber of
+// SmallConfig(42), handset and wearable records together, through one
+// Scratch and one output slice reused across all of them, so state left
+// over from one subscriber shows in the next. Each subscriber's usages
+// must equal the one-shot Sessionize and the map-based reference.
+func TestScratchMatchesSessionize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a full small dataset")
+	}
+	ds, err := sim.Generate(sim.SmallConfig(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	byUser := ds.Proxy.ByUser()
+	var s Scratch
+	var usages []Usage
+	for _, user := range sortx.Keys(byUser) {
+		recs := byUser[user]
+		usages = s.Append(usages[:0], recs, time.Minute)
+		if want := Sessionize(recs, time.Minute); !reflect.DeepEqual(usages, want) {
+			t.Fatalf("user %d: scratch usages differ from one-shot Sessionize", user)
+		}
+		if want := sessionizeRef(recs, time.Minute); !reflect.DeepEqual(usages, want) {
+			t.Fatalf("user %d: scratch usages differ from the map-based reference", user)
+		}
 	}
 }

@@ -1,12 +1,17 @@
 package wearwild
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"sync"
 	"testing"
 
 	"wearwild/internal/core"
+	"wearwild/internal/mnet/mme"
+	"wearwild/internal/mnet/proxylog"
+	"wearwild/internal/mnet/udr"
+	"wearwild/internal/stream"
 )
 
 var (
@@ -56,7 +61,9 @@ func TestParallelEquivalence(t *testing.T) {
 	ds := eqDataset(t)
 	refRes, refJSON := runWith(t, ds, 1)
 
-	for _, workers := range []int{1, 2, 8} {
+	// 3 gives workers uneven shard counts (32 % 3 != 0); 64 clamps to
+	// one worker per shard.
+	for _, workers := range []int{1, 2, 3, 8, 64} {
 		res, raw := runWith(t, ds, workers)
 		if !reflect.DeepEqual(refRes, res) {
 			t.Errorf("workers=%d: Results not deeply equal to sequential run", workers)
@@ -95,5 +102,54 @@ func TestParallelEquivalenceRepeatedRuns(t *testing.T) {
 	b, _ := json.Marshal(second)
 	if string(a) != string(b) {
 		t.Fatal("two runs over one dataset differ")
+	}
+}
+
+// TestParallelEquivalenceReaders is the record-major counterpart: a
+// stream.Readers source over the saved encodings never calls UserDone,
+// so every subscriber is evicted when the engine seals, each worker
+// sealing its own shards, and every worker's last batch is a partial one.
+// The reference is the same source at Workers=1, not the in-memory
+// Results: the MME CSV drops sub-second times, so a study of the saved
+// logs differs from one of the generated logs in Fig 4(c).
+func TestParallelEquivalenceReaders(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a full small dataset")
+	}
+	ds := eqDataset(t)
+	var prx, mm, ud bytes.Buffer
+	if err := proxylog.WriteBinary(&prx, ds.Proxy.Records); err != nil {
+		t.Fatal(err)
+	}
+	if err := mme.WriteCSV(&mm, ds.MME.Records); err != nil {
+		t.Fatal(err)
+	}
+	if err := udr.WriteCSV(&ud, ds.UDR.Records); err != nil {
+		t.Fatal(err)
+	}
+	env := core.Env{Devices: ds.Devices, Topology: ds.Topology, Catalog: ds.Catalog}
+	run := func(workers int) []byte {
+		cfg := core.DefaultConfig()
+		cfg.Workers = workers
+		src := &stream.Readers{
+			ProxyBinary: bytes.NewReader(prx.Bytes()),
+			MMECSV:      bytes.NewReader(mm.Bytes()),
+			UDRCSV:      bytes.NewReader(ud.Bytes()),
+		}
+		res, err := core.RunStream(env, src, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	ref := run(1)
+	for _, workers := range []int{2, 3, 64} {
+		if got := run(workers); !bytes.Equal(got, ref) {
+			t.Errorf("workers=%d: Readers Results differ from Workers=1 over the same encodings", workers)
+		}
 	}
 }
