@@ -56,16 +56,18 @@ lint-suppressions:
 fuzz-smoke:
 	$(GO) test -run='^Fuzz' ./internal/mnet/... ./internal/analysis ./internal/randx ./internal/core
 
-# Short runs of the repository benchmark (cmd/wearperf) on three workloads.
+# Short runs of the repository benchmark (cmd/wearperf) on all four workloads.
 # Each exit status is wearperf's correctness verdict, which includes the
 # seed-1234 golden digests pinned in cmd/wearperf/golden.go. batch is the
 # only workload whose passes re-run the generator and check its re-encoded
 # logs against those digests; study-resident is the only one that drives
 # the engine's user-major fan-out, whose passes must match a Workers=1
-# reference.
+# reference; collect is the only one that streams stream.Readers over a
+# live proxy log.
 bench-smoke:
 	bash cmd/wearperf/run.sh --workload study-files --seconds 3 --trace 0
 	bash cmd/wearperf/run.sh --workload study-resident --seconds 3 --trace 0
 	bash cmd/wearperf/run.sh --workload batch --seconds 3 --trace 0
+	bash cmd/wearperf/run.sh --workload collect --seconds 3 --trace 0
 
 check: build vet lint lint-fixtures race fuzz-smoke

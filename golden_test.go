@@ -47,7 +47,7 @@ var goldenResults = map[string]string{
 
 // goldenMarkdown is the SHA-256 of the rendered EXPERIMENTS markdown,
 // WriteExperimentsMarkdown(Evaluate(res)), for the same study.
-const goldenMarkdown = "1968b0c76c4e6e9f742d2f18eac953ec49d57cfcc7cd4928d20935b810ba193a"
+const goldenMarkdown = "cdaa812091520588cfcfde1966d7bd888911ac78ba5013b8550821678f9c284d"
 
 func sha256Hex(b []byte) string {
 	sum := sha256.Sum256(b)

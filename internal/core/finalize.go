@@ -558,13 +558,9 @@ func (e *engine) planCost(res *Results, acc *shardAcc, users []subs.IMSI, byShar
 	if err != nil {
 		return err
 	}
-	// Only the summary scalars feed Results; the per-user rows would
-	// otherwise re-materialise one entry per wearable user right at the
-	// engine's peak.
-	b.DiscardUsers = true
 	for _, user := range users {
 		if k := byShard[shardOf(user)][user].planKinds; k != nil {
-			b.AddUser(user, k)
+			b.AddUser(k)
 		}
 	}
 	rep := b.Report()

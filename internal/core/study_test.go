@@ -1,12 +1,23 @@
 package core
 
 import (
+	"maps"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
 	"wearwild/internal/gen/apps"
+	"wearwild/internal/gen/population"
 	"wearwild/internal/gen/sim"
+	"wearwild/internal/mnet/devicedb"
+	"wearwild/internal/mnet/imei"
+	"wearwild/internal/mnet/mme"
+	"wearwild/internal/mnet/proxylog"
+	"wearwild/internal/mnet/subs"
+	"wearwild/internal/mnet/udr"
+	"wearwild/internal/simtime"
+	"wearwild/internal/stream"
 )
 
 // sharedResults runs one generate+study for the whole test file: the
@@ -493,4 +504,147 @@ func TestThroughDevice(t *testing.T) {
 	if td.MeanPhoneYearTD-td.MeanPhoneYearOther < 0.05 {
 		t.Fatalf("TD phone year %.2f not above other %.2f", td.MeanPhoneYearTD, td.MeanPhoneYearOther)
 	}
+}
+
+// identWorld is the hand-built device table, identities and record makers
+// the identification tests share. Its one device DB knows a SIM watch and a
+// phone; a third TAC is unknown.
+type identWorld struct {
+	env                   Env
+	watch, phone, unknown imei.IMEI
+	alice, bob            subs.IMSI
+	reg                   func(subs.IMSI, imei.IMEI) mme.Record
+	tx                    func(subs.IMSI, imei.IMEI, string) proxylog.Record
+	usage                 func(subs.IMSI, imei.IMEI) udr.Record
+	// aliceWatch makes a run identify one wearable user, so RunStream
+	// succeeds and the TD rules can be read off bob.
+	aliceWatch []mme.Record
+}
+
+func newIdentWorld(t *testing.T) identWorld {
+	t.Helper()
+	tiny, _ := tinyLogs(t)
+	db := devicedb.New()
+	for _, m := range []devicedb.Model{
+		{Name: "Watch", Vendor: "V", OS: "Tizen", Class: devicedb.WearableSIM, Year: 2017, TACs: []imei.TAC{11111111}},
+		{Name: "Phone", Vendor: "V", OS: "Android", Class: devicedb.Smartphone, Year: 2017, TACs: []imei.TAC{22222222}},
+	} {
+		if err := db.Add(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t0 := tiny.MME.Records[0].Time
+	sector := tiny.MME.Records[0].Sector
+	week := simtime.DayOf(t0).Week()
+	w := identWorld{
+		env:   Env{Devices: db, Topology: tiny.Topology, Catalog: tiny.Catalog},
+		watch: imei.MustNew(11111111, 1), phone: imei.MustNew(22222222, 1), unknown: imei.MustNew(33333333, 1),
+		alice: subs.MustNew(1), bob: subs.MustNew(2),
+		reg: func(user subs.IMSI, dev imei.IMEI) mme.Record {
+			return mme.Record{Time: t0, IMSI: user, IMEI: dev, Sector: sector, Event: mme.Attach}
+		},
+		tx: func(user subs.IMSI, dev imei.IMEI, host string) proxylog.Record {
+			return proxylog.Record{Time: t0, IMSI: user, IMEI: dev, Scheme: proxylog.HTTPS, Host: host, BytesUp: 100, BytesDown: 900}
+		},
+		usage: func(user subs.IMSI, dev imei.IMEI) udr.Record {
+			return udr.Record{Week: week, IMSI: user, IMEI: dev, Bytes: 1000, Transactions: 1}
+		},
+	}
+	w.aliceWatch = []mme.Record{w.reg(w.alice, w.watch)}
+	return w
+}
+
+// identCase is one hand-built run of RunStream and what it must identify.
+type identCase struct {
+	name  string
+	mme   []mme.Record
+	proxy []proxylog.Record
+	udr   []udr.Record
+	// wear is the identified wearable-user count; 0 means RunStream must
+	// fail with no wearable users.
+	wear int
+	td   map[string]int
+}
+
+func runIdentCases(t *testing.T, env Env, cases []identCase) {
+	t.Helper()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			src := &stream.Logs{Proxy: &proxylog.Log{Records: tc.proxy}, MME: &mme.Log{Records: tc.mme}, UDR: &udr.Log{Records: tc.udr}}
+			res, err := RunStream(env, src, DefaultConfig())
+			if tc.wear == 0 {
+				if err == nil || !strings.Contains(err.Error(), "no SIM-enabled wearable users") {
+					t.Fatalf("err = %v, want no wearable users identified", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Fig2a.WearableUsers != tc.wear {
+				t.Fatalf("wearable users = %d, want %d", res.Fig2a.WearableUsers, tc.wear)
+			}
+			want := 0
+			for _, n := range tc.td {
+				want += n
+			}
+			if res.TD.Identified != want || !maps.Equal(res.TD.ByService, tc.td) {
+				t.Fatalf("TD = %d %v, want %d %v", res.TD.Identified, res.TD.ByService, want, tc.td)
+			}
+		})
+	}
+}
+
+// TestIdentificationAcrossFeeds pins the §3.2 TAC join in addUser: a
+// wearable TAC seen in any one feed makes a wearable user, and phone or
+// unknown TACs make none.
+func TestIdentificationAcrossFeeds(t *testing.T) {
+	w := newIdentWorld(t)
+	runIdentCases(t, w.env, []identCase{
+		{name: "wearable TAC in MME", mme: w.aliceWatch, wear: 1},
+		{name: "wearable TAC in proxy", proxy: []proxylog.Record{w.tx(w.alice, w.watch, "h.example")}, wear: 1},
+		{name: "wearable TAC in UDR", udr: []udr.Record{w.usage(w.alice, w.watch)}, wear: 1},
+		{name: "wearable TAC in every feed", mme: w.aliceWatch,
+			proxy: []proxylog.Record{w.tx(w.alice, w.watch, "h.example")}, udr: []udr.Record{w.usage(w.alice, w.watch)}, wear: 1},
+		{name: "phone only", mme: []mme.Record{w.reg(w.alice, w.phone)}, udr: []udr.Record{w.usage(w.alice, w.phone)}},
+		{name: "unknown TAC", mme: []mme.Record{w.reg(w.alice, w.unknown)},
+			proxy: []proxylog.Record{w.tx(w.alice, w.unknown, "h.example")}, udr: []udr.Record{w.usage(w.alice, w.unknown)}},
+		{name: "unknown TAC beside a wearable user", mme: append([]mme.Record{w.reg(w.bob, w.unknown)}, w.aliceWatch...), wear: 1},
+	})
+}
+
+// TestIdentificationSkipsZeroIDs pins that addUser skips records with a
+// zero IMSI or IMEI in every feed.
+func TestIdentificationSkipsZeroIDs(t *testing.T) {
+	w := newIdentWorld(t)
+	runIdentCases(t, w.env, []identCase{
+		{name: "zero IMSI", mme: []mme.Record{w.reg(0, w.watch)}, proxy: []proxylog.Record{w.tx(0, w.watch, "h.example")},
+			udr: []udr.Record{w.usage(0, w.watch)}},
+		{name: "zero IMEI", mme: []mme.Record{w.reg(w.alice, 0)}, proxy: []proxylog.Record{w.tx(w.alice, 0, "h.example")},
+			udr: []udr.Record{w.usage(w.alice, 0)}},
+	})
+}
+
+// TestThroughDeviceRules pins addThroughDevice: the service with the most
+// transactions labels a TD user (a tie goes to the lexically smaller name),
+// hosts match case-insensitively, and SIM-wearable users are never
+// TD-scanned.
+func TestThroughDeviceRules(t *testing.T) {
+	w := newIdentWorld(t)
+	fitbit := population.CompanionDomains["Fitbit"][0]
+	strava := population.CompanionDomains["Strava"][0]
+	runtastic := population.CompanionDomains["Runtastic"][0]
+	runIdentCases(t, w.env, []identCase{
+		{name: "TD most transactions wins", mme: w.aliceWatch,
+			proxy: []proxylog.Record{w.tx(w.bob, w.phone, fitbit), w.tx(w.bob, w.phone, strava), w.tx(w.bob, w.phone, strava)},
+			wear:  1, td: map[string]int{"Strava": 1}},
+		{name: "TD tie goes to the smaller name", mme: w.aliceWatch,
+			proxy: []proxylog.Record{w.tx(w.bob, w.phone, strava), w.tx(w.bob, w.phone, runtastic)},
+			wear:  1, td: map[string]int{"Runtastic": 1}},
+		{name: "TD host case-insensitive", mme: w.aliceWatch,
+			proxy: []proxylog.Record{w.tx(w.bob, w.phone, strings.ToUpper(fitbit))},
+			wear:  1, td: map[string]int{"Fitbit": 1}},
+		{name: "SIM-wearable user not TD-scanned", mme: w.aliceWatch,
+			proxy: []proxylog.Record{w.tx(w.alice, w.phone, fitbit), w.tx(w.alice, w.watch, strava)}, wear: 1},
+	})
 }

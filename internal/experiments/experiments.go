@@ -42,8 +42,6 @@ type Experiment struct {
 	Workload string
 	// Modules lists the packages that implement the pieces.
 	Modules string
-	// Bench is the testing.B target that regenerates the figure.
-	Bench string
 	// Extract pulls the comparison metrics out of a study run.
 	Extract func(*core.Results) []Metric
 }
@@ -54,8 +52,7 @@ func All() []Experiment {
 		{
 			ID: "F2a", Title: "Fig 2(a) — adoption of SIM-enabled wearables",
 			Workload: "five-month MME presence of wearable TACs; weekly UDR any-traffic flag",
-			Modules:  "gen/population, gen/sim, study/identify, core",
-			Bench:    "BenchmarkFig2aAdoption",
+			Modules:  "gen/population, gen/sim, core",
 			Extract: func(r *core.Results) []Metric {
 				return []Metric{
 					{Name: "total growth", Unit: "%", Paper: 9, Measured: r.Fig2a.TotalGrowthPct, Lo: 4, Hi: 14},
@@ -68,7 +65,6 @@ func All() []Experiment {
 			ID: "F2b", Title: "Fig 2(b) — first week vs last week",
 			Workload: "first-week wearable users tracked to the final week",
 			Modules:  "gen/population, core",
-			Bench:    "BenchmarkFig2bRetention",
 			Extract: func(r *core.Results) []Metric {
 				return []Metric{
 					{Name: "retained in last week", Unit: "", Paper: 0.77, Measured: r.Fig2b.RetainedFrac, Lo: 0.60, Hi: 0.92},
@@ -80,7 +76,6 @@ func All() []Experiment {
 			ID: "F3a", Title: "Fig 3(a) — hourly usage pattern",
 			Workload: "hour-of-day histograms of users/tx/bytes, weekday vs weekend, weekly-normalised",
 			Modules:  "gen/traffic, core",
-			Bench:    "BenchmarkFig3aHourly",
 			Extract: func(r *core.Results) []Metric {
 				commuteShare := func(s [24]float64) float64 {
 					var c, t float64
@@ -107,7 +102,6 @@ func All() []Experiment {
 			ID: "F3b", Title: "Fig 3(b) — active days and hours",
 			Workload: "per-user active days/week and hours/day CDFs over the 7-week window",
 			Modules:  "study/usermetrics, stats, core",
-			Bench:    "BenchmarkFig3bActivity",
 			Extract: func(r *core.Results) []Metric {
 				return []Metric{
 					{Name: "mean active days/week", Unit: "d", Paper: 1, Measured: r.Fig3b.MeanDays, Lo: 0.7, Hi: 2.8},
@@ -121,7 +115,6 @@ func All() []Experiment {
 			ID: "F3c", Title: "Fig 3(c) — transaction sizes",
 			Workload: "size distribution of all wearable transactions; per-user hourly rates",
 			Modules:  "gen/traffic, study/usermetrics, core",
-			Bench:    "BenchmarkFig3cTransactions",
 			Extract: func(r *core.Results) []Metric {
 				return []Metric{
 					{Name: "median size", Unit: "B", Paper: 3000, Measured: r.Fig3c.MedianSizeBytes, Lo: 1800, Hi: 4800},
@@ -134,7 +127,6 @@ func All() []Experiment {
 			ID: "F3d", Title: "Fig 3(d) — transactions vs active hours",
 			Workload: "per-user (active hours/day, tx/hour) correlation",
 			Modules:  "study/usermetrics, stats, core",
-			Bench:    "BenchmarkFig3dCorrelation",
 			Extract: func(r *core.Results) []Metric {
 				return []Metric{
 					{Name: "Spearman(hours, tx/hour)", Unit: "", Paper: 0.5, Measured: r.Fig3d.Spearman, Lo: 0.2, Hi: 1},
@@ -145,7 +137,6 @@ func All() []Experiment {
 			ID: "F4a", Title: "Fig 4(a) — owners vs remaining customers",
 			Workload: "per-user UDR totals, wearable owners vs rest, normalised CDFs",
 			Modules:  "gen/traffic, study/usermetrics, core",
-			Bench:    "BenchmarkFig4aOwnersVsRest",
 			Extract: func(r *core.Results) []Metric {
 				return []Metric{
 					{Name: "data gain", Unit: "%", Paper: 26, Measured: r.Fig4a.DataGainPct, Lo: 8, Hi: 60},
@@ -157,7 +148,6 @@ func All() []Experiment {
 			ID: "F4b", Title: "Fig 4(b) — wearable share of owner traffic",
 			Workload: "wearable vs total bytes per owner over the detail window",
 			Modules:  "study/usermetrics, core",
-			Bench:    "BenchmarkFig4bDeviceShare",
 			Extract: func(r *core.Results) []Metric {
 				return []Metric{
 					{Name: "orders of magnitude below", Unit: "", Paper: 3, Measured: r.Fig4b.OrdersOfMagnitude, Lo: 1.7, Hi: 4},
@@ -169,7 +159,6 @@ func All() []Experiment {
 			ID: "F4c", Title: "Fig 4(c) — max displacement & entropy",
 			Workload: "daily max antenna displacement and dwell-weighted location entropy",
 			Modules:  "gen/mobility, study/mobmetrics, core",
-			Bench:    "BenchmarkFig4cDisplacement",
 			Extract: func(r *core.Results) []Metric {
 				return []Metric{
 					{Name: "owner mean displacement", Unit: "km", Paper: 20, Measured: r.Fig4c.OwnerMeanKm, Lo: 12, Hi: 30},
@@ -184,7 +173,6 @@ func All() []Experiment {
 			ID: "F4d", Title: "Fig 4(d) — displacement vs hourly activity",
 			Workload: "per-user (mean displacement, tx/hour) correlation",
 			Modules:  "study/mobmetrics, stats, core",
-			Bench:    "BenchmarkFig4dMobilityActivity",
 			Extract: func(r *core.Results) []Metric {
 				return []Metric{
 					{Name: "Spearman(disp, tx/hour)", Unit: "", Paper: 0.3, Measured: r.Fig4d.Spearman, Lo: 0.1, Hi: 1},
@@ -195,7 +183,6 @@ func All() []Experiment {
 			ID: "F5a", Title: "Fig 5(a) — app popularity",
 			Workload: "per-app daily associated users and used days, percent of daily total",
 			Modules:  "gen/apps, study/appid, study/sessions, core",
-			Bench:    "BenchmarkFig5aAppPopularity",
 			Extract: func(r *core.Results) []Metric {
 				return []Metric{
 					{Name: "Weather measured rank", Unit: "", Paper: 1, Measured: float64(rankOfApp(r.Fig5a, "Weather") + 1), Lo: 1, Hi: 4},
@@ -210,7 +197,6 @@ func All() []Experiment {
 			ID: "F5b", Title: "Fig 5(b) — app usage, transactions, data",
 			Workload: "per-app usage frequency, transaction and data shares",
 			Modules:  "study/sessions, study/appid, core",
-			Bench:    "BenchmarkFig5bAppUsage",
 			Extract: func(r *core.Results) []Metric {
 				msgr := usageOfApp(r.Fig5b, "Messenger")
 				wapp := usageOfApp(r.Fig5b, "WhatsApp")
@@ -224,7 +210,6 @@ func All() []Experiment {
 			ID: "F6", Title: "Fig 6 — category popularity",
 			Workload: "category shares of users, usage frequency, transactions and data",
 			Modules:  "gen/apps, core",
-			Bench:    "BenchmarkFig6Categories",
 			Extract: func(r *core.Results) []Metric {
 				return []Metric{
 					{Name: "Communication user rank", Unit: "", Paper: 1, Measured: float64(rankOfCat(r.Fig6, apps.Communication) + 1), Lo: 1, Hi: 3},
@@ -238,7 +223,6 @@ func All() []Experiment {
 			ID: "F7", Title: "Fig 7 — per-usage transactions and data",
 			Workload: "per-app mean transactions and KB per single usage",
 			Modules:  "study/sessions, core",
-			Bench:    "BenchmarkFig7PerUsage",
 			Extract: func(r *core.Results) []Metric {
 				return []Metric{
 					{Name: "WhatsApp KB/usage rank", Unit: "", Paper: 1, Measured: float64(rankOfUsage(r.Fig7, "WhatsApp") + 1), Lo: 1, Hi: 9},
@@ -251,7 +235,6 @@ func All() []Experiment {
 			ID: "F8", Title: "Fig 8 — applications and third-party services",
 			Workload: "transaction-category shares of users/frequency/data",
 			Modules:  "study/appid, core",
-			Bench:    "BenchmarkFig8ThirdParty",
 			Extract: func(r *core.Results) []Metric {
 				third := r.Fig8[apps.KindUtilities].DataSharePct +
 					r.Fig8[apps.KindAdvertising].DataSharePct +
@@ -266,7 +249,6 @@ func All() []Experiment {
 			ID: "T1", Title: "§4.3 — apps per user",
 			Workload: "distinct apps observed per user; one-app days",
 			Modules:  "gen/traffic, core",
-			Bench:    "BenchmarkTakeawayApps",
 			Extract: func(r *core.Results) []Metric {
 				return []Metric{
 					{Name: "mean apps/user (observed)", Unit: "", Paper: 8, Measured: r.Takeaways.MeanAppsPerUser, Lo: 3, Hi: 11},
@@ -279,7 +261,6 @@ func All() []Experiment {
 			ID: "T2", Title: "Conclusion — Through-Device fingerprinting",
 			Workload: "companion-domain scan of non-wearable users' phone traffic",
 			Modules:  "study/fingerprint, core",
-			Bench:    "BenchmarkThroughDevice",
 			Extract: func(r *core.Results) []Metric {
 				return []Metric{
 					{Name: "identified TD users", Unit: "", Paper: 0, Measured: float64(r.TD.Identified), Lo: 1, Hi: 1e9},

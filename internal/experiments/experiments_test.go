@@ -16,7 +16,7 @@ func TestAllWellFormed(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {
-		if e.ID == "" || e.Title == "" || e.Workload == "" || e.Modules == "" || e.Bench == "" {
+		if e.ID == "" || e.Title == "" || e.Workload == "" || e.Modules == "" {
 			t.Fatalf("experiment %q missing fields", e.ID)
 		}
 		if seen[e.ID] {

@@ -24,8 +24,7 @@ func WriteMarkdown(w io.Writer, evals []Evaluated) error {
 	for _, e := range evals {
 		fmt.Fprintf(w, "\n## %s: %s\n\n", e.ID, e.Title)
 		fmt.Fprintf(w, "- Workload: %s\n", e.Workload)
-		fmt.Fprintf(w, "- Modules: `%s`\n", e.Modules)
-		fmt.Fprintf(w, "- Bench: `%s`\n\n", e.Bench)
+		fmt.Fprintf(w, "- Modules: `%s`\n\n", e.Modules)
 		fmt.Fprintf(w, "| metric | paper | measured | band | status |\n")
 		fmt.Fprintf(w, "|---|---|---|---|---|\n")
 		for _, m := range e.Metrics {

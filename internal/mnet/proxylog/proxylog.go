@@ -159,15 +159,6 @@ func (r Record) Bytes() int64 { return r.BytesUp + r.BytesDown }
 // byte counts are a partial view of the transaction.
 func (r Record) Truncated() bool { return r.Drop != DropNone }
 
-// URL reconstructs the logged URL: scheme://host/path for HTTP, and just
-// the host-based form for HTTPS.
-func (r Record) URL() string {
-	if r.Scheme == HTTP {
-		return "http://" + r.Host + r.Path
-	}
-	return "https://" + r.Host
-}
-
 // Validate checks the invariants the generator and proxy must uphold.
 func (r Record) Validate() error {
 	if r.Host == "" {
@@ -253,13 +244,4 @@ func (l *Log) ByUser() map[subs.IMSI][]Record {
 		out[r.IMSI] = append(out[r.IMSI], r)
 	}
 	return out
-}
-
-// TotalBytes sums all transaction bytes.
-func (l *Log) TotalBytes() int64 {
-	var sum int64
-	for _, r := range l.Records {
-		sum += r.Bytes()
-	}
-	return sum
 }

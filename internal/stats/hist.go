@@ -5,26 +5,13 @@ import (
 	"math"
 )
 
-// Histogram is a fixed-bin histogram over a half-open value range. Bins may
-// be linearly or logarithmically spaced; values outside the range are
-// counted in saturated edge bins so no observation is silently dropped.
+// Histogram is a fixed-bin histogram with log-spaced bins over a half-open
+// value range; values outside the range are counted in saturated edge bins
+// so no observation is silently dropped.
 type Histogram struct {
 	min, max float64
-	log      bool
 	counts   []int64
 	total    int64
-}
-
-// NewHistogram returns a linear histogram with the given number of bins
-// over [min, max).
-func NewHistogram(min, max float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs at least one bin")
-	}
-	if !(max > min) {
-		return nil, fmt.Errorf("stats: histogram range [%g, %g) is empty", min, max)
-	}
-	return &Histogram{min: min, max: max, counts: make([]int64, bins)}, nil
 }
 
 // NewLogHistogram returns a histogram with log-spaced bins over [min, max);
@@ -37,7 +24,7 @@ func NewLogHistogram(min, max float64, bins int) (*Histogram, error) {
 	if bins <= 0 {
 		return nil, fmt.Errorf("stats: histogram needs at least one bin")
 	}
-	return &Histogram{min: min, max: max, log: true, counts: make([]int64, bins)}, nil
+	return &Histogram{min: min, max: max, counts: make([]int64, bins)}, nil
 }
 
 // Add counts one observation.
@@ -47,16 +34,11 @@ func (h *Histogram) Add(x float64) {
 }
 
 func (h *Histogram) binOf(x float64) int {
-	n := len(h.counts)
-	var frac float64
-	if h.log {
-		if x <= h.min {
-			return 0
-		}
-		frac = math.Log(x/h.min) / math.Log(h.max/h.min)
-	} else {
-		frac = (x - h.min) / (h.max - h.min)
+	if x <= h.min {
+		return 0
 	}
+	n := len(h.counts)
+	frac := math.Log(x/h.min) / math.Log(h.max/h.min)
 	i := int(frac * float64(n))
 	if i < 0 {
 		return 0
@@ -74,7 +56,7 @@ func (h *Histogram) Merge(o *Histogram) error {
 	if o == nil {
 		return nil
 	}
-	if h.min != o.min || h.max != o.max || h.log != o.log || len(h.counts) != len(o.counts) {
+	if h.min != o.min || h.max != o.max || len(h.counts) != len(o.counts) {
 		return fmt.Errorf("stats: merging histograms with different bin layouts")
 	}
 	for i, c := range o.counts {
@@ -87,23 +69,16 @@ func (h *Histogram) Merge(o *Histogram) error {
 // Bins returns the number of bins.
 func (h *Histogram) Bins() int { return len(h.counts) }
 
-// Total returns the number of observations.
-func (h *Histogram) Total() int64 { return h.total }
-
 // Count returns the observation count of bin i.
 func (h *Histogram) Count(i int) int64 { return h.counts[i] }
 
 // BinEdges returns the [lo, hi) range of bin i.
 func (h *Histogram) BinEdges(i int) (lo, hi float64) {
 	n := float64(len(h.counts))
-	if h.log {
-		ratio := math.Log(h.max / h.min)
-		lo = h.min * math.Exp(ratio*float64(i)/n)
-		hi = h.min * math.Exp(ratio*float64(i+1)/n)
-		return lo, hi
-	}
-	w := (h.max - h.min) / n
-	return h.min + w*float64(i), h.min + w*float64(i+1)
+	ratio := math.Log(h.max / h.min)
+	lo = h.min * math.Exp(ratio*float64(i)/n)
+	hi = h.min * math.Exp(ratio*float64(i+1)/n)
+	return lo, hi
 }
 
 // Fractions returns each bin's share of the total (zero slice if empty).
@@ -116,21 +91,4 @@ func (h *Histogram) Fractions() []float64 {
 		out[i] = float64(c) / float64(h.total)
 	}
 	return out
-}
-
-// CumulativeAt returns the fraction of observations in bins whose upper
-// edge is <= x: a binned approximation of the CDF.
-func (h *Histogram) CumulativeAt(x float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var cum int64
-	for i := range h.counts {
-		_, hi := h.BinEdges(i)
-		if hi > x {
-			break
-		}
-		cum += h.counts[i]
-	}
-	return float64(cum) / float64(h.total)
 }

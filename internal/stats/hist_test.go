@@ -7,12 +7,6 @@ import (
 )
 
 func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Fatal("zero bins accepted")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Fatal("empty range accepted")
-	}
 	if _, err := NewLogHistogram(0, 10, 3); err == nil {
 		t.Fatal("log histogram with min=0 accepted")
 	}
@@ -22,34 +16,19 @@ func TestHistogramErrors(t *testing.T) {
 	if _, err := NewLogHistogram(1, 10, 0); err == nil {
 		t.Fatal("log histogram with zero bins accepted")
 	}
-}
-
-func TestHistogramLinearBinning(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
+	h, _ := NewLogHistogram(1, 10, 3)
+	for _, other := range []struct{ min, max float64 }{{1, 100}, {2, 10}} {
+		o, _ := NewLogHistogram(other.min, other.max, 3)
+		if err := h.Merge(o); err == nil {
+			t.Fatalf("merge with range [%g, %g) accepted", other.min, other.max)
+		}
 	}
-	for _, v := range []float64{0, 1.9, 2, 4.5, 9.99} {
-		h.Add(v)
+	o, _ := NewLogHistogram(1, 10, 4)
+	if err := h.Merge(o); err == nil {
+		t.Fatal("merge with a different bin count accepted")
 	}
-	// Out-of-range values saturate at the edges.
-	h.Add(-5)
-	h.Add(100)
-	if h.Total() != 7 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.Count(0) != 3 { // 0, 1.9, -5
-		t.Fatalf("bin0 = %d", h.Count(0))
-	}
-	if h.Count(1) != 1 || h.Count(2) != 1 {
-		t.Fatalf("bins = %d %d", h.Count(1), h.Count(2))
-	}
-	if h.Count(4) != 2 { // 9.99 and the saturated 100
-		t.Fatalf("bin4 = %d", h.Count(4))
-	}
-	lo, hi := h.BinEdges(1)
-	if lo != 2 || hi != 4 {
-		t.Fatalf("bin1 edges = [%g, %g)", lo, hi)
+	if err := h.Merge(nil); err != nil {
+		t.Fatalf("merge with nil: %v", err)
 	}
 }
 
@@ -70,33 +49,26 @@ func TestLogHistogramEdges(t *testing.T) {
 	h.Add(50)
 	h.Add(500)
 	h.Add(0.1) // saturates low
-	for i, want := range []int64{2, 1, 1} {
+	h.Add(-3)  // saturates low
+	h.Add(1e6) // saturates high
+	for i, want := range []int64{3, 1, 2} {
 		if h.Count(i) != want {
 			t.Fatalf("bin %d count = %d, want %d", i, h.Count(i), want)
 		}
 	}
 }
 
-func TestHistogramFractionsAndCumulative(t *testing.T) {
-	h, _ := NewHistogram(0, 4, 4)
-	for _, v := range []float64{0.5, 1.5, 1.6, 3.5} {
+func TestHistogramFractions(t *testing.T) {
+	h, _ := NewLogHistogram(1, 10000, 4)
+	for _, v := range []float64{5, 50, 60, 5000} {
 		h.Add(v)
 	}
 	f := h.Fractions()
 	if !almostEq(f[0], 0.25, 1e-12) || !almostEq(f[1], 0.5, 1e-12) || f[2] != 0 || !almostEq(f[3], 0.25, 1e-12) {
 		t.Fatalf("fractions = %v", f)
 	}
-	if got := h.CumulativeAt(2); !almostEq(got, 0.75, 1e-12) {
-		t.Fatalf("cumulative at 2 = %g", got)
-	}
-	if got := h.CumulativeAt(4); !almostEq(got, 1, 1e-12) {
-		t.Fatalf("cumulative at 4 = %g", got)
-	}
 
-	empty, _ := NewHistogram(0, 1, 2)
-	if empty.CumulativeAt(1) != 0 {
-		t.Fatal("empty cumulative not 0")
-	}
+	empty, _ := NewLogHistogram(1, 10, 2)
 	ef := empty.Fractions()
 	if ef[0] != 0 || ef[1] != 0 {
 		t.Fatal("empty fractions not 0")
@@ -104,32 +76,40 @@ func TestHistogramFractionsAndCumulative(t *testing.T) {
 }
 
 // Property: every added value lands in exactly one bin and the total always
-// matches the number of Adds — no observation is dropped, even outliers.
+// matches the number of Adds — no observation is dropped, even outliers —
+// and merging two histograms equals one Add pass over both inputs.
 func TestHistogramConservationProperty(t *testing.T) {
-	f := func(vals []float64, logScale bool) bool {
-		var h *Histogram
-		var err error
-		if logScale {
-			h, err = NewLogHistogram(0.5, 1e6, 12)
-		} else {
-			h, err = NewHistogram(-100, 100, 12)
-		}
+	f := func(vals []float64, cut uint8) bool {
+		h, err := NewLogHistogram(0.5, 1e6, 12)
 		if err != nil {
 			return false
 		}
+		a, _ := NewLogHistogram(0.5, 1e6, 12)
+		b, _ := NewLogHistogram(0.5, 1e6, 12)
 		added := 0
 		for _, v := range vals {
 			if math.IsNaN(v) {
 				continue
 			}
 			h.Add(v)
+			if added < int(cut) {
+				a.Add(v)
+			} else {
+				b.Add(v)
+			}
 			added++
+		}
+		if err := a.Merge(b); err != nil {
+			return false
 		}
 		var sum int64
 		for i := 0; i < h.Bins(); i++ {
 			sum += h.Count(i)
+			if a.Count(i) != h.Count(i) {
+				return false
+			}
 		}
-		return sum == int64(added) && h.Total() == int64(added)
+		return sum == int64(added) && h.total == int64(added) && a.total == h.total
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

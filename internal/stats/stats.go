@@ -43,9 +43,6 @@ func (s *Summary) N() int { return s.n }
 // Mean returns the sample mean (0 for an empty summary).
 func (s *Summary) Mean() float64 { return s.mean }
 
-// Sum returns the total of all observations.
-func (s *Summary) Sum() float64 { return s.mean * float64(s.n) }
-
 // Var returns the unbiased sample variance.
 func (s *Summary) Var() float64 {
 	if s.n < 2 {
@@ -369,63 +366,4 @@ func Entropy(weights []float64) float64 {
 		h = 0
 	}
 	return h
-}
-
-// Gini returns the Gini coefficient of a non-negative sample: 0 for
-// perfectly equal values, approaching 1 as mass concentrates. Used to
-// characterise app-popularity skew.
-func Gini(sample []float64) float64 {
-	n := len(sample)
-	if n == 0 {
-		return 0
-	}
-	s := append([]float64(nil), sample...)
-	sort.Float64s(s)
-	var cum, total float64
-	for i, v := range s {
-		cum += v * float64(i+1)
-		total += v
-	}
-	if total == 0 {
-		return 0
-	}
-	return (2*cum)/(float64(n)*total) - float64(n+1)/float64(n)
-}
-
-// Normalize returns the vector scaled so its maximum is 1, mirroring how
-// the paper normalises confidential absolute counts "by the value of the
-// maximum user". A zero vector is returned unchanged.
-func Normalize(v []float64) []float64 {
-	var max float64
-	for _, x := range v {
-		if x > max {
-			max = x
-		}
-	}
-	out := make([]float64, len(v))
-	if max == 0 {
-		return out
-	}
-	for i, x := range v {
-		out[i] = x / max
-	}
-	return out
-}
-
-// Shares returns the vector scaled to sum to 1 (a probability vector), the
-// "percentage of daily total" normalisation used throughout the paper's
-// application analysis. A zero vector is returned unchanged.
-func Shares(v []float64) []float64 {
-	var sum float64
-	for _, x := range v {
-		sum += x
-	}
-	out := make([]float64, len(v))
-	if sum == 0 {
-		return out
-	}
-	for i, x := range v {
-		out[i] = x / sum
-	}
-	return out
 }

@@ -30,9 +30,6 @@ func TestSummaryBasics(t *testing.T) {
 	if s.Min() != 2 || s.Max() != 9 {
 		t.Fatalf("min/max = %g/%g", s.Min(), s.Max())
 	}
-	if !almostEq(s.Sum(), 40, 1e-9) {
-		t.Fatalf("sum = %g", s.Sum())
-	}
 }
 
 // tame clips quick-generated floats to a range where intermediate products
@@ -226,34 +223,6 @@ func TestEntropy(t *testing.T) {
 	// Skewed distribution has lower entropy than uniform.
 	if Entropy([]float64{10, 1, 1, 1}) >= Entropy([]float64{1, 1, 1, 1}) {
 		t.Fatal("skewed entropy not below uniform")
-	}
-}
-
-func TestGini(t *testing.T) {
-	if got := Gini([]float64{1, 1, 1, 1}); !almostEq(got, 0, 1e-12) {
-		t.Fatalf("equal gini = %g", got)
-	}
-	g := Gini([]float64{0, 0, 0, 100})
-	if g < 0.7 {
-		t.Fatalf("concentrated gini = %g", g)
-	}
-	if Gini(nil) != 0 || Gini([]float64{0, 0}) != 0 {
-		t.Fatal("degenerate gini not 0")
-	}
-}
-
-func TestNormalizeAndShares(t *testing.T) {
-	n := Normalize([]float64{2, 4, 8})
-	if n[2] != 1 || n[0] != 0.25 {
-		t.Fatalf("normalize = %v", n)
-	}
-	s := Shares([]float64{1, 1, 2})
-	if !almostEq(s[0], 0.25, 1e-12) || !almostEq(s[2], 0.5, 1e-12) {
-		t.Fatalf("shares = %v", s)
-	}
-	z := Shares([]float64{0, 0})
-	if z[0] != 0 || z[1] != 0 {
-		t.Fatal("zero shares not zero")
 	}
 }
 

@@ -14,10 +14,8 @@ import (
 // source (records arrive in file order, interleaved across subscribers),
 // so it never emits UserDone and consumers evict at end of stream.
 type Readers struct {
-	// ProxyBinary reads a proxylog binary stream; ProxyCSV the CSV form.
-	// Set at most one.
+	// ProxyBinary reads a proxylog binary stream.
 	ProxyBinary io.Reader
-	ProxyCSV    io.Reader
 	MMECSV      io.Reader
 	UDRCSV      io.Reader
 }
@@ -26,11 +24,6 @@ type Readers struct {
 func (r *Readers) Stream(sink Sink) error {
 	if r.ProxyBinary != nil {
 		if err := proxylog.StreamBinary(r.ProxyBinary, sink.Proxy); err != nil {
-			return err
-		}
-	}
-	if r.ProxyCSV != nil {
-		if err := proxylog.StreamCSV(r.ProxyCSV, sink.Proxy); err != nil {
 			return err
 		}
 	}

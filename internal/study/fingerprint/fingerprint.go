@@ -6,11 +6,7 @@
 package fingerprint
 
 import (
-	"sort"
 	"strings"
-
-	"wearwild/internal/mnet/proxylog"
-	"wearwild/internal/mnet/subs"
 
 	"wearwild/internal/gen/population"
 )
@@ -35,14 +31,6 @@ func DefaultSignatures() []Signature {
 	return out
 }
 
-// Detection is one identified Through-Device wearable user.
-type Detection struct {
-	IMSI         subs.IMSI
-	Service      string
-	Transactions int64
-	Bytes        int64
-}
-
 // Detector matches proxy records against companion signatures.
 type Detector struct {
 	hostToService map[string]string
@@ -63,59 +51,4 @@ func NewDetector(sigs []Signature) *Detector {
 func (d *Detector) ServiceOfHost(host string) (string, bool) {
 	svc, ok := d.hostToService[strings.ToLower(host)]
 	return svc, ok
-}
-
-// Detect scans proxy records for companion traffic, skipping subscribers
-// rejected by keepUser (nil keeps everyone; callers exclude SIM-wearable
-// users, who are identified directly by TAC). One user matching several
-// services keeps the service with the most transactions.
-func (d *Detector) Detect(records []proxylog.Record, keepUser func(subs.IMSI) bool) []Detection {
-	type acc struct {
-		tx    map[string]int64
-		bytes map[string]int64
-	}
-	perUser := make(map[subs.IMSI]*acc)
-	for _, rec := range records {
-		svc, ok := d.ServiceOfHost(rec.Host)
-		if !ok {
-			continue
-		}
-		if keepUser != nil && !keepUser(rec.IMSI) {
-			continue
-		}
-		a := perUser[rec.IMSI]
-		if a == nil {
-			a = &acc{tx: make(map[string]int64), bytes: make(map[string]int64)}
-			perUser[rec.IMSI] = a
-		}
-		a.tx[svc]++
-		a.bytes[svc] += rec.Bytes()
-	}
-
-	out := make([]Detection, 0, len(perUser))
-	for user, a := range perUser {
-		best := ""
-		for svc := range a.tx {
-			if best == "" || a.tx[svc] > a.tx[best] || (a.tx[svc] == a.tx[best] && svc < best) {
-				best = svc
-			}
-		}
-		out = append(out, Detection{
-			IMSI:         user,
-			Service:      best,
-			Transactions: a.tx[best],
-			Bytes:        a.bytes[best],
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].IMSI < out[j].IMSI })
-	return out
-}
-
-// ByService groups detections per service.
-func ByService(dets []Detection) map[string]int {
-	out := make(map[string]int)
-	for _, d := range dets {
-		out[d.Service]++
-	}
-	return out
 }

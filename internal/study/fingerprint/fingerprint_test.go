@@ -2,27 +2,9 @@ package fingerprint
 
 import (
 	"testing"
-	"time"
-
-	"wearwild/internal/mnet/imei"
-	"wearwild/internal/mnet/proxylog"
-	"wearwild/internal/mnet/subs"
 
 	"wearwild/internal/gen/population"
 )
-
-var (
-	alice = subs.MustNew(1)
-	bob   = subs.MustNew(2)
-	carol = subs.MustNew(3)
-	phone = imei.MustNew(35733009, 1)
-	t0    = time.Date(2018, 4, 2, 9, 0, 0, 0, time.UTC)
-)
-
-func rec(user subs.IMSI, host string, bytes int64) proxylog.Record {
-	return proxylog.Record{Time: t0, IMSI: user, IMEI: phone, Scheme: proxylog.HTTPS,
-		Host: host, BytesUp: bytes / 3, BytesDown: bytes - bytes/3}
-}
 
 func TestDefaultSignaturesCoverAllServices(t *testing.T) {
 	sigs := DefaultSignatures()
@@ -38,64 +20,32 @@ func TestDefaultSignaturesCoverAllServices(t *testing.T) {
 
 func TestDetect(t *testing.T) {
 	d := NewDetector(DefaultSignatures())
-	fitbit := population.CompanionDomains["Fitbit"][0]
-	strava := population.CompanionDomains["Strava"][0]
-
-	records := []proxylog.Record{
-		rec(alice, fitbit, 4000),
-		rec(alice, fitbit, 5000),
-		rec(alice, strava, 1000), // minority service: ignored for the label
-		rec(bob, "api.weather.app", 3000),
-		rec(carol, strava, 2000),
-	}
-	dets := d.Detect(records, nil)
-	if len(dets) != 2 {
-		t.Fatalf("detections = %d", len(dets))
-	}
-	if dets[0].IMSI != alice || dets[0].Service != "Fitbit" {
-		t.Fatalf("first detection = %+v", dets[0])
-	}
-	if dets[0].Transactions != 2 || dets[0].Bytes != 9000 {
-		t.Fatalf("alice volume = %d/%d", dets[0].Transactions, dets[0].Bytes)
-	}
-	if dets[1].IMSI != carol || dets[1].Service != "Strava" {
-		t.Fatalf("second detection = %+v", dets[1])
-	}
-
-	by := ByService(dets)
-	if by["Fitbit"] != 1 || by["Strava"] != 1 {
-		t.Fatalf("by service = %v", by)
-	}
-}
-
-func TestDetectKeepFilter(t *testing.T) {
-	d := NewDetector(DefaultSignatures())
-	fitbit := population.CompanionDomains["Fitbit"][0]
-	records := []proxylog.Record{rec(alice, fitbit, 100), rec(bob, fitbit, 100)}
-	dets := d.Detect(records, func(u subs.IMSI) bool { return u != alice })
-	if len(dets) != 1 || dets[0].IMSI != bob {
-		t.Fatalf("filter failed: %+v", dets)
+	for _, svc := range population.TDFingerprintServices {
+		for _, host := range population.CompanionDomains[svc] {
+			if got, ok := d.ServiceOfHost(host); !ok || got != svc {
+				t.Fatalf("ServiceOfHost(%q) = %q, %v; want %q", host, got, ok, svc)
+			}
+		}
 	}
 }
 
 func TestDetectCaseInsensitive(t *testing.T) {
 	d := NewDetector([]Signature{{Service: "X", Hosts: []string{"Sync.Example.COM"}}})
-	if _, ok := d.ServiceOfHost("sync.example.com"); !ok {
-		t.Fatal("case-insensitive host lookup failed")
-	}
-	dets := d.Detect([]proxylog.Record{rec(alice, "SYNC.example.com", 10)}, nil)
-	if len(dets) != 1 {
-		t.Fatal("case-mismatched record not detected")
+	for _, host := range []string{"sync.example.com", "SYNC.example.com", "Sync.Example.COM"} {
+		if got, ok := d.ServiceOfHost(host); !ok || got != "X" {
+			t.Fatalf("ServiceOfHost(%q) = %q, %v; want X", host, got, ok)
+		}
 	}
 }
 
 func TestNoDetections(t *testing.T) {
 	d := NewDetector(DefaultSignatures())
-	dets := d.Detect([]proxylog.Record{rec(alice, "api.weather.app", 100)}, nil)
-	if len(dets) != 0 {
-		t.Fatalf("phantom detections: %+v", dets)
+	for _, host := range []string{"api.weather.app", "fitbit-connect.com", ""} {
+		if got, ok := d.ServiceOfHost(host); ok {
+			t.Fatalf("ServiceOfHost(%q) = %q: phantom service", host, got)
+		}
 	}
-	if len(d.Detect(nil, nil)) != 0 {
-		t.Fatal("nil records mishandled")
+	if _, ok := NewDetector(nil).ServiceOfHost("sync.fitbit-connect.com"); ok {
+		t.Fatal("empty signature set matched a host")
 	}
 }

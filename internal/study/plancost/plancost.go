@@ -2,45 +2,24 @@
 // Fig 8: third-party advertising and analytics traffic "consumes a
 // significant portion of the user's mobile data plan", and "when it comes
 // to wearables, the consequences can be even more acute due to ... less
-// data allowance in the mobile plan". Given classified wearable traffic,
-// it estimates each user's monthly volume by transaction category and the
+// data allowance in the mobile plan". Given each wearable user's traffic
+// volume by transaction category, it estimates the monthly volume and the
 // share of a wearable-sized data plan that never benefits the user.
 package plancost
 
 import (
 	"fmt"
-	"sort"
-	"time"
-
-	"wearwild/internal/mnet/proxylog"
-	"wearwild/internal/mnet/subs"
-	"wearwild/internal/sortx"
 
 	"wearwild/internal/gen/apps"
-	"wearwild/internal/study/appid"
 )
 
 // DefaultPlanBytes is a typical 2018-era wearable add-on allowance
 // (100 MB/month).
 const DefaultPlanBytes = 100 << 20
 
-// UserCost is one subscriber's monthly breakdown.
-type UserCost struct {
-	IMSI subs.IMSI
-	// MonthlyBytes is the per-kind volume scaled to 30.44 days.
-	MonthlyBytes [apps.NumDomainKinds]float64
-	// OverheadShare is the advertising+analytics fraction of the user's
-	// total volume.
-	OverheadShare float64
-	// PlanShare is the advertising+analytics volume as a fraction of the
-	// plan allowance.
-	PlanShare float64
-}
-
 // Report aggregates the cost analysis.
 type Report struct {
 	PlanBytes float64
-	Users     []UserCost
 	// MeanOverheadShare is the mean advertising+analytics share of user
 	// traffic.
 	MeanOverheadShare float64
@@ -51,73 +30,12 @@ type Report struct {
 	MaxPlanSharePct float64
 }
 
-// Analyze classifies the records (which must already be restricted to the
-// device population of interest, e.g. wearables) and produces the report.
-// windowDays is the observation span the volumes are scaled up from;
-// planBytes <= 0 selects DefaultPlanBytes.
-func Analyze(resolver *appid.Resolver, records []proxylog.Record, windowDays int, planBytes float64) (*Report, error) {
-	if resolver == nil {
-		return nil, fmt.Errorf("plancost: nil resolver")
-	}
-	if windowDays <= 0 {
-		return nil, fmt.Errorf("plancost: windowDays must be positive")
-	}
-	if planBytes <= 0 {
-		planBytes = DefaultPlanBytes
-	}
-	scale := 30.44 / float64(windowDays)
-
-	perUser := make(map[subs.IMSI]*UserCost)
-	for _, rec := range records {
-		uc := perUser[rec.IMSI]
-		if uc == nil {
-			uc = &UserCost{IMSI: rec.IMSI}
-			perUser[rec.IMSI] = uc
-		}
-		uc.MonthlyBytes[resolver.KindOfHost(rec.Host)] += float64(rec.Bytes()) * scale
-	}
-
-	rep := &Report{PlanBytes: planBytes}
-	var overheadSum, planSum float64
-	for _, imsi := range sortx.Keys(perUser) {
-		uc := perUser[imsi]
-		var total float64
-		for _, v := range uc.MonthlyBytes {
-			total += v
-		}
-		overhead := uc.MonthlyBytes[apps.KindAdvertising] + uc.MonthlyBytes[apps.KindAnalytics]
-		if total > 0 {
-			uc.OverheadShare = overhead / total
-		}
-		uc.PlanShare = overhead / planBytes
-		overheadSum += uc.OverheadShare
-		planSum += uc.PlanShare
-		if pct := 100 * uc.PlanShare; pct > rep.MaxPlanSharePct {
-			rep.MaxPlanSharePct = pct
-		}
-		rep.Users = append(rep.Users, *uc)
-	}
-	sort.Slice(rep.Users, func(i, j int) bool { return rep.Users[i].IMSI < rep.Users[j].IMSI })
-	if n := float64(len(rep.Users)); n > 0 {
-		rep.MeanOverheadShare = overheadSum / n
-		rep.MeanPlanSharePct = 100 * planSum / n
-	}
-	return rep, nil
-}
-
-// Builder is the streaming form of Analyze: the study engine feeds one
-// user's per-kind byte totals at a time (in ascending IMSI order, so the
-// float fold over users is canonical) instead of materialising the whole
-// classified record set. Raw byte counts are exact integers; the monthly
-// scaling happens once per user here, which is why a Builder needs the
-// observation span up front.
+// Builder folds one user's per-kind byte totals at a time (in ascending
+// IMSI order, so the float fold over users is canonical) into the summary
+// scalars, so the report costs O(1) per subscriber. Raw byte counts are
+// exact integers; the monthly scaling happens once per user here, which is
+// why a Builder needs the observation span up front.
 type Builder struct {
-	// DiscardUsers drops the per-user rows from the report: the summary
-	// scalars still aggregate, but Report.Users stays empty. The study
-	// engine sets it so the report costs O(1) per subscriber instead of
-	// retaining one UserCost row per wearable user.
-	DiscardUsers bool
-
 	rep         *Report
 	scale       float64
 	overheadSum float64
@@ -125,7 +43,7 @@ type Builder struct {
 	n           int
 }
 
-// NewBuilder prepares a streaming report over the given observation span.
+// NewBuilder prepares a report over the given observation span.
 // planBytes <= 0 selects DefaultPlanBytes.
 func NewBuilder(windowDays int, planBytes float64) (*Builder, error) {
 	if windowDays <= 0 {
@@ -142,27 +60,26 @@ func NewBuilder(windowDays int, planBytes float64) (*Builder, error) {
 
 // AddUser folds one subscriber's per-kind byte totals into the report.
 // Callers must add users in ascending IMSI order.
-func (b *Builder) AddUser(imsi subs.IMSI, kinds *[apps.NumDomainKinds]int64) {
-	uc := UserCost{IMSI: imsi}
+func (b *Builder) AddUser(kinds *[apps.NumDomainKinds]int64) {
+	// monthly is the per-kind volume scaled to 30.44 days.
+	var monthly [apps.NumDomainKinds]float64
 	var total float64
 	for k, bytes := range kinds {
-		uc.MonthlyBytes[k] = float64(bytes) * b.scale
-		total += uc.MonthlyBytes[k]
+		monthly[k] = float64(bytes) * b.scale
+		total += monthly[k]
 	}
-	overhead := uc.MonthlyBytes[apps.KindAdvertising] + uc.MonthlyBytes[apps.KindAnalytics]
+	overhead := monthly[apps.KindAdvertising] + monthly[apps.KindAnalytics]
+	var overheadShare float64
 	if total > 0 {
-		uc.OverheadShare = overhead / total
+		overheadShare = overhead / total
 	}
-	uc.PlanShare = overhead / b.rep.PlanBytes
-	b.overheadSum += uc.OverheadShare
-	b.planSum += uc.PlanShare
-	if pct := 100 * uc.PlanShare; pct > b.rep.MaxPlanSharePct {
+	planShare := overhead / b.rep.PlanBytes
+	b.overheadSum += overheadShare
+	b.planSum += planShare
+	if pct := 100 * planShare; pct > b.rep.MaxPlanSharePct {
 		b.rep.MaxPlanSharePct = pct
 	}
 	b.n++
-	if !b.DiscardUsers {
-		b.rep.Users = append(b.rep.Users, uc)
-	}
 }
 
 // Report finishes the aggregation and returns the report. The builder must
@@ -173,26 +90,4 @@ func (b *Builder) Report() *Report {
 		b.rep.MeanPlanSharePct = 100 * b.planSum / n
 	}
 	return b.rep
-}
-
-// WindowDaysOf derives the observation span from a record slice (at least
-// one day).
-func WindowDaysOf(records []proxylog.Record) int {
-	if len(records) == 0 {
-		return 1
-	}
-	min, max := records[0].Time, records[0].Time
-	for _, r := range records {
-		if r.Time.Before(min) {
-			min = r.Time
-		}
-		if r.Time.After(max) {
-			max = r.Time
-		}
-	}
-	days := int(max.Sub(min)/(24*time.Hour)) + 1
-	if days < 1 {
-		days = 1
-	}
-	return days
 }

@@ -3,101 +3,78 @@ package plancost
 import (
 	"math"
 	"testing"
-	"time"
 
 	"wearwild/internal/gen/apps"
-	"wearwild/internal/mnet/imei"
-	"wearwild/internal/mnet/proxylog"
-	"wearwild/internal/mnet/subs"
-	"wearwild/internal/study/appid"
 )
 
-func testRecords(t *testing.T) (*appid.Resolver, []proxylog.Record) {
-	t.Helper()
-	catalog := apps.Default()
-	resolver := appid.NewResolver(catalog)
-	t0 := time.Date(2018, 4, 2, 10, 0, 0, 0, time.UTC)
-	user := subs.MustNew(1)
-	dev := imei.MustNew(35332011, 1)
-	rec := func(day int, host string, bytes int64) proxylog.Record {
-		return proxylog.Record{
-			Time: t0.AddDate(0, 0, day), IMSI: user, IMEI: dev,
-			Scheme: proxylog.HTTPS, Host: host,
-			BytesUp: bytes / 4, BytesDown: bytes - bytes/4,
-		}
-	}
-	ad := catalog.SharedHosts(apps.KindAdvertising)[0]
-	ana := catalog.SharedHosts(apps.KindAnalytics)[0]
-	records := []proxylog.Record{
-		rec(0, "api.weather.app", 7000), // first party
-		rec(1, ad, 2000),
-		rec(2, ana, 1000),
-	}
-	return resolver, records
+// testKinds is one user's byte totals: 7000 first-party application bytes,
+// 2000 advertising and 1000 analytics.
+func testKinds() *[apps.NumDomainKinds]int64 {
+	var kinds [apps.NumDomainKinds]int64
+	kinds[apps.KindApplication] = 7000
+	kinds[apps.KindAdvertising] = 2000
+	kinds[apps.KindAnalytics] = 1000
+	return &kinds
 }
 
-func TestAnalyze(t *testing.T) {
-	resolver, records := testRecords(t)
+func TestBuilder(t *testing.T) {
 	// 3 days of observation, a 1 MB plan for easy numbers.
-	rep, err := Analyze(resolver, records, 3, 1<<20)
+	b, err := NewBuilder(3, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Users) != 1 {
-		t.Fatalf("users = %d", len(rep.Users))
-	}
-	uc := rep.Users[0]
+	b.AddUser(testKinds())
+	rep := b.Report()
 	// Overhead = (2000+1000)/10000 of the traffic.
-	if math.Abs(uc.OverheadShare-0.3) > 1e-9 {
-		t.Fatalf("overhead share = %g", uc.OverheadShare)
+	if math.Abs(rep.MeanOverheadShare-0.3) > 1e-9 {
+		t.Fatalf("overhead share = %g", rep.MeanOverheadShare)
 	}
 	// Monthly overhead = 3000 * 30.44/3 = 30440 bytes of a 1 MiB plan.
 	wantPlan := 3000.0 * (30.44 / 3) / (1 << 20)
-	if math.Abs(uc.PlanShare-wantPlan) > 1e-9 {
-		t.Fatalf("plan share = %g, want %g", uc.PlanShare, wantPlan)
-	}
 	if math.Abs(rep.MeanPlanSharePct-100*wantPlan) > 1e-9 {
-		t.Fatalf("mean plan pct = %g", rep.MeanPlanSharePct)
+		t.Fatalf("mean plan pct = %g, want %g", rep.MeanPlanSharePct, 100*wantPlan)
 	}
 	if rep.MaxPlanSharePct != rep.MeanPlanSharePct {
 		t.Fatal("single user: max must equal mean")
 	}
 }
 
-func TestAnalyzeDefaults(t *testing.T) {
-	resolver, records := testRecords(t)
-	rep, err := Analyze(resolver, records, 3, 0)
+func TestBuilderMeanAndMax(t *testing.T) {
+	b, err := NewBuilder(3, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
+	b.AddUser(testKinds())
+	var idle [apps.NumDomainKinds]int64 // no traffic: zero shares, still a user
+	b.AddUser(&idle)
+	rep := b.Report()
+	if math.Abs(rep.MeanOverheadShare-0.15) > 1e-9 {
+		t.Fatalf("mean overhead share = %g, want 0.15", rep.MeanOverheadShare)
+	}
+	wantMax := 100 * 3000.0 * (30.44 / 3) / (1 << 20)
+	if math.Abs(rep.MaxPlanSharePct-wantMax) > 1e-9 || math.Abs(rep.MeanPlanSharePct-wantMax/2) > 1e-9 {
+		t.Fatalf("plan pct max/mean = %g/%g, want %g/%g", rep.MaxPlanSharePct, rep.MeanPlanSharePct, wantMax, wantMax/2)
+	}
+}
+
+func TestBuilderDefaults(t *testing.T) {
+	b, err := NewBuilder(3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := b.Report()
 	if rep.PlanBytes != DefaultPlanBytes {
 		t.Fatalf("plan = %g", rep.PlanBytes)
 	}
-}
-
-func TestAnalyzeErrors(t *testing.T) {
-	resolver, records := testRecords(t)
-	if _, err := Analyze(nil, records, 3, 0); err == nil {
-		t.Fatal("nil resolver accepted")
-	}
-	if _, err := Analyze(resolver, records, 0, 0); err == nil {
-		t.Fatal("zero window accepted")
-	}
-	rep, err := Analyze(resolver, nil, 3, 0)
-	if err != nil || len(rep.Users) != 0 {
-		t.Fatal("empty records mishandled")
+	if rep.MeanOverheadShare != 0 || rep.MeanPlanSharePct != 0 || rep.MaxPlanSharePct != 0 {
+		t.Fatalf("empty report = %+v", *rep)
 	}
 }
 
-func TestWindowDaysOf(t *testing.T) {
-	_, records := testRecords(t)
-	if got := WindowDaysOf(records); got != 3 {
-		t.Fatalf("window days = %d", got)
-	}
-	if got := WindowDaysOf(nil); got != 1 {
-		t.Fatalf("empty window = %d", got)
-	}
-	if got := WindowDaysOf(records[:1]); got != 1 {
-		t.Fatalf("single-record window = %d", got)
+func TestBuilderErrors(t *testing.T) {
+	for _, days := range []int{0, -1} {
+		if _, err := NewBuilder(days, 0); err == nil {
+			t.Fatalf("window of %d days accepted", days)
+		}
 	}
 }

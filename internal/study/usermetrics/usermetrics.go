@@ -21,8 +21,6 @@ type Activity struct {
 	Bytes        int64
 	// hours[d] is the set of active hours-of-day on day d.
 	hours map[simtime.Day]map[int]struct{}
-	// txPerDay counts transactions per day.
-	txPerDay map[simtime.Day]int64
 }
 
 // ActiveDays returns the number of days with at least one transaction.
@@ -46,12 +44,6 @@ func (a *Activity) DaysPerWeek(weeks int) float64 {
 	}
 	return float64(a.ActiveDays()) / float64(weeks)
 }
-
-// HoursOn returns the number of distinct active hours on a day.
-func (a *Activity) HoursOn(d simtime.Day) int { return len(a.hours[d]) }
-
-// TxOn returns the transaction count of a day.
-func (a *Activity) TxOn(d simtime.Day) int64 { return a.txPerDay[d] }
 
 // HoursPerActiveDay lists the active-hour counts of each active day.
 func (a *Activity) HoursPerActiveDay() []float64 {
@@ -107,11 +99,7 @@ func Collect(records []proxylog.Record, keep func(proxylog.Record) bool) map[sub
 		}
 		a := out[rec.IMSI]
 		if a == nil {
-			a = &Activity{
-				IMSI:     rec.IMSI,
-				hours:    make(map[simtime.Day]map[int]struct{}),
-				txPerDay: make(map[simtime.Day]int64),
-			}
+			a = &Activity{IMSI: rec.IMSI, hours: make(map[simtime.Day]map[int]struct{})}
 			out[rec.IMSI] = a
 		}
 		d := simtime.DayOf(rec.Time)
@@ -121,7 +109,6 @@ func Collect(records []proxylog.Record, keep func(proxylog.Record) bool) map[sub
 			a.hours[d] = hs
 		}
 		hs[rec.Time.Hour()] = struct{}{}
-		a.txPerDay[d]++
 		a.Transactions++
 		a.Bytes += rec.Bytes()
 	}
