@@ -159,7 +159,7 @@ func (p *Pass) calleeFunc(call *ast.CallExpr) *types.Func {
 // DefaultAnalyzers returns every check, in stable order: the two
 // intraprocedural tripwires (maporder, errdrop), then the call-graph and
 // dataflow checks — detreach, the determinism check; lockheld;
-// shardpure, floatfold and mergeable, the shard-merge discipline;
+// shardpure and floatfold, the shard-merge discipline;
 // membound, the one memory check (slab retention, record growth, Sink
 // retention, hot-path allocation); randsplit, the RNG-stream discipline —
 // then the concurrency-safety three: ctxflow, the one collection-path
@@ -176,7 +176,6 @@ func DefaultAnalyzers() []*Analyzer {
 		ShardpureAnalyzer,
 		FloatfoldAnalyzer,
 		MemboundAnalyzer,
-		MergeableAnalyzer,
 		RandsplitAnalyzer,
 		CtxflowAnalyzer,
 		AtomicmixAnalyzer,

@@ -775,46 +775,6 @@ func TestGoldenCtxflowTier(t *testing.T) {
 	}
 }
 
-// TestLoadTreeMergeable pins the accumulator audit: bare floats,
-// anonymous types, a float-fielded Merge-less type and a float-folding
-// Merge all flag, the wrapped registration carries its two-step chain,
-// and the exact merges (ints, maps, slices, int-Merge, stats types,
-// field-wise Merge-less structs) pass.
-func TestLoadTreeMergeable(t *testing.T) {
-	diags := checkTree(t, "mergeable", "internal", MergeableAnalyzer)
-
-	var wrapped, floatMerge *Diagnostic
-	for i := range diags {
-		d := &diags[i]
-		if strings.Contains(d.Message, "internal/wrap.Go") {
-			wrapped = d
-		}
-		if strings.Contains(d.Message, "acc.Merge accumulates floats") {
-			floatMerge = d
-		}
-		if !strings.Contains(d.Message, "DESIGN.md §7") {
-			t.Errorf("mergeable message lacks the merge-rules pointer: %q", d.Message)
-		}
-	}
-	if wrapped == nil {
-		t.Fatalf("no diagnostic renders the forwarding chain through wrap.Go; got %v", diags)
-	}
-	if len(wrapped.Path) < 2 {
-		t.Errorf("wrapped registration should carry >=2 chain steps, got %d: %v", len(wrapped.Path), wrapped.Path)
-	}
-	if floatMerge == nil {
-		t.Errorf("no diagnostic pins the float fold inside acc.Merge; got %v", diags)
-	}
-}
-
-// TestLoadTreeMergeableClean runs the audit over exact merges only:
-// zero findings.
-func TestLoadTreeMergeableClean(t *testing.T) {
-	if _, diags := runTree(t, "mergeableclean", "internal", MergeableAnalyzer); len(diags) != 0 {
-		t.Errorf("clean tree flagged: %v", diags)
-	}
-}
-
 // TestWriteJSONMemoryChecks runs each memory- and generator-discipline
 // analyzer over its flagged tree twice and demands byte-identical JSON
 // both times, with the check present in the emitted report — the
@@ -827,7 +787,6 @@ func TestWriteJSONMemoryChecks(t *testing.T) {
 		{"growbound", "internal", MemboundAnalyzer},
 		{"retain", "internal/mnet/codec", MemboundAnalyzer},
 		{"goleak", "internal/mnet", CtxflowAnalyzer},
-		{"mergeable", "internal", MergeableAnalyzer},
 		{"randsplit", "internal", RandsplitAnalyzer},
 		{"allochot", "internal", MemboundAnalyzer},
 		{"sinkretain", "internal", MemboundAnalyzer},

@@ -2,8 +2,11 @@ package sim
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"wearwild/internal/mnet/mme"
 	"wearwild/internal/mnet/proxylog"
@@ -42,8 +45,8 @@ func (s *logSink) MME(r mme.Record) error        { s.mme.Append(r); return nil }
 func (s *logSink) UDR(r udr.Record) error        { s.udr.Append(r); return nil }
 func (s *logSink) UserDone(subs.IMSI) error      { s.users++; return nil }
 
-// TestGenerateParallelEquivalence pins the shard-and-merge generator at
-// the encoding layer: the logs Generate emits must be byte-identical for
+// TestGenerateParallelEquivalence pins the generator sweep at the
+// encoding layer: the logs Generate emits must be byte-identical for
 // any worker count, and the stream path must carry the same records.
 func TestGenerateParallelEquivalence(t *testing.T) {
 	hash := func(workers int) string {
@@ -102,7 +105,7 @@ func TestGenerateParallelEquivalence(t *testing.T) {
 		}
 	}
 	// The global sorts are stable and the stream is user-major in the
-	// same ascending-user tie order the batch merge uses, so sorting
+	// same ascending-user tie order Generate concatenates in, so sorting
 	// the collected stream must land exactly on the batch dataset.
 	ds := &Dataset{MME: first.mme, Proxy: first.proxy, UDR: first.udr}
 	ds.MME.SortByTime()
@@ -113,8 +116,71 @@ func TestGenerateParallelEquivalence(t *testing.T) {
 	}
 }
 
-// BenchmarkGenerateParallel measures the shard-and-merge batch path per
-// worker count; allocation figures are the §9 slab-discipline surface.
+var errSinkFull = errors.New("sink full")
+
+// failSink fails on its k-th record and counts every sink call made
+// after that failure.
+type failSink struct {
+	k, recs, after int
+}
+
+func (s *failSink) record() error {
+	if s.recs >= s.k {
+		s.after++
+		return nil
+	}
+	s.recs++
+	if s.recs == s.k {
+		return fmt.Errorf("record %d: %w", s.k, errSinkFull)
+	}
+	return nil
+}
+
+func (s *failSink) Proxy(proxylog.Record) error { return s.record() }
+func (s *failSink) MME(mme.Record) error        { return s.record() }
+func (s *failSink) UDR(udr.Record) error        { return s.record() }
+func (s *failSink) UserDone(subs.IMSI) error {
+	if s.recs >= s.k {
+		s.after++
+	}
+	return nil
+}
+
+// TestStreamSinkErrorStopsSweep pins the sweep's early exit: the first
+// sink error is returned, nothing reaches the sink after it, and every
+// generator goroutine has exited by the time the caller looks.
+func TestStreamSinkErrorStopsSweep(t *testing.T) {
+	for _, w := range []int{1, 2, 8} {
+		for _, k := range []int{1, 2000, 40000} {
+			cfg := tinyConfig(42)
+			cfg.Workers = w
+			src, err := NewStreamSource(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := runtime.NumGoroutine()
+			sink := &failSink{k: k}
+			err = src.Stream(sink)
+			if !errors.Is(err, errSinkFull) {
+				t.Fatalf("Workers=%d k=%d: Stream returned %v, want the sink's error", w, k, err)
+			}
+			if sink.recs != k || sink.after != 0 {
+				t.Errorf("Workers=%d k=%d: %d records before the failure, %d sink calls after it",
+					w, k, sink.recs, sink.after)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("Workers=%d k=%d: %d goroutines after Stream returned, %d before", w, k, n, before)
+			}
+		}
+	}
+}
+
+// BenchmarkGenerateParallel measures Generate's sweep per worker count;
+// allocation figures are the §9 slab-discipline surface.
 func BenchmarkGenerateParallel(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {

@@ -17,6 +17,7 @@ package sim
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"wearwild/internal/geo"
 	"wearwild/internal/mnet/cells"
@@ -61,7 +62,7 @@ type Config struct {
 
 	// Workers bounds generation parallelism (0 = one worker per CPU).
 	// Output is identical for any worker count: every user's stream is
-	// derived independently and results merge in user order.
+	// derived independently and emitted in user order.
 	Workers int
 }
 
@@ -161,11 +162,11 @@ func generateSubstrate(cfg Config) (*Dataset, error) {
 	}, nil
 }
 
-// Generate builds the dataset. The population is partitioned into fixed
-// splitmix64 IMSI shards (the same partition for any worker count), each
-// shard's subscribers are generated on a bounded pool over one reusable
-// scratch, and the per-shard runs merge back in ascending subscriber
-// order — so the dataset is byte-identical for any Workers setting.
+// Generate builds the dataset. The generator sweep hands each
+// subscriber's canonically ordered records to Generate in ascending user
+// order; they are copied out, concatenated once at exact size and put in
+// the global log orders by the stable sorts, so the dataset is
+// byte-identical for any Workers setting.
 func Generate(cfg Config) (*Dataset, error) {
 	ds, err := generateSubstrate(cfg)
 	if err != nil {
@@ -175,23 +176,26 @@ func Generate(cfg Config) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	users := make([]int, len(ds.Population.Users))
-	for i := range users {
-		users[i] = i
+	outs := make([]userOutput, len(ds.Population.Users))
+	var nm, np, nu int
+	err = gen.sweep(cfg.Workers, func(i int, sc *genScratch) error {
+		outs[i] = sc.output()
+		nm += len(sc.mme)
+		np += len(sc.proxy)
+		nu += len(sc.udr)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	parts := shard.Partition(users, shard.DefaultShards, func(i int) uint64 {
-		return ds.Population.Users[i].IMSI.MSIN()
-	})
-	runs := shard.Map(parts, cfg.Workers, func(_ int, part []int) []userOutput {
-		s := new(genScratch)
-		outs := make([]userOutput, len(part))
-		for k, ui := range part {
-			gen.genUser(ui, s)
-			outs[k] = s.output()
-		}
-		return outs
-	})
-	ds.mergeRuns(parts, runs, len(users))
+	ds.MME.Records = make([]mme.Record, 0, nm)
+	ds.Proxy.Records = make([]proxylog.Record, 0, np)
+	ds.UDR.Records = make([]udr.Record, 0, nu)
+	for i := range outs {
+		ds.MME.Records = append(ds.MME.Records, outs[i].mme...)
+		ds.Proxy.Records = append(ds.Proxy.Records, outs[i].proxy...)
+		ds.UDR.Records = append(ds.UDR.Records, outs[i].udr...)
+	}
 
 	ds.MME.SortByTime()
 	ds.Proxy.SortByTime()
@@ -199,9 +203,8 @@ func Generate(cfg Config) (*Dataset, error) {
 	return ds, nil
 }
 
-// userOutput collects one user's generated records; the sharded sweep
-// fills one slot per subscriber and the merge concatenates them in
-// subscriber order, so the dataset is identical for any worker count.
+// userOutput holds one user's generated records, copied out of the
+// sweep's scratch so Generate can concatenate them in user order.
 type userOutput struct {
 	mme   []mme.Record
 	proxy []proxylog.Record
@@ -211,8 +214,9 @@ type userOutput struct {
 // genScratch is one worker's reusable generation state: record slabs the
 // per-user sweep resets and refills (the retain slab grammar), the fixed
 // week-aggregate array that replaced the per-user pointer map, and the
-// traffic model's own buffers. One genScratch serves a whole shard; its
-// slabs grow to the busiest subscriber and stay there.
+// traffic model's own buffers. Each slot of the sweep's ring owns one for
+// the whole population; its slabs grow to the busiest subscriber and stay
+// there.
 type genScratch struct {
 	visits []mobility.Visit
 	day    []proxylog.Record
@@ -223,7 +227,7 @@ type genScratch struct {
 	tr     traffic.Scratch
 }
 
-// output snapshots the slabs into exactly-sized slices a merge may retain.
+// output snapshots the slabs into exactly-sized slices Generate may retain.
 func (s *genScratch) output() userOutput {
 	return userOutput{
 		mme:   append(make([]mme.Record, 0, len(s.mme)), s.mme...),
@@ -234,8 +238,8 @@ func (s *genScratch) output() userOutput {
 
 // userGen derives any single subscriber's complete five-month output
 // independently of every other subscriber: the per-user RNG streams are
-// split from the root by user index, so the resident Generate sweep and
-// the record-streaming source produce byte-identical per-user records.
+// split from the root by user index, so one sweep serves both the
+// resident Generate and the record-streaming source.
 type userGen struct {
 	pop    *population.Population
 	mob    *mobility.Generator
@@ -290,6 +294,61 @@ func (g *userGen) genUser(i int, s *genScratch) {
 	if j := i - g.owners; j >= 0 {
 		g.ordinaryDetail(u, uid, j < g.sample, s)
 	}
+}
+
+// sweep generates every subscriber on up to workers goroutines and calls
+// emit(i, sc) for i = 0..n-1 in ascending order, sc holding subscriber
+// i's records in their per-user canonical order; sc is reused once emit
+// returns. Workers pull dispatched indices and fill that subscriber's slot
+// in a ring of long-lived scratches; the caller puts completions back in
+// order and dispatches subscriber i+ring only after emitting i, so at
+// most one ring of subscribers is in flight. The first emit error stops
+// the sweep: nothing more is emitted, the workers finish the subscribers
+// they hold and exit, and sweep returns the error.
+func (g *userGen) sweep(workers int, emit func(i int, sc *genScratch) error) error {
+	n := len(g.pop.Users)
+	workers = min(shard.Workers(workers), n)
+	ring := min(workers*4, n)
+	slots := make([]genScratch, ring)
+	// Both channels hold a whole ring, so neither a dispatch nor a
+	// completion ever blocks.
+	todo := make(chan int, ring)
+	filled := make(chan int, ring)
+	for i := 0; i < ring; i++ {
+		todo <- i
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		shard.Run(workers, workers, func(int) {
+			for i := range todo {
+				sc := &slots[i%ring]
+				g.genUser(i, sc)
+				sc.sortCanonical()
+				filled <- i
+			}
+		})
+	}()
+	defer func() {
+		close(todo)
+		wg.Wait()
+	}()
+
+	ready := make([]bool, ring)
+	for i := 0; i < n; i++ {
+		for !ready[i%ring] {
+			ready[(<-filled)%ring] = true
+		}
+		ready[i%ring] = false
+		if err := emit(i, &slots[i%ring]); err != nil {
+			return err
+		}
+		if i+ring < n {
+			todo <- i + ring
+		}
+	}
+	return nil
 }
 
 // wearableDays generates one owner's five-month wearable output.
@@ -364,41 +423,5 @@ func (g *userGen) ordinaryDetail(u *population.User, uid uint64, sampled bool, s
 			s.mme = mobility.AppendRecords(s.mme, u, u.PhoneIMEI, s.visits)
 		}
 		s.proxy = g.tgen.AppendPhoneProxyDay(s.proxy, u, d, rDay.Split("px", 0))
-	}
-}
-
-// mergeRuns reassembles the per-shard runs into the dataset logs in
-// ascending subscriber order — the order the sequential sweep used, which
-// the stable time sorts' tie-breaking depends on. Partition keeps input
-// order within each shard, so walking subscribers 0..n-1 and advancing a
-// cursor per shard replays exactly the sequential concatenation. Each log
-// is sized once from the summed run lengths.
-func (ds *Dataset) mergeRuns(parts [][]int, runs [][]userOutput, n int) {
-	var nm, np, nu int
-	for _, run := range runs {
-		for i := range run {
-			nm += len(run[i].mme)
-			np += len(run[i].proxy)
-			nu += len(run[i].udr)
-		}
-	}
-	ds.MME.Records = make([]mme.Record, 0, nm)
-	ds.Proxy.Records = make([]proxylog.Record, 0, np)
-	ds.UDR.Records = make([]udr.Record, 0, nu)
-
-	shardOf := make([]int32, n)
-	for si, part := range parts {
-		for _, ui := range part {
-			shardOf[ui] = int32(si)
-		}
-	}
-	cursor := make([]int, len(parts))
-	for u := 0; u < n; u++ {
-		si := shardOf[u]
-		out := &runs[si][cursor[si]]
-		cursor[si]++
-		ds.MME.Records = append(ds.MME.Records, out.mme...)
-		ds.Proxy.Records = append(ds.Proxy.Records, out.proxy...)
-		ds.UDR.Records = append(ds.UDR.Records, out.udr...)
 	}
 }

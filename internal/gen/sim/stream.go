@@ -10,7 +10,6 @@ import (
 	"wearwild/internal/mnet/mme"
 	"wearwild/internal/mnet/proxylog"
 	"wearwild/internal/mnet/udr"
-	"wearwild/internal/shard"
 	"wearwild/internal/stream"
 )
 
@@ -87,68 +86,42 @@ func udrKeyCmp(a, b udr.Record) int {
 }
 
 // sortCanonical puts the scratch slabs into their per-user stream order.
+// A subscriber's MME slab is usually generated in time order already, so
+// the stable sort runs only when it is not.
 func (s *genScratch) sortCanonical() {
 	slices.SortStableFunc(s.proxy, proxyTimeCmp)
-	slices.SortStableFunc(s.mme, mmeTimeCmp)
+	if !slices.IsSortedFunc(s.mme, mmeTimeCmp) {
+		slices.SortStableFunc(s.mme, mmeTimeCmp)
+	}
 	slices.SortFunc(s.udr, udrKeyCmp)
 }
 
-// Stream implements stream.Source. Subscribers are generated in blocks of
-// a few per worker — each slot owns a long-lived scratch whose slabs are
-// sorted in place — and emitted sequentially in ascending IMSI order, so
-// the byte stream is identical for any Workers setting and peak memory is
-// one block of subscriber bundles, never the dataset. Workers <= 1 runs
-// the block body inline with no goroutines.
+// Stream implements stream.Source on the generator sweep: each
+// subscriber's bundle goes to the sink as soon as it is their turn, in
+// ascending IMSI order, so the byte stream is identical for any Workers
+// setting and peak memory is one ring of subscriber bundles, never the
+// dataset. The first sink error stops the sweep and is returned.
 func (s *StreamSource) Stream(sink stream.Sink) error {
-	n := len(s.gen.pop.Users)
-	workers := shard.Workers(s.cfg.Workers)
-	if workers > n {
-		workers = n
-	}
-	window := workers * 4
-	if window > n {
-		window = n
-	}
-	slots := make([]genScratch, window)
-
-	base := 0
-	fill := func(k int) {
-		sc := &slots[k]
-		s.gen.genUser(base+k, sc)
-		sc.sortCanonical()
-	}
-	for base < n {
-		count := window
-		if base+count > n {
-			count = n - base
+	return s.gen.sweep(s.cfg.Workers, func(i int, sc *genScratch) error {
+		imsi := s.gen.pop.Users[i].IMSI
+		if s.ConsumeUsers {
+			s.gen.pop.Users[i] = nil
 		}
-		shard.Run(count, workers, fill)
-		for k := 0; k < count; k++ {
-			sc := &slots[k]
-			imsi := s.gen.pop.Users[base+k].IMSI
-			if s.ConsumeUsers {
-				s.gen.pop.Users[base+k] = nil
-			}
-			for _, r := range sc.proxy {
-				if err := sink.Proxy(r); err != nil {
-					return err
-				}
-			}
-			for _, r := range sc.mme {
-				if err := sink.MME(r); err != nil {
-					return err
-				}
-			}
-			for _, r := range sc.udr {
-				if err := sink.UDR(r); err != nil {
-					return err
-				}
-			}
-			if err := sink.UserDone(imsi); err != nil {
+		for _, r := range sc.proxy {
+			if err := sink.Proxy(r); err != nil {
 				return err
 			}
 		}
-		base += count
-	}
-	return nil
+		for _, r := range sc.mme {
+			if err := sink.MME(r); err != nil {
+				return err
+			}
+		}
+		for _, r := range sc.udr {
+			if err := sink.UDR(r); err != nil {
+				return err
+			}
+		}
+		return sink.UserDone(imsi)
+	})
 }

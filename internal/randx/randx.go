@@ -60,17 +60,11 @@ func (r *Rand) Float64() float64 { return r.src.Float64() }
 // IntN returns a uniform value in [0, n). It panics if n <= 0.
 func (r *Rand) IntN(n int) int { return r.src.IntN(n) }
 
-// Int64N returns a uniform value in [0, n). It panics if n <= 0.
-func (r *Rand) Int64N(n int64) int64 { return r.src.Int64N(n) }
-
 // Uint64 returns a uniform 64-bit value.
 func (r *Rand) Uint64() uint64 { return r.src.Uint64() }
 
 // NormFloat64 returns a standard normal variate.
 func (r *Rand) NormFloat64() float64 { return r.src.NormFloat64() }
-
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *Rand) ExpFloat64() float64 { return r.src.ExpFloat64() }
 
 // Bool returns true with probability p (clamped to [0, 1]).
 func (r *Rand) Bool(p float64) bool {
@@ -134,16 +128,6 @@ func (r *Rand) Poisson(mean float64) int {
 		}
 		k++
 	}
-}
-
-// Geometric returns the number of failures before the first success in a
-// Bernoulli(p) sequence. p must be in (0, 1].
-func (r *Rand) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
-	}
-	u := r.src.Float64()
-	return int(math.Floor(math.Log1p(-u) / math.Log1p(-p)))
 }
 
 // Perm returns a random permutation of [0, n).

@@ -118,28 +118,6 @@ func TestPoissonMean(t *testing.T) {
 	}
 }
 
-func TestGeometric(t *testing.T) {
-	r := New(19)
-	const p = 0.25
-	const n = 40000
-	var sum float64
-	for i := 0; i < n; i++ {
-		g := r.Geometric(p)
-		if g < 0 {
-			t.Fatalf("negative geometric %d", g)
-		}
-		sum += float64(g)
-	}
-	want := (1 - p) / p // = 3
-	got := sum / n
-	if math.Abs(got-want) > 0.15 {
-		t.Fatalf("geometric mean = %.3f, want %.3f", got, want)
-	}
-	if r.Geometric(1) != 0 {
-		t.Fatal("geometric(1) must be 0")
-	}
-}
-
 func TestZipfWeights(t *testing.T) {
 	w := ZipfWeights(5, 1)
 	if len(w) != 5 {

@@ -1,15 +1,16 @@
 // Package shard provides the deterministic fan-out primitives behind the
-// parallel study pipeline: partition records into per-user shards by a
-// pure key hash, run per-shard accumulators on a bounded worker pool, and
-// merge the partials in fixed shard order.
+// parallel paths: a pure key hash that assigns subscribers to a fixed
+// number of shards, and a bounded worker pool whose callers write only
+// per-index slots. The study engine shards its accumulators by IMSI hash
+// and merges the partials in fixed shard order; the generator sweep runs
+// its workers on the pool and emits in subscriber order.
 //
 // The determinism contract every caller relies on (see DESIGN.md,
 // "Parallel analysis: shard-and-merge determinism rules"):
 //
-//   - The partition is a pure function of the key and the shard count —
-//     never of Workers, GOMAXPROCS, or scheduling. Within a shard, items
-//     keep their input order.
-//   - Workers only decides how many shards are in flight at once; it is
+//   - Shard assignment is a pure function of the key and the shard
+//     count — never of Workers, GOMAXPROCS, or scheduling.
+//   - Workers only decides how much work is in flight at once; it is
 //     invisible in the output. Any cross-shard reduction that is not
 //     exact (float sums of non-integer values, Welford merges) must
 //     instead be folded sequentially in a canonical order (sorted keys),
@@ -24,10 +25,9 @@ import (
 	"sync"
 )
 
-// DefaultShards is the shard count used when a caller passes 0. It is a
-// fixed constant — not NumCPU — so the shard structure (and therefore
-// any merge that is sensitive to partial grouping) is identical on every
-// machine.
+// DefaultShards is the study engine's shard count. It is a fixed
+// constant — not NumCPU — so the shard structure (and therefore any merge
+// that is sensitive to partial grouping) is identical on every machine.
 const DefaultShards = 32
 
 // Hash64 mixes a 64-bit key into a well-distributed 64-bit hash (the
@@ -49,39 +49,6 @@ func Workers(n int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return n
-}
-
-// Shards resolves a shard-count setting: values <= 0 select
-// DefaultShards.
-func Shards(n int) int {
-	if n <= 0 {
-		return DefaultShards
-	}
-	return n
-}
-
-// Partition distributes items into shards by key hash, preserving input
-// order within each shard. All items with equal keys land in the same
-// shard, so per-key aggregation inside a shard sees exactly the records
-// a sequential pass would. A two-pass count keeps it to one allocation
-// per shard.
-func Partition[T any](items []T, shards int, key func(T) uint64) [][]T {
-	shards = Shards(shards)
-	counts := make([]int, shards)
-	idx := make([]uint32, len(items))
-	for i, it := range items {
-		h := Hash64(key(it)) % uint64(shards)
-		idx[i] = uint32(h)
-		counts[h]++
-	}
-	out := make([][]T, shards)
-	for i := range out {
-		out[i] = make([]T, 0, counts[i])
-	}
-	for i, it := range items {
-		out[idx[i]] = append(out[idx[i]], it)
-	}
-	return out
 }
 
 // Run executes fn(i) for i in [0, n) on a bounded worker pool. Indexes
@@ -143,14 +110,4 @@ func ForChunked(n, workers int, fn func(lo, hi int)) {
 	}
 	close(next)
 	wg.Wait()
-}
-
-// Map runs fn over each shard on a bounded pool and returns the
-// per-shard results in shard order: the fan-out half of shard-and-merge.
-func Map[S, R any](shards []S, workers int, fn func(i int, s S) R) []R {
-	out := make([]R, len(shards))
-	Run(len(shards), workers, func(i int) {
-		out[i] = fn(i, shards[i])
-	})
-	return out
 }

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -109,64 +108,6 @@ func TestCountingECDFEmpty(t *testing.T) {
 	if xs, ps := c.Points(10); xs != nil || ps != nil {
 		t.Fatal("empty accumulator Points must be nil")
 	}
-}
-
-// TestNewECDFSortedProbes pins the satellite-3 behavior: sorted input is
-// adopted, disorder at the sampled positions still panics, and the full
-// verification pass stays available behind the debug toggle.
-func TestNewECDFSortedProbes(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	// Property: on genuinely sorted samples the adopt path is equivalent
-	// to the copy+sort path.
-	for trial := 0; trial < 40; trial++ {
-		n := r.Intn(2000)
-		s := make([]float64, n)
-		for i := range s {
-			s[i] = r.NormFloat64()
-		}
-		e1 := NewECDF(s) // copies and sorts
-		sorted := append([]float64(nil), s...)
-		sort.Float64s(sorted)
-		e2 := NewECDFSorted(sorted)
-		for _, q := range []float64{0, 0.1, 0.5, 0.9, 1} {
-			if e1.Quantile(q) != e2.Quantile(q) {
-				t.Fatalf("trial %d: quantile %g differs", trial, q)
-			}
-		}
-		if e1.Mean() != e2.Mean() {
-			t.Fatalf("trial %d: mean differs", trial)
-		}
-	}
-
-	mustPanic := func(name string, s []float64) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
-		NewECDFSorted(s)
-	}
-	// Ends are always checked, even on large samples.
-	big := make([]float64, 10000)
-	for i := range big {
-		big[i] = float64(i)
-	}
-	first := append([]float64(nil), big...)
-	first[0] = 99
-	mustPanic("disordered head", first)
-	last := append([]float64(nil), big...)
-	last[len(last)-1] = -1
-	mustPanic("disordered tail", last)
-	// Small samples get the full scan regardless of the toggle.
-	mustPanic("small sample", []float64{1, 3, 2})
-	// The debug toggle restores the exhaustive check: an interior swap a
-	// probe could miss is always caught with it on.
-	ecdfFullVerify = true
-	defer func() { ecdfFullVerify = false }()
-	interior := append([]float64(nil), big...)
-	interior[4321], interior[4322] = interior[4322], interior[4321]
-	mustPanic("interior disorder under full verify", interior)
 }
 
 // TestLogQuantize pins the quantizer's contract: exact below the

@@ -96,129 +96,6 @@ func NewECDF(sample []float64) *ECDF {
 	return &ECDF{sorted: s}
 }
 
-// ecdfVerifyProbes bounds the order check NewECDFSorted runs in normal
-// builds: the two end pairs plus this many evenly spaced adjacent pairs.
-const ecdfVerifyProbes = 64
-
-// ecdfFullVerify restores the exhaustive O(n) order check. It exists for
-// tests (and debugging sessions) that want the original hard guarantee;
-// the production path only samples, because a full scan of every adopted
-// sample defeats the point of the copy-free constructor.
-var ecdfFullVerify = false
-
-// NewECDFSorted adopts an already-sorted sample without copying or
-// re-sorting; the caller must not mutate it afterwards. This is the cheap
-// path for shard-and-merge producers whose k-way merge emits sorted data.
-// Order is sample-verified (both ends plus evenly spaced probes) and the
-// constructor panics on any violation it sees, since a silently unsorted
-// ECDF corrupts every quantile; the exhaustive scan runs only under
-// ecdfFullVerify. The property test pins equivalence with NewECDF.
-func NewECDFSorted(sorted []float64) *ECDF {
-	verifySortedSample(sorted)
-	return &ECDF{sorted: sorted}
-}
-
-func verifySortedSample(s []float64) {
-	n := len(s)
-	if n < 2 {
-		return
-	}
-	if ecdfFullVerify || n <= ecdfVerifyProbes+2 {
-		for i := 1; i < n; i++ {
-			if s[i] < s[i-1] {
-				panic("stats: NewECDFSorted on unsorted sample")
-			}
-		}
-		return
-	}
-	if s[1] < s[0] || s[n-1] < s[n-2] {
-		panic("stats: NewECDFSorted on unsorted sample")
-	}
-	for k := 0; k < ecdfVerifyProbes; k++ {
-		i := 2 + k*(n-3)/ecdfVerifyProbes
-		if s[i] < s[i-1] {
-			panic("stats: NewECDFSorted on unsorted sample")
-		}
-	}
-}
-
-// MergeSorted k-way merges sorted slices into one sorted slice using a
-// binary heap of slice heads: O(total·log k) instead of the linear scan
-// over all heads per emitted element. The result equals sorting the
-// concatenation (ties break toward the lower slice index, matching a
-// left-to-right strict-min scan), so ECDFs built from merged shard output
-// match the sequential path exactly.
-func MergeSorted(parts [][]float64) []float64 {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]float64, 0, total)
-
-	// heap entries: (head value, slice index); heads[i] tracks how far
-	// slice i has been consumed.
-	type head struct {
-		v float64
-		i int
-	}
-	heads := make([]int, len(parts))
-	h := make([]head, 0, len(parts))
-	less := func(a, b head) bool {
-		if a.v != b.v {
-			return a.v < b.v
-		}
-		return a.i < b.i
-	}
-	up := func(j int) {
-		for j > 0 {
-			p := (j - 1) / 2
-			if !less(h[j], h[p]) {
-				return
-			}
-			h[j], h[p] = h[p], h[j]
-			j = p
-		}
-	}
-	down := func(j int) {
-		for {
-			l, r := 2*j+1, 2*j+2
-			m := j
-			if l < len(h) && less(h[l], h[m]) {
-				m = l
-			}
-			if r < len(h) && less(h[r], h[m]) {
-				m = r
-			}
-			if m == j {
-				return
-			}
-			h[j], h[m] = h[m], h[j]
-			j = m
-		}
-	}
-	for i, p := range parts {
-		if len(p) > 0 {
-			h = append(h, head{p[0], i})
-			up(len(h) - 1)
-		}
-	}
-	for len(h) > 0 {
-		top := h[0]
-		out = append(out, top.v)
-		heads[top.i]++
-		if heads[top.i] < len(parts[top.i]) {
-			h[0] = head{parts[top.i][heads[top.i]], top.i}
-		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		if len(h) > 0 {
-			down(0)
-		}
-	}
-	return out
-}
-
 // N returns the sample size.
 func (e *ECDF) N() int { return len(e.sorted) }
 

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -224,59 +223,4 @@ func TestEntropy(t *testing.T) {
 	if Entropy([]float64{10, 1, 1, 1}) >= Entropy([]float64{1, 1, 1, 1}) {
 		t.Fatal("skewed entropy not below uniform")
 	}
-}
-
-func TestMergeSortedEqualsSortedConcat(t *testing.T) {
-	parts := [][]float64{
-		{1, 3, 3, 9},
-		{},
-		{2, 2, 4},
-		{0.5, 8, 100},
-		{3},
-	}
-	var flat []float64
-	for _, p := range parts {
-		flat = append(flat, p...)
-	}
-	want := append([]float64(nil), flat...)
-	sort.Float64s(want)
-	got := MergeSorted(parts)
-	if len(got) != len(want) {
-		t.Fatalf("len: got %d want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("index %d: got %v want %v", i, got[i], want[i])
-		}
-	}
-	if out := MergeSorted(nil); len(out) != 0 {
-		t.Fatalf("nil parts: got %v", out)
-	}
-}
-
-func TestNewECDFSortedMatchesNewECDF(t *testing.T) {
-	sample := []float64{5, 1, 4, 4, 2, 9, 0}
-	a := NewECDF(sample)
-	sorted := append([]float64(nil), sample...)
-	sort.Float64s(sorted)
-	b := NewECDFSorted(sorted)
-	for _, x := range []float64{-1, 0, 1, 3.5, 4, 9, 10} {
-		if a.At(x) != b.At(x) {
-			t.Fatalf("At(%v): %v vs %v", x, a.At(x), b.At(x))
-		}
-	}
-	for _, q := range []float64{0, 0.25, 0.5, 0.9, 1} {
-		if a.Quantile(q) != b.Quantile(q) {
-			t.Fatalf("Quantile(%v): %v vs %v", q, a.Quantile(q), b.Quantile(q))
-		}
-	}
-}
-
-func TestNewECDFSortedPanicsOnUnsorted(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on unsorted input")
-		}
-	}()
-	NewECDFSorted([]float64{2, 1})
 }
