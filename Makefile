@@ -62,8 +62,9 @@ fuzz-smoke:
 # only workload whose passes re-run the generator and check its re-encoded
 # logs against those digests; study-resident is the only one that drives
 # the engine's user-major fan-out, whose passes must match a Workers=1
-# reference; collect is the only one that streams stream.Readers over a
-# live proxy log.
+# reference; study-files is the only one that streams stream.Readers over
+# saved logs; collect is the only one that studies a live proxy log through
+# stream.Tail.
 bench-smoke:
 	bash cmd/wearperf/run.sh --workload study-files --seconds 3 --trace 0
 	bash cmd/wearperf/run.sh --workload study-resident --seconds 3 --trace 0

@@ -76,7 +76,7 @@ func BenchmarkStudyFull(b *testing.B) {
 
 // BenchmarkStudyFullParallel sweeps the analysis worker bound over the
 // same dataset. Results are byte-identical at every setting (see
-// TestParallelEquivalence); the sweep quantifies the shard-and-merge
+// TestParallelEquivalence); the sweep quantifies the per-worker
 // speedup on this machine's cores.
 func BenchmarkStudyFullParallel(b *testing.B) {
 	ds := benchSetup(b)

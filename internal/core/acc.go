@@ -29,7 +29,7 @@ type hourCell struct {
 }
 
 // appAgg is one application's whole-study aggregate. Every field is an
-// integer count, so cross-shard merging is exact in any order; Fig 7's
+// integer count, so cross-worker merging is exact in any order; Fig 7's
 // per-usage means divide the exact sums at finalise time.
 type appAgg struct {
 	app          *apps.App
@@ -66,7 +66,7 @@ type mobScalar struct {
 // IMSI order. It holds only scalars — never records or per-day series — so
 // the engine's persistent state is sized by the subscriber population, not
 // the log length. Per-day distributions (hours per active day) fold into
-// exact shard-level counters at eviction time instead.
+// exact per-worker counters at eviction time instead.
 type userStat struct {
 	wear      bool // seen with a SIM-enabled wearable device
 	phoneYear int  // newest smartphone release year observed (0: none)
@@ -107,12 +107,12 @@ type userStat struct {
 	planKinds *[apps.NumDomainKinds]int64
 }
 
-// shardAcc accumulates one shard's share of every figure. All fields are
+// partial accumulates one worker's share of every figure. All fields are
 // either integer counters, domain-keyed maps of integer counters (days,
 // weeks, hours, app names — never record counts), per-subscriber residues
 // keyed by IMSI, or mergeable stats accumulators; merge is therefore exact
-// and the engine's output is identical at every Workers and Shards setting.
-type shardAcc struct {
+// and the engine's output is identical at every Workers setting.
+type partial struct {
 	wearUsers  int64
 	dataActive int64
 
@@ -138,7 +138,7 @@ type shardAcc struct {
 	// Fig 3(b): distinct active hours per (user, active day). The values
 	// are integer counts in 1..24, so an exact counting ECDF reproduces
 	// the expanded per-day sample bit for bit while storing 24 counters
-	// per shard instead of one float per active day per subscriber.
+	// per worker instead of one float per active day per subscriber.
 	hoursPerDay *stats.CountingECDF
 
 	// Figs 5–7 and §4.3.
@@ -170,8 +170,8 @@ type shardAcc struct {
 	tdHours  [24]int64
 }
 
-func newShardAcc() *shardAcc {
-	a := &shardAcc{
+func newPartial() *partial {
+	a := &partial{
 		stats:       make(map[subs.IMSI]*userStat),
 		presence:    make(map[simtime.Day]int64),
 		grid:        make(map[simtime.Day]*[24]hourCell),
@@ -194,15 +194,14 @@ func newShardAcc() *shardAcc {
 	return a
 }
 
-// merge folds another shard's accumulator into a. Shards hold disjoint
+// merge folds another worker's partial into a. Workers hold disjoint
 // subscriber populations, so every map union is disjoint and every counter
 // sum is an exact integer add; the CountingECDF and Histogram merges are
 // count-map unions. No float accumulates here — the non-exact folds all
 // happen at finalise time in sorted IMSI order. The per-subscriber stats
-// maps deliberately stay per-shard: finalise reaches each residue through
-// the shard hash, so the end of a run never re-buckets the population
-// into one union map.
-func (a *shardAcc) merge(o *shardAcc) {
+// maps are not merged: run moves their residues into one IMSI-sorted
+// slice before merging.
+func (a *partial) merge(o *partial) {
 	a.wearUsers += o.wearUsers
 	a.dataActive += o.dataActive
 	for d, n := range o.presence {
@@ -237,7 +236,7 @@ func (a *shardAcc) merge(o *shardAcc) {
 	a.phoneEveningTx += o.phoneEveningTx
 	a.sizes.Merge(o.sizes)
 	if err := a.sizeHist.Merge(o.sizeHist); err != nil {
-		panic(err) // all shards share one layout by construction
+		panic(err) // all partials share one layout by construction
 	}
 	a.hoursPerDay.Merge(o.hoursPerDay)
 	for name, agg := range o.apps {
@@ -300,11 +299,11 @@ func (a *shardAcc) merge(o *shardAcc) {
 	}
 }
 
-// addUser folds one subscriber's complete record bundle into the shard
-// accumulator and discards the records: the single eviction point that
-// keeps the engine's residency per-population instead of per-log.
-func (e *engine) addUser(acc *shardAcc, user subs.IMSI, b *userBundle, sc *workerScratch) {
-	st := &userStat{}
+// addUser folds one subscriber's complete record bundle into the worker's
+// partial and discards the records: the single eviction point that keeps
+// the engine's residency per-population instead of per-log.
+func (e *engine) addUser(w *worker, user subs.IMSI, b *userBundle) {
+	acc, st := w.acc, &userStat{}
 	db := e.env.Devices
 
 	// Device classification (§3.2), from this user's own observations.
@@ -337,7 +336,7 @@ func (e *engine) addUser(acc *shardAcc, user subs.IMSI, b *userBundle, sc *worke
 	}
 
 	// Proxy split: wearable-device records vs the handset baseline.
-	wearRecs, phoneRecs := sc.wearRecs[:0], sc.phoneRecs[:0]
+	wearRecs, phoneRecs := w.wearRecs[:0], w.phoneRecs[:0]
 	for _, rec := range b.proxy {
 		if db.IsWearable(rec.IMEI) {
 			wearRecs = append(wearRecs, rec)
@@ -345,14 +344,14 @@ func (e *engine) addUser(acc *shardAcc, user subs.IMSI, b *userBundle, sc *worke
 			phoneRecs = append(phoneRecs, rec)
 		}
 	}
-	sc.wearRecs, sc.phoneRecs = wearRecs, phoneRecs
+	w.wearRecs, w.phoneRecs = wearRecs, phoneRecs
 
 	e.addPresence(acc, b.mme)
 	e.addUDR(acc, st, b.udr)
 	e.addWearTraffic(acc, st, wearRecs)
 	e.addPhoneTraffic(acc, st, phoneRecs)
-	e.addApps(acc, st, wearRecs, sc)
-	e.addMobility(acc, st, b.mme, wearRecs, &sc.mob)
+	e.addApps(acc, st, wearRecs, w)
+	e.addMobility(acc, st, b.mme, wearRecs, &w.mob)
 	e.addThroughDevice(acc, st, b.proxy)
 
 	acc.stats[user] = st
@@ -360,7 +359,7 @@ func (e *engine) addUser(acc *shardAcc, user subs.IMSI, b *userBundle, sc *worke
 
 // addPresence folds the user's wearable MME registrations into the Fig 2
 // adoption and retention counters.
-func (e *engine) addPresence(acc *shardAcc, recs []mme.Record) {
+func (e *engine) addPresence(acc *partial, recs []mme.Record) {
 	study := simtime.FullStudy()
 	days := make(map[simtime.Day]struct{})
 	for _, rec := range recs {
@@ -403,7 +402,7 @@ func (e *engine) addPresence(acc *shardAcc, recs []mme.Record) {
 
 // addUDR folds the user's weekly aggregates: the detail-window totals of
 // Fig 4(a/b) and the whole-study data-active share of Fig 2(a).
-func (e *engine) addUDR(acc *shardAcc, st *userStat, recs []udr.Record) {
+func (e *engine) addUDR(acc *partial, st *userStat, recs []udr.Record) {
 	if len(recs) == 0 {
 		return
 	}
@@ -426,7 +425,7 @@ func (e *engine) addUDR(acc *shardAcc, st *userStat, recs []udr.Record) {
 // hourly grid, the Fig 3(b/c/d) per-user activity scalars, the size
 // distribution, the Weekly stability counters, the plan-cost residue, and
 // the SIM hourly profile the Through-Device comparison normalises against.
-func (e *engine) addWearTraffic(acc *shardAcc, st *userStat, recs []proxylog.Record) {
+func (e *engine) addWearTraffic(acc *partial, st *userStat, recs []proxylog.Record) {
 	if len(recs) == 0 {
 		return
 	}
@@ -530,7 +529,7 @@ func (e *engine) addWearTraffic(acc *shardAcc, st *userStat, recs []proxylog.Rec
 
 // addPhoneTraffic folds the user's handset transactions: the comparison
 // baseline of Fig 3(a)'s relative factors and Fig 3(c)'s spread.
-func (e *engine) addPhoneTraffic(acc *shardAcc, st *userStat, recs []proxylog.Record) {
+func (e *engine) addPhoneTraffic(acc *partial, st *userStat, recs []proxylog.Record) {
 	for _, rec := range recs {
 		acc.phoneTx++
 		if simtime.DayOf(rec.Time).IsWeekend() {
@@ -547,13 +546,13 @@ func (e *engine) addPhoneTraffic(acc *shardAcc, st *userStat, recs []proxylog.Re
 
 // addApps sessionises and attributes the user's wearable traffic (§5) and
 // folds the per-app, per-category and takeaway counters.
-func (e *engine) addApps(acc *shardAcc, st *userStat, recs []proxylog.Record, sc *workerScratch) {
+func (e *engine) addApps(acc *partial, st *userStat, recs []proxylog.Record, w *worker) {
 	if len(recs) == 0 {
 		return
 	}
-	sc.usages = sc.usages[:0]
-	sc.usages = sc.sessions.Append(sc.usages, recs, e.cfg.SessionGap)
-	attributed := e.resolver.Attribute(sc.usages)
+	w.usages = w.usages[:0]
+	w.usages = w.sessions.Append(w.usages, recs, e.cfg.SessionGap)
+	attributed := e.resolver.Attribute(w.usages)
 
 	type localApp struct {
 		app  *apps.App
@@ -610,7 +609,7 @@ func (e *engine) addApps(acc *shardAcc, st *userStat, recs []proxylog.Record, sc
 
 // addMobility folds the user's mobility profiles (Fig 4c/4d) and the
 // tx-to-sector join behind the single-location takeaway (§4.4).
-func (e *engine) addMobility(acc *shardAcc, st *userStat, mmeRecs []mme.Record, wearRecs []proxylog.Record, sc *mobmetrics.Scratch) {
+func (e *engine) addMobility(acc *partial, st *userStat, mmeRecs []mme.Record, wearRecs []proxylog.Record, sc *mobmetrics.Scratch) {
 	if len(mmeRecs) == 0 {
 		return
 	}
@@ -648,7 +647,7 @@ func newMobScalar(p mobmetrics.Profile) *mobScalar {
 
 // addThroughDevice runs the companion-traffic fingerprinting (conclusion)
 // over the user's whole proxy stream.
-func (e *engine) addThroughDevice(acc *shardAcc, st *userStat, recs []proxylog.Record) {
+func (e *engine) addThroughDevice(acc *partial, st *userStat, recs []proxylog.Record) {
 	if st.wear || len(recs) == 0 {
 		return // SIM-wearable users are identified directly by TAC
 	}

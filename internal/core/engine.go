@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"wearwild/internal/mnet/cells"
@@ -65,13 +66,15 @@ func (b *userBundle) reset() {
 	b.udr = b.udr[:0]
 }
 
-// workerScratch is one worker's reusable per-subscriber state: a spare
-// bundle for the next subscriber its shards open, and the buffers of
-// eviction and its analyzers. It is keyed by worker, not by shard: every
-// buffer keeps the capacity of the largest subscriber it has served, so
-// per-shard scratch would hold the largest subscriber of each of the 32
-// shards at once.
-type workerScratch struct {
+// worker is one partition of the study: the subscribers routed to it,
+// their open bundles, the partial accumulator they are evicted into, a
+// spare bundle for the next subscriber it opens, and the buffers of
+// eviction and its analyzers. Every buffer keeps the capacity of the
+// largest subscriber it has served. A worker is touched by one goroutine
+// at a time, so no accumulator is ever shared.
+type worker struct {
+	acc       *partial
+	pending   map[subs.IMSI]*userBundle
 	spare     *userBundle
 	wearRecs  []proxylog.Record
 	phoneRecs []proxylog.Record
@@ -81,9 +84,8 @@ type workerScratch struct {
 }
 
 // engine is the streaming study: a stream.Sink that routes records to
-// per-subscriber shard buckets and evicts each subscriber into per-shard
-// figure accumulators. Each shard is owned by exactly one worker, so no
-// accumulator is ever shared between goroutines.
+// per-subscriber bundles in the worker owning the subscriber and evicts
+// each subscriber into that worker's partial accumulator.
 type engine struct {
 	cfg      Config
 	env      Env
@@ -91,12 +93,7 @@ type engine struct {
 	analyzer *mobmetrics.Analyzer
 	detector *fingerprint.Detector
 
-	accs    []*shardAcc
-	pending []map[subs.IMSI]*userBundle
-	// scratch holds one workerScratch per worker; worker w owns the
-	// shards si with si % len(scratch) == w, both while consuming and
-	// while sealing.
-	scratch []*workerScratch
+	workers []*worker
 }
 
 func newEngine(env Env, cfg Config) (*engine, error) {
@@ -113,83 +110,72 @@ func newEngine(env Env, cfg Config) (*engine, error) {
 		resolver: appid.NewResolver(env.Catalog),
 		analyzer: analyzer,
 		detector: fingerprint.NewDetector(fingerprint.DefaultSignatures()),
-		accs:     make([]*shardAcc, shard.DefaultShards),
-		pending:  make([]map[subs.IMSI]*userBundle, shard.DefaultShards),
-		scratch:  make([]*workerScratch, min(shard.Workers(cfg.Workers), shard.DefaultShards)),
+		workers:  make([]*worker, shard.Workers(cfg.Workers)),
 	}
-	for i := 0; i < shard.DefaultShards; i++ {
-		e.accs[i] = newShardAcc()
-		e.pending[i] = make(map[subs.IMSI]*userBundle)
-	}
-	for w := range e.scratch {
-		e.scratch[w] = &workerScratch{}
+	for i := range e.workers {
+		e.workers[i] = &worker{acc: newPartial(), pending: make(map[subs.IMSI]*userBundle)}
 	}
 	return e, nil
 }
 
-// shardOf routes a subscriber to their shard: the same pure IMSI hash the
-// resident pipeline partitioned with, so shard populations are identical
-// across sources, machines and worker counts.
-func shardOf(user subs.IMSI) int {
-	return int(shard.Hash64(uint64(user)) % shard.DefaultShards)
+// ownerOf routes a subscriber to the worker that owns them: a pure IMSI
+// hash, so a subscriber's records all reach one worker whatever order the
+// source emits them in.
+func ownerOf(user subs.IMSI, workers int) int {
+	return int(shard.Hash64(uint64(user)) % uint64(workers))
 }
 
-// scratchOf returns the scratch of the worker owning shard si.
-func (e *engine) scratchOf(si int) *workerScratch {
-	return e.scratch[si%len(e.scratch)]
-}
-
-func (e *engine) bundle(si int, user subs.IMSI) *userBundle {
-	b := e.pending[si][user]
+func (w *worker) bundle(user subs.IMSI) *userBundle {
+	b := w.pending[user]
 	if b == nil {
-		sc := e.scratchOf(si)
-		b, sc.spare = sc.spare, nil
+		b, w.spare = w.spare, nil
 		if b == nil {
 			b = &userBundle{}
 		}
-		e.pending[si][user] = b
+		w.pending[user] = b
 	}
 	return b
 }
 
 // userDone evicts a completed subscriber.
-func (e *engine) userDone(si int, user subs.IMSI) {
-	if b := e.pending[si][user]; b != nil { // nil: user had no records
-		e.evict(si, user, b)
+func (e *engine) userDone(w *worker, user subs.IMSI) {
+	if b := w.pending[user]; b != nil { // nil: user had no records
+		e.evict(w, user, b)
 	}
 }
 
-// evict folds a subscriber's bundle into the shard accumulator, drops the
-// subscriber from pending and keeps the emptied bundle as its worker's
-// spare.
-func (e *engine) evict(si int, user subs.IMSI, b *userBundle) {
-	sc := e.scratchOf(si)
-	e.addUser(e.accs[si], user, b, sc)
-	delete(e.pending[si], user)
+// evict folds a subscriber's bundle into the worker's partial, drops the
+// subscriber from pending and keeps the emptied bundle as the spare.
+func (e *engine) evict(w *worker, user subs.IMSI, b *userBundle) {
+	e.addUser(w, user, b)
+	delete(w.pending, user)
 	b.reset()
-	sc.spare = b
+	w.spare = b
 }
 
-// directSink feeds the engine synchronously: the one-worker path.
-type directSink struct{ e *engine }
+// directSink feeds the engine's only worker synchronously.
+type directSink struct {
+	e *engine
+	w *worker
+}
 
 func (s directSink) Proxy(r proxylog.Record) error {
-	s.e.bundle(shardOf(r.IMSI), r.IMSI).addProxy(r)
+	s.w.bundle(r.IMSI).addProxy(r)
 	return nil
 }
 
 func (s directSink) MME(r mme.Record) error {
-	s.e.bundle(shardOf(r.IMSI), r.IMSI).addMME(r)
+	s.w.bundle(r.IMSI).addMME(r)
 	return nil
 }
 
 func (s directSink) UDR(r udr.Record) error {
-	s.e.bundle(shardOf(r.IMSI), r.IMSI).addUDR(r)
+	s.w.bundle(r.IMSI).addUDR(r)
 	return nil
 }
 
 func (s directSink) UserDone(user subs.IMSI) error {
-	s.e.userDone(shardOf(user), user)
+	s.e.userDone(s.w, user)
 	return nil
 }
 
@@ -223,13 +209,11 @@ type batch struct {
 	users []subs.IMSI
 }
 
-// fanSink fans the stream out to the workers. Worker w owns shards si
-// with si % workers == w and replays its batches in order, so each
-// shard's event sequence is processed in emission order by a single
-// goroutine: the schedule changes with Workers, the per-shard
-// accumulation order never does.
+// fanSink fans the stream out to the workers. Each subscriber's events
+// go to their owner, which replays its batches in order, so a
+// subscriber's events are processed in emission order by a single
+// goroutine: the schedule changes with Workers, the results never do.
 type fanSink struct {
-	e    *engine
 	fill []*batch      // per worker: the batch being filled, nil until one is free
 	work []chan *batch // per worker: full batches, in order
 	free []chan *batch // per worker: replayed batches, ready to refill
@@ -255,7 +239,7 @@ func (s *fanSink) push(w int, b *batch, op uint8) {
 }
 
 func (s *fanSink) Proxy(r proxylog.Record) error {
-	w := shardOf(r.IMSI) % len(s.fill)
+	w := ownerOf(r.IMSI, len(s.fill))
 	b := s.open(w)
 	b.recs.addProxy(r)
 	s.push(w, b, opProxy)
@@ -263,7 +247,7 @@ func (s *fanSink) Proxy(r proxylog.Record) error {
 }
 
 func (s *fanSink) MME(r mme.Record) error {
-	w := shardOf(r.IMSI) % len(s.fill)
+	w := ownerOf(r.IMSI, len(s.fill))
 	b := s.open(w)
 	b.recs.addMME(r)
 	s.push(w, b, opMME)
@@ -271,7 +255,7 @@ func (s *fanSink) MME(r mme.Record) error {
 }
 
 func (s *fanSink) UDR(r udr.Record) error {
-	w := shardOf(r.IMSI) % len(s.fill)
+	w := ownerOf(r.IMSI, len(s.fill))
 	b := s.open(w)
 	b.recs.addUDR(r)
 	s.push(w, b, opUDR)
@@ -279,34 +263,34 @@ func (s *fanSink) UDR(r udr.Record) error {
 }
 
 func (s *fanSink) UserDone(user subs.IMSI) error {
-	w := shardOf(user) % len(s.fill)
+	w := ownerOf(user, len(s.fill))
 	b := s.open(w)
 	b.users = append(b.users, user)
 	s.push(w, b, opUserDone)
 	return nil
 }
 
-// replay applies a batch's events in tape order and empties it.
-func (e *engine) replay(b *batch) {
+// replay applies one of w's batches in tape order and empties it.
+func (e *engine) replay(w *worker, b *batch) {
 	var p, m, u, d int
 	for _, op := range b.ops {
 		switch op {
 		case opProxy:
 			r := &b.recs.proxy[p]
 			p++
-			e.bundle(shardOf(r.IMSI), r.IMSI).addProxy(*r)
+			w.bundle(r.IMSI).addProxy(*r)
 		case opMME:
 			r := &b.recs.mme[m]
 			m++
-			e.bundle(shardOf(r.IMSI), r.IMSI).addMME(*r)
+			w.bundle(r.IMSI).addMME(*r)
 		case opUDR:
 			r := &b.recs.udr[u]
 			u++
-			e.bundle(shardOf(r.IMSI), r.IMSI).addUDR(*r)
+			w.bundle(r.IMSI).addUDR(*r)
 		case opUserDone:
 			user := b.users[d]
 			d++
-			e.userDone(shardOf(user), user)
+			e.userDone(w, user)
 		}
 	}
 	b.ops = b.ops[:0]
@@ -318,13 +302,13 @@ func (e *engine) replay(b *batch) {
 // worker a producer thread runs the source while workers replay their
 // batches; the fan-out changes scheduling only, never results.
 func (e *engine) consume(src stream.Source) error {
-	w := len(e.scratch)
-	if w == 1 {
-		return src.Stream(directSink{e})
+	n := len(e.workers)
+	if n == 1 {
+		return src.Stream(directSink{e, e.workers[0]})
 	}
-	sink := &fanSink{e: e, fill: make([]*batch, w), work: make([]chan *batch, w), free: make([]chan *batch, w)}
+	sink := &fanSink{fill: make([]*batch, n), work: make([]chan *batch, n), free: make([]chan *batch, n)}
 	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
+	for i, w := range e.workers {
 		// Each channel can hold every batch of its worker, so neither a
 		// full batch's handoff nor a replayed batch's return blocks; the
 		// producer waits only on an empty free list.
@@ -334,13 +318,13 @@ func (e *engine) consume(src stream.Source) error {
 			sink.free[i] <- &batch{}
 		}
 		wg.Add(1)
-		go func(work <-chan *batch, free chan<- *batch) {
+		go func(w *worker, work <-chan *batch, free chan<- *batch) {
 			defer wg.Done()
 			for b := range work {
-				e.replay(b)
+				e.replay(w, b)
 				free <- b
 			}
-		}(sink.work[i], sink.free[i])
+		}(w, sink.work[i], sink.free[i])
 	}
 	err := src.Stream(sink)
 	for i, b := range sink.fill {
@@ -355,22 +339,26 @@ func (e *engine) consume(src stream.Source) error {
 
 // seal evicts every subscriber still pending after the stream ends — the
 // whole population for record-major sources, nobody for user-major ones.
-// Leftovers are folded in ascending IMSI order per shard, matching what a
-// user-major source would have emitted. Each worker seals the shards it
-// consumed for, with its own scratch.
+// Each worker evicts its own leftovers in ascending IMSI order, matching
+// what a user-major source would have emitted.
 func (e *engine) seal() {
-	workers := len(e.scratch)
-	shard.Run(workers, workers, func(w int) {
-		for si := w; si < shard.DefaultShards; si += workers {
-			for _, user := range sortx.Keys(e.pending[si]) {
-				e.evict(si, user, e.pending[si][user])
-			}
+	shard.Run(len(e.workers), func(i int) {
+		w := e.workers[i]
+		for _, user := range sortx.Keys(w.pending) {
+			e.evict(w, user, w.pending[user])
 		}
 	})
 }
 
-// run drains the source, seals, merges the shard partials in fixed shard
-// order and finalises the Results.
+// residue is one subscriber's per-user figure inputs, which finalize
+// folds in IMSI order.
+type residue struct {
+	user subs.IMSI
+	st   *userStat
+}
+
+// run drains the source, seals, merges the workers' partials into the
+// first one and finalises the Results.
 func (e *engine) run(src stream.Source) (*Results, error) {
 	if src == nil {
 		return nil, fmt.Errorf("core: nil record source")
@@ -379,21 +367,28 @@ func (e *engine) run(src stream.Source) (*Results, error) {
 		return nil, err
 	}
 	e.seal()
-	// The per-subscriber residues never union: finalize reaches them in
-	// their per-shard maps through the shard hash. Everything else in a
-	// shardAcc is domain-sized; each partial is released as it folds in,
-	// so the merge holds at most one un-merged shard alongside the union.
-	stats := make([]map[subs.IMSI]*userStat, len(e.accs))
-	for i, a := range e.accs {
-		stats[i] = a.stats
-		a.stats = nil
+	// The per-subscriber residues never union into one map: they leave
+	// the partials as one IMSI-sorted slice. Everything else in a partial
+	// is domain-sized; each is released as it folds in, so the merge
+	// holds at most one un-merged partial alongside the union.
+	n := 0
+	for _, w := range e.workers {
+		n += len(w.acc.stats)
 	}
-	acc := e.accs[0]
-	for i, o := range e.accs[1:] {
-		acc.merge(o)
-		e.accs[i+1] = nil
+	users := make([]residue, 0, n)
+	for _, w := range e.workers {
+		for user, st := range w.acc.stats {
+			users = append(users, residue{user, st})
+		}
+		w.acc.stats = nil
 	}
-	return e.finalize(acc, stats)
+	sort.Slice(users, func(i, j int) bool { return users[i].user < users[j].user })
+	acc := e.workers[0].acc
+	for _, w := range e.workers[1:] {
+		acc.merge(w.acc)
+		w.acc = nil
+	}
+	return e.finalize(acc, users)
 }
 
 // RunStream executes the full analysis over any record stream — generator,

@@ -71,9 +71,10 @@ func (r *recorder) Stream(sink stream.Sink) error {
 // edges: a source giving every worker exactly 0, 1, batchEvents-1,
 // batchEvents, batchEvents+1 or, so that every batch is refilled after
 // its replay, 2·batchesPerWorker·batchEvents events must yield the
-// Results of the one-worker direct path. The source keeps the tiny dataset's user-major
-// order and cuts each worker's share at its budget, so the last
-// subscriber of a worker may lose records and UserDone and be sealed.
+// Results of the one-worker direct path. The source keeps the tiny
+// dataset's user-major order and cuts each worker's share, as the
+// engine's owner hash routes it, at its budget, so the last subscriber
+// of a worker may lose records and UserDone and be sealed.
 func TestFanOutBatchBoundaries(t *testing.T) {
 	cfg := sim.SmallConfig(7)
 	cfg.Population.WearableUsers = 128
@@ -90,8 +91,8 @@ func TestFanOutBatchBoundaries(t *testing.T) {
 	}
 	env := Env{Devices: ds.Devices, Topology: ds.Topology, Catalog: ds.Catalog}
 	// study runs the engine over src and checks, before sealing, that
-	// exactly the subscribers the source left open are still pending:
-	// every UserDone reached its subscriber's shard.
+	// each worker still holds exactly the subscribers the source left open
+	// among those it owns: every UserDone reached its subscriber's worker.
 	study := func(src *recorder, workers int) []byte {
 		cfg := DefaultConfig()
 		cfg.Workers = workers
@@ -106,17 +107,16 @@ func TestFanOutBatchBoundaries(t *testing.T) {
 		for _, ev := range *src {
 			open[ev.user] = ev.kind != opUserDone
 		}
-		want, pending := 0, 0
-		for _, o := range open {
+		want := make([]int, workers)
+		for user, o := range open {
 			if o {
-				want++
+				want[ownerOf(user, workers)]++
 			}
 		}
-		for _, p := range e.pending {
-			pending += len(p)
-		}
-		if pending != want {
-			t.Errorf("workers=%d: %d subscribers pending after the stream, want %d", workers, pending, want)
+		for i, w := range e.workers {
+			if len(w.pending) != want[i] {
+				t.Errorf("workers=%d: worker %d has %d subscribers pending after the stream, want %d", workers, i, len(w.pending), want[i])
+			}
 		}
 		res, err := e.run(&recorder{}) // the stream has ended: seal, merge, finalize
 		if err != nil {
@@ -134,7 +134,7 @@ func TestFanOutBatchBoundaries(t *testing.T) {
 			var src recorder
 			got := make([]int, workers)
 			for _, ev := range all {
-				if w := shardOf(ev.user) % workers; got[w] < n {
+				if w := ownerOf(ev.user, workers); got[w] < n {
 					src = append(src, ev)
 					got[w]++
 				}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 
-	"wearwild/internal/mnet/subs"
 	"wearwild/internal/simtime"
 	"wearwild/internal/sortx"
 	"wearwild/internal/stats"
@@ -13,37 +12,23 @@ import (
 	"wearwild/internal/study/plancost"
 )
 
-// finalize turns the merged shard accumulator into the Results tree. All
-// non-exact float folds happen here, sequentially, in canonical order
-// (sorted subscriber, day, week or app-name keys) — the merge that
-// precedes this pass only ever combined exact integer partials, so the
-// output is identical at every Workers and Shards setting. The
-// per-subscriber residues arrive still sharded (byShard[si], keyed by the
-// same shard hash that routed the records) and are walked in global
-// sorted IMSI order without ever building a union map.
-func (e *engine) finalize(acc *shardAcc, byShard []map[subs.IMSI]*userStat) (*Results, error) {
+// finalize turns the merged partial into the Results tree. All non-exact
+// float folds happen here, sequentially, in canonical order (sorted
+// subscriber, day, week or app-name keys) — the merge that precedes this
+// pass only ever combined exact integer partials, so the output is
+// identical at every Workers setting. users holds the per-subscriber
+// residues in ascending IMSI order.
+func (e *engine) finalize(acc *partial, users []residue) (*Results, error) {
 	res := &Results{}
-	n := 0
-	for _, m := range byShard {
-		n += len(m)
-	}
-	users := make([]subs.IMSI, 0, n)
-	for _, m := range byShard {
-		for u := range m {
-			users = append(users, u)
-		}
-	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
-
 	e.adoption(res, acc)
 	e.retention(res, acc)
 	e.hourlyPattern(res, acc)
 	// planCost reads the per-user residues before userFigures, which
 	// releases each userStat as it folds it.
-	if err := e.planCost(res, acc, users, byShard); err != nil {
+	if err := e.planCost(res, acc, users); err != nil {
 		return nil, err
 	}
-	e.userFigures(res, acc, users, byShard)
+	e.userFigures(res, acc, users)
 	e.sizeFigures(res, acc)
 	e.appFigures(res, acc)
 	res.Weekly = weeklyFrom(acc)
@@ -51,7 +36,7 @@ func (e *engine) finalize(acc *shardAcc, byShard []map[subs.IMSI]*userStat) (*Re
 }
 
 // adoption computes Fig 2(a).
-func (e *engine) adoption(res *Results, acc *shardAcc) {
+func (e *engine) adoption(res *Results, acc *partial) {
 	days := sortx.Keys(acc.presence)
 	counts := make([]float64, len(days))
 	for i, d := range days {
@@ -88,7 +73,7 @@ func (e *engine) adoption(res *Results, acc *shardAcc) {
 }
 
 // retention computes Fig 2(b).
-func (e *engine) retention(res *Results, acc *shardAcc) {
+func (e *engine) retention(res *Results, acc *partial) {
 	res.Fig2b.FirstWeekUsers = int(acc.firstWeek)
 	if acc.firstWeek == 0 {
 		return
@@ -100,7 +85,7 @@ func (e *engine) retention(res *Results, acc *shardAcc) {
 }
 
 // hourlyPattern computes Fig 3(a) from the integer grid.
-func (e *engine) hourlyPattern(res *Results, acc *shardAcc) {
+func (e *engine) hourlyPattern(res *Results, acc *partial) {
 	var weekdayDays, weekendDays int64
 	var wu, eu, wt, et, wb, eb [24]int64
 	var totTx, totBytes int64
@@ -187,7 +172,7 @@ func (e *engine) hourlyPattern(res *Results, acc *shardAcc) {
 // userFigures folds the per-subscriber residues in sorted IMSI order into
 // every per-user figure: Fig 3(b/d), the per-user half of Fig 3(c),
 // Fig 4(a–d), the §4.3 takeaways and the Through-Device comparison.
-func (e *engine) userFigures(res *Results, acc *shardAcc, users []subs.IMSI, byShard []map[subs.IMSI]*userStat) {
+func (e *engine) userFigures(res *Results, acc *partial, users []residue) {
 	var daysPerWeek, txPH, kbPH []float64
 	var wearLog, phoneLog stats.Summary
 	var cxs, cys []float64
@@ -209,9 +194,8 @@ func (e *engine) userFigures(res *Results, acc *shardAcc, users []subs.IMSI, byS
 	byService := make(map[string]int)
 	identified := 0
 
-	for _, user := range users {
-		owner := byShard[shardOf(user)]
-		st := owner[user]
+	for i := range users {
+		st := users[i].st
 
 		if st.active {
 			daysPerWeek = append(daysPerWeek, st.daysPerWeek)
@@ -299,13 +283,13 @@ func (e *engine) userFigures(res *Results, acc *shardAcc, users []subs.IMSI, byS
 		// The residue is fully folded; release it so peak memory during
 		// this pass trades the per-user maps for the figure samples
 		// instead of holding both.
-		delete(owner, user)
+		users[i].st = nil
 	}
 
 	// Fig 3(b). The hours-per-active-day distribution comes from the exact
-	// shard-level counting ECDF (its queries match an ECDF over the
-	// expanded per-day sample bit for bit), so it never re-materialises
-	// one float per active day here.
+	// counting ECDF (its queries match an ECDF over the expanded per-day
+	// sample bit for bit), so it never re-materialises one float per
+	// active day here.
 	ed := stats.NewECDF(daysPerWeek)
 	res.Fig3b.DaysPerWeek = e.series(ed)
 	hx, hp := acc.hoursPerDay.Points(e.cfg.CDFPoints)
@@ -423,7 +407,7 @@ func (e *engine) userFigures(res *Results, acc *shardAcc, users []subs.IMSI, byS
 
 // sizeFigures computes the size-distribution half of Fig 3(c) from the
 // counting ECDF and the log-binned histogram.
-func (e *engine) sizeFigures(res *Results, acc *shardAcc) {
+func (e *engine) sizeFigures(res *Results, acc *partial) {
 	xs, ps := acc.sizes.Points(e.cfg.CDFPoints)
 	res.Fig3c.SizeCDF = Series{X: xs, P: ps}
 	res.Fig3c.MedianSizeBytes = acc.sizes.Quantile(0.5)
@@ -437,7 +421,7 @@ func (e *engine) sizeFigures(res *Results, acc *shardAcc) {
 }
 
 // appFigures computes Figs 5–8 from the exact per-app integer aggregates.
-func (e *engine) appFigures(res *Results, acc *shardAcc) {
+func (e *engine) appFigures(res *Results, acc *partial) {
 	names := sortx.Keys(acc.apps)
 
 	var totAssoc, totUsedDays, totUsages, totTx, totBytes float64
@@ -549,7 +533,7 @@ func (e *engine) appFigures(res *Results, acc *shardAcc) {
 
 // planCost computes the Fig 8 discussion's data-plan overhead from the
 // per-user per-kind byte residues.
-func (e *engine) planCost(res *Results, acc *shardAcc, users []subs.IMSI, byShard []map[subs.IMSI]*userStat) error {
+func (e *engine) planCost(res *Results, acc *partial, users []residue) error {
 	windowDays := 1
 	if acc.haveWearDay {
 		windowDays = int(acc.maxDay-acc.minDay) + 1
@@ -558,8 +542,8 @@ func (e *engine) planCost(res *Results, acc *shardAcc, users []subs.IMSI, byShar
 	if err != nil {
 		return err
 	}
-	for _, user := range users {
-		if k := byShard[shardOf(user)][user].planKinds; k != nil {
+	for _, u := range users {
+		if k := u.st.planKinds; k != nil {
 			b.AddUser(k)
 		}
 	}
@@ -575,7 +559,7 @@ func (e *engine) planCost(res *Results, acc *shardAcc, users []subs.IMSI, byShar
 
 // weeklyFrom derives the §4.2 weekly stability analysis from the exact
 // integer counters.
-func weeklyFrom(acc *shardAcc) WeeklyTrend {
+func weeklyFrom(acc *partial) WeeklyTrend {
 	var out WeeklyTrend
 	for w := simtime.Detail().Start.Week(); int(w) < int(simtime.Detail().End.Week()); w++ {
 		cell := acc.byWeek[w]

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"bufio"
+	"compress/gzip"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -34,13 +37,13 @@ func (ds *Dataset) Save(dir string) error {
 	if err := os.WriteFile(filepath.Join(dir, metaFile), meta, 0o644); err != nil {
 		return err
 	}
-	if err := mme.WriteFile(filepath.Join(dir, mmeFile), ds.MME.Records); err != nil {
+	if err := createGzip(filepath.Join(dir, mmeFile), mme.WriteCSV, ds.MME.Records); err != nil {
 		return fmt.Errorf("sim: writing MME log: %w", err)
 	}
-	if err := proxylog.WriteFile(filepath.Join(dir, proxyFile), ds.Proxy.Records); err != nil {
+	if err := createGzip(filepath.Join(dir, proxyFile), proxylog.WriteBinary, ds.Proxy.Records); err != nil {
 		return fmt.Errorf("sim: writing proxy log: %w", err)
 	}
-	if err := udr.WriteFile(filepath.Join(dir, udrFile), ds.UDR.Records); err != nil {
+	if err := createGzip(filepath.Join(dir, udrFile), udr.WriteCSV, ds.UDR.Records); err != nil {
 		return fmt.Errorf("sim: writing UDR log: %w", err)
 	}
 	return nil
@@ -60,34 +63,63 @@ func Load(dir string) (*Dataset, error) {
 	}
 	// Rebuild substrate and ground truth only — regenerating the logs is
 	// unnecessary; we read them from disk.
-	ds, err := substrateOnly(cfg)
+	ds, err := generateSubstrate(cfg)
 	if err != nil {
 		return nil, err
 	}
-	mmeRecs, err := mme.ReadFile(filepath.Join(dir, mmeFile))
-	if err != nil {
+	if ds.MME.Records, err = openGzip(filepath.Join(dir, mmeFile), mme.ReadCSV); err != nil {
 		return nil, fmt.Errorf("sim: reading MME log: %w", err)
 	}
-	proxyRecs, err := proxylog.ReadFile(filepath.Join(dir, proxyFile))
-	if err != nil {
+	if ds.Proxy.Records, err = openGzip(filepath.Join(dir, proxyFile), proxylog.ReadBinary); err != nil {
 		return nil, fmt.Errorf("sim: reading proxy log: %w", err)
 	}
-	udrRecs, err := udr.ReadFile(filepath.Join(dir, udrFile))
-	if err != nil {
+	if ds.UDR.Records, err = openGzip(filepath.Join(dir, udrFile), udr.ReadCSV); err != nil {
 		return nil, fmt.Errorf("sim: reading UDR log: %w", err)
 	}
-	ds.MME.Records = mmeRecs
-	ds.Proxy.Records = proxyRecs
-	ds.UDR.Records = udrRecs
 	return ds, nil
 }
 
-// substrateOnly builds everything deterministic about a dataset except the
-// logs.
-func substrateOnly(cfg Config) (*Dataset, error) {
-	full, err := generateSubstrate(cfg)
+// createGzip writes records to a new gzip file at path with a codec's
+// encoder.
+func createGzip[T any](path string, write func(io.Writer, []T) error, records []T) (err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	bw := bufio.NewWriter(f)
+	gz := gzip.NewWriter(bw)
+	if err := write(gz, records); err != nil {
+		return err
+	}
+	if err := gz.Close(); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// openGzip decodes the gzip file at path with a codec's decoder,
+// returning the gzip reader's Close error rather than dropping it.
+func openGzip[T any](path string, read func(io.Reader) ([]T, error)) ([]T, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return full, nil
+	defer f.Close()
+	gz, err := gzip.NewReader(bufio.NewReader(f))
+	if err != nil {
+		return nil, err
+	}
+	records, err := read(gz)
+	if err != nil {
+		return nil, err
+	}
+	if err := gz.Close(); err != nil {
+		return nil, err
+	}
+	return records, nil
 }

@@ -321,7 +321,7 @@ func (g *userGen) sweep(workers int, emit func(i int, sc *genScratch) error) err
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		shard.Run(workers, workers, func(int) {
+		shard.Run(workers, func(int) {
 			for i := range todo {
 				sc := &slots[i%ring]
 				g.genUser(i, sc)

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"wearwild/internal/mnet/devicedb"
 	"wearwild/internal/simtime"
@@ -250,10 +251,23 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if back.MME.Len() != ds.MME.Len() || back.Proxy.Len() != ds.Proxy.Len() || back.UDR.Len() != ds.UDR.Len() {
 		t.Fatal("log sizes differ after reload")
 	}
-	for i := range ds.Proxy.Records {
-		a, b := ds.Proxy.Records[i], back.Proxy.Records[i]
-		if !a.Time.Equal(b.Time) || a.IMSI != b.IMSI || a.Host != b.Host || a.BytesUp != b.BytesUp {
-			t.Fatalf("proxy record %d differs after reload", i)
+	for i, want := range ds.Proxy.Records {
+		if got := back.Proxy.Records[i]; got != want {
+			t.Fatalf("proxy record %d = %+v after reload, want %+v", i, got, want)
+		}
+	}
+	for i, want := range ds.UDR.Records {
+		if got := back.UDR.Records[i]; got != want {
+			t.Fatalf("UDR record %d = %+v after reload, want %+v", i, got, want)
+		}
+	}
+	for i, want := range ds.MME.Records {
+		// The MME CSV codec writes whole seconds and drops the fraction
+		// (ROADMAP item 1's open sub-second bug); the fix must make this
+		// an exact comparison.
+		want.Time = time.Unix(want.Time.Unix(), 0).UTC()
+		if got := back.MME.Records[i]; got != want {
+			t.Fatalf("MME record %d = %+v after reload, want %+v", i, got, want)
 		}
 	}
 	// Substrate rebuilt identically: same population identities.

@@ -252,9 +252,10 @@ func (g *Generator) WearableDay(u *population.User, d simtime.Day, visits []mobi
 	return g.AppendWearableDay(nil, u, d, visits, r, &s)
 }
 
-// AppendWearableDay is WearableDay appending past len(dst) with per-worker
-// buffers: the generator sweep hands every day of a shard the same Scratch,
-// so a steady-state day allocates only when a session outgrows dst.
+// AppendWearableDay is WearableDay appending past len(dst) with reusable
+// buffers: each generator sweep slot passes one Scratch to every day it
+// generates, so a steady-state day allocates only when a session outgrows
+// dst.
 func (g *Generator) AppendWearableDay(dst []proxylog.Record, u *population.User, d simtime.Day,
 	visits []mobility.Visit, r *randx.Rand, s *Scratch) []proxylog.Record {
 	if !u.DataActive() || !u.WearableActiveOn(d) {

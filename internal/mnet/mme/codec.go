@@ -1,12 +1,9 @@
 package mme
 
 import (
-	"bufio"
-	"compress/gzip"
 	"encoding/csv"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -115,53 +112,4 @@ func parseRow(row []string) (Record, error) {
 		Sector: cells.SectorID(sector),
 		Event:  ev,
 	}, nil
-}
-
-// WriteFile writes records to a file, gzip-compressed when the path ends
-// in ".gz".
-func WriteFile(path string, records []Record) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	bw := bufio.NewWriter(f)
-	var w io.Writer = bw
-	var gz *gzip.Writer
-	if strings.HasSuffix(path, ".gz") {
-		gz = gzip.NewWriter(bw)
-		w = gz
-	}
-	if err := WriteCSV(w, records); err != nil {
-		return err
-	}
-	if gz != nil {
-		if err := gz.Close(); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadFile reads a file written by WriteFile.
-func ReadFile(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var r io.Reader = bufio.NewReader(f)
-	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(r)
-		if err != nil {
-			return nil, err
-		}
-		defer gz.Close() //wearlint:ignore errdrop read-side gzip close; corruption already surfaces as Read errors
-		r = gz
-	}
-	return ReadCSV(r)
 }

@@ -2,7 +2,6 @@ package mme
 
 import (
 	"bytes"
-	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -149,27 +148,6 @@ func TestEmptyCSV(t *testing.T) {
 	}
 	if _, err := ReadCSV(strings.NewReader("")); err == nil {
 		t.Fatal("truly empty input should fail on header")
-	}
-}
-
-func TestFileRoundTripPlainAndGzip(t *testing.T) {
-	dir := t.TempDir()
-	recs := sampleRecords()
-	for _, name := range []string{"mme.csv", "mme.csv.gz"} {
-		path := filepath.Join(dir, name)
-		if err := WriteFile(path, recs); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got, err := ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(got) != len(recs) {
-			t.Fatalf("%s: len = %d", name, len(got))
-		}
-		if got[0] != recs[0] {
-			t.Fatalf("%s: first record %+v != %+v", name, got[0], recs[0])
-		}
 	}
 }
 

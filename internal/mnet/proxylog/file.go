@@ -48,31 +48,3 @@ func WriteFile(path string, records []Record) (err error) {
 	}
 	return bw.Flush()
 }
-
-// ReadFile reads a file written by WriteFile.
-func ReadFile(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var r io.Reader = bufio.NewReader(f)
-	name := path
-	if strings.HasSuffix(name, ".gz") {
-		gz, err := gzip.NewReader(r)
-		if err != nil {
-			return nil, err
-		}
-		defer gz.Close() //wearlint:ignore errdrop read-side gzip close; corruption already surfaces as Read errors
-		r = gz
-		name = strings.TrimSuffix(name, ".gz")
-	}
-	switch {
-	case strings.HasSuffix(name, ".csv"):
-		return ReadCSV(r)
-	case strings.HasSuffix(name, ".bin"):
-		return ReadBinary(r)
-	default:
-		return nil, fmt.Errorf("proxylog: unknown log extension in %q", path)
-	}
-}

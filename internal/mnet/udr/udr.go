@@ -8,12 +8,9 @@
 package udr
 
 import (
-	"bufio"
-	"compress/gzip"
 	"encoding/csv"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -163,52 +160,4 @@ func ReadCSV(r io.Reader) ([]Record, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// WriteFile writes records to a file, gzip-compressed for ".gz" paths.
-func WriteFile(path string, records []Record) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	bw := bufio.NewWriter(f)
-	var w io.Writer = bw
-	var gz *gzip.Writer
-	if strings.HasSuffix(path, ".gz") {
-		gz = gzip.NewWriter(bw)
-		w = gz
-	}
-	if err := WriteCSV(w, records); err != nil {
-		return err
-	}
-	if gz != nil {
-		if err := gz.Close(); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadFile reads a file written by WriteFile.
-func ReadFile(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var r io.Reader = bufio.NewReader(f)
-	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(r)
-		if err != nil {
-			return nil, err
-		}
-		defer gz.Close() //wearlint:ignore errdrop read-side gzip close; corruption already surfaces as Read errors
-		r = gz
-	}
-	return ReadCSV(r)
 }

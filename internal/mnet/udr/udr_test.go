@@ -2,7 +2,6 @@ package udr
 
 import (
 	"bytes"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -95,23 +94,6 @@ func TestReadCSVRejects(t *testing.T) {
 	for name, in := range cases {
 		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
 			t.Fatalf("%s accepted", name)
-		}
-	}
-}
-
-func TestFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	for _, name := range []string{"u.csv", "u.csv.gz"} {
-		path := filepath.Join(dir, name)
-		if err := WriteFile(path, sampleRecords()); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 3 || got[1] != sampleRecords()[1] {
-			t.Fatalf("%s round trip mismatch", name)
 		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 // which turns a CountingECDF over near-continuous observations (e.g.
 // lognormal transaction sizes) from O(distinct samples) into O(grid):
 // genuinely bounded by the value domain, never by the record count. Pure
-// integer math on the value alone, so every shard, worker and source
-// quantizes identically and §7 exact-merge equivalence is untouched.
+// integer math on the value alone, so every worker and source quantizes
+// identically and §7 exact-merge equivalence is untouched.
 func LogQuantize(v int64, sig uint) int64 {
 	if v <= 0 || sig == 0 {
 		return v
@@ -30,8 +30,8 @@ func LogQuantize(v int64, sig uint) int64 {
 // stored as per-value counts instead of one slot per sample. Memory is
 // bounded by the number of DISTINCT values (the value domain), not the
 // record count, which is what makes it legal inside the streaming study
-// engine's shard accumulators. Merging is a plain count-map union, so the
-// result is independent of shard order and worker count.
+// engine's per-worker partials. Merging is a plain count-map union, so the
+// result is independent of merge order and worker count.
 //
 // Queries reproduce an ECDF built from the expanded multiset bit for bit
 // as long as every value (and the running total for Mean) stays below

@@ -68,7 +68,7 @@ func TestCountingECDFMatchesECDF(t *testing.T) {
 	}
 }
 
-// TestCountingECDFMergeOrderFree: merging shard accumulators in any order
+// TestCountingECDFMergeOrderFree: merging partial accumulators in any order
 // yields identical queries — the §7 exact-merge contract.
 func TestCountingECDFMergeOrderFree(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
