@@ -157,24 +157,24 @@ func (p *Pass) calleeFunc(call *ast.CallExpr) *types.Func {
 }
 
 // DefaultAnalyzers returns every check, in stable order: the two
-// intraprocedural tripwires (maporder, errdrop), then the call-graph and
-// dataflow checks — detreach, the determinism check; lockheld;
-// shardpure and floatfold, the shard-merge discipline;
-// membound, the one memory check (slab retention, record growth, Sink
-// retention, hot-path allocation); randsplit, the RNG-stream discipline —
-// then the concurrency-safety three: ctxflow, the one collection-path
-// and goroutine-lifecycle check (deadline-guarded conn I/O, bounded
-// hot-loop sends, WaitGroup placement, bounded exit, cancellable
-// collection-tier paths), and atomicmix and tickstop, which pin the
-// collection tier's snapshot and timer-lifecycle invariants.
+// intraprocedural tripwires (maporder, which covers both emitting and
+// float-folding inside a map range, and errdrop), then the call-graph
+// checks — detreach, the determinism check; lockheld; membound, the one
+// memory check (slab retention, record growth, Sink retention, hot-path
+// allocation); randsplit, the RNG-stream discipline — then the
+// concurrency-safety three: ctxflow, the one collection-path and
+// goroutine-lifecycle check (deadline-guarded conn I/O, bounded hot-loop
+// sends, WaitGroup placement, bounded exit, cancellable collection-tier
+// paths), and atomicmix and tickstop, which pin the collection tier's
+// snapshot and timer-lifecycle invariants. What a shard.Run callback may
+// write is left to the race detector over the parallel-equivalence
+// tests.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		MaporderAnalyzer,
 		ErrdropAnalyzer,
 		DetreachAnalyzer,
 		LockheldAnalyzer,
-		ShardpureAnalyzer,
-		FloatfoldAnalyzer,
 		MemboundAnalyzer,
 		RandsplitAnalyzer,
 		CtxflowAnalyzer,

@@ -19,12 +19,12 @@ import (
 //
 // Approximation rules (DESIGN.md §5):
 //
-//   - A plain access under a held mutex is recognised clean via the
-//     defuse layer's textual mutex discipline (Lock/RLock increments,
-//     non-deferred Unlock/RUnlock decrements): a locked snapshot is a
-//     deliberate hybrid the check accepts even though it cannot prove
-//     the writers hold the same lock — the race detector and lockheld
-//     own that half.
+//   - A plain access under a held mutex is recognised clean via a
+//     textual mutex discipline (Lock/RLock increments, non-deferred
+//     Unlock/RUnlock decrements): a locked snapshot is a deliberate
+//     hybrid the check accepts even though it cannot prove the
+//     writers hold the same lock — the race detector and lockheld own
+//     that half.
 //   - Field identity is positional (defining file:line:col of the field
 //     object), so accesses seen through the importer's declaration-only
 //     shadow of another unit still unify with the defining unit's.
@@ -164,8 +164,8 @@ func atomicmixBody(mp *ModulePass, n *Node, first map[string]atomicSite) {
 		return false
 	}
 
-	// Textual mutex discipline, shared with the defuse layer: a Lock
-	// before the access with no intervening non-deferred Unlock.
+	// Textual mutex discipline: a Lock before the access with no
+	// intervening non-deferred Unlock.
 	type lockEvent struct {
 		pos   token.Pos
 		delta int

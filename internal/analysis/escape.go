@@ -6,14 +6,13 @@ import (
 	"go/types"
 )
 
-// This file is the per-function escape/alias layer the generator-
-// discipline checks (randsplit, allochot, sinkretain) run on: for every
-// module function, a summary of which parameters can escape the call —
-// reach state that outlives the invocation — and through which spelling.
-// It is computed on top of the def-use layer (parameter/local/captured
-// classification) and cached per flavor on the Module, like the pass and
-// call-graph caches, so repeat Runs and multiple checks share one
-// computation.
+// This file is the per-function escape/alias layer membound's Sink rule
+// runs on: for every module function, a summary of which parameters can
+// escape the call — reach state that outlives the invocation — and
+// through which spelling. It is computed on top of the classification
+// layer (parameter/local/captured, defuse.go) and cached per flavor on
+// the Module, like the pass and call-graph caches, so repeat Runs and
+// multiple checks share one computation.
 //
 // Approximation rules (DESIGN.md §5):
 //
@@ -113,7 +112,8 @@ func newParamEscape() *ParamEscape {
 }
 
 // FuncEscape is one function's escape summary, indexed by declared
-// parameter position (receiver excluded, matching the def-use layer).
+// parameter position (receiver excluded, matching the classification
+// layer).
 type FuncEscape struct {
 	node   *Node
 	Params []*ParamEscape

@@ -426,94 +426,27 @@ func TestGoldenSuppress(t *testing.T) {
 	}
 }
 
-// TestLoadTreeShardpure pins the callback-purity check over the seeded
-// tree: every violation class is flagged, the sanctioned patterns stay
-// silent, and wrapped registrations carry the forwarding chain.
-func TestLoadTreeShardpure(t *testing.T) {
-	diags := checkTree(t, "shardpure", "internal", ShardpureAnalyzer)
-
-	// Wrapped registrations must render the hop(s) in the message and
-	// carry them as Path steps the suppression filter can walk.
-	var wrapped, wrapped2 *Diagnostic
-	for i := range diags {
-		d := &diags[i]
-		if strings.Contains(d.Message, "internal/hot.Wrapped → internal/wrap.Go)") {
-			wrapped = d
-		}
-		if strings.Contains(d.Message, "internal/hot.Wrapped2 → internal/wrap.Go2") {
-			wrapped2 = d
-		}
+// TestLoadTreeMapFold pins maporder's fold rule: every float
+// accumulation spelling (+=, -=, x = x + e, x++) into storage that
+// outlives a map range is flagged, including from a func literal inside
+// the range and in a function that also sorts, and the message carries
+// the sortx.Keys remediation.
+func TestLoadTreeMapFold(t *testing.T) {
+	diags := checkTree(t, "mapfold", "internal", MaporderAnalyzer)
+	if len(diags) == 0 {
+		t.Fatal("no diagnostics over the map-fold tree")
 	}
-	if wrapped == nil {
-		t.Fatalf("no diagnostic renders the one-hop chain Wrapped → wrap.Go; got %v", diags)
-	}
-	if len(wrapped.Path) < 2 {
-		t.Errorf("one-hop registration should carry ≥2 chain steps (registration + forward), got %d: %v", len(wrapped.Path), wrapped.Path)
-	}
-	if wrapped2 == nil {
-		t.Fatalf("no diagnostic renders the two-hop chain Wrapped2 → wrap.Go2; got %v", diags)
-	}
-	if len(wrapped2.Path) != 3 {
-		t.Errorf("two-hop registration should carry 3 chain steps, got %d: %v", len(wrapped2.Path), wrapped2.Path)
-	}
-	for _, want := range []string{"writes captured map", "appends to captured slice", "accumulates into captured", "not derived from the callback's own parameters"} {
-		found := false
-		for _, d := range diags {
-			if strings.Contains(d.Message, want) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("no shardpure diagnostic explains %q", want)
+	for _, d := range diags {
+		if !strings.Contains(d.Message, "non-associative float fold") || !strings.Contains(d.Message, "sortx.Keys") {
+			t.Errorf("fold message lacks the explanation or the sortx.Keys remediation: %q", d.Message)
 		}
 	}
 }
 
-// TestLoadTreeShardpureClean runs the check over a tree that uses the
-// runtime only through the sanctioned patterns: zero findings.
-func TestLoadTreeShardpureClean(t *testing.T) {
-	if _, diags := runTree(t, "shardpureclean", "internal", ShardpureAnalyzer); len(diags) != 0 {
-		t.Errorf("clean tree flagged: %v", diags)
-	}
-}
-
-// TestLoadTreeFloatfold pins both halves of the float-fold check: the
-// map-range fold carries the sortx.Keys remediation, and the
-// parallel-reachable receiver fold carries a call chain.
-func TestLoadTreeFloatfold(t *testing.T) {
-	diags := checkTree(t, "floatfold", "internal", FloatfoldAnalyzer)
-
-	var mapFold, observe *Diagnostic
-	for i := range diags {
-		d := &diags[i]
-		if strings.Contains(d.Message, "range over map m") && mapFold == nil {
-			mapFold = d
-		}
-		if strings.Contains(d.Message, "mt.total") {
-			observe = d
-		}
-	}
-	if mapFold == nil {
-		t.Fatalf("no part-A diagnostic over the map range; got %v", diags)
-	}
-	if !strings.Contains(mapFold.Message, "sortx.Keys") {
-		t.Errorf("map-range fold message lacks the sortx.Keys remediation: %q", mapFold.Message)
-	}
-	if observe == nil {
-		t.Fatalf("no part-B diagnostic for the parallel-reachable receiver fold; got %v", diags)
-	}
-	if !strings.Contains(observe.Message, "runs on shard workers") {
-		t.Errorf("parallel-path message lacks the shard-worker explanation: %q", observe.Message)
-	}
-	if len(observe.Path) == 0 {
-		t.Errorf("parallel-path diagnostic must carry the chain from the registration site, got none")
-	}
-}
-
-// TestLoadTreeFloatfoldClean runs the check over integer folds,
-// sorted-key folds and fixed-slot parallel sections: zero findings.
-func TestLoadTreeFloatfoldClean(t *testing.T) {
-	if _, diags := runTree(t, "floatfoldclean", "internal", FloatfoldAnalyzer); len(diags) != 0 {
+// TestLoadTreeMapFoldClean runs maporder over integer folds, sorted-key
+// float folds and per-iteration accumulators: zero findings.
+func TestLoadTreeMapFoldClean(t *testing.T) {
+	if _, diags := runTree(t, "mapfoldclean", "internal", MaporderAnalyzer); len(diags) != 0 {
 		t.Errorf("clean tree flagged: %v", diags)
 	}
 }
@@ -819,22 +752,20 @@ func TestWriteJSONMemoryChecks(t *testing.T) {
 	}
 }
 
-// TestLoadTreeRandsplit pins all four stream-independence rules over
-// the seeded tree: a shard callback drawing from a captured parent, one
-// parent fanned into two go statements, a loop-spawned capture, a
-// parent drawn after its child was handed off, and every key-discipline
-// violation (loop counter, map-range variable, non-constant label) —
-// while the Split-per-worker and stable-identity spellings stay silent
-// and the sub-package finding carries its chain from the gen root.
+// TestLoadTreeRandsplit pins the three stream-independence rules over
+// the seeded tree: one parent fanned into two go statements, a
+// loop-spawned capture, a parent drawn after its child was handed off,
+// and every key-discipline violation (loop counter, map-range variable,
+// non-constant label) — while the hand-a-child and stable-identity
+// spellings stay silent and the sub-package finding carries its chain
+// from the gen root.
 func TestLoadTreeRandsplit(t *testing.T) {
 	diags := checkTree(t, "randsplit", "internal", RandsplitAnalyzer)
 
-	var capture, fan, loopSpawn, order, label, chained *Diagnostic
+	var fan, loopSpawn, order, label, chained *Diagnostic
 	for i := range diags {
 		d := &diags[i]
 		switch {
-		case strings.Contains(d.Message, "rng capture"):
-			capture = d
 		case strings.Contains(d.Message, "spawned inside a loop"):
 			loopSpawn = d
 		case strings.Contains(d.Message, "rng fan-out"):
@@ -847,9 +778,6 @@ func TestLoadTreeRandsplit(t *testing.T) {
 		if strings.Contains(filepath.ToSlash(d.Pos.Filename), "/sub/") {
 			chained = d
 		}
-	}
-	if capture == nil {
-		t.Errorf("no rng-capture diagnostic for the shard callback; got %v", diags)
 	}
 	if fan == nil {
 		t.Errorf("no rng fan-out diagnostic for the two-goroutine flow; got %v", diags)
@@ -908,8 +836,8 @@ func TestLoadTreeAllochot(t *testing.T) {
 		if strings.Contains(filepath.ToSlash(d.Pos.Filename), "/help/") {
 			chained = d
 		}
-		if !strings.Contains(d.Message, "ROADMAP item 2") {
-			t.Errorf("allochot message lacks the worklist pointer: %q", d.Message)
+		if !strings.Contains(d.Message, "DESIGN.md §9") {
+			t.Errorf("allochot message lacks the DESIGN.md §9 pointer: %q", d.Message)
 		}
 	}
 	if chained == nil {

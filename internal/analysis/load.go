@@ -31,8 +31,6 @@ type Module struct {
 	passErrs map[*Unit][]error
 	// graph is the lazily built module-wide call graph.
 	graph *CallGraph
-	// defuse caches per-function dataflow summaries keyed by body.
-	defuse map[*ast.BlockStmt]*DefUse
 	// escape caches the module-wide escape summaries per flavor (the
 	// carries predicate's name), computed once like the pass cache.
 	escape map[string]*EscapeSet

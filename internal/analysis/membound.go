@@ -878,7 +878,7 @@ func (m *membound) alloc(n *Node, chain []PathStep, slabs map[types.Object]bool)
 	where := reachedVia(m.mp.Mod, chain, n)
 	flag := func(pos token.Pos, what, advice string) {
 		m.report(memAlloc, "", pos, chain,
-			"hot-path allocation: %s inside a loop on a generator path%s; %s — ROADMAP item 2's worklist",
+			"hot-path allocation: %s inside a loop on a generator path%s; %s — see DESIGN.md §9's slab and scratch discipline",
 			what, where, advice)
 	}
 	ast.Inspect(body, func(nd ast.Node) bool {

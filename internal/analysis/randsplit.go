@@ -7,15 +7,11 @@ import (
 )
 
 // RandsplitAnalyzer enforces RNG-stream independence — the property a
-// parallel generator's reproducibility rests on (ROADMAP item 2): every
+// parallel generator's reproducibility rests on (DESIGN.md §9): every
 // subscriber's randx stream must be derived by Split from stable
 // identity, never shared between goroutines or keyed by iteration
-// order. Four rules:
+// order. Three rules:
 //
-//   - A shard callback must not draw from a captured *randx.Rand:
-//     workers would interleave on one stream and the schedule would
-//     decide every sample. Split — which never advances the parent — is
-//     the sanctioned way to derive per-shard streams and stays silent.
 //   - A *randx.Rand value must not flow into more than one go
 //     statement, nor into a goroutine spawned inside a loop: two
 //     goroutines drawing from one stream race the stream state.
@@ -31,13 +27,13 @@ import (
 //     a range variable, whose values depend on iteration order and
 //     resharding. Diagnostics carry the call chain from the root.
 //
-// Approximation rules (DESIGN.md §5): captured draws are matched
-// syntactically in the callback body (draws inside callees of the
-// callback are the call graph's attribution, not this check's); the key
-// rule inspects the key expression's identifiers only, so a local
-// laundered from a counter passes — the byte-identity gates are the
-// backstop, and the rule's value is forcing the stable-identity
-// derivation to be spelled at the Split site.
+// Approximation rules (DESIGN.md §5): the key rule inspects the key
+// expression's identifiers only, so a local laundered from a counter
+// passes — the byte-identity gates are the backstop, and the rule's
+// value is forcing the stable-identity derivation to be spelled at the
+// Split site. A draw from a captured Rand inside a shard.Run callback is
+// left to the race detector: CI's go test -race runs both callbacks
+// under the parallel-equivalence tests.
 var RandsplitAnalyzer = &Analyzer{
 	Name:      "randsplit",
 	Doc:       "randx streams must stay goroutine-private and Split keys must derive from stable identity",
@@ -109,7 +105,6 @@ func randDrawCall(p *Pass, mod *Module, call *ast.CallExpr) (ast.Expr, string, b
 
 func runRandsplit(mp *ModulePass) {
 	reported := map[string]bool{}
-	randsplitShardCaptures(mp, reported)
 	mp.Graph.Walk(func(n *Node) {
 		if n.Decl == nil || n.Decl.Body == nil || n.Test || !n.InModule {
 			return
@@ -126,33 +121,6 @@ func (mp *ModulePass) reportOnce(reported map[string]bool, pos token.Pos, path [
 	}
 	reported[key] = true
 	mp.Reportf(pos, path, format, args...)
-}
-
-// randsplitShardCaptures flags draws from a captured rand inside shard
-// callbacks (rule one).
-func randsplitShardCaptures(mp *ModulePass, reported map[string]bool) {
-	mod := mp.Mod
-	for _, cb := range shardCallbacks(mp) {
-		du := newDefUse(cb.pass, cb.ft, cb.body)
-		ast.Inspect(cb.body, func(nd ast.Node) bool {
-			call, ok := nd.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			recv, method, ok := randDrawCall(cb.pass, mod, call)
-			if !ok {
-				return true
-			}
-			root := rootObject(cb.pass, recv)
-			if root == nil || du.ClassOf(root) != ClassCaptured {
-				return true
-			}
-			mp.reportOnce(reported, call.Pos(), cb.chain,
-				"rng capture: shard callback %s draws %s from captured *randx.Rand %s, interleaving every worker on one stream (registered via %s); derive a per-shard child with Split outside the callback",
-				cb.name, method, types.ExprString(recv), renderSteps(cb.chain))
-			return true
-		})
-	}
 }
 
 // randsplitGoFlow applies the go-statement rules to one function body:

@@ -121,6 +121,31 @@ func reachedVia(mod *Module, chain []PathStep, n *Node) string {
 	return " (reached via " + renderSteps(chain) + " → " + n.DisplayName(mod) + ")"
 }
 
+// renderSteps formats a chain of path steps for a message: the
+// functions along it joined by arrows.
+func renderSteps(steps []PathStep) string {
+	out := ""
+	for i, s := range steps {
+		if i > 0 {
+			out += " → "
+		}
+		out += s.Func
+	}
+	return out
+}
+
+// refIdent returns the identifier a value reference resolves through
+// (plain name or selector), if any.
+func refIdent(e ast.Expr) *ast.Ident {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return e
+	case *ast.SelectorExpr:
+		return e.Sel
+	}
+	return nil
+}
+
 // renderChain formats "a → b → c" for a diagnostic message: the callers
 // along the chain, then the final callee.
 func renderChain(mod *Module, path []Edge) string {

@@ -33,37 +33,3 @@ func TestSelfLint(t *testing.T) {
 		t.Log("fix the finding, or suppress it with //wearlint:ignore <check> <reason> if the usage is genuinely justified")
 	}
 }
-
-// TestSelfLintShardCallbacks pins what shardpure, floatfold and randsplit
-// see of the generator: the sweep's worker body is a literal passed to
-// shard.Run where discovery resolves it, so genUser is judged as shard
-// code, and no shard callback returns a value — results travel through
-// per-index slots only.
-func TestSelfLintShardCallbacks(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod, err := LoadModule(root)
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
-	cbs := shardCallbacks(&ModulePass{Mod: mod, Graph: mod.CallGraph()})
-	const sweep = "func literal in (*internal/gen/sim.userGen).sweep"
-	found := false
-	for _, cb := range cbs {
-		if cb.name == sweep {
-			found = true
-		}
-		if cb.ft.Results != nil && len(cb.ft.Results.List) > 0 {
-			t.Errorf("shard callback %s declares a result", cb.name)
-		}
-	}
-	if !found {
-		names := make([]string, len(cbs))
-		for i, cb := range cbs {
-			names[i] = cb.name
-		}
-		t.Errorf("no shard callback %q; discovered %v", sweep, names)
-	}
-}

@@ -1,35 +1,10 @@
-// Package work seeds the stream-sharing violations: a shard callback
-// drawing from a captured Rand, one Rand flowing into two go
-// statements, a loop-spawned goroutine capturing a Rand, and a parent
-// drawn after its Split child was handed off — next to the sanctioned
-// split-per-worker spellings.
+// Package work seeds the stream-sharing violations: one Rand flowing
+// into two go statements, a loop-spawned goroutine capturing a Rand, and
+// a parent drawn after its Split child was handed off — next to the
+// sanctioned hand-a-child spelling.
 package work
 
-import (
-	"wearwild/internal/randx"
-	"wearwild/internal/shard"
-)
-
-// Captured draws from the captured parent inside a shard callback:
-// every worker interleaves on one stream.
-func Captured(r *randx.Rand) []float64 {
-	out := make([]float64, 4)
-	shard.Run(4, 2, func(i int) {
-		out[i] = r.Float64() // want randsplit
-	})
-	return out
-}
-
-// PerShard derives a child per shard index and draws from that:
-// sanctioned — Split never advances the parent.
-func PerShard(r *randx.Rand) []float64 {
-	out := make([]float64, 4)
-	shard.Run(4, 2, func(i int) {
-		c := r.Split("shard", uint64(i))
-		out[i] = c.Float64()
-	})
-	return out
-}
+import "wearwild/internal/randx"
 
 // FanTwice hands one parent to two goroutines, racing the stream state.
 func FanTwice(r *randx.Rand, done chan float64) {

@@ -10,8 +10,8 @@ import (
 // collection tier: a time.Ticker or time.Timer created in a function
 // must be stopped on every exit path, or its runtime timer outlives the
 // work it paced — under connection churn the drain/dial helpers mint one
-// per call, and unstopped timers are a slow leak the load-tested proxy
-// tier (ROADMAP item 3) cannot afford. time.Tick and time.After inside a
+// per call, and unstopped timers are a slow leak the long-running proxy
+// tier (DESIGN.md §6) cannot afford. time.Tick and time.After inside a
 // loop are flagged outright: each iteration allocates a timer nothing
 // can ever stop.
 //

@@ -16,8 +16,11 @@
 //     folded sequentially in a canonical order (sorted keys), after the
 //     join.
 //   - Worker code must be side-effect-free outside its own state: no
-//     shared mutable state, no wall clock, no global rand (the wearlint
-//     detreach check enforces the latter two transitively).
+//     shared mutable state, no wall clock, no global rand. The wearlint
+//     detreach check enforces the latter two transitively. The first is
+//     enforced by CI's go test -race ./... over the parallel-equivalence
+//     tests, which run both Run callbacks (the generator sweep and the
+//     engine's seal) at several worker counts.
 package shard
 
 import (
@@ -48,7 +51,8 @@ func Workers(n int) int {
 
 // Run calls fn(i) for every i in [0, n), each on its own goroutine, and
 // returns once all calls have. The calls run concurrently, so fn(i) may
-// write only state that index i owns.
+// write only state that index i owns; CI's go test -race ./... over the
+// parallel-equivalence tests enforces that for every caller.
 func Run(n int, fn func(i int)) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
