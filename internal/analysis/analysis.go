@@ -159,9 +159,9 @@ func (p *Pass) calleeFunc(call *ast.CallExpr) *types.Func {
 // DefaultAnalyzers returns every check, in stable order: the two
 // intraprocedural tripwires (maporder, which covers both emitting and
 // float-folding inside a map range, and errdrop), then the call-graph
-// checks — detreach, the determinism check; lockheld; membound, the one
-// memory check (slab retention, record growth, Sink retention, hot-path
-// allocation); randsplit, the RNG-stream discipline — then the
+// checks — detreach, the determinism check; lockheld; membound, the
+// generator's hot-path allocation check; randsplit, the RNG-stream
+// discipline — then the
 // concurrency-safety three: ctxflow, the one collection-path and
 // goroutine-lifecycle check (deadline-guarded conn I/O, bounded hot-loop
 // sends, WaitGroup placement, bounded exit, cancellable collection-tier
@@ -262,4 +262,24 @@ func matchRel(rel string, patterns []string) bool {
 		}
 	}
 	return false
+}
+
+// rootObject unwraps selectors, indexes, stars and parens to the base
+// identifier's object: the variable a compound write ultimately reaches
+// through.
+func rootObject(p *Pass, e ast.Expr) types.Object {
+	for {
+		switch t := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return p.ObjectOf(t)
+		case *ast.SelectorExpr:
+			e = t.X
+		case *ast.IndexExpr:
+			e = t.X
+		case *ast.StarExpr:
+			e = t.X
+		default:
+			return nil
+		}
+	}
 }

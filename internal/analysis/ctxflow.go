@@ -17,12 +17,12 @@ import (
 //     needs a SetDeadline-family call for its direction — SetDeadline
 //     guards both — in its function, or in a caller on every path into it.
 //   - Hot-loop send (functions reachable from the collection tier,
-//     ctxflowPkgs, non-test): a send inside a record loop (the membound
-//     grammar) or an accept loop, nested literals included, must be
-//     selected with a default drop path or a shutdown/timer case, or go to
-//     a receiver the function itself spawns and closes the channel on (the
-//     owned pipeline). Buffering alone is not a bound: it only delays the
-//     park by its capacity.
+//     ctxflowPkgs, non-test): a send inside a record loop (recordLoop)
+//     or an accept loop, nested literals included, must be selected with
+//     a default drop path or a shutdown/timer case, or go to a receiver
+//     the function itself spawns and closes the channel on (the owned
+//     pipeline). Buffering alone is not a bound: it only delays the park
+//     by its capacity.
 //
 // Three make one pass over every go statement in the module and resolve
 // what each one spawns once — a function literal, a named function, or a
@@ -1080,4 +1080,69 @@ func syncMethod(pass *Pass, call *ast.CallExpr, typeNames ...string) (recv, name
 		}
 	}
 	return "", "", false
+}
+
+// recordLoop reports whether nd is a record-iteration loop: a range over
+// records (slice, array or channel of an internal/mnet Record type), or a
+// for loop whose body directly defines a Record-typed variable (the
+// `for { rec, err := dec.Decode() }` decoder idiom).
+func recordLoop(pass *Pass, mod *Module, nd ast.Node) (ast.Stmt, *ast.BlockStmt) {
+	switch nd := nd.(type) {
+	case *ast.RangeStmt:
+		t := pass.TypeOf(nd.X)
+		if t == nil {
+			return nil, nil
+		}
+		var elem types.Type
+		switch u := t.Underlying().(type) {
+		case *types.Slice:
+			elem = u.Elem()
+		case *types.Array:
+			elem = u.Elem()
+		case *types.Chan:
+			elem = u.Elem()
+		}
+		if elem != nil && isRecordType(mod, elem) {
+			return nd, nd.Body
+		}
+	case *ast.ForStmt:
+		if definesRecordVar(pass, mod, nd.Body) {
+			return nd, nd.Body
+		}
+	}
+	return nil, nil
+}
+
+// definesRecordVar reports whether the loop body itself (not a nested
+// loop or literal) defines a Record-typed variable.
+func definesRecordVar(pass *Pass, mod *Module, body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n.(type) {
+		case *ast.ForStmt, *ast.RangeStmt, *ast.FuncLit:
+			return false // nested scopes classify on their own
+		}
+		if id, ok := n.(*ast.Ident); ok {
+			if obj, isVar := pass.Info.Defs[id].(*types.Var); isVar && isRecordType(mod, obj.Type()) {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// isRecordType matches the module's log record types: a named type
+// called Record declared under internal/mnet.
+func isRecordType(mod *Module, t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := n.Obj()
+	return obj != nil && obj.Name() == "Record" && obj.Pkg() != nil &&
+		strings.HasPrefix(obj.Pkg().Path(), mod.Name+"/internal/mnet")
 }

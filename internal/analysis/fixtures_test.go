@@ -475,14 +475,12 @@ func TestGoldenErrdropScope(t *testing.T) {
 // TestGoldenOverlapDedupe pins one diagnostic per site under the full
 // check catalog where two checks once both fired: a dropped writer
 // Flush/Close (errdrop alone); a clock read plus a global-stream draw in
-// a determinism root (detreach alone, not a second allowlist twin); the
-// materialising and slab-header appends the allocation rule also judges
-// (exactly two membound findings); and the unguarded conn reads and
-// writes (one ctxflow finding per conn-I/O line).
+// a determinism root (detreach alone, not a second allowlist twin); and
+// the unguarded conn reads and writes (one ctxflow finding per conn-I/O
+// line).
 func TestGoldenOverlapDedupe(t *testing.T) {
 	checkFixture(t, "overlap", "internal/report/fixture")
 	checkFixture(t, "detonce", "internal/gen/sim")
-	checkTree(t, "allocoverlap", "internal")
 	checkTree(t, "deadline", "internal/mnet")
 }
 
@@ -550,75 +548,6 @@ func checkFixtureMessages(t *testing.T) {
 		if !found {
 			t.Errorf("%s: no diagnostic message contains %q; got %v", tc.dir, tc.contains, diags)
 		}
-	}
-}
-
-// TestLoadTreeGrowbound pins membound's growth rule over the
-// seeded tree: both growth spellings flag in the root package without
-// a chain, the helper one hop below the root carries its chain, the
-// reachable-but-exempt generator and the exempt stats package stay
-// silent, the returned-regroup and channel-drain shapes flag despite
-// the bounded-regroup rule, and every sanctioned bounded shape passes.
-func TestLoadTreeGrowbound(t *testing.T) {
-	diags := checkTree(t, "growbound", "internal", MemboundAnalyzer)
-
-	var chained, rooted *Diagnostic
-	for i := range diags {
-		d := &diags[i]
-		if strings.Contains(d.Pos.Filename, "helper") {
-			chained = d
-		}
-		if strings.Contains(d.Pos.Filename, "proxylog") {
-			rooted = d
-		}
-		if !strings.Contains(d.Message, "DESIGN.md §7") {
-			t.Errorf("growbound message lacks the bounded-accumulator pointer: %q", d.Message)
-		}
-	}
-	if chained == nil {
-		t.Fatalf("no diagnostic for the helper package; got %v", diags)
-	}
-	if !strings.Contains(chained.Message, "reached via internal/core.Study") {
-		t.Errorf("helper finding must render the chain from the root: %q", chained.Message)
-	}
-	if len(chained.Path) == 0 {
-		t.Errorf("helper finding must carry Path steps for chain-aware suppression, got none")
-	}
-	if rooted == nil {
-		t.Fatalf("no diagnostic for the decoder-idiom loop in the root codec; got %v", diags)
-	}
-	if strings.Contains(rooted.Message, "reached via") {
-		t.Errorf("root-package finding must not render a chain: %q", rooted.Message)
-	}
-}
-
-// TestLoadTreeGrowboundClean runs the check over the all-bounded tree:
-// zero findings.
-func TestLoadTreeGrowboundClean(t *testing.T) {
-	if _, diags := runTree(t, "growboundclean", "internal", MemboundAnalyzer); len(diags) != 0 {
-		t.Errorf("clean tree flagged: %v", diags)
-	}
-}
-
-// TestGoldenRetain pins membound's slab-retention rule: both reuse markers
-// arm the slab, every escape spelling (return, two-hop alias return,
-// field store, map store, header append) flags, and the copy-first
-// idioms stay silent.
-func TestGoldenRetain(t *testing.T) {
-	checkFixture(t, "retain", "internal/mnet/codec", MemboundAnalyzer)
-	diags := runFixture(t, "retain", "internal/mnet/codec", MemboundAnalyzer)
-	for _, d := range diags {
-		if !strings.Contains(d.Message, "copy first") {
-			t.Errorf("retain message lacks the copy-first remediation: %q", d.Message)
-		}
-	}
-}
-
-// TestGoldenRetainClean runs the check over the copying decoder: zero
-// findings.
-func TestGoldenRetainClean(t *testing.T) {
-	if diags := runFixture(t, "retainclean", "internal/mnet/codec", MemboundAnalyzer); len(diags) != 0 {
-		t.Errorf("clean fixture flagged: %v", diags)
 	}
 }
 
@@ -717,12 +646,9 @@ func TestWriteJSONMemoryChecks(t *testing.T) {
 		dir, mount string
 		a          *Analyzer
 	}{
-		{"growbound", "internal", MemboundAnalyzer},
-		{"retain", "internal/mnet/codec", MemboundAnalyzer},
 		{"goleak", "internal/mnet", CtxflowAnalyzer},
 		{"randsplit", "internal", RandsplitAnalyzer},
 		{"allochot", "internal", MemboundAnalyzer},
-		{"sinkretain", "internal", MemboundAnalyzer},
 		{"ctxflow", "internal/mnet", CtxflowAnalyzer},
 		{"atomicmix", "internal", AtomicmixAnalyzer},
 		{"chanbound", "internal/mnet", CtxflowAnalyzer},
@@ -856,93 +782,6 @@ func TestLoadTreeAllochot(t *testing.T) {
 func TestLoadTreeAllochotClean(t *testing.T) {
 	if _, diags := runTree(t, "allochotclean", "internal", MemboundAnalyzer); len(diags) != 0 {
 		t.Errorf("clean tree flagged: %v", diags)
-	}
-}
-
-// TestLoadTreeSinkretain pins membound's Sink-retention rule: every
-// escape spelling on the record parameter flags (field store, map
-// insert, append, channel send, goroutine capture), the retention one
-// call below the method carries the forwarding chain, and the scalar
-// UserDone parameter stays silent everywhere.
-func TestLoadTreeSinkretain(t *testing.T) {
-	diags := checkTree(t, "sinkretain", "internal", MemboundAnalyzer)
-
-	for _, verb := range []string{
-		"stored into state that outlives the call",
-		"inserted into an outliving map",
-		"appended into outliving storage",
-		"sent on a channel",
-		"captured by a goroutine",
-	} {
-		found := false
-		for _, d := range diags {
-			if strings.Contains(d.Message, verb) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("no sinkretain diagnostic says the record is %q; got %v", verb, diags)
-		}
-	}
-	var chained *Diagnostic
-	for i := range diags {
-		d := &diags[i]
-		if strings.Contains(d.Message, "fwdSink") {
-			chained = d
-		}
-		if !strings.Contains(d.Message, "DESIGN.md §8") {
-			t.Errorf("sinkretain message lacks the contract pointer: %q", d.Message)
-		}
-	}
-	if chained == nil {
-		t.Fatalf("no diagnostic carries the forwarding chain through fwdSink.Proxy; got %v", diags)
-	}
-	if !strings.Contains(chained.Message, "vault).put") {
-		t.Errorf("forwarded finding must name the terminal callee vault.put: %q", chained.Message)
-	}
-	if len(chained.Path) == 0 {
-		t.Errorf("forwarded finding must carry Path steps for chain-aware suppression, got none")
-	}
-}
-
-// TestLoadTreeSinkretainClean runs the check over the folding sink and
-// the half-contract keeper: zero findings.
-func TestLoadTreeSinkretainClean(t *testing.T) {
-	if _, diags := runTree(t, "sinkretainclean", "internal", MemboundAnalyzer); len(diags) != 0 {
-		t.Errorf("clean tree flagged: %v", diags)
-	}
-}
-
-// TestGoldenAllocOverlapDedupe pins membound's one verdict per line:
-// the allocation rule flags both append sites of the overlap tree, and
-// the line goes to the rule ranked first — growth on the materialising
-// append, retention on the slab-header append.
-func TestGoldenAllocOverlapDedupe(t *testing.T) {
-	m, diags := runTree(t, "allocoverlap", "internal", MemboundAnalyzer)
-	verdicts := map[int]string{}
-	for _, d := range diags {
-		verdicts[d.Pos.Line], _, _ = strings.Cut(d.Message, ":")
-	}
-	want := map[int]string{14: "unbounded growth", 26: "slab retention"}
-	if len(verdicts) != len(want) || len(diags) != len(want) {
-		t.Fatalf("want one verdict on each of lines 14 and 26, got %v", diags)
-	}
-	for line, kind := range want {
-		if verdicts[line] != kind {
-			t.Errorf("line %d: verdict %q, want %q", line, verdicts[line], kind)
-		}
-	}
-
-	mb := newMembound(&ModulePass{Mod: m, Graph: m.CallGraph()})
-	mb.collect()
-	alloc := map[int]bool{}
-	for _, f := range mb.found {
-		if f.rule == memAlloc {
-			alloc[m.Fset.Position(f.pos).Line] = true
-		}
-	}
-	if !alloc[14] || !alloc[26] {
-		t.Errorf("the allocation rule must flag both append sites before the line verdict, got lines %v", alloc)
 	}
 }
 

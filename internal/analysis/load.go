@@ -31,9 +31,6 @@ type Module struct {
 	passErrs map[*Unit][]error
 	// graph is the lazily built module-wide call graph.
 	graph *CallGraph
-	// escape caches the module-wide escape summaries per flavor (the
-	// carries predicate's name), computed once like the pass cache.
-	escape map[string]*EscapeSet
 	// ign caches the module-wide suppression index; ignMalformed keeps
 	// the malformed-directive diagnostics to re-emit on every Run.
 	ign          ignoreIndex

@@ -63,3 +63,26 @@ func Reuse(n int, evs []Event) int {
 	}
 	return total + len(out) + len(keep)
 }
+
+// Collect materialises its whole input and hands it back: the append
+// grows per iteration.
+func Collect(evs []Event) []Event {
+	var all []Event
+	for _, e := range evs {
+		all = append(all, e) // want membound
+	}
+	return all
+}
+
+// Pack refills a reset slab per chunk, but appends the slab's header into
+// an output that grows per iteration.
+func Pack(chunks [][]byte) [][]byte {
+	var out [][]byte
+	var buf []byte
+	for _, c := range chunks {
+		buf = buf[:0]
+		buf = append(buf, c...)
+		out = append(out, buf) // want membound
+	}
+	return out
+}

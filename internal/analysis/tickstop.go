@@ -24,13 +24,12 @@ import (
 //     flags; returns after a Stop pass. This is the same textual
 //     discipline lockheld uses — branches can cheat it both ways, and
 //     the remediation (defer the Stop) removes the ambiguity.
-//   - A timer whose lifecycle is handed off is skipped, reusing the
-//     escape layer's terminal-site classes: returned, stored into a
-//     field/map/slice/composite, sent on a channel, passed as a call
-//     argument, aliased to another variable, or captured by any function
-//     literal (a deferred or spawned closure may own the Stop). The
-//     under-approximation is deliberate — the owner's function is judged
-//     where the handoff lands.
+//   - A timer whose lifecycle is handed off is skipped: returned,
+//     stored into a field/map/slice/composite, sent on a channel, passed
+//     as a call argument, aliased to another variable, or captured by any
+//     function literal (a deferred or spawned closure may own the Stop).
+//     The under-approximation is deliberate — the owner's function is
+//     judged where the handoff lands.
 //   - Function literals are judged as their own bodies: a timer created
 //     inside a closure needs its Stop (or defer) inside that closure.
 //   - Test files are exempt: t.Cleanup and test-scoped leaks are the
@@ -296,9 +295,8 @@ func isStopCall(p *Pass, call *ast.CallExpr, obj types.Object) bool {
 // timerHandoff reports whether the timer's lifecycle leaves the body:
 // returned, stored into a composite/field/map/slice, sent on a channel,
 // passed as a call argument, aliased to another variable, or captured by
-// a nested function literal. The classes mirror the escape layer's
-// terminal sites (EscReturn, EscField, EscChan, ...) — a handed-off
-// timer is judged where the handoff lands.
+// a nested function literal — a handed-off timer is judged where the
+// handoff lands.
 func timerHandoff(p *Pass, body *ast.BlockStmt, m timerMake) bool {
 	mentions := func(e ast.Expr) bool {
 		found := false

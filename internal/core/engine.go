@@ -38,6 +38,8 @@ type Env struct {
 // (processed into scalar accumulators and reset) at UserDone, so a
 // user-major source is analysed in memory proportional to the subscriber
 // population plus one in-flight user — never the log length.
+// TestStreamingResidency bounds that: the live heap may not grow with the
+// records streamed while the engine runs (DESIGN.md §8).
 type userBundle struct {
 	proxy []proxylog.Record
 	mme   []mme.Record
@@ -45,17 +47,14 @@ type userBundle struct {
 }
 
 func (b *userBundle) addProxy(r proxylog.Record) {
-	//wearlint:ignore membound bundle record buffer (DESIGN.md §8): a subscriber's until UserDone, a worker batch's until replay; reset with [:0] and reused
 	b.proxy = append(b.proxy, r)
 }
 
 func (b *userBundle) addMME(r mme.Record) {
-	//wearlint:ignore membound bundle record buffer (DESIGN.md §8): a subscriber's until UserDone, a worker batch's until replay; reset with [:0] and reused
 	b.mme = append(b.mme, r)
 }
 
 func (b *userBundle) addUDR(r udr.Record) {
-	//wearlint:ignore membound bundle record buffer (DESIGN.md §8): a subscriber's until UserDone, a worker batch's until replay; reset with [:0] and reused
 	b.udr = append(b.udr, r)
 }
 

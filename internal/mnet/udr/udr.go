@@ -69,7 +69,6 @@ func (l *Log) Sort() {
 func (l *Log) ByUser() map[subs.IMSI][]Record {
 	out := make(map[subs.IMSI][]Record)
 	for _, r := range l.Records {
-		//wearlint:ignore membound ByUser regroups an already-resident log; no growth beyond the input it was handed
 		out[r.IMSI] = append(out[r.IMSI], r)
 	}
 	return out

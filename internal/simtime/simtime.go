@@ -1,11 +1,13 @@
 // Package simtime defines the study calendar used throughout wearwild.
 //
 // The paper analyses five months of summary statistics (mid-December 2017
-// to mid-May 2018) and keeps full logs for the final seven weeks. We model
-// time as whole hours since the study epoch: hour 0 is midnight on the
-// first study day. All simulation and analysis code exchanges these integer
-// hour/day indices; conversion to time.Time happens only at the log-format
-// boundary.
+// to mid-May 2018) and keeps full logs for the final seven weeks. The
+// calendar counts whole hours, days and weeks since the study epoch: hour 0
+// is midnight on the first study day, and windows, grids and per-day keys
+// are these integer indices. Log records keep their instants as time.Time:
+// mme.Record and proxylog.Record carry one through the generator, the
+// engine and mobmetrics, and HourOf and DayOf map it onto the calendar
+// wherever an index is needed.
 package simtime
 
 import "time"

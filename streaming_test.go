@@ -1,7 +1,10 @@
 package wearwild
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -10,6 +13,11 @@ import (
 
 	"wearwild/internal/core"
 	"wearwild/internal/gen/sim"
+	"wearwild/internal/mnet/mme"
+	"wearwild/internal/mnet/proxylog"
+	"wearwild/internal/mnet/subs"
+	"wearwild/internal/mnet/udr"
+	"wearwild/internal/stream"
 )
 
 // metricValues flattens an evaluation into "experiment/metric" → measured
@@ -207,4 +215,165 @@ func TestBoundedMemory100x(t *testing.T) {
 		t.Fatalf("peak heap %d bytes breaches the 2× small-run ceiling %d: %.2fx",
 			peak, bigMemCeiling, 2*float64(peak)/bigMemCeiling)
 	}
+}
+
+// residencyBound is TestStreamingResidency's ceiling on the live-heap
+// change per streamed record, either way. On SmallConfig(42) (2-CPU host,
+// with and without -race) the clean engine moves 0.00–0.03 B per record
+// of its halved second pass and the decoders about 0 B; an engine that
+// keeps records grows 17–27 B when it keeps only the wearable ones
+// (addApps' wearRecs, addPresence's wearable MME records) and 50–56 B
+// when it keeps every proxy record, and one whose per-subscriber residue
+// holds a subscriber's wearable records shrinks 21 B. The bound sits at
+// least 5× from the clean values and from every leak but one resolution
+// probe: keeping only the UDR records (13% of the records) moves 3.3 B,
+// and a leak of a smaller share would pass.
+const residencyBound = 3.0
+
+// heapMark is one live-heap reading taken mid-stream.
+type heapMark struct {
+	records int
+	heap    uint64
+}
+
+// heapReadings are live-heap readings, each taken after runtime.GC().
+type heapReadings []heapMark
+
+func (h *heapReadings) read(records int) {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	*h = append(*h, heapMark{records, ms.HeapAlloc})
+}
+
+// check requires the live heap to move by at most residencyBound bytes per
+// record streamed between the two readings.
+func (h heapReadings) check(t *testing.T, what string) {
+	t.Helper()
+	if len(h) != 2 || h[1].records <= h[0].records {
+		t.Fatalf("want two readings over a growing stream, got %+v", h)
+	}
+	g := float64(int64(h[1].heap)-int64(h[0].heap)) / float64(h[1].records-h[0].records)
+	t.Logf("%d records between the readings: %.2f B live-heap change per record", h[1].records-h[0].records, g)
+	if math.Abs(g) > residencyBound {
+		t.Errorf("live heap moves %.1f B per streamed record (bound %.0f): %s holds state sized by the log", g, residencyBound, what)
+	}
+}
+
+// halvedReplay streams src into one sink twice, sending every record twice
+// in the first pass and once in the second, and reads the live heap at
+// the end of each pass. The second pass repeats the population with half
+// its log, so state sized by the subscribers is the same size after
+// either pass, every buffer already has the capacity of the first pass's
+// larger bundles, and only state sized by the log moves: records kept
+// grow the heap, and per-subscriber state that holds a subscriber's
+// records shrinks it.
+type halvedReplay struct {
+	stream.Sink
+	src      stream.Source
+	copies   int
+	records  int
+	readings heapReadings
+}
+
+func (r *halvedReplay) Stream(sink stream.Sink) error {
+	r.Sink = sink
+	for _, copies := range []int{2, 1} {
+		r.copies = copies
+		if err := r.src.Stream(r); err != nil {
+			return err
+		}
+		r.readings.read(r.records)
+	}
+	return nil
+}
+
+func (r *halvedReplay) Proxy(rec proxylog.Record) error { return sendCopies(r, rec, r.Sink.Proxy) }
+func (r *halvedReplay) MME(rec mme.Record) error        { return sendCopies(r, rec, r.Sink.MME) }
+func (r *halvedReplay) UDR(rec udr.Record) error        { return sendCopies(r, rec, r.Sink.UDR) }
+
+func sendCopies[R any](r *halvedReplay, rec R, send func(R) error) error {
+	for range r.copies {
+		r.records++
+		if err := send(rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// countingSink counts the records it is streamed and reads the live heap
+// at the record numbers in at.
+type countingSink struct {
+	at       map[int]bool
+	records  int
+	readings heapReadings
+}
+
+func (c *countingSink) count() error {
+	c.records++
+	if c.at[c.records] {
+		c.readings.read(c.records)
+	}
+	return nil
+}
+
+func (c *countingSink) Proxy(proxylog.Record) error { return c.count() }
+func (c *countingSink) MME(mme.Record) error        { return c.count() }
+func (c *countingSink) UDR(udr.Record) error        { return c.count() }
+func (c *countingSink) UserDone(subs.IMSI) error    { return nil }
+
+// TestStreamingResidency is the memory contract of DESIGN.md §8 at test
+// scale: while a stream is live, the heap may hold state sized by the
+// subscribers but none sized by the records. The engine part runs the
+// generator sweep through halvedReplay at one and two workers and bounds
+// the heap's change per record of the second pass, which spans every
+// subscriber, wearable owners and ordinary users alike. The decoder part
+// reads the heap a quarter of the way through the three log decoders'
+// stream and at its end, and bounds the growth per record in between.
+func TestStreamingResidency(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("engine/workers=%d", workers), func(t *testing.T) {
+			src, err := sim.NewStreamSource(SmallConfig(42))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The source streams twice, so it keeps its population
+			// (ConsumeUsers unset), the same at both readings.
+			r := &halvedReplay{src: src}
+			cfg := core.DefaultConfig()
+			cfg.Workers = workers
+			if _, err := core.RunStream(core.Env{Devices: src.Devices, Topology: src.Topology, Catalog: src.Catalog}, r, cfg); err != nil {
+				t.Fatal(err)
+			}
+			r.readings.check(t, "the engine")
+		})
+	}
+	t.Run("decoders", func(t *testing.T) {
+		ds := eqDataset(t)
+		var prx, mm, ud bytes.Buffer
+		if err := proxylog.WriteBinary(&prx, ds.Proxy.Records); err != nil {
+			t.Fatal(err)
+		}
+		if err := mme.WriteCSV(&mm, ds.MME.Records); err != nil {
+			t.Fatal(err)
+		}
+		if err := udr.WriteCSV(&ud, ds.UDR.Records); err != nil {
+			t.Fatal(err)
+		}
+		n := len(ds.Proxy.Records) + len(ds.MME.Records) + len(ds.UDR.Records)
+		c := &countingSink{at: map[int]bool{n / 4: true, n: true}}
+		src := &stream.Readers{
+			ProxyBinary: bytes.NewReader(prx.Bytes()),
+			MMECSV:      bytes.NewReader(mm.Bytes()),
+			UDRCSV:      bytes.NewReader(ud.Bytes()),
+		}
+		if err := src.Stream(c); err != nil {
+			t.Fatal(err)
+		}
+		// The encodings stay reachable to the end, so the last reading
+		// does not drop the feeds already read.
+		runtime.KeepAlive(src)
+		c.readings.check(t, "a decoder")
+	})
 }
