@@ -751,12 +751,14 @@ func TestLoadTreeRandsplitClean(t *testing.T) {
 // per-iteration shape in the sim root flags (pointer and container
 // literals, cap-unguarded append, bare make, Sprintf, string
 // conversion, closure), the helper one hop below carries its chain, the
+// append and literal findings advise the slab grammar, the
 // reachable-but-exempt population package stays silent, and every reuse
 // discipline passes.
 func TestLoadTreeAllochot(t *testing.T) {
 	diags := checkTree(t, "allochot", "internal", MemboundAnalyzer)
 
 	var chained *Diagnostic
+	slab := 0
 	for i := range diags {
 		d := &diags[i]
 		if strings.Contains(filepath.ToSlash(d.Pos.Filename), "/help/") {
@@ -765,6 +767,18 @@ func TestLoadTreeAllochot(t *testing.T) {
 		if !strings.Contains(d.Message, "DESIGN.md §9") {
 			t.Errorf("allochot message lacks the DESIGN.md §9 pointer: %q", d.Message)
 		}
+		if strings.Contains(d.Message, "cap-unguarded append") || strings.Contains(d.Message, "literal allocates per iteration") {
+			slab++
+			if !strings.Contains(d.Message, "(slab grammar)") && !strings.Contains(d.Message, "adopt the slab grammar") {
+				t.Errorf("allochot append/literal message must point at the slab grammar: %q", d.Message)
+			}
+		}
+		if strings.Contains(d.Message, "retain") {
+			t.Errorf("allochot message names the retain rule, which no longer exists: %q", d.Message)
+		}
+	}
+	if slab == 0 {
+		t.Errorf("no append or literal finding to check the slab-grammar advice on; got %v", diags)
 	}
 	if chained == nil {
 		t.Fatalf("no diagnostic for the helper package; got %v", diags)

@@ -253,7 +253,7 @@ func allocLoop(pass *Pass, loopBody *ast.BlockStmt, slabs map[types.Object]bool,
 				if isAppendTo(pass, lhs, rhs) {
 					if !resetAppend(pass, rhs) && !reused(obj) {
 						flag(rhs.Pos(), "cap-unguarded append into "+types.ExprString(lhs)+" grows per iteration",
-							"preallocate with make(T, 0, n), adopt the retain slab grammar, or stream instead of collecting")
+							"preallocate with make(T, 0, n), adopt the slab grammar, or stream instead of collecting")
 					}
 				} else if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && isMakeCall(pass, call) && !slabs[obj] {
 					flag(call.Pos(), "make("+types.ExprString(call.Args[0])+", ...) allocates per iteration",
@@ -274,7 +274,7 @@ func allocLoop(pass *Pass, loopBody *ast.BlockStmt, slabs map[types.Object]bool,
 				switch t.Underlying().(type) {
 				case *types.Slice, *types.Map:
 					flag(nd.Pos(), allocLitName(pass, nd)+" literal allocates per iteration",
-						"hoist it, or fill a slab reset with x = x[:0] (retain grammar)")
+						"hoist it, or fill a slab reset with x = x[:0] (slab grammar)")
 				}
 			}
 		case *ast.CallExpr:

@@ -11,6 +11,7 @@ import (
 	"wearwild/internal/mnet/udr"
 	"wearwild/internal/simtime"
 	"wearwild/internal/stats"
+	"wearwild/internal/stream"
 
 	"wearwild/internal/gen/apps"
 	"wearwild/internal/study/mobmetrics"
@@ -302,17 +303,18 @@ func (a *partial) merge(o *partial) {
 // addUser folds one subscriber's complete record bundle into the worker's
 // partial and discards the records: the single eviction point that keeps
 // the engine's residency per-population instead of per-log.
-func (e *engine) addUser(w *worker, user subs.IMSI, b *userBundle) {
+func (e *engine) addUser(w *worker, user subs.IMSI, b *stream.Records) {
 	acc, st := w.acc, &userStat{}
-	db := e.env.Devices
+	devs := &w.devs
+	devs.reset()
 
 	// Device classification (§3.2), from this user's own observations.
 	classify := func(dev imei.IMEI) {
 		if user == 0 || dev == 0 {
 			return
 		}
-		m, known := db.Lookup(dev)
-		if !known {
+		m := devs.model(dev)
+		if m == nil {
 			return
 		}
 		if m.Class == devicedb.WearableSIM {
@@ -322,14 +324,14 @@ func (e *engine) addUser(w *worker, user subs.IMSI, b *userBundle) {
 			st.phoneYear = m.Year
 		}
 	}
-	for i := range b.mme {
-		classify(b.mme[i].IMEI)
+	for i := range b.MME {
+		classify(b.MME[i].IMEI)
 	}
-	for i := range b.proxy {
-		classify(b.proxy[i].IMEI)
+	for i := range b.Proxy {
+		classify(b.Proxy[i].IMEI)
 	}
-	for i := range b.udr {
-		classify(b.udr[i].IMEI)
+	for i := range b.UDR {
+		classify(b.UDR[i].IMEI)
 	}
 	if st.wear {
 		acc.wearUsers++
@@ -337,8 +339,8 @@ func (e *engine) addUser(w *worker, user subs.IMSI, b *userBundle) {
 
 	// Proxy split: wearable-device records vs the handset baseline.
 	wearRecs, phoneRecs := w.wearRecs[:0], w.phoneRecs[:0]
-	for _, rec := range b.proxy {
-		if db.IsWearable(rec.IMEI) {
+	for _, rec := range b.Proxy {
+		if devs.wearable(rec.IMEI) {
 			wearRecs = append(wearRecs, rec)
 		} else {
 			phoneRecs = append(phoneRecs, rec)
@@ -346,24 +348,65 @@ func (e *engine) addUser(w *worker, user subs.IMSI, b *userBundle) {
 	}
 	w.wearRecs, w.phoneRecs = wearRecs, phoneRecs
 
-	e.addPresence(acc, b.mme)
-	e.addUDR(acc, st, b.udr)
+	e.addPresence(acc, devs, b.MME)
+	e.addUDR(acc, st, devs, b.UDR)
 	e.addWearTraffic(acc, st, wearRecs)
 	e.addPhoneTraffic(acc, st, phoneRecs)
 	e.addApps(acc, st, wearRecs, w)
-	e.addMobility(acc, st, b.mme, wearRecs, &w.mob)
-	e.addThroughDevice(acc, st, b.proxy)
+	e.addMobility(acc, st, devs, b.MME, wearRecs, &w.mob)
+	e.addThroughDevice(acc, st, b.Proxy)
 
 	acc.stats[user] = st
 }
 
+// devices resolves one subscriber's IMEIs to device models. A subscriber
+// is seen with one or two IMEIs, so each distinct one is looked up in the
+// device database once per subscriber instead of once per record; past
+// maxDevices distinct IMEIs (only malformed input has that many) the rest
+// go to the database every time, so a lookup stays a short scan.
+type devices struct {
+	db     *devicedb.DB
+	ids    []imei.IMEI
+	models []*devicedb.Model // nil: TAC not in the database
+}
+
+const maxDevices = 8
+
+// reset forgets the previous subscriber's devices.
+func (d *devices) reset() {
+	d.ids = d.ids[:0]
+	d.models = d.models[:0]
+}
+
+// model returns the device model of id, nil when its TAC is unknown: the
+// database's Lookup, cached.
+func (d *devices) model(id imei.IMEI) *devicedb.Model {
+	for i, known := range d.ids {
+		if known == id {
+			return d.models[i]
+		}
+	}
+	m, _ := d.db.Lookup(id)
+	if len(d.ids) < maxDevices {
+		d.ids = append(d.ids, id)
+		d.models = append(d.models, m)
+	}
+	return m
+}
+
+// wearable is the database's IsWearable, cached.
+func (d *devices) wearable(id imei.IMEI) bool {
+	m := d.model(id)
+	return m != nil && m.Class == devicedb.WearableSIM
+}
+
 // addPresence folds the user's wearable MME registrations into the Fig 2
 // adoption and retention counters.
-func (e *engine) addPresence(acc *partial, recs []mme.Record) {
+func (e *engine) addPresence(acc *partial, devs *devices, recs []mme.Record) {
 	study := simtime.FullStudy()
 	days := make(map[simtime.Day]struct{})
 	for _, rec := range recs {
-		if !e.env.Devices.IsWearable(rec.IMEI) {
+		if !devs.wearable(rec.IMEI) {
 			continue
 		}
 		d := simtime.DayOf(rec.Time)
@@ -402,18 +445,18 @@ func (e *engine) addPresence(acc *partial, recs []mme.Record) {
 
 // addUDR folds the user's weekly aggregates: the detail-window totals of
 // Fig 4(a/b) and the whole-study data-active share of Fig 2(a).
-func (e *engine) addUDR(acc *partial, st *userStat, recs []udr.Record) {
+func (e *engine) addUDR(acc *partial, st *userStat, devs *devices, recs []udr.Record) {
 	if len(recs) == 0 {
 		return
 	}
-	totals := usermetrics.TotalsFromUDR(recs, simtime.Detail(), e.env.Devices.IsWearable)
+	totals := usermetrics.TotalsFromUDR(recs, simtime.Detail(), devs.wearable)
 	for _, t := range totals {
 		st.totals = *t
 		st.hasTotals = true
 	}
 	if st.wear {
 		for _, rec := range recs {
-			if rec.Bytes > 0 && e.env.Devices.IsWearable(rec.IMEI) {
+			if rec.Bytes > 0 && devs.wearable(rec.IMEI) {
 				acc.dataActive++
 				break
 			}
@@ -609,20 +652,20 @@ func (e *engine) addApps(acc *partial, st *userStat, recs []proxylog.Record, w *
 
 // addMobility folds the user's mobility profiles (Fig 4c/4d) and the
 // tx-to-sector join behind the single-location takeaway (§4.4).
-func (e *engine) addMobility(acc *partial, st *userStat, mmeRecs []mme.Record, wearRecs []proxylog.Record, sc *mobmetrics.Scratch) {
+func (e *engine) addMobility(acc *partial, st *userStat, devs *devices, mmeRecs []mme.Record, wearRecs []proxylog.Record, sc *mobmetrics.Scratch) {
 	if len(mmeRecs) == 0 {
 		return
 	}
 	window := simtime.Detail()
-	isWearDev := func(r mme.Record) bool { return e.env.Devices.IsWearable(r.IMEI) }
+	isWearDev := func(r mme.Record) bool { return devs.wearable(r.IMEI) }
 
 	if p, ok := e.analyzer.Profile(mmeRecs, window, isWearDev, sc); ok {
 		st.wearMob = newMobScalar(p)
 	}
 	if !st.wear {
 		isRestPhone := func(r mme.Record) bool {
-			m, ok := e.env.Devices.Lookup(r.IMEI)
-			return ok && m.Class == devicedb.Smartphone
+			m := devs.model(r.IMEI)
+			return m != nil && m.Class == devicedb.Smartphone
 		}
 		if p, ok := e.analyzer.Profile(mmeRecs, window, isRestPhone, sc); ok {
 			st.restMob = newMobScalar(p)
@@ -631,7 +674,7 @@ func (e *engine) addMobility(acc *partial, st *userStat, mmeRecs []mme.Record, w
 
 	if len(wearRecs) > 0 {
 		sectors := sc.TxSectors(mmeRecs, wearRecs, isWearDev,
-			func(r proxylog.Record) bool { return e.env.Devices.IsWearable(r.IMEI) })
+			func(r proxylog.Record) bool { return devs.wearable(r.IMEI) })
 		if len(sectors) > 0 {
 			acc.txWithData++
 			if len(sectors) == 1 {

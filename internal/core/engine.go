@@ -32,49 +32,27 @@ type Env struct {
 	Catalog  *apps.Catalog
 }
 
-// userBundle buffers records: one subscriber's until the user completes,
-// or one worker batch's (below) until its worker replays it. Bundles are
-// the only place the engine holds raw records; a subscriber's is evicted
-// (processed into scalar accumulators and reset) at UserDone, so a
-// user-major source is analysed in memory proportional to the subscriber
-// population plus one in-flight user — never the log length.
-// TestStreamingResidency bounds that: the live heap may not grow with the
-// records streamed while the engine runs (DESIGN.md §8).
-type userBundle struct {
-	proxy []proxylog.Record
-	mme   []mme.Record
-	udr   []udr.Record
-}
-
-func (b *userBundle) addProxy(r proxylog.Record) {
-	b.proxy = append(b.proxy, r)
-}
-
-func (b *userBundle) addMME(r mme.Record) {
-	b.mme = append(b.mme, r)
-}
-
-func (b *userBundle) addUDR(r udr.Record) {
-	b.udr = append(b.udr, r)
-}
-
-// reset empties the bundle and keeps its capacity for reuse.
-func (b *userBundle) reset() {
-	b.proxy = b.proxy[:0]
-	b.mme = b.mme[:0]
-	b.udr = b.udr[:0]
-}
-
 // worker is one partition of the study: the subscribers routed to it,
 // their open bundles, the partial accumulator they are evicted into, a
 // spare bundle for the next subscriber it opens, and the buffers of
 // eviction and its analyzers. Every buffer keeps the capacity of the
 // largest subscriber it has served. A worker is touched by one goroutine
 // at a time, so no accumulator is ever shared.
+//
+// A bundle (stream.Records) buffers one subscriber's records until the
+// subscriber completes. Bundles and worker batches (below) are the only
+// places the engine holds raw records; a subscriber's bundle is evicted
+// (processed into scalar accumulators and reset) at UserDone, or as soon
+// as a whole subscriber handed over with User is gathered, so a
+// user-major source is analysed in memory proportional to the subscriber
+// population plus the subscribers in flight — never the log length.
+// TestStreamingResidency bounds that: the live heap may not grow with the
+// records streamed while the engine runs (DESIGN.md §8).
 type worker struct {
 	acc       *partial
-	pending   map[subs.IMSI]*userBundle
-	spare     *userBundle
+	pending   map[subs.IMSI]*stream.Records
+	spare     *stream.Records
+	devs      devices
 	wearRecs  []proxylog.Record
 	phoneRecs []proxylog.Record
 	sessions  sessions.Scratch
@@ -112,7 +90,7 @@ func newEngine(env Env, cfg Config) (*engine, error) {
 		workers:  make([]*worker, shard.Workers(cfg.Workers)),
 	}
 	for i := range e.workers {
-		e.workers[i] = &worker{acc: newPartial(), pending: make(map[subs.IMSI]*userBundle)}
+		e.workers[i] = &worker{acc: newPartial(), pending: make(map[subs.IMSI]*stream.Records), devs: devices{db: env.Devices}}
 	}
 	return e, nil
 }
@@ -124,12 +102,12 @@ func ownerOf(user subs.IMSI, workers int) int {
 	return int(shard.Hash64(uint64(user)) % uint64(workers))
 }
 
-func (w *worker) bundle(user subs.IMSI) *userBundle {
+func (w *worker) bundle(user subs.IMSI) *stream.Records {
 	b := w.pending[user]
 	if b == nil {
 		b, w.spare = w.spare, nil
 		if b == nil {
-			b = &userBundle{}
+			b = &stream.Records{}
 		}
 		w.pending[user] = b
 	}
@@ -143,12 +121,24 @@ func (e *engine) userDone(w *worker, user subs.IMSI) {
 	}
 }
 
+// user folds one whole subscriber: gather appends their records to the
+// bundle, which is then evicted.
+func (e *engine) user(w *worker, user subs.IMSI, gather func(*stream.Records)) {
+	b := w.bundle(user)
+	gather(b)
+	e.evict(w, user, b)
+}
+
 // evict folds a subscriber's bundle into the worker's partial, drops the
-// subscriber from pending and keeps the emptied bundle as the spare.
-func (e *engine) evict(w *worker, user subs.IMSI, b *userBundle) {
-	e.addUser(w, user, b)
+// subscriber from pending and keeps the emptied bundle as the spare. An
+// empty bundle (a gather that brought no records) leaves no residue, as
+// a UserDone for a subscriber without records does not.
+func (e *engine) evict(w *worker, user subs.IMSI, b *stream.Records) {
+	if len(b.Proxy)+len(b.MME)+len(b.UDR) > 0 {
+		e.addUser(w, user, b)
+	}
 	delete(w.pending, user)
-	b.reset()
+	b.Reset()
 	w.spare = b
 }
 
@@ -159,17 +149,20 @@ type directSink struct {
 }
 
 func (s directSink) Proxy(r proxylog.Record) error {
-	s.w.bundle(r.IMSI).addProxy(r)
+	b := s.w.bundle(r.IMSI)
+	b.Proxy = append(b.Proxy, r)
 	return nil
 }
 
 func (s directSink) MME(r mme.Record) error {
-	s.w.bundle(r.IMSI).addMME(r)
+	b := s.w.bundle(r.IMSI)
+	b.MME = append(b.MME, r)
 	return nil
 }
 
 func (s directSink) UDR(r udr.Record) error {
-	s.w.bundle(r.IMSI).addUDR(r)
+	b := s.w.bundle(r.IMSI)
+	b.UDR = append(b.UDR, r)
 	return nil
 }
 
@@ -178,16 +171,30 @@ func (s directSink) UserDone(user subs.IMSI) error {
 	return nil
 }
 
-// Batched fan-out. fanSink hands each worker its events in batches of up
-// to batchEvents, cycling batchesPerWorker batches per worker through a
-// free list, so a record costs an append instead of a channel operation.
-// The free list bounds how far the producer runs ahead of a worker:
-// 16 × 256 events let it keep feeding the other workers while one
-// evicts a heavy subscriber, where 4 batches left them idle (on a 2-CPU
-// host, Workers=2 ran 1.2× faster than Workers=1 with 4 batches and
-// 1.4–1.6× with 16).
+func (s directSink) User(user subs.IMSI, gather func(*stream.Records)) error {
+	s.e.user(s.w, user, gather)
+	return nil
+}
+
+// Batched fan-out. fanSink hands each worker its events in batches,
+// cycling batchesPerWorker batches per worker through a free list, so a
+// record costs an append instead of a channel operation. The free list
+// bounds how far the producer runs ahead of a worker: 16 batches let it
+// keep feeding the other workers while one evicts a heavy subscriber,
+// where 4 batches left them idle (on a 2-CPU host, Workers=2 ran 1.2×
+// faster than Workers=1 with 4 batches and 1.4–1.6× with 16).
+//
+// A batch is full at batchEvents events or at batchUsers whole
+// subscribers, whichever comes first. A per-record event carries one
+// record, but a whole subscriber carries all of theirs (about 180 on
+// average, thousands for a heavy wearable owner), and a gather queued
+// behind a user-major source such as the generator holds a copy of
+// them. Counting a subscriber as one event would let 16 × 256
+// subscribers per worker wait in flight; batchUsers keeps that to
+// 16 × batchUsers, a few times the records the per-record path holds.
 const (
 	batchEvents      = 256
+	batchUsers       = 4
 	batchesPerWorker = 16
 )
 
@@ -197,15 +204,18 @@ const (
 	opMME
 	opUDR
 	opUserDone
+	opUser
 )
 
 // batch is a run of one worker's events in emission order: ops is the
 // tape of event kinds, and each kind's payloads sit in their own slice in
-// the same order.
+// the same order. opUserDone and opUser both take the next IMSI from
+// users; opUser also takes the next gather.
 type batch struct {
-	ops   []uint8
-	recs  userBundle
-	users []subs.IMSI
+	ops     []uint8
+	recs    stream.Records
+	users   []subs.IMSI
+	gathers []func(*stream.Records)
 }
 
 // fanSink fans the stream out to the workers. Each subscriber's events
@@ -231,7 +241,7 @@ func (s *fanSink) open(w int) *batch {
 // full.
 func (s *fanSink) push(w int, b *batch, op uint8) {
 	b.ops = append(b.ops, op)
-	if len(b.ops) == batchEvents {
+	if len(b.ops) == batchEvents || len(b.gathers) == batchUsers {
 		s.work[w] <- b
 		s.fill[w] = nil
 	}
@@ -240,7 +250,7 @@ func (s *fanSink) push(w int, b *batch, op uint8) {
 func (s *fanSink) Proxy(r proxylog.Record) error {
 	w := ownerOf(r.IMSI, len(s.fill))
 	b := s.open(w)
-	b.recs.addProxy(r)
+	b.recs.Proxy = append(b.recs.Proxy, r)
 	s.push(w, b, opProxy)
 	return nil
 }
@@ -248,7 +258,7 @@ func (s *fanSink) Proxy(r proxylog.Record) error {
 func (s *fanSink) MME(r mme.Record) error {
 	w := ownerOf(r.IMSI, len(s.fill))
 	b := s.open(w)
-	b.recs.addMME(r)
+	b.recs.MME = append(b.recs.MME, r)
 	s.push(w, b, opMME)
 	return nil
 }
@@ -256,7 +266,7 @@ func (s *fanSink) MME(r mme.Record) error {
 func (s *fanSink) UDR(r udr.Record) error {
 	w := ownerOf(r.IMSI, len(s.fill))
 	b := s.open(w)
-	b.recs.addUDR(r)
+	b.recs.UDR = append(b.recs.UDR, r)
 	s.push(w, b, opUDR)
 	return nil
 }
@@ -269,32 +279,53 @@ func (s *fanSink) UserDone(user subs.IMSI) error {
 	return nil
 }
 
-// replay applies one of w's batches in tape order and empties it.
+func (s *fanSink) User(user subs.IMSI, gather func(*stream.Records)) error {
+	w := ownerOf(user, len(s.fill))
+	b := s.open(w)
+	b.users = append(b.users, user)
+	b.gathers = append(b.gathers, gather)
+	s.push(w, b, opUser)
+	return nil
+}
+
+// replay applies one of w's batches in tape order and empties it. The
+// gathers are cleared too, so a batch waiting on the free list keeps no
+// subscriber's records or index alive.
 func (e *engine) replay(w *worker, b *batch) {
-	var p, m, u, d int
+	var p, m, u, d, g int
 	for _, op := range b.ops {
 		switch op {
 		case opProxy:
-			r := &b.recs.proxy[p]
+			r := &b.recs.Proxy[p]
 			p++
-			w.bundle(r.IMSI).addProxy(*r)
+			bu := w.bundle(r.IMSI)
+			bu.Proxy = append(bu.Proxy, *r)
 		case opMME:
-			r := &b.recs.mme[m]
+			r := &b.recs.MME[m]
 			m++
-			w.bundle(r.IMSI).addMME(*r)
+			bu := w.bundle(r.IMSI)
+			bu.MME = append(bu.MME, *r)
 		case opUDR:
-			r := &b.recs.udr[u]
+			r := &b.recs.UDR[u]
 			u++
-			w.bundle(r.IMSI).addUDR(*r)
+			bu := w.bundle(r.IMSI)
+			bu.UDR = append(bu.UDR, *r)
 		case opUserDone:
 			user := b.users[d]
 			d++
 			e.userDone(w, user)
+		case opUser:
+			user := b.users[d]
+			d++
+			e.user(w, user, b.gathers[g])
+			g++
 		}
 	}
 	b.ops = b.ops[:0]
-	b.recs.reset()
+	b.recs.Reset()
 	b.users = b.users[:0]
+	clear(b.gathers)
+	b.gathers = b.gathers[:0]
 }
 
 // consume drains the source through the engine. With more than one

@@ -14,13 +14,15 @@ import (
 )
 
 // event is one recorded stream event; user is the subscriber it belongs
-// to, and kind selects the payload (opProxy, opMME, opUDR or opUserDone).
+// to, and kind selects the payload (opProxy, opMME, opUDR, opUserDone, or
+// opUser with the subscriber's whole records in recs).
 type event struct {
 	kind  uint8
 	user  subs.IMSI
 	proxy proxylog.Record
 	mme   mme.Record
 	udr   udr.Record
+	recs  stream.Records
 }
 
 // recorder is a stream.Sink that keeps every event, and a stream.Source
@@ -48,6 +50,7 @@ func (r *recorder) UserDone(user subs.IMSI) error {
 }
 
 func (r *recorder) Stream(sink stream.Sink) error {
+	users := stream.PerUser(sink)
 	for _, ev := range *r {
 		var err error
 		switch ev.kind {
@@ -59,6 +62,12 @@ func (r *recorder) Stream(sink stream.Sink) error {
 			err = sink.UDR(ev.udr)
 		case opUserDone:
 			err = sink.UserDone(ev.user)
+		case opUser:
+			err = users.User(ev.user, func(dst *stream.Records) {
+				dst.Proxy = append(dst.Proxy, ev.recs.Proxy...)
+				dst.MME = append(dst.MME, ev.recs.MME...)
+				dst.UDR = append(dst.UDR, ev.recs.UDR...)
+			})
 		}
 		if err != nil {
 			return err
@@ -67,14 +76,50 @@ func (r *recorder) Stream(sink stream.Sink) error {
 	return nil
 }
 
+// wholeUsers returns r with every third subscriber's run of records and
+// UserDone folded into one opUser event, so per-record and whole-user
+// events mix in the stream.
+func wholeUsers(r recorder) recorder {
+	var out recorder
+	k := 0
+	for start := 0; start < len(r); {
+		end := start
+		for r[end].kind != opUserDone {
+			end++
+		}
+		if k++; k%3 != 0 {
+			out = append(out, r[start:end+1]...)
+		} else {
+			ev := event{kind: opUser, user: r[end].user}
+			for _, e := range r[start:end] {
+				switch e.kind {
+				case opProxy:
+					ev.recs.Proxy = append(ev.recs.Proxy, e.proxy)
+				case opMME:
+					ev.recs.MME = append(ev.recs.MME, e.mme)
+				case opUDR:
+					ev.recs.UDR = append(ev.recs.UDR, e.udr)
+				}
+			}
+			out = append(out, ev)
+		}
+		start = end + 1
+	}
+	return out
+}
+
 // TestFanOutBatchBoundaries checks the batched fan-out at the batch size's
-// edges: a source giving every worker exactly 0, 1, batchEvents-1,
-// batchEvents, batchEvents+1 or, so that every batch is refilled after
-// its replay, 2·batchesPerWorker·batchEvents events must yield the
-// Results of the one-worker direct path. The source keeps the tiny
-// dataset's user-major order and cuts each worker's share, as the
-// engine's owner hash routes it, at its budget, so the last subscriber
-// of a worker may lose records and UserDone and be sealed.
+// edges: a source giving every worker exactly 0, 1, batchUsers-1,
+// batchUsers, batchUsers+1, batchEvents-1, batchEvents, batchEvents+1
+// or, so that every batch is refilled after its replay,
+// 2·batchesPerWorker·batchEvents events must yield the Results of the
+// one-worker direct path. The source keeps the tiny dataset's user-major
+// order and cuts each worker's share, as the engine's owner hash routes
+// it, at its budget, so the last subscriber of a worker may lose records
+// and UserDone and be sealed. It runs once with per-record events only
+// and once with every third subscriber handed over whole (opUser), so
+// whole subscribers and per-record events share batches and fill them
+// by either limit.
 func TestFanOutBatchBoundaries(t *testing.T) {
 	cfg := sim.SmallConfig(7)
 	cfg.Population.WearableUsers = 128
@@ -105,7 +150,7 @@ func TestFanOutBatchBoundaries(t *testing.T) {
 		}
 		open := map[subs.IMSI]bool{}
 		for _, ev := range *src {
-			open[ev.user] = ev.kind != opUserDone
+			open[ev.user] = ev.kind != opUserDone && ev.kind != opUser
 		}
 		want := make([]int, workers)
 		for user, o := range open {
@@ -128,25 +173,60 @@ func TestFanOutBatchBoundaries(t *testing.T) {
 		}
 		return raw
 	}
+	mixed := wholeUsers(all)
 	for _, workers := range []int{2, 3} {
-		// The last size refills every batch after its replay.
-		for _, n := range []int{0, 1, batchEvents - 1, batchEvents, batchEvents + 1, 2 * batchesPerWorker * batchEvents} {
-			var src recorder
-			got := make([]int, workers)
-			for _, ev := range all {
-				if w := ownerOf(ev.user, workers); got[w] < n {
-					src = append(src, ev)
-					got[w]++
+		for name, events := range map[string]recorder{"per-record": all, "mixed": mixed} {
+			// batchUsers-1 to batchUsers+1 cut around a batch filled by
+			// whole subscribers; the last size refills every batch after
+			// its replay.
+			for _, n := range []int{0, 1, batchUsers - 1, batchUsers, batchUsers + 1, batchEvents - 1, batchEvents, batchEvents + 1, 2 * batchesPerWorker * batchEvents} {
+				var src recorder
+				got := make([]int, workers)
+				for _, ev := range events {
+					if w := ownerOf(ev.user, workers); got[w] < n {
+						src = append(src, ev)
+						got[w]++
+					}
 				}
-			}
-			for w, k := range got {
-				if k != n {
-					t.Fatalf("workers=%d: worker %d gets %d events, want %d; the dataset is too small", workers, w, k, n)
+				for w, k := range got {
+					if k != n {
+						t.Fatalf("%s, workers=%d: worker %d gets %d events, want %d; the dataset is too small", name, workers, w, k, n)
+					}
 				}
-			}
-			if a, b := study(&src, 1), study(&src, workers); string(a) != string(b) {
-				t.Errorf("workers=%d, %d events per worker: fan-out Results differ from the direct path", workers, n)
+				if a, b := study(&src, 1), study(&src, workers); string(a) != string(b) {
+					t.Errorf("%s, workers=%d, %d events per worker: fan-out Results differ from the direct path", name, workers, n)
+				}
 			}
 		}
+	}
+}
+
+// TestEmptyUserLeavesNoResidue: a whole subscriber whose gather brings no
+// records leaves nothing behind, like a UserDone for a subscriber who
+// sent none, and the bundle goes back to the spare.
+func TestEmptyUserLeavesNoResidue(t *testing.T) {
+	cfg := sim.SmallConfig(7)
+	cfg.Population.WearableUsers = 4
+	cfg.Population.OrdinaryUsers = 4
+	cfg.Cells = cells.Config{UrbanSectors: 10, RuralSectors: 5}
+	cfg.OrdinaryMobilitySample = 2
+	src, err := sim.NewStreamSource(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := newEngine(Env{Devices: src.Devices, Topology: src.Topology, Catalog: src.Catalog}, DefaultConfig().withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := e.workers[0]
+	sink := directSink{e, w}
+	if err := sink.User(5, func(*stream.Records) {}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.UserDone(6); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.acc.stats) != 0 || len(w.pending) != 0 || w.spare == nil {
+		t.Errorf("after empty subscribers: %d residues, %d pending, spare %v; want 0, 0 and a spare", len(w.acc.stats), len(w.pending), w.spare != nil)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"wearwild/internal/mnet/proxylog"
 	"wearwild/internal/mnet/subs"
 	"wearwild/internal/mnet/udr"
+	"wearwild/internal/stream"
 )
 
 // datasetHash fingerprints a dataset through the on-disk codecs, so two
@@ -113,6 +115,79 @@ func TestGenerateParallelEquivalence(t *testing.T) {
 	ds.UDR.Sort()
 	if got := datasetHash(t, ds); got != ref {
 		t.Errorf("stream-collected dataset hash %s, want batch hash %s", got, ref)
+	}
+}
+
+// lagSink is a stream.UserSink that runs each subscriber's gather on its
+// own goroutine, and only once lag later subscribers have been handed
+// over: by then the sweep has refilled the subscriber's ring slot, and it
+// is filling other slots while the gather runs.
+type lagSink struct {
+	gathers chan func(*stream.Records)
+	done    chan stream.Records
+}
+
+func newLagSink(lag int) *lagSink {
+	s := &lagSink{gathers: make(chan func(*stream.Records)), done: make(chan stream.Records)}
+	go func() {
+		var held []func(*stream.Records)
+		var got stream.Records
+		for g := range s.gathers {
+			held = append(held, g)
+			if len(held) > lag {
+				held[0](&got)
+				held = held[1:]
+			}
+		}
+		for _, g := range held {
+			g(&got)
+		}
+		s.done <- got
+	}()
+	return s
+}
+
+func (s *lagSink) User(_ subs.IMSI, gather func(*stream.Records)) error {
+	s.gathers <- gather
+	return nil
+}
+
+// The per-record calls are never made: the source sees a UserSink.
+func (s *lagSink) Proxy(proxylog.Record) error { panic("per-record call on a UserSink") }
+func (s *lagSink) MME(mme.Record) error        { panic("per-record call on a UserSink") }
+func (s *lagSink) UDR(udr.Record) error        { panic("per-record call on a UserSink") }
+func (s *lagSink) UserDone(subs.IMSI) error    { panic("per-record call on a UserSink") }
+
+// TestStreamLateGathers pins the lifetime of StreamSource's handover: a
+// gather run after the sweep has reused its subscriber's ring slot, on
+// another goroutine while the sweep runs, still yields that subscriber's
+// records. Under -race it also catches a gather that reads the slot the
+// sweep is refilling.
+func TestStreamLateGathers(t *testing.T) {
+	for _, w := range []int{1, 2, 8} {
+		cfg := tinyConfig(42)
+		cfg.Workers = w
+		src, err := NewStreamSource(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := &logSink{}
+		if err := src.Stream(want); err != nil {
+			t.Fatal(err)
+		}
+		sink := newLagSink(8 * w) // twice the sweep's ring of 4 slots per worker
+		err = src.Stream(sink)
+		close(sink.gathers)
+		got := <-sink.done
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Proxy, want.proxy.Records) || !slices.Equal(got.MME, want.mme.Records) ||
+			!slices.Equal(got.UDR, want.udr.Records) {
+			t.Errorf("Workers=%d: late gathers yield %d/%d/%d proxy/MME/UDR records unlike the per-record stream's %d/%d/%d",
+				w, len(got.Proxy), len(got.MME), len(got.UDR),
+				len(want.proxy.Records), len(want.mme.Records), len(want.udr.Records))
+		}
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"wearwild/internal/randx"
 	"wearwild/internal/shard"
 	"wearwild/internal/simtime"
+	"wearwild/internal/stream"
 
 	"wearwild/internal/gen/apps"
 	"wearwild/internal/gen/mobility"
@@ -176,7 +177,7 @@ func Generate(cfg Config) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	outs := make([]userOutput, len(ds.Population.Users))
+	outs := make([]stream.Records, len(ds.Population.Users))
 	var nm, np, nu int
 	err = gen.sweep(cfg.Workers, func(i int, sc *genScratch) error {
 		outs[i] = sc.output()
@@ -192,9 +193,9 @@ func Generate(cfg Config) (*Dataset, error) {
 	ds.Proxy.Records = make([]proxylog.Record, 0, np)
 	ds.UDR.Records = make([]udr.Record, 0, nu)
 	for i := range outs {
-		ds.MME.Records = append(ds.MME.Records, outs[i].mme...)
-		ds.Proxy.Records = append(ds.Proxy.Records, outs[i].proxy...)
-		ds.UDR.Records = append(ds.UDR.Records, outs[i].udr...)
+		ds.MME.Records = append(ds.MME.Records, outs[i].MME...)
+		ds.Proxy.Records = append(ds.Proxy.Records, outs[i].Proxy...)
+		ds.UDR.Records = append(ds.UDR.Records, outs[i].UDR...)
 	}
 
 	ds.MME.SortByTime()
@@ -203,16 +204,8 @@ func Generate(cfg Config) (*Dataset, error) {
 	return ds, nil
 }
 
-// userOutput holds one user's generated records, copied out of the
-// sweep's scratch so Generate can concatenate them in user order.
-type userOutput struct {
-	mme   []mme.Record
-	proxy []proxylog.Record
-	udr   []udr.Record
-}
-
 // genScratch is one worker's reusable generation state: record slabs the
-// per-user sweep resets and refills (the retain slab grammar), the fixed
+// per-user sweep resets and refills (the slab grammar), the fixed
 // week-aggregate array that replaced the per-user pointer map, and the
 // traffic model's own buffers. Each slot of the sweep's ring owns one for
 // the whole population; its slabs grow to the busiest subscriber and stay
@@ -227,12 +220,13 @@ type genScratch struct {
 	tr     traffic.Scratch
 }
 
-// output snapshots the slabs into exactly-sized slices Generate may retain.
-func (s *genScratch) output() userOutput {
-	return userOutput{
-		mme:   append(make([]mme.Record, 0, len(s.mme)), s.mme...),
-		proxy: append(make([]proxylog.Record, 0, len(s.proxy)), s.proxy...),
-		udr:   append(make([]udr.Record, 0, len(s.udr)), s.udr...),
+// output snapshots the slabs into exactly-sized slices that outlive the
+// slot's reuse.
+func (s *genScratch) output() stream.Records {
+	return stream.Records{
+		Proxy: append(make([]proxylog.Record, 0, len(s.proxy)), s.proxy...),
+		MME:   append(make([]mme.Record, 0, len(s.mme)), s.mme...),
+		UDR:   append(make([]udr.Record, 0, len(s.udr)), s.udr...),
 	}
 }
 

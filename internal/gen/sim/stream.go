@@ -97,31 +97,25 @@ func (s *genScratch) sortCanonical() {
 }
 
 // Stream implements stream.Source on the generator sweep: each
-// subscriber's bundle goes to the sink as soon as it is their turn, in
-// ascending IMSI order, so the byte stream is identical for any Workers
-// setting and peak memory is one ring of subscriber bundles, never the
-// dataset. The first sink error stops the sweep and is returned.
+// subscriber goes to the sink as soon as it is their turn, in ascending
+// IMSI order, so the byte stream is identical for any Workers setting.
+// The ring slot is refilled once emit returns, so each subscriber is
+// handed over as a snapshot of their slot, which the sink's gather copies
+// from whenever it runs. Peak memory is one ring of subscriber bundles
+// plus the snapshots the sink has not gathered yet, never the dataset.
+// The first sink error stops the sweep and is returned.
 func (s *StreamSource) Stream(sink stream.Sink) error {
+	users := stream.PerUser(sink)
 	return s.gen.sweep(s.cfg.Workers, func(i int, sc *genScratch) error {
 		imsi := s.gen.pop.Users[i].IMSI
 		if s.ConsumeUsers {
 			s.gen.pop.Users[i] = nil
 		}
-		for _, r := range sc.proxy {
-			if err := sink.Proxy(r); err != nil {
-				return err
-			}
-		}
-		for _, r := range sc.mme {
-			if err := sink.MME(r); err != nil {
-				return err
-			}
-		}
-		for _, r := range sc.udr {
-			if err := sink.UDR(r); err != nil {
-				return err
-			}
-		}
-		return sink.UserDone(imsi)
+		out := sc.output()
+		return users.User(imsi, func(dst *stream.Records) {
+			dst.Proxy = append(dst.Proxy, out.Proxy...)
+			dst.MME = append(dst.MME, out.MME...)
+			dst.UDR = append(dst.UDR, out.UDR...)
+		})
 	})
 }

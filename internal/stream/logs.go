@@ -12,8 +12,11 @@ import (
 // Logs adapts resident in-memory logs (a generated or loaded dataset) to
 // the stream interface. It is a user-major source: it indexes record
 // positions per subscriber — positions only, never record copies — and
-// replays each subscriber's records in log order followed by UserDone, in
-// ascending IMSI order.
+// hands the sink each subscriber in ascending IMSI order, with a gather
+// that copies their records out of the logs in log order (on a UserSink,
+// on whichever goroutine the sink runs it; otherwise as per-record calls
+// followed by UserDone). The logs must not change until the sink's
+// consumer has finished with the stream.
 //
 // Because the global logs are stably time-sorted, each subscriber's
 // replayed subsequence equals a stable time-sort of that subscriber's own
@@ -37,20 +40,20 @@ func (l *Logs) Stream(sink Sink) error {
 		return ix
 	}
 	if l.Proxy != nil {
-		for i, rec := range l.Proxy.Records {
-			ix := at(rec.IMSI)
+		for i := range l.Proxy.Records {
+			ix := at(l.Proxy.Records[i].IMSI)
 			ix.proxy = append(ix.proxy, int32(i))
 		}
 	}
 	if l.MME != nil {
-		for i, rec := range l.MME.Records {
-			ix := at(rec.IMSI)
+		for i := range l.MME.Records {
+			ix := at(l.MME.Records[i].IMSI)
 			ix.mme = append(ix.mme, int32(i))
 		}
 	}
 	if l.UDR != nil {
-		for i, rec := range l.UDR.Records {
-			ix := at(rec.IMSI)
+		for i := range l.UDR.Records {
+			ix := at(l.UDR.Records[i].IMSI)
 			ix.udr = append(ix.udr, int32(i))
 		}
 	}
@@ -59,24 +62,10 @@ func (l *Logs) Stream(sink Sink) error {
 		users = append(users, imsi)
 	}
 	slices.Sort(users)
+	us := PerUser(sink)
 	for _, imsi := range users {
 		ix := byUser[imsi]
-		for _, i := range ix.proxy {
-			if err := sink.Proxy(l.Proxy.Records[i]); err != nil {
-				return err
-			}
-		}
-		for _, i := range ix.mme {
-			if err := sink.MME(l.MME.Records[i]); err != nil {
-				return err
-			}
-		}
-		for _, i := range ix.udr {
-			if err := sink.UDR(l.UDR.Records[i]); err != nil {
-				return err
-			}
-		}
-		if err := sink.UserDone(imsi); err != nil {
+		if err := us.User(imsi, func(dst *Records) { ix.gather(l, dst) }); err != nil {
 			return err
 		}
 		delete(byUser, imsi)
@@ -87,4 +76,18 @@ func (l *Logs) Stream(sink Sink) error {
 // logsIndex holds one subscriber's record positions in each log.
 type logsIndex struct {
 	proxy, mme, udr []int32
+}
+
+// gather appends the subscriber's records to dst in log order. It only
+// reads the logs, so it may run on any goroutine.
+func (ix *logsIndex) gather(l *Logs, dst *Records) {
+	for _, i := range ix.proxy {
+		dst.Proxy = append(dst.Proxy, l.Proxy.Records[i])
+	}
+	for _, i := range ix.mme {
+		dst.MME = append(dst.MME, l.MME.Records[i])
+	}
+	for _, i := range ix.udr {
+		dst.UDR = append(dst.UDR, l.UDR.Records[i])
+	}
 }

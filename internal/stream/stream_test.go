@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"wearwild/internal/mnet/cells"
 	"wearwild/internal/mnet/imei"
 	"wearwild/internal/mnet/mme"
 	"wearwild/internal/mnet/proxylog"
@@ -126,6 +127,99 @@ func TestLogsSinkErrorAborts(t *testing.T) {
 	}
 	if len(sink.events) != 2 {
 		t.Fatalf("stream continued past the failing callback: %v", sink.events)
+	}
+}
+
+// userSink is a UserSink that keeps every handover and runs the gathers
+// only when asked, failing a configured User call to exercise aborts.
+type userSink struct {
+	traceSink
+	imsis   []subs.IMSI
+	gathers []func(*Records)
+}
+
+func (s *userSink) User(imsi subs.IMSI, gather func(dst *Records)) error {
+	s.n++
+	if s.failAt != 0 && s.n == s.failAt {
+		return errSink
+	}
+	s.imsis = append(s.imsis, imsi)
+	s.gathers = append(s.gathers, gather)
+	return nil
+}
+
+// replay runs the kept gathers in handover order and renders what they
+// gather as the per-record calls and UserDone they stand for.
+func (s *userSink) replay() []event {
+	var out []event
+	for i, gather := range s.gathers {
+		var r Records
+		gather(&r)
+		for _, rec := range r.Proxy {
+			out = append(out, event{"proxy", rec.IMSI, rec.Host})
+		}
+		for _, rec := range r.MME {
+			out = append(out, event{"mme", rec.IMSI, fmt.Sprint(rec.Sector)})
+		}
+		for _, rec := range r.UDR {
+			out = append(out, event{"udr", rec.IMSI, fmt.Sprint(rec.Bytes)})
+		}
+		out = append(out, event{"done", s.imsis[i], ""})
+	}
+	return out
+}
+
+// bigLogs builds interleaved logs for many subscribers, each with a
+// different number of records per feed (some none), in a shuffled
+// subscriber order.
+func bigLogs() *Logs {
+	const users = 40
+	l := &Logs{Proxy: &proxylog.Log{}, MME: &mme.Log{}, UDR: &udr.Log{}}
+	for i := range 200 {
+		u := subs.IMSI(1 + i*17%users)
+		l.Proxy.Append(proxylog.Record{Time: at(i), IMSI: u, Host: fmt.Sprintf("h%d", i), BytesDown: 1})
+		if i%3 == 0 {
+			l.MME.Append(mme.Record{Time: at(i), IMSI: u + 1, Sector: cells.SectorID(i)})
+		}
+		if i%7 == 0 {
+			l.UDR.Append(udr.Record{IMSI: u + 2, Bytes: int64(i), Transactions: 1})
+		}
+	}
+	return l
+}
+
+// TestLogsUserSinkMatchesPerRecord pins the two ways Logs hands a
+// subscriber over: the gathers a UserSink receives, run after the stream
+// has returned, yield the same records in the same order, subscriber by
+// subscriber, as the per-record calls a plain Sink receives.
+func TestLogsUserSinkMatchesPerRecord(t *testing.T) {
+	for name, logs := range map[string]*Logs{"two users": testLogs(), "forty users": bigLogs()} {
+		perRecord := &traceSink{}
+		if err := logs.Stream(perRecord); err != nil {
+			t.Fatal(err)
+		}
+		users := &userSink{}
+		if err := logs.Stream(users); err != nil {
+			t.Fatal(err)
+		}
+		if len(users.events) != 0 {
+			t.Fatalf("%s: a UserSink got per-record calls: %v", name, users.events)
+		}
+		if got := users.replay(); !reflect.DeepEqual(got, perRecord.events) {
+			t.Errorf("%s: gathered records differ from the per-record calls:\n got %v\nwant %v", name, got, perRecord.events)
+		}
+	}
+}
+
+// TestLogsUserErrorAborts: the first User error stops the stream and
+// surfaces unwrapped, and no later subscriber is handed over.
+func TestLogsUserErrorAborts(t *testing.T) {
+	sink := &userSink{traceSink: traceSink{failAt: 3}}
+	if err := bigLogs().Stream(sink); err != errSink {
+		t.Fatalf("got %v, want errSink", err)
+	}
+	if len(sink.gathers) != 2 {
+		t.Fatalf("stream continued past the failing User: %d subscribers handed over", len(sink.gathers))
 	}
 }
 

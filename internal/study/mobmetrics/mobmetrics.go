@@ -139,7 +139,11 @@ func (a *Analyzer) Profile(records []mme.Record, window simtime.Window, keep fun
 	if len(recs) == 0 {
 		return Profile{}, false
 	}
-	slices.SortStableFunc(recs, byTime)
+	// Every source emits a subscriber's MME records in time order, so
+	// the stable sort seldom has work to do.
+	if !slices.IsSortedFunc(recs, byTime) {
+		slices.SortStableFunc(recs, byTime)
+	}
 
 	// Records are in time order, so each day is one contiguous run and
 	// the runs come in ascending day order: the order MeanDailyMaxKm sums
@@ -254,7 +258,9 @@ func (s *Scratch) TxSectors(mmeRecords []mme.Record, proxyRecords []proxylog.Rec
 		}
 	}
 	s.recs = timeline
-	slices.SortStableFunc(timeline, byTime)
+	if !slices.IsSortedFunc(timeline, byTime) {
+		slices.SortStableFunc(timeline, byTime)
+	}
 
 	if s.joined == nil {
 		s.joined = make(map[cells.SectorID]int64, 2)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -268,22 +269,34 @@ func (h heapReadings) check(t *testing.T, what string) {
 // larger bundles, and only state sized by the log moves: records kept
 // grow the heap, and per-subscriber state that holds a subscriber's
 // records shrinks it.
+//
+// With whole set, the source sees a stream.UserSink and the engine gets
+// whole subscribers, whose gathers append the records twice in the first
+// pass; otherwise the source falls back to per-record calls. Gathers run
+// on the engine's workers, so the record count is atomic; a reading may
+// miss the records of subscribers still queued, the same few at the end
+// of either pass.
 type halvedReplay struct {
 	stream.Sink
 	src      stream.Source
+	whole    bool
 	copies   int
-	records  int
+	records  atomic.Int64
 	readings heapReadings
 }
 
 func (r *halvedReplay) Stream(sink stream.Sink) error {
 	r.Sink = sink
+	var through stream.Sink = r
+	if r.whole {
+		through = wholeReplay{r}
+	}
 	for _, copies := range []int{2, 1} {
 		r.copies = copies
-		if err := r.src.Stream(r); err != nil {
+		if err := r.src.Stream(through); err != nil {
 			return err
 		}
-		r.readings.read(r.records)
+		r.readings.read(int(r.records.Load()))
 	}
 	return nil
 }
@@ -294,12 +307,26 @@ func (r *halvedReplay) UDR(rec udr.Record) error        { return sendCopies(r, r
 
 func sendCopies[R any](r *halvedReplay, rec R, send func(R) error) error {
 	for range r.copies {
-		r.records++
+		r.records.Add(1)
 		if err := send(rec); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// wholeReplay is halvedReplay's stream.UserSink face.
+type wholeReplay struct{ *halvedReplay }
+
+func (r wholeReplay) User(imsi subs.IMSI, gather func(*stream.Records)) error {
+	copies := r.copies
+	return stream.PerUser(r.Sink).User(imsi, func(dst *stream.Records) {
+		before := len(dst.Proxy) + len(dst.MME) + len(dst.UDR)
+		for range copies {
+			gather(dst)
+		}
+		r.records.Add(int64(len(dst.Proxy) + len(dst.MME) + len(dst.UDR) - before))
+	})
 }
 
 // countingSink counts the records it is streamed and reads the live heap
@@ -326,7 +353,8 @@ func (c *countingSink) UserDone(subs.IMSI) error    { return nil }
 // TestStreamingResidency is the memory contract of DESIGN.md §8 at test
 // scale: while a stream is live, the heap may hold state sized by the
 // subscribers but none sized by the records. The engine part runs the
-// generator sweep through halvedReplay at one and two workers and bounds
+// generator sweep through halvedReplay at one and two workers, handing
+// the engine whole subscribers and per-record calls in turn, and bounds
 // the heap's change per record of the second pass, which spans every
 // subscriber, wearable owners and ordinary users alike. The decoder part
 // reads the heap a quarter of the way through the three log decoders'
@@ -334,19 +362,23 @@ func (c *countingSink) UserDone(subs.IMSI) error    { return nil }
 func TestStreamingResidency(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("engine/workers=%d", workers), func(t *testing.T) {
-			src, err := sim.NewStreamSource(SmallConfig(42))
-			if err != nil {
-				t.Fatal(err)
+			for name, whole := range map[string]bool{"whole-users": true, "per-record": false} {
+				t.Run(name, func(t *testing.T) {
+					src, err := sim.NewStreamSource(SmallConfig(42))
+					if err != nil {
+						t.Fatal(err)
+					}
+					// The source streams twice, so it keeps its population
+					// (ConsumeUsers unset), the same at both readings.
+					r := &halvedReplay{src: src, whole: whole}
+					cfg := core.DefaultConfig()
+					cfg.Workers = workers
+					if _, err := core.RunStream(core.Env{Devices: src.Devices, Topology: src.Topology, Catalog: src.Catalog}, r, cfg); err != nil {
+						t.Fatal(err)
+					}
+					r.readings.check(t, "the engine")
+				})
 			}
-			// The source streams twice, so it keeps its population
-			// (ConsumeUsers unset), the same at both readings.
-			r := &halvedReplay{src: src}
-			cfg := core.DefaultConfig()
-			cfg.Workers = workers
-			if _, err := core.RunStream(core.Env{Devices: src.Devices, Topology: src.Topology, Catalog: src.Catalog}, r, cfg); err != nil {
-				t.Fatal(err)
-			}
-			r.readings.check(t, "the engine")
 		})
 	}
 	t.Run("decoders", func(t *testing.T) {
