@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race lint lint-json lint-only lint-fixtures lint-suppressions fuzz-smoke bench-smoke check
+.PHONY: build vet fmt test race lint lint-json lint-only lint-fixtures lint-suppressions fuzz-smoke bench-smoke check
 
 build:
 	$(GO) build ./...
@@ -11,12 +11,23 @@ build:
 vet:
 	$(GO) vet ./...
 
+# gofmt gate: fails listing every Go file outside testdata/ and hidden
+# directories that gofmt would change. Fixture trees are left out:
+# testdata/suppress/suppress.go keeps a bare directive line that gofmt
+# would reflow, moving the positions TestGoldenSuppress pins.
+fmt:
+	@out=$$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.*' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
+
 test:
 	$(GO) test ./...
 
 # The guard on shard.Run callbacks: fn(i) may write only state index i
 # owns, and the parallel-equivalence tests run both callbacks at several
-# worker counts, so a shared write fails here as a data race.
+# worker counts, so a shared write fails here as a data race. The same
+# run ends the netproxy, replay, shard, core and gen/sim test binaries
+# with the goroutine-leak check (internal/leakcheck), which fails on any
+# goroutine their code started that outlives the tests.
 race:
 	$(GO) test -race ./...
 
@@ -74,4 +85,4 @@ bench-smoke:
 	bash cmd/wearperf/run.sh --workload batch --seconds 3 --trace 0
 	bash cmd/wearperf/run.sh --workload collect --seconds 3 --trace 0
 
-check: build vet lint lint-fixtures race fuzz-smoke
+check: build vet fmt lint lint-fixtures race fuzz-smoke

@@ -176,14 +176,12 @@ func startTLSOrigin() string {
 	if err != nil {
 		log.Fatal(err)
 	}
-	//wearlint:ignore ctxflow demo origin lives for the whole process; main never closes its listener, so the accept loop is reaped at exit
 	go func() {
 		for {
 			c, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			//wearlint:ignore ctxflow per-connection echo in a process-lifetime demo origin; one read and one write, then the conn closes
 			go func(c net.Conn) {
 				defer c.Close()
 				buf := make([]byte, 256)
@@ -201,14 +199,12 @@ func startHTTPOrigin() string {
 	if err != nil {
 		log.Fatal(err)
 	}
-	//wearlint:ignore ctxflow demo origin lives for the whole process; main never closes its listener, so the accept loop is reaped at exit
 	go func() {
 		for {
 			c, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			//wearlint:ignore ctxflow per-connection responder in a process-lifetime demo origin; answers one request, then the conn closes
 			go func(c net.Conn) {
 				defer c.Close()
 				br := bufio.NewReader(c)

@@ -161,14 +161,13 @@ func (p *Pass) calleeFunc(call *ast.CallExpr) *types.Func {
 // float-folding inside a map range, and errdrop), then the call-graph
 // checks — detreach, the determinism check; lockheld; membound, the
 // generator's hot-path allocation check; randsplit, the RNG-stream
-// discipline — then the
-// concurrency-safety three: ctxflow, the one collection-path and
-// goroutine-lifecycle check (deadline-guarded conn I/O, bounded hot-loop
-// sends, WaitGroup placement, bounded exit, cancellable collection-tier
-// paths), and atomicmix and tickstop, which pin the collection tier's
-// snapshot and timer-lifecycle invariants. What a shard.Run callback may
+// discipline — then the concurrency-safety two: ctxflow, the
+// collection-path and WaitGroup check (deadline-guarded conn I/O, bounded
+// hot-loop sends, WaitGroup placement), and atomicmix, which pins the
+// collection tier's snapshot invariant. What a shard.Run callback may
 // write is left to the race detector over the parallel-equivalence
-// tests.
+// tests, and whether a goroutine exits to the leak check
+// (internal/leakcheck) that ends the concurrent packages' tests.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		MaporderAnalyzer,
@@ -179,7 +178,6 @@ func DefaultAnalyzers() []*Analyzer {
 		RandsplitAnalyzer,
 		CtxflowAnalyzer,
 		AtomicmixAnalyzer,
-		TickstopAnalyzer,
 	}
 }
 

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -9,9 +8,8 @@ import (
 	"strings"
 )
 
-// CtxflowAnalyzer is the collection-path and goroutine-lifecycle check.
-// It applies five rules, each at its own scope (DESIGN.md §5). Two judge
-// sites:
+// CtxflowAnalyzer is the collection-path and WaitGroup check. It applies
+// three rules, each at its own scope (DESIGN.md §5):
 //
 //   - Conn I/O (connIOPkgs, non-test): every raw net.Conn Read or Write
 //     needs a SetDeadline-family call for its direction — SetDeadline
@@ -23,67 +21,25 @@ import (
 //     the function itself spawns and closes the channel on (the owned
 //     pipeline). Buffering alone is not a bound: it only delays the park
 //     by its capacity.
+//   - WaitGroup placement (every spawned function literal in the module,
+//     test files included): no wg.Add inside the literal, where the
+//     spawner can reach Wait first, and no literal spawned after wg.Add
+//     whose body neither calls wg.Done nor waits on the group. A body
+//     that calls Wait is the group's waiter (the fan-in closer), not a
+//     worker it guards.
 //
-// Three make one pass over every go statement in the module and resolve
-// what each one spawns once — a function literal, a named function, or a
-// func value (skipped: unresolvable, a documented under-approximation):
-//
-//   - WaitGroup placement (whole module, test files included): no
-//     wg.Add inside the spawned literal, where the spawner can reach Wait
-//     first, and no literal spawned after wg.Add whose body neither calls
-//     wg.Done nor waits on the group. A body that calls Wait is the
-//     group's waiter (the fan-in closer), not a worker it guards.
-//   - Bounded exit at the go statement (exitPkgs outside the collection
-//     tier, non-test): a spawned body that can block — per the blocking
-//     fixpoint lockheld uses — must join a WaitGroup, receive a done
-//     signal, or close a completion channel; a body that blocks through
-//     channel operations alone may instead make only operations the site
-//     vocabulary below bounds, with timer and ticker receives excluded.
-//   - Per-site walk (the collection tier, ctxflowPkgs, non-test): every
-//     potentially-parking site on the spawned path, followed through the
-//     call graph, must be cancellable. It is the only lifecycle verdict on
-//     the sites it models, so a spawn is reported once. A spawn whose path
-//     flags no site but reaches a blocking leaf the walk does not model
-//     (sync Wait, time.Sleep, a net call other than Read, Write or
-//     Accept), and a bodiless target the walk cannot enter (go
-//     wg.Wait()), are judged at the go statement by the bounded-exit
-//     disciplines.
-//
-// One position gets one finding, from the first rule in the order above
-// to flag it: a conn I/O site or hot-loop send the walk also reaches
-// keeps its sharper message, and a guarded spawn with no Done is reported
-// by the placement rule alone.
-//
-// The site vocabulary both lifecycle rules share: a send into, or a
-// receive from, a channel the containing function made with constant
-// capacity (buffered handoff; the dial-reaper shape — the rule assumes
-// some sender fills it); a receive of a token the containing function
-// itself sends (semaphore); a receive from a done source
-// (shutdownRecvSource: ctx.Done(), a done/stop-named channel, and for
-// the walk a timer or ticker C); and a select with a default or such a
-// case. The walk adds three disciplines of its own:
-//
-//   - a body that calls wg.Done is a joined lifecycle: some owner waits,
-//     so its channel operations are bounded;
-//   - an Accept loop must visibly observe a done signal — a join does not
-//     unpark a kernel accept, and the gate bounds the accept/Close race
-//     (closing the listener from another function is invisible:
-//     documented over-approximation);
-//   - raw net.Conn I/O must be deadline-guarded for its direction in its
-//     function, in the spawning function, or along the spawn chain (the
-//     conn-I/O rule's facts, accumulated per hop).
-//
-// The walk never descends into a nested go statement's body — that is
-// its own spawn — and a guard armed in a sibling call is invisible.
+// One position gets one finding, from the first rule in that order to
+// flag it. Whether a spawned goroutine exits is not judged here: the
+// tests of the collection tier, the shard runtime, the study engine and
+// the generator end in a goroutine-leak check (internal/leakcheck).
 var CtxflowAnalyzer = &Analyzer{
 	Name:      "ctxflow",
-	Doc:       "collection path and goroutine lifecycle: deadline-guarded conn I/O, bounded hot-loop sends, WaitGroup Add before the spawn and Done in it, a bounded exit for every spawn, and cancellable blocking sites on collection-tier goroutine paths",
+	Doc:       "collection path and WaitGroup placement: deadline-guarded conn I/O, bounded hot-loop sends, wg.Add before the spawn and Done in it",
 	RunModule: runCtxflow,
 }
 
-// ctxflowPkgs is the collection tier, whose spawns the per-site walk
-// judges and whose reach the hot-loop send rule covers: the live proxy
-// and replay packages and their commands.
+// ctxflowPkgs is the collection tier, whose reach the hot-loop send rule
+// covers: the live proxy and replay packages and their commands.
 var ctxflowPkgs = []string{
 	"internal/mnet/netproxy",
 	"internal/mnet/replay",
@@ -91,23 +47,13 @@ var ctxflowPkgs = []string{
 	"cmd/wearreplay",
 }
 
-// exitPkgs scopes the bounded-exit rule to the packages that own
-// long-lived goroutines: the measurement network tier, the shard
-// runtime, the commands and the runnable examples.
-var exitPkgs = []string{"internal/mnet/...", "internal/shard", "cmd/...", "examples/..."}
-
 // connIOPkgs scopes the conn-I/O rule: the collection path is the only
 // code that reads and writes real sockets, and DESIGN.md §6 promises none
 // of it can wedge on a dead peer.
 var connIOPkgs = []string{"internal/mnet/..."}
 
-// ctxGuards is the set of deadline directions armed in one function, or
-// accumulated along a spawn chain.
+// ctxGuards is the set of deadline directions armed in one function.
 type ctxGuards struct{ read, write bool }
-
-func (g ctxGuards) add(f *deadlineFacts) ctxGuards {
-	return ctxGuards{read: g.read || f.guards.read, write: g.write || f.guards.write}
-}
 
 // covers reports whether a deadline is armed for the I/O direction.
 func (g ctxGuards) covers(write bool) bool {
@@ -117,16 +63,13 @@ func (g ctxGuards) covers(write bool) bool {
 	return g.read
 }
 
-// ctxflow is one run's state: the interface types, the blocking
-// fixpoint, per-node memos the walk fills on demand, and the positions
-// already reported.
+// ctxflow is one run's state: the interface types, the per-node deadline
+// facts, filled on demand, and the positions already reported.
 type ctxflow struct {
 	mp       *ModulePass
 	conn     *types.Interface
 	listener *types.Interface
-	blocking map[*Node]bool
 	facts    map[*Node]*deadlineFacts
-	goExt    map[*Node][][2]token.Pos
 	reported map[token.Pos]bool
 }
 
@@ -135,9 +78,7 @@ func runCtxflow(mp *ModulePass) {
 		mp:       mp,
 		conn:     mp.NetConn(),
 		listener: mp.NetListener(),
-		blocking: mp.Graph.BlockingNodes(),
 		facts:    map[*Node]*deadlineFacts{},
-		goExt:    map[*Node][][2]token.Pos{},
 		reported: map[token.Pos]bool{},
 	}
 	c.connIO()
@@ -145,24 +86,18 @@ func runCtxflow(mp *ModulePass) {
 	for _, u := range mp.Mod.Units {
 		pass, _ := mp.Mod.pass(u)
 		for _, f := range u.Files {
-			for _, decl := range f.Decls {
-				var n *Node // nil in a package-level initializer
-				if fd, ok := decl.(*ast.FuncDecl); ok {
-					if fn, ok := pass.ObjectOf(fd.Name).(*types.Func); ok {
-						n = mp.Graph.Nodes[fn.FullName()]
+			pending := map[*ast.GoStmt][]string{}
+			ast.Inspect(f, func(nd ast.Node) bool {
+				switch nd := nd.(type) {
+				case *ast.BlockStmt:
+					wgPending(pass, nd, pending)
+				case *ast.GoStmt:
+					if lit, ok := ast.Unparen(nd.Call.Fun).(*ast.FuncLit); ok {
+						c.placement(pass, nd, lit, pending[nd])
 					}
 				}
-				pending := map[*ast.GoStmt][]string{}
-				ast.Inspect(decl, func(nd ast.Node) bool {
-					switch nd := nd.(type) {
-					case *ast.BlockStmt:
-						wgPending(pass, nd, pending)
-					case *ast.GoStmt:
-						c.spawn(n, pass, nd, pending[nd])
-					}
-					return true
-				})
-			}
+				return true
+			})
 		}
 	}
 }
@@ -307,7 +242,7 @@ func isAcceptCall(pass *Pass, call *ast.CallExpr, listener *types.Interface) boo
 func (c *ctxflow) hotSend(n *Node, send *ast.SendStmt, loopKind string, chain []PathStep) {
 	pass := n.Pass
 	if sel := enclosingSelect(n.Decl.Body, send); sel != nil {
-		if selectHasDefault(sel) || selectHasShutdownCase(pass, sel, true) {
+		if selectHasDefault(sel) || selectHasShutdownCase(pass, sel) {
 			return
 		}
 	} else if receiverJoined(pass, n.Decl.Body, fieldOrVarObject(pass, send.Chan)) {
@@ -452,9 +387,8 @@ func selectHasDefault(sel *ast.SelectStmt) bool {
 }
 
 // selectHasShutdownCase reports whether any comm clause of the select
-// receives from a done source (shutdownRecvSource; timers says whether a
-// timer/ticker C counts).
-func selectHasShutdownCase(pass *Pass, sel *ast.SelectStmt, timers bool) bool {
+// receives from a done source (shutdownRecvSource).
+func selectHasShutdownCase(pass *Pass, sel *ast.SelectStmt) bool {
 	for _, clause := range sel.Body.List {
 		cc, ok := clause.(*ast.CommClause)
 		if !ok || cc.Comm == nil {
@@ -476,25 +410,22 @@ func selectHasShutdownCase(pass *Pass, sel *ast.SelectStmt, timers bool) bool {
 		if src == nil {
 			continue
 		}
-		if shutdownRecvSource(pass, src, timers) {
+		if shutdownRecvSource(pass, src) {
 			return true
 		}
 	}
 	return false
 }
 
-// shutdownRecvSource is the one done vocabulary: it classifies a receive
-// source as a cancellation signal — a ctx.Done()-style call or a
-// shutdown-named channel — or, when timers is set, as a deadline: the C
-// field of a time.Timer/time.Ticker. A timer bounds one wait, so it
-// counts for a site that must not park forever, never as a goroutine's
-// exit (a loop on a ticker never ends).
-func shutdownRecvSource(pass *Pass, src ast.Expr, timers bool) bool {
+// shutdownRecvSource classifies a receive source as a cancellation
+// signal — a ctx.Done()-style call or a shutdown-named channel — or a
+// deadline: the C field of a time.Timer/time.Ticker.
+func shutdownRecvSource(pass *Pass, src ast.Expr) bool {
 	if call, ok := ast.Unparen(src).(*ast.CallExpr); ok {
 		id := refIdent(call.Fun)
 		return id != nil && id.Name == "Done"
 	}
-	if sel, ok := ast.Unparen(src).(*ast.SelectorExpr); ok && timers && sel.Sel.Name == "C" {
+	if sel, ok := ast.Unparen(src).(*ast.SelectorExpr); ok && sel.Sel.Name == "C" {
 		if t := pass.TypeOf(sel.X); t != nil {
 			if p, ok := t.(*types.Pointer); ok {
 				t = p.Elem()
@@ -506,6 +437,41 @@ func shutdownRecvSource(pass *Pass, src ast.Expr, timers bool) bool {
 	}
 	id := refIdent(src)
 	return id != nil && shutdownName(id.Name)
+}
+
+// factsOf returns a node's conn I/O and deadline facts, computed once;
+// empty for a node without a body, or when net cannot be loaded.
+func (c *ctxflow) factsOf(n *Node) *deadlineFacts {
+	f, ok := c.facts[n]
+	if !ok {
+		f = &deadlineFacts{}
+		if c.conn != nil && n.Decl != nil && n.Decl.Body != nil {
+			f = connFacts(n.Pass, n.Decl.Body, c.conn)
+		}
+		c.facts[n] = f
+	}
+	return f
+}
+
+// report emits one diagnostic per position.
+func (c *ctxflow) report(pos token.Pos, path []PathStep, format string, args ...any) {
+	if c.reported[pos] {
+		return
+	}
+	c.reported[pos] = true
+	c.mp.Reportf(pos, path, format, args...)
+}
+
+// shutdownName matches channel names that conventionally signal
+// termination.
+func shutdownName(name string) bool {
+	l := strings.ToLower(name)
+	for _, kw := range []string{"done", "stop", "quit", "exit", "cancel", "shut", "kill"} {
+		if strings.Contains(l, kw) {
+			return true
+		}
+	}
+	return false
 }
 
 // wgPending walks one statement list in order and records, for each go
@@ -539,35 +505,6 @@ func wgPending(pass *Pass, block *ast.BlockStmt, out map[*ast.GoStmt][]string) {
 	}
 }
 
-// spawn resolves one go statement and applies the rules whose scope
-// holds it. n is the spawning function (nil in a package-level
-// initializer); pending lists the WaitGroups whose Add the spawn follows.
-func (c *ctxflow) spawn(n *Node, pass *Pass, gs *ast.GoStmt, pending []string) {
-	lit, _ := ast.Unparen(gs.Call.Fun).(*ast.FuncLit)
-	if lit != nil {
-		c.placement(pass, gs, lit, pending)
-	}
-	if n == nil || n.Test {
-		return
-	}
-	var fn *types.Func
-	var target *Node // a named target with a module body
-	if lit == nil {
-		if fn = pass.calleeFunc(gs.Call); fn == nil {
-			return // dynamic spawn: unresolvable
-		}
-		if target = c.mp.Graph.Nodes[fn.FullName()]; target != nil && (target.Decl == nil || target.Decl.Body == nil) {
-			target = nil
-		}
-	}
-	switch {
-	case matchRel(n.Rel, ctxflowPkgs) && (lit != nil || target != nil):
-		c.walk(n, gs, lit, target)
-	case matchRel(n.Rel, exitPkgs):
-		c.exit(n, gs, lit, fn, target)
-	}
-}
-
 // placement applies the WaitGroup rule to one literal spawn.
 func (c *ctxflow) placement(pass *Pass, gs *ast.GoStmt, lit *ast.FuncLit, pending []string) {
 	ast.Inspect(lit.Body, func(nd ast.Node) bool {
@@ -587,455 +524,6 @@ func (c *ctxflow) placement(pass *Pass, gs *ast.GoStmt, lit *ast.FuncLit, pendin
 			return
 		}
 	}
-}
-
-// exit demands a bounded exit of one spawn whose body can block.
-func (c *ctxflow) exit(n *Node, gs *ast.GoStmt, lit *ast.FuncLit, fn *types.Func, target *Node) {
-	g, mod := c.mp.Graph, c.mp.Mod
-	pass, fnBody := n.Pass, n.Decl.Body
-	var (
-		body   *ast.BlockStmt
-		reason string
-		path   []PathStep
-	)
-	switch {
-	case lit != nil:
-		body = lit.Body
-		if hasBlockingConstruct(pass, body) {
-			reason = "it performs channel operations"
-		} else {
-			// The literal's calls are attributed to the enclosing node;
-			// filter its out-edges to the literal's extent.
-			for _, e := range n.Out {
-				if e.Pos >= body.Pos() && e.Pos < body.End() && c.blocking[e.Callee] {
-					reason = "it calls " + e.Callee.DisplayName(mod) + ", which " + g.BlockingReason(e.Callee, c.blocking)
-					break
-				}
-			}
-			if reason == "" {
-				return // the body cannot block: exit is bounded by its own code
-			}
-		}
-	case target == nil:
-		if blockingLeaf(fn) {
-			c.report(gs.Pos(), nil, "goroutine has no bounded exit: %s blocks outright with no join (DESIGN.md §5)", fn.FullName())
-		}
-		return
-	default:
-		if !c.blocking[target] {
-			return
-		}
-		pass, fnBody, body = target.Pass, target.Decl.Body, target.Decl.Body
-		reason = target.DisplayName(mod) + " " + g.BlockingReason(target, c.blocking)
-		path = []PathStep{{Func: n.DisplayName(mod), Pos: mod.Fset.Position(gs.Pos())}}
-	}
-	if exitJoined(pass, body) {
-		return
-	}
-	// The site vocabulary bounds channel operations: it applies to a body
-	// that parks on one, and blocking calls beside a bounded handoff are
-	// the deadline check's to judge. A body that blocks only through
-	// calls has no handoff to bound.
-	if hasBlockingConstruct(pass, body) {
-		parked := false
-		chanParks(pass, fnBody, body, false, func(_ token.Pos, park string) {
-			parked = parked || park != ""
-		})
-		if !parked {
-			return // every channel operation is bounded by the site vocabulary
-		}
-	}
-	c.reportNoExit(gs.Pos(), path, reason)
-}
-
-// exitJoined reports the exit disciplines that bound a spawned body
-// whatever it blocks on: a WaitGroup join, a done signal, or a
-// completion close.
-func exitJoined(pass *Pass, body *ast.BlockStmt) bool {
-	return wgCalls(pass, body, "", "Done") || hasDoneSignal(pass, body) || callsClose(pass, body)
-}
-
-// reportNoExit reports a spawn with no bounded exit at its go statement.
-func (c *ctxflow) reportNoExit(pos token.Pos, path []PathStep, reason string) {
-	c.report(pos, path,
-		"goroutine has no bounded exit: %s; join it with a WaitGroup, select on a done channel, or hand off on a buffered channel and return (DESIGN.md §5)",
-		reason)
-}
-
-// ctxVisit is one BFS frame of the walk: a function (optionally
-// restricted to a literal body's extent) with the guards and chain
-// accumulated from the spawn.
-type ctxVisit struct {
-	node   *Node
-	region *ast.BlockStmt // nil: the whole declared body
-	guards ctxGuards
-	chain  []PathStep
-}
-
-// walk scans every function on one spawned path. When it flags no site
-// but the path reaches a blocking leaf it does not model, the spawn is
-// judged at the go statement by the bounded-exit disciplines.
-func (c *ctxflow) walk(n *Node, gs *ast.GoStmt, lit *ast.FuncLit, target *Node) {
-	mod := c.mp.Mod
-	root := ctxVisit{
-		node:   n,
-		guards: ctxGuards{}.add(c.factsOf(n)),
-		chain:  []PathStep{{Func: n.DisplayName(mod), Pos: mod.Fset.Position(gs.Pos())}},
-	}
-	pass, body := n.Pass, (*ast.BlockStmt)(nil)
-	if lit != nil {
-		root.region, body = lit.Body, lit.Body
-	} else {
-		root.node = target
-		root.guards = root.guards.add(c.factsOf(target))
-		pass, body = target.Pass, target.Decl.Body
-	}
-	joined := wgCalls(pass, body, "", "Done")
-
-	var (
-		flagged  bool
-		leaf     string // the first unmodelled blocking leaf reached
-		leafPath []PathStep
-	)
-	visited := map[*Node]bool{root.node: true}
-	queue := []ctxVisit{root}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		flagged = c.scan(v, joined) || flagged
-
-		lo, hi := v.node.Decl.Body.Pos(), v.node.Decl.Body.End()
-		if v.region != nil {
-			lo, hi = v.region.Pos(), v.region.End()
-		}
-		for _, e := range v.node.Out {
-			if e.Pos < lo || e.Pos >= hi || c.excluded(e.Pos, v) {
-				continue
-			}
-			callee := e.Callee
-			step := PathStep{Func: v.node.DisplayName(mod), Pos: mod.Fset.Position(e.Pos)}
-			if leaf == "" && unmodelledLeaf(callee) {
-				leaf = "it calls " + callee.DisplayName(mod) + ", which blocks outright"
-				if v.node != n {
-					leaf = "it reaches " + callee.DisplayName(mod) + " via " + v.node.DisplayName(mod) + ", which blocks outright"
-				}
-				leafPath = append(append([]PathStep(nil), v.chain...), step)
-			}
-			if !callee.InModule || callee.Decl == nil || callee.Decl.Body == nil || callee.Test || visited[callee] {
-				continue
-			}
-			visited[callee] = true
-			queue = append(queue, ctxVisit{
-				node:   callee,
-				guards: v.guards.add(c.factsOf(callee)),
-				chain:  append(append([]PathStep(nil), v.chain...), step),
-			})
-		}
-	}
-	if !flagged && leaf != "" && !exitJoined(pass, body) {
-		c.reportNoExit(gs.Pos(), leafPath, leaf)
-	}
-}
-
-// unmodelledLeaf reports a parking leaf the walk does not judge site by
-// site: sync's Wait methods, time.Sleep, and the net calls that can park
-// other than the conn Read/Write and listener Accept the walk models.
-// Close, the deadline setters and the address getters never park.
-func unmodelledLeaf(n *Node) bool {
-	if n.InModule || n.Fn == nil || !blockingLeaf(n.Fn) {
-		return false
-	}
-	if n.Fn.Pkg().Path() != "net" {
-		return true
-	}
-	switch name := n.Fn.Name(); {
-	case name == "Read", name == "Write", name == "Accept":
-		return false
-	case name == "Close", strings.HasPrefix(name, "Set"), strings.HasSuffix(name, "Addr"):
-		return false
-	}
-	return true
-}
-
-// factsOf returns a node's conn I/O and deadline facts, computed once;
-// empty for a node without a body, or when net cannot be loaded.
-func (c *ctxflow) factsOf(n *Node) *deadlineFacts {
-	f, ok := c.facts[n]
-	if !ok {
-		f = &deadlineFacts{}
-		if c.conn != nil && n.Decl != nil && n.Decl.Body != nil {
-			f = connFacts(n.Pass, n.Decl.Body, c.conn)
-		}
-		c.facts[n] = f
-	}
-	return f
-}
-
-// excluded reports whether pos falls inside a nested go statement's
-// extent within the visited frame — those bodies are their own spawns.
-// The frame's own region (a literal-spawn root) is not an exclusion.
-func (c *ctxflow) excluded(pos token.Pos, v ctxVisit) bool {
-	ext, ok := c.goExt[v.node]
-	if !ok {
-		ast.Inspect(v.node.Decl.Body, func(nd ast.Node) bool {
-			if gs, ok := nd.(*ast.GoStmt); ok {
-				if lit, ok := ast.Unparen(gs.Call.Fun).(*ast.FuncLit); ok {
-					ext = append(ext, [2]token.Pos{lit.Body.Pos(), lit.Body.End()})
-				} else {
-					ext = append(ext, [2]token.Pos{gs.Pos(), gs.End()})
-				}
-			}
-			return true
-		})
-		c.goExt[v.node] = ext
-	}
-	for _, r := range ext {
-		if v.region != nil && r[0] == v.region.Pos() && r[1] == v.region.End() {
-			continue
-		}
-		if pos >= r[0] && pos < r[1] {
-			return true
-		}
-	}
-	return false
-}
-
-// scan judges every blocking site inside one visited frame and reports
-// whether it flagged one.
-func (c *ctxflow) scan(v ctxVisit, joined bool) (flagged bool) {
-	n := v.node
-	pass, mod := n.Pass, c.mp.Mod
-	region := v.region
-	if region == nil {
-		region = n.Decl.Body
-	}
-	lo, hi := region.Pos(), region.End()
-	inRegion := func(pos token.Pos) bool {
-		return pos >= lo && pos < hi && !c.excluded(pos, v)
-	}
-	flag := func(pos token.Pos, format string, args ...any) {
-		flagged = true
-		where := " (on goroutine path " + renderSteps(v.chain) + " → " + n.DisplayName(mod) + ")"
-		c.report(pos, v.chain, format+"%s", append(args, where)...)
-	}
-
-	if !joined {
-		chanParks(pass, n.Decl.Body, region, true, func(pos token.Pos, park string) {
-			if park != "" && inRegion(pos) {
-				flag(pos, "%s", park)
-			}
-		})
-	}
-	if c.listener != nil {
-		ast.Inspect(region, func(nd ast.Node) bool {
-			call, ok := nd.(*ast.CallExpr)
-			if ok && inRegion(call.Pos()) && isAcceptCall(pass, call, c.listener) && !hasDoneSignal(pass, region) {
-				sel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-				flag(call.Pos(), "accept loop is not cancellable: %s.Accept is not gated on a done/stop signal in %s; check a done channel each iteration so Close cannot race a fresh handler (DESIGN.md §5)",
-					types.ExprString(sel.X), n.DisplayName(mod))
-			}
-			return true
-		})
-	}
-
-	// Raw conn I/O: every site in the region must have its direction
-	// guarded in this function or along the spawn chain.
-	for _, site := range c.factsOf(n).io {
-		if !inRegion(site.pos) || v.guards.covers(site.write) {
-			continue
-		}
-		verb, guard := site.verbs()
-		flag(site.pos, "%s.%s can park a goroutine forever: no %s/SetDeadline in this function or along the spawn chain; arm a deadline before the I/O (DESIGN.md §5)",
-			site.expr, verb, guard)
-	}
-	return flagged
-}
-
-// report emits one diagnostic per position.
-func (c *ctxflow) report(pos token.Pos, path []PathStep, format string, args ...any) {
-	if c.reported[pos] {
-		return
-	}
-	c.reported[pos] = true
-	c.mp.Reportf(pos, path, format, args...)
-}
-
-// chanParks calls fn for every channel construct in region — select,
-// send, receive, range over a channel — with the reason it can park, or
-// "" when the site vocabulary bounds it. fnBody is the containing
-// function's body, where buffered channels are made and semaphore
-// tokens deposited; timers says whether a timer or ticker receive is
-// bounded (shutdownRecvSource). Operations in a select's comm clauses
-// are judged at the select.
-func chanParks(pass *Pass, fnBody, region *ast.BlockStmt, timers bool, fn func(pos token.Pos, park string)) {
-	var comms [][2]token.Pos
-	inComm := func(pos token.Pos) bool {
-		for _, r := range comms {
-			if pos >= r[0] && pos < r[1] {
-				return true
-			}
-		}
-		return false
-	}
-	// bounded reports a buffered handoff made in the containing function
-	// or, for receives, a token it deposits itself (semaphore).
-	bounded := func(ch ast.Expr, recv bool) bool {
-		obj := fieldOrVarObject(pass, ch)
-		return obj != nil && (chanMadeBuffered(pass, fnBody, obj) || recv && ctxSendsTo(pass, fnBody, obj))
-	}
-	ast.Inspect(region, func(nd ast.Node) bool {
-		switch nd := nd.(type) {
-		case *ast.SelectStmt:
-			// Pre-order: the select is visited before its comm clauses.
-			for _, clause := range nd.Body.List {
-				if cc, ok := clause.(*ast.CommClause); ok && cc.Comm != nil {
-					comms = append(comms, [2]token.Pos{cc.Comm.Pos(), cc.Comm.End()})
-				}
-			}
-			park := ""
-			if !selectHasDefault(nd) && !selectHasShutdownCase(pass, nd, timers) {
-				park = "select can park forever: no default, done/stop, or timer case and no joined lifecycle; add a shutdown case (DESIGN.md §5)"
-			}
-			fn(nd.Pos(), park)
-		case *ast.SendStmt:
-			if inComm(nd.Pos()) {
-				return true
-			}
-			park := ""
-			if !bounded(nd.Chan, false) {
-				park = fmt.Sprintf("blocking send %s <- … with no cancellation: not selected, not a buffered handoff, no joined lifecycle; select it against a done/stop channel (DESIGN.md §5)",
-					types.ExprString(nd.Chan))
-			}
-			fn(nd.Pos(), park)
-		case *ast.UnaryExpr:
-			if nd.Op != token.ARROW || inComm(nd.Pos()) {
-				return true
-			}
-			park := ""
-			if !shutdownRecvSource(pass, nd.X, timers) && !bounded(nd.X, true) {
-				park = fmt.Sprintf("blocking receive from %s with no cancellation: not a done/stop channel, not an own buffered handoff or semaphore, no joined lifecycle; select it against a done/stop channel (DESIGN.md §5)",
-					types.ExprString(nd.X))
-			}
-			fn(nd.Pos(), park)
-		case *ast.RangeStmt:
-			if t := pass.TypeOf(nd.X); t != nil {
-				if _, isChan := t.Underlying().(*types.Chan); isChan {
-					fn(nd.Pos(), fmt.Sprintf("range over channel %s with no joined lifecycle: the loop parks until the sender closes it; join the goroutine or select with a done/stop case (DESIGN.md §5)",
-						types.ExprString(nd.X)))
-				}
-			}
-		}
-		return true
-	})
-}
-
-// ctxSendsTo reports whether the body contains a send into the same
-// channel object — the semaphore discipline: a receive of a token the
-// function itself deposits.
-func ctxSendsTo(pass *Pass, body *ast.BlockStmt, obj types.Object) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if s, ok := n.(*ast.SendStmt); ok && fieldOrVarObject(pass, s.Chan) == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// hasDoneSignal reports whether the body receives from a cancellation
-// source (shutdownRecvSource, timers excluded).
-func hasDoneSignal(pass *Pass, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(nd ast.Node) bool {
-		if ue, ok := nd.(*ast.UnaryExpr); ok && ue.Op == token.ARROW && shutdownRecvSource(pass, ue.X, false) {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// shutdownName matches channel names that conventionally signal
-// termination.
-func shutdownName(name string) bool {
-	l := strings.ToLower(name)
-	for _, kw := range []string{"done", "stop", "quit", "exit", "cancel", "shut", "kill"} {
-		if strings.Contains(l, kw) {
-			return true
-		}
-	}
-	return false
-}
-
-// callsClose reports whether the body calls the close builtin.
-func callsClose(pass *Pass, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(nd ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := nd.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "close" {
-			if _, isBuiltin := pass.ObjectOf(id).(*types.Builtin); isBuiltin {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// chanMadeBuffered reports whether obj is assigned make(chan T, k) with
-// constant k >= 1 anywhere in scope.
-func chanMadeBuffered(pass *Pass, scope *ast.BlockStmt, obj types.Object) bool {
-	buffered := false
-	ast.Inspect(scope, func(nd ast.Node) bool {
-		if buffered {
-			return false
-		}
-		as, ok := nd.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			id, ok := ast.Unparen(lhs).(*ast.Ident)
-			if !ok || pass.ObjectOf(id) != obj {
-				continue
-			}
-			if makeBufferedChan(pass, as.Rhs[i]) {
-				buffered = true
-			}
-		}
-		return !buffered
-	})
-	return buffered
-}
-
-// makeBufferedChan matches make(chan T, k) with constant k >= 1.
-func makeBufferedChan(pass *Pass, e ast.Expr) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok || len(call.Args) != 2 {
-		return false
-	}
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "make" {
-		return false
-	}
-	if _, isBuiltin := pass.ObjectOf(id).(*types.Builtin); !isBuiltin {
-		return false
-	}
-	tv, ok := pass.Info.Types[call.Args[1]]
-	if !ok || tv.Value == nil {
-		return false
-	}
-	return tv.Value.String() != "0" && !strings.HasPrefix(tv.Value.String(), "-")
 }
 
 // wgCalls reports whether the body (nested literals included) calls

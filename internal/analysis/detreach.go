@@ -28,10 +28,11 @@ type ban struct {
 // clockBan: only the two genuinely-networked packages (the live proxy
 // and the replay harness speak real TCP, so deadlines and stamps must be
 // real time), binaries and examples (which time their own phases for
-// operators) and test files (which poll real deadlines) read the clock.
-// Everything else works in simtime hour indices.
+// operators), test files (which poll real deadlines) and internal/leakcheck
+// (imported only by test files, it polls for goroutines to exit) read the
+// clock. Everything else works in simtime hour indices.
 var clockBan = &ban{
-	allowed: []string{"internal/mnet/netproxy", "internal/mnet/replay", "cmd/...", "examples/..."},
+	allowed: []string{"internal/mnet/netproxy", "internal/mnet/replay", "internal/leakcheck", "cmd/...", "examples/..."},
 	testsOK: true,
 	remedy:  "use internal/simtime hour indices, or take the clock from cmd/",
 }

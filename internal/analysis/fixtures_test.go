@@ -551,92 +551,6 @@ func checkFixtureMessages(t *testing.T) {
 	}
 }
 
-// TestLoadTreeGoleak pins ctxflow's bounded-exit rule outside the
-// collection tier: the literal, named (with spawn step), bodiless-leaf,
-// blocking-callee, ticker-loop, ticker-select and poll-and-sleep spawns
-// flag; the exit disciplines, the dynamic spawn and the non-blocking
-// body stay silent; and a guarded spawn with no Done is reported once,
-// by the placement rule.
-func TestLoadTreeGoleak(t *testing.T) {
-	diags := checkTree(t, "goleak", "internal/mnet", CtxflowAnalyzer)
-
-	var named, viaCall, leaf, guarded *Diagnostic
-	for i := range diags {
-		d := &diags[i]
-		switch {
-		case strings.Contains(d.Message, "internal/mnet/pipe.Pump,"):
-			viaCall = d
-		case strings.Contains(d.Message, "internal/mnet/pipe.Pump"):
-			named = d
-		case strings.Contains(d.Message, "blocks outright"):
-			leaf = d
-		case strings.Contains(d.Message, "never calls wg.Done"):
-			guarded = d
-			continue
-		}
-		if !strings.Contains(d.Message, "WaitGroup") {
-			t.Errorf("bounded-exit message lacks the remediation menu: %q", d.Message)
-		}
-	}
-	if named == nil {
-		t.Fatalf("no diagnostic names the spawned worker pipe.Pump; got %v", diags)
-	}
-	if len(named.Path) == 0 {
-		t.Errorf("named-spawn finding must carry the spawn step, got none")
-	}
-	if viaCall == nil {
-		t.Errorf("no diagnostic attributes blocking to the call into pipe.Pump; got %v", diags)
-	}
-	if leaf == nil {
-		t.Errorf("no diagnostic for the bodiless blocking leaf (wg.Wait); got %v", diags)
-	}
-	if guarded == nil {
-		t.Errorf("no placement diagnostic for the guarded spawn with no Done; got %v", diags)
-	}
-}
-
-// TestGoldenGoleakScope remounts the flagged literal spawn outside the
-// bounded-exit rule's packages: the scope is the module path, so it
-// stays silent.
-func TestGoldenGoleakScope(t *testing.T) {
-	if diags := runFixture(t, "goleak/litspawn", "internal/study/fixture", CtxflowAnalyzer); len(diags) != 0 {
-		t.Errorf("bounded-exit rule fired outside its package scope: %v", diags)
-	}
-}
-
-// TestLoadTreeGoleakClean runs the check over the worker-pool idiom
-// using every sanctioned discipline, the fan-in closer included: zero
-// findings.
-func TestLoadTreeGoleakClean(t *testing.T) {
-	if _, diags := runTree(t, "goleakclean", "internal/shard", CtxflowAnalyzer); len(diags) != 0 {
-		t.Errorf("clean tree flagged: %v", diags)
-	}
-}
-
-// TestGoldenCtxflowTier pins the collection tier: a bodiless blocking
-// target the walk cannot enter (go wg.Wait()) and a spawned path that
-// parks on a leaf the walk does not model (wg.Wait in a literal,
-// time.Sleep one call down) are flagged at the go statement unless they
-// observe a stop channel; a literal spawn the walk flags inside is not
-// reported again at the go statement; the dial-reaper shape stays
-// silent; and a send in a spawned accept loop keeps the hot-loop send
-// rule's message.
-func TestGoldenCtxflowTier(t *testing.T) {
-	checkFixture(t, "ctxflowtier", "internal/mnet/netproxy", CtxflowAnalyzer)
-	found := false
-	for _, d := range runFixture(t, "ctxflowtier", "internal/mnet/netproxy", CtxflowAnalyzer) {
-		if strings.Contains(d.Message, "conns <-") {
-			found = true
-			if !strings.HasPrefix(d.Message, "unbounded send: conns <- … inside an accept hot loop") {
-				t.Errorf("the spawned accept-loop send must keep the hot-loop send message, got %q", d.Message)
-			}
-		}
-	}
-	if !found {
-		t.Errorf("no finding on the spawned accept-loop send")
-	}
-}
-
 // TestWriteJSONMemoryChecks runs each memory- and generator-discipline
 // analyzer over its flagged tree twice and demands byte-identical JSON
 // both times, with the check present in the emitted report — the
@@ -646,13 +560,11 @@ func TestWriteJSONMemoryChecks(t *testing.T) {
 		dir, mount string
 		a          *Analyzer
 	}{
-		{"goleak", "internal/mnet", CtxflowAnalyzer},
 		{"randsplit", "internal", RandsplitAnalyzer},
 		{"allochot", "internal", MemboundAnalyzer},
 		{"ctxflow", "internal/mnet", CtxflowAnalyzer},
 		{"atomicmix", "internal", AtomicmixAnalyzer},
 		{"chanbound", "internal/mnet", CtxflowAnalyzer},
-		{"tickstop", "cmd", TickstopAnalyzer},
 	} {
 		var bufs [2]bytes.Buffer
 		for i := range bufs {
@@ -799,59 +711,22 @@ func TestLoadTreeAllochotClean(t *testing.T) {
 	}
 }
 
-// TestLoadTreeCtxflow pins the cancellation check over the seeded tree:
-// the plain receive, plain send, bare select, channel range, ungated
-// accept loop and unguarded conn read all flag inside their spawned
-// bodies, the conn read with the conn-I/O rule's message; the named
-// spawn into sink.Drain carries the spawn chain; and
-// every discipline — done receive, buffered handoff, semaphore token,
-// joined worker, shutdown select, gated accept, spawner-armed deadline
-// (local and through the chain) and the dynamic spawn — stays silent.
+// TestLoadTreeCtxflow pins the conn-I/O rule inside spawned goroutines:
+// the read in a spawned literal with no deadline anywhere is flagged with
+// the rule's message, while a deadline the spawning function arms covers
+// its literal's read and, through the go statement's call edge, the named
+// helper one package over.
 func TestLoadTreeCtxflow(t *testing.T) {
 	diags := checkTree(t, "ctxflow", "internal/mnet", CtxflowAnalyzer)
-
-	var chained, accept, conn *Diagnostic
-	for i := range diags {
-		d := &diags[i]
-		if strings.Contains(d.Message, "on every caller path") {
-			conn = d
-			continue // the conn-I/O rule's verdict on a site the walk reaches
+	for _, d := range diags {
+		if !strings.HasPrefix(d.Message, "c.Read can park forever") || !strings.Contains(d.Message, "on every caller path") {
+			t.Errorf("the spawned conn read must carry the conn-I/O rule's message, got %q", d.Message)
 		}
-		if strings.Contains(filepath.ToSlash(d.Pos.Filename), "/sink/") {
-			chained = d
-		}
-		if strings.Contains(d.Message, "accept loop is not cancellable") {
-			accept = d
-		}
-		if !strings.Contains(d.Message, "on goroutine path") {
-			t.Errorf("ctxflow message lacks the spawn-path rendering: %q", d.Message)
-		}
-		if !strings.Contains(d.Message, "DESIGN.md §5") {
-			t.Errorf("ctxflow message lacks the catalog pointer: %q", d.Message)
-		}
-		if len(d.Path) == 0 {
-			t.Errorf("ctxflow finding must carry the spawn step for chain-aware suppression: %s", d)
-		}
-	}
-	if chained == nil {
-		t.Fatalf("no diagnostic for the spawned helper sink.Drain; got %v", diags)
-	}
-	if !strings.Contains(chained.Message, "netproxy.SpawnWorker → internal/mnet/sink.Drain") {
-		t.Errorf("helper finding must render the spawn chain: %q", chained.Message)
-	}
-	if accept == nil {
-		t.Fatalf("no diagnostic for the ungated accept loop; got %v", diags)
-	}
-	if !strings.Contains(accept.Message, "done/stop signal") {
-		t.Errorf("accept finding must name the missing gate: %q", accept.Message)
-	}
-	if conn == nil || !strings.HasPrefix(conn.Message, "c.Read can park forever") {
-		t.Errorf("the spawned conn read must keep the conn-I/O rule's message, got %v", conn)
 	}
 }
 
-// TestLoadTreeCtxflowClean runs the check over the all-disciplined pool,
-// gated accept, guarded relay and buffered dial: zero findings.
+// TestLoadTreeCtxflowClean runs the check over a relay whose spawner arms
+// both deadlines: zero findings.
 func TestLoadTreeCtxflowClean(t *testing.T) {
 	if _, diags := runTree(t, "ctxflowclean", "internal/mnet", CtxflowAnalyzer); len(diags) != 0 {
 		t.Errorf("clean tree flagged: %v", diags)
@@ -902,25 +777,21 @@ func TestLoadTreeAtomicmixClean(t *testing.T) {
 // and the nested-literal push all flag in the root package without a
 // chain; the sink helper carries its chain from netproxy.Collect; and the
 // select-default, shutdown-case, owned-pipeline and non-loop sends stay
-// silent. The owned pipeline's spawned consumer is the walk's to judge,
-// and it flags the consumer's channel range.
+// silent.
 func TestLoadTreeChanbound(t *testing.T) {
 	diags := checkTree(t, "chanbound", "internal/mnet", CtxflowAnalyzer)
 
 	var chained, accept *Diagnostic
 	for i := range diags {
 		d := &diags[i]
-		if !strings.Contains(d.Message, "unbounded send") {
-			continue // the walk's verdict on the owned pipeline's consumer
-		}
 		if strings.Contains(filepath.ToSlash(d.Pos.Filename), "/sink/") {
 			chained = d
 		}
 		if strings.Contains(d.Message, "accept hot loop") {
 			accept = d
 		}
-		if !strings.Contains(d.Message, "default drop path") {
-			t.Errorf("chanbound message lacks the remediation menu: %q", d.Message)
+		if !strings.Contains(d.Message, "unbounded send") || !strings.Contains(d.Message, "default drop path") {
+			t.Errorf("chanbound message lacks the explanation or the remediation menu: %q", d.Message)
 		}
 	}
 	if chained == nil {
@@ -941,58 +812,10 @@ func TestLoadTreeChanbound(t *testing.T) {
 }
 
 // TestLoadTreeChanboundClean runs ctxflow over the three bounding
-// disciplines and a non-loop send: no send is flagged. The one finding is
-// the walk's, on the owned pipeline's consumer range, as in
-// TestLoadTreeChanbound.
+// disciplines — the owned pipeline DrainOwned among them — and a
+// non-loop send: zero findings.
 func TestLoadTreeChanboundClean(t *testing.T) {
-	for _, d := range checkTree(t, "chanboundclean", "internal/mnet", CtxflowAnalyzer) {
-		if strings.Contains(d.Message, "unbounded send") {
-			t.Errorf("clean tree flagged a send: %s", d)
-		}
-	}
-}
-
-// TestLoadTreeTickstop pins the timer-lifecycle check: the never-stopped
-// ticker, the early return that escapes a plain Stop, the per-iteration
-// time.After/time.Tick and the unstopped closure-local ticker all flag;
-// defer-Stop in both spellings, every handoff class, AfterFunc and the
-// time.Time.After method stay silent. The tree mounts under cmd/, where
-// the clock is allowed; mounted outside the clock allowlist it yields no
-// tickstop finding, since detreach already owns every timer there.
-func TestLoadTreeTickstop(t *testing.T) {
-	diags := checkTree(t, "tickstop", "cmd", TickstopAnalyzer)
-	if _, outside := runTree(t, "tickstop", "internal", TickstopAnalyzer); len(outside) != 0 {
-		t.Errorf("tickstop judged a package outside the clock allowlist: %v", outside)
-	}
-
-	var never, escape *Diagnostic
-	for i := range diags {
-		d := &diags[i]
-		if strings.Contains(d.Message, "never stopped") {
-			never = d
-		}
-		if strings.Contains(d.Message, "leaks on this return path") {
-			escape = d
-		}
-		if !strings.Contains(d.Message, "DESIGN.md §5") {
-			t.Errorf("tickstop message lacks the catalog pointer: %q", d.Message)
-		}
-	}
-	if never == nil {
-		t.Fatalf("no diagnostic for the never-stopped ticker; got %v", diags)
-	}
-	if !strings.Contains(never.Message, "defer t.Stop()") {
-		t.Errorf("never-stopped finding must name the defer remediation: %q", never.Message)
-	}
-	if escape == nil {
-		t.Fatalf("no diagnostic for the return escaping the plain Stop; got %v", diags)
-	}
-}
-
-// TestLoadTreeTickstopClean runs the check over every sanctioned
-// lifecycle: zero findings.
-func TestLoadTreeTickstopClean(t *testing.T) {
-	if _, diags := runTree(t, "tickstopclean", "cmd", TickstopAnalyzer); len(diags) != 0 {
+	if _, diags := runTree(t, "chanboundclean", "internal/mnet", CtxflowAnalyzer); len(diags) != 0 {
 		t.Errorf("clean tree flagged: %v", diags)
 	}
 }

@@ -85,7 +85,7 @@ func DrainOwned(recs []proxylog.Record) int {
 	donec := make(chan struct{})
 	total := 0
 	go func() {
-		for range ch { // want ctxflow
+		for range ch {
 			total++
 		}
 		close(donec)

@@ -1,7 +1,6 @@
 // Package netproxy is the all-clean hot-loop send fixture: every
 // hot-loop send is bounded by one of the three disciplines, and the
-// remaining sends sit outside hot loops. The one finding is the
-// goroutine walk's, on the owned pipeline's consumer range.
+// remaining sends sit outside hot loops.
 package netproxy
 
 import (
@@ -59,7 +58,7 @@ func DrainOwned(recs []proxylog.Record) int {
 	donec := make(chan struct{})
 	total := 0
 	go func() {
-		for range ch { // want ctxflow
+		for range ch {
 			total++
 		}
 		close(donec)

@@ -1,133 +1,17 @@
-// Package netproxy is the ctxflow fixture root: its go statements spawn
-// every blocking shape the check judges — plain channel ops, bare
-// selects, channel ranges, accept loops and raw conn I/O — alongside the
-// sanctioned disciplines that must stay silent.
+// Package netproxy is the ctxflow fixture root: raw conn I/O inside
+// spawned goroutines is judged by the conn-I/O rule like any other, with
+// the deadlines armed by the spawning function, here or one package over.
 package netproxy
 
 import (
 	"net"
-	"sync"
 	"time"
 
 	"wearwild/internal/mnet/sink"
 )
 
-// SpawnPlainRecv parks a goroutine on a receive nothing can cancel.
-func SpawnPlainRecv(jobs chan int) {
-	go func() {
-		v := <-jobs // want ctxflow
-		_ = v
-	}()
-}
-
-// SpawnPlainSend parks a goroutine on a send nothing can cancel.
-func SpawnPlainSend(out chan int) {
-	go func() {
-		out <- 1 // want ctxflow
-	}()
-}
-
-// SpawnDoneRecv receives from a shutdown-named channel: the park is the
-// cancellation protocol itself.
-func SpawnDoneRecv(done chan struct{}) {
-	go func() {
-		<-done
-	}()
-}
-
-// SpawnReaper receives from a buffered handoff made in this function:
-// the dial-reaper shape, bounded by the buffer the sender fills.
-func SpawnReaper() {
-	ch := make(chan int, 1)
-	go func() { <-ch }()
-	ch <- 1
-}
-
-// SpawnTokenRecv receives a token the function itself deposits: the
-// semaphore discipline.
-func SpawnTokenRecv(sem chan struct{}) {
-	go func() {
-		<-sem
-	}()
-	sem <- struct{}{}
-}
-
-// SpawnJoinedWorker joins a WaitGroup: some owner waits, so its channel
-// ops are lifecycle-bounded.
-func SpawnJoinedWorker(wg *sync.WaitGroup, jobs chan int) {
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for range jobs {
-		}
-	}()
-}
-
-// SpawnBareSelect selects with neither a default nor a shutdown case.
-func SpawnBareSelect(a, b chan int) {
-	go func() {
-		select { // want ctxflow
-		case <-a:
-		case <-b:
-		}
-	}()
-}
-
-// SpawnSelectDone selects against a shutdown channel: clean.
-func SpawnSelectDone(a chan int, done chan struct{}) {
-	go func() {
-		select {
-		case <-a:
-		case <-done:
-		}
-	}()
-}
-
-// SpawnRange ranges over a channel with no joined lifecycle: the loop
-// parks until some unknowable sender closes it.
-func SpawnRange(jobs chan int) {
-	go func() {
-		for range jobs { // want ctxflow
-		}
-	}()
-}
-
-// SpawnAcceptLoop accepts without observing any done signal: Close can
-// race a fresh handler and nothing unparks the kernel accept.
-func SpawnAcceptLoop(ln net.Listener) {
-	go func() {
-		for {
-			c, err := ln.Accept() // want ctxflow
-			if err != nil {
-				return
-			}
-			_ = c.Close()
-		}
-	}()
-}
-
-// SpawnGatedAccept polls a done channel after every accept: the
-// netproxy.Serve discipline.
-func SpawnGatedAccept(ln net.Listener, done chan struct{}) {
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			select {
-			case <-done:
-				_ = c.Close()
-				return
-			default:
-			}
-			_ = c.Close()
-		}
-	}()
-}
-
-// SpawnConnRead parks on raw conn I/O with no deadline anywhere on the
-// spawn chain.
+// SpawnConnRead parks on raw conn I/O with no deadline in the function
+// or on any path into it.
 func SpawnConnRead(c net.Conn) {
 	go func() {
 		buf := make([]byte, 1)
@@ -135,8 +19,8 @@ func SpawnConnRead(c net.Conn) {
 	}()
 }
 
-// SpawnGuardedRead arms the read deadline in the spawning function: the
-// guard seeds the chain, so the spawned read is bounded.
+// SpawnGuardedRead arms the read deadline in the spawning function, which
+// the literal's read belongs to.
 func SpawnGuardedRead(c net.Conn) {
 	_ = c.SetReadDeadline(time.Now().Add(time.Second))
 	go func() {
@@ -145,20 +29,9 @@ func SpawnGuardedRead(c net.Conn) {
 	}()
 }
 
-// SpawnWorker spawns a named helper one package over: the finding lands
-// in sink.Drain carrying the spawn chain.
-func SpawnWorker(jobs chan int) {
-	go sink.Drain(jobs)
-}
-
 // SpawnGuardedHelper arms both deadlines before handing the conn to the
-// helper: the accumulated guard keeps sink.Pump silent.
+// helper: the caller's guard keeps sink.Pump silent.
 func SpawnGuardedHelper(c net.Conn) {
 	_ = c.SetDeadline(time.Now().Add(time.Second))
 	go sink.Pump(c)
-}
-
-// SpawnDynamic spawns through a function value: unresolvable, skipped.
-func SpawnDynamic(f func()) {
-	go f()
 }

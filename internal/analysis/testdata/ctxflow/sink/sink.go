@@ -1,23 +1,11 @@
-// Package sink holds helpers reached from netproxy's go statements: the
-// chain-carrying half of the ctxflow fixture.
+// Package sink holds the helper netproxy spawns: the chain half of the
+// ctxflow fixture.
 package sink
 
 import "net"
 
-// Drain parks on an uncancellable receive; the finding carries the spawn
-// chain from netproxy.SpawnWorker.
-func Drain(jobs chan int) {
-	for {
-		v, ok := <-jobs // want ctxflow
-		if !ok {
-			return
-		}
-		_ = v
-	}
-}
-
-// Pump does raw conn I/O with no local deadline; the spawner's
-// SetDeadline travels the chain and keeps it silent.
+// Pump does raw conn I/O with no local deadline; its one caller arms
+// SetDeadline before the go statement, so it stays silent.
 func Pump(c net.Conn) {
 	buf := make([]byte, 8)
 	_, _ = c.Read(buf)

@@ -1,60 +1,12 @@
-// Package netproxy is the all-clean ctxflow fixture: every goroutine
-// path uses a sanctioned cancellation discipline, so the check must stay
+// Package netproxy is the all-clean ctxflow fixture: every conn I/O site
+// in a spawned goroutine is deadline-guarded, so the check must stay
 // entirely silent.
 package netproxy
 
 import (
 	"net"
-	"sync"
 	"time"
 )
-
-// Pool drains jobs under a joined lifecycle and a done select.
-type Pool struct {
-	wg   sync.WaitGroup
-	jobs chan int
-	done chan struct{}
-}
-
-// Start spawns joined workers that select jobs against shutdown.
-func (p *Pool) Start(n int) {
-	for i := 0; i < n; i++ {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			for {
-				select {
-				case j, ok := <-p.jobs:
-					if !ok {
-						return
-					}
-					_ = j
-				case <-p.done:
-					return
-				}
-			}
-		}()
-	}
-}
-
-// Serve gates every accept on the done channel.
-func (p *Pool) Serve(ln net.Listener) {
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			select {
-			case <-p.done:
-				_ = c.Close()
-				return
-			default:
-			}
-			_ = c.Close()
-		}
-	}()
-}
 
 // Relay arms both deadlines before spawning the copier.
 func Relay(c net.Conn) {
@@ -63,34 +15,5 @@ func Relay(c net.Conn) {
 		buf := make([]byte, 512)
 		_, _ = c.Read(buf)
 		_, _ = c.Write(buf)
-	}()
-}
-
-// DialBounded hands the result through a buffered channel and bounds the
-// wait with a timer select; the spawned send never parks.
-func DialBounded(dial func() (net.Conn, error)) (net.Conn, error) {
-	ch := make(chan net.Conn, 1)
-	t := time.NewTimer(time.Second)
-	defer t.Stop()
-	go func() {
-		c, err := dial()
-		if err != nil {
-			ch <- nil
-			return
-		}
-		ch <- c
-	}()
-	select {
-	case c := <-ch:
-		return c, nil
-	case <-t.C:
-		return nil, net.ErrClosed
-	}
-}
-
-// WaitShutdown parks on the shutdown signal itself: the sanctioned park.
-func WaitShutdown(stop chan struct{}) {
-	go func() {
-		<-stop
 	}()
 }

@@ -6,8 +6,8 @@ package gen
 
 import (
 	"wearwild/internal/randx"
-	"wearwild/internal/simtime"
 	"wearwild/internal/shard"
+	"wearwild/internal/simtime"
 )
 
 // Users derives one child per subscriber keyed by IMSI, never the loop

@@ -17,10 +17,10 @@ import (
 // parsed and type-checked with IgnoreFuncBodies, which is cheap and gives
 // analyzers full type information for the packages they lint.
 type importerState struct {
-	mod    *Module
-	ctxt   build.Context
-	cache  map[string]*types.Package
-	active map[string]bool
+	mod      *Module
+	ctxt     build.Context
+	cache    map[string]*types.Package
+	active   map[string]bool
 	writer   *types.Interface
 	conn     *types.Interface
 	listener *types.Interface

@@ -2,9 +2,11 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"testing"
 
 	"wearwild/internal/gen/sim"
+	"wearwild/internal/leakcheck"
 	"wearwild/internal/mnet/cells"
 	"wearwild/internal/mnet/mme"
 	"wearwild/internal/mnet/proxylog"
@@ -108,19 +110,10 @@ func wholeUsers(r recorder) recorder {
 	return out
 }
 
-// TestFanOutBatchBoundaries checks the batched fan-out at the batch size's
-// edges: a source giving every worker exactly 0, 1, batchUsers-1,
-// batchUsers, batchUsers+1, batchEvents-1, batchEvents, batchEvents+1
-// or, so that every batch is refilled after its replay,
-// 2·batchesPerWorker·batchEvents events must yield the Results of the
-// one-worker direct path. The source keeps the tiny dataset's user-major
-// order and cuts each worker's share, as the engine's owner hash routes
-// it, at its budget, so the last subscriber of a worker may lose records
-// and UserDone and be sealed. It runs once with per-record events only
-// and once with every third subscriber handed over whole (opUser), so
-// whole subscribers and per-record events share batches and fill them
-// by either limit.
-func TestFanOutBatchBoundaries(t *testing.T) {
+// recordedStream records the user-major per-record stream of a dataset
+// of 384 subscribers, with the study's Env for it.
+func recordedStream(t *testing.T) (Env, recorder) {
+	t.Helper()
 	cfg := sim.SmallConfig(7)
 	cfg.Population.WearableUsers = 128
 	cfg.Population.OrdinaryUsers = 256
@@ -134,7 +127,23 @@ func TestFanOutBatchBoundaries(t *testing.T) {
 	if err := (&stream.Logs{Proxy: &ds.Proxy, MME: &ds.MME, UDR: &ds.UDR}).Stream(&all); err != nil {
 		t.Fatal(err)
 	}
-	env := Env{Devices: ds.Devices, Topology: ds.Topology, Catalog: ds.Catalog}
+	return Env{Devices: ds.Devices, Topology: ds.Topology, Catalog: ds.Catalog}, all
+}
+
+// TestFanOutBatchBoundaries checks the batched fan-out at the batch size's
+// edges: a source giving every worker exactly 0, 1, batchUsers-1,
+// batchUsers, batchUsers+1, batchEvents-1, batchEvents, batchEvents+1
+// or, so that every batch is refilled after its replay,
+// 2·batchesPerWorker·batchEvents events must yield the Results of the
+// one-worker direct path. The source keeps the tiny dataset's user-major
+// order and cuts each worker's share, as the engine's owner hash routes
+// it, at its budget, so the last subscriber of a worker may lose records
+// and UserDone and be sealed. It runs once with per-record events only
+// and once with every third subscriber handed over whole (opUser), so
+// whole subscribers and per-record events share batches and fill them
+// by either limit.
+func TestFanOutBatchBoundaries(t *testing.T) {
+	env, all := recordedStream(t)
 	// study runs the engine over src and checks, before sealing, that
 	// each worker still holds exactly the subscribers the source left open
 	// among those it owns: every UserDone reached its subscriber's worker.
@@ -228,5 +237,63 @@ func TestEmptyUserLeavesNoResidue(t *testing.T) {
 	}
 	if len(w.acc.stats) != 0 || len(w.pending) != 0 || w.spare == nil {
 		t.Errorf("after empty subscribers: %d residues, %d pending, spare %v; want 0, 0 and a spare", len(w.acc.stats), len(w.pending), w.spare != nil)
+	}
+}
+
+// errSourceBroken is the failure of brokenSource.
+var errSourceBroken = errors.New("source broken")
+
+// brokenSource replays the events of a recorded stream up to its k-th
+// record, then fails, as a decoder meeting a damaged frame does.
+type brokenSource struct {
+	events recorder
+	k      int
+}
+
+func (s brokenSource) Stream(sink stream.Sink) error {
+	n, i := 0, 0
+	for ; i < len(s.events) && n < s.k; i++ {
+		ev := s.events[i]
+		n += len(ev.recs.Proxy) + len(ev.recs.MME) + len(ev.recs.UDR)
+		if ev.kind == opProxy || ev.kind == opMME || ev.kind == opUDR {
+			n++
+		}
+	}
+	head := s.events[:i]
+	if err := head.Stream(sink); err != nil {
+		return err
+	}
+	return errSourceBroken
+}
+
+// TestRunStreamJoinsOnSourceError: a source that fails after k records
+// makes RunStream return its error, and every fan-out worker has exited
+// by then, whether the failure lands in the first batch, mid-stream or
+// with most of the stream replayed, with per-record events only or with
+// whole subscribers mixed in.
+func TestRunStreamJoinsOnSourceError(t *testing.T) {
+	env, all := recordedStream(t)
+	records := 0
+	for _, ev := range all {
+		if ev.kind != opUserDone {
+			records++
+		}
+	}
+	if records <= 40000 {
+		t.Fatalf("the stream has %d records; the dataset is too small", records)
+	}
+	for name, events := range map[string]recorder{"per-record": all, "mixed": wholeUsers(all)} {
+		for _, w := range []int{1, 2, 8} {
+			for _, k := range []int{1, 2000, 40000} {
+				cfg := DefaultConfig()
+				cfg.Workers = w
+				check := leakcheck.Since(t)
+				res, err := RunStream(env, brokenSource{events, k}, cfg)
+				if !errors.Is(err, errSourceBroken) || res != nil {
+					t.Errorf("%s, Workers=%d, k=%d: RunStream = %v, %v; want nil and the source's error", name, w, k, res, err)
+				}
+				check()
+			}
+		}
 	}
 }

@@ -4,11 +4,10 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"testing"
-	"time"
 
+	"wearwild/internal/leakcheck"
 	"wearwild/internal/mnet/mme"
 	"wearwild/internal/mnet/proxylog"
 	"wearwild/internal/mnet/subs"
@@ -223,7 +222,7 @@ func (s *failSink) UserDone(subs.IMSI) error {
 
 // TestStreamSinkErrorStopsSweep pins the sweep's early exit: the first
 // sink error is returned, nothing reaches the sink after it, and every
-// generator goroutine has exited by the time the caller looks.
+// generator goroutine exits.
 func TestStreamSinkErrorStopsSweep(t *testing.T) {
 	for _, w := range []int{1, 2, 8} {
 		for _, k := range []int{1, 2000, 40000} {
@@ -233,7 +232,7 @@ func TestStreamSinkErrorStopsSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := runtime.NumGoroutine()
+			check := leakcheck.Since(t)
 			sink := &failSink{k: k}
 			err = src.Stream(sink)
 			if !errors.Is(err, errSinkFull) {
@@ -243,13 +242,7 @@ func TestStreamSinkErrorStopsSweep(t *testing.T) {
 				t.Errorf("Workers=%d k=%d: %d records before the failure, %d sink calls after it",
 					w, k, sink.recs, sink.after)
 			}
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if n := runtime.NumGoroutine(); n > before {
-				t.Errorf("Workers=%d k=%d: %d goroutines after Stream returned, %d before", w, k, n, before)
-			}
+			check()
 		}
 	}
 }

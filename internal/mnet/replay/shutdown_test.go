@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"crypto/tls"
 	"net"
 	"testing"
 	"time"
@@ -49,5 +50,39 @@ func TestOriginAcceptGateOnDone(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not drain after gated accepts")
+	}
+}
+
+// TestCloseWaitsForHandlers pins Close's contract: it returns only once
+// every harness goroutine has exited, so it waits for an origin handler
+// still reading from a connection and returns promptly once that read
+// ends.
+func TestCloseWaitsForHandlers(t *testing.T) {
+	h, err := NewHarness()
+	if err != nil {
+		t.Fatalf("NewHarness: %v", err)
+	}
+	// The TLS origin's handler runs the handshake, so a completed dial
+	// means the handler is running; it then blocks reading the header.
+	c, err := tls.Dial("tcp", h.tlsLn.Addr().String(), &tls.Config{InsecureSkipVerify: true})
+	if err != nil {
+		h.Close()
+		t.Fatalf("dial the TLS origin: %v", err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		h.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Error("Close returned while an origin handler was still reading")
+	case <-time.After(200 * time.Millisecond):
+	}
+	_ = c.Close()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the handler's connection closed")
 	}
 }
