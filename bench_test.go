@@ -219,9 +219,9 @@ func BenchmarkAttribute(b *testing.B) {
 
 // Wearlint ablation: the per-unit pass cache. The first Run pays full
 // type-checking plus call-graph construction; repeat Runs reuse the
-// cached passes, graph, and suppression index, so all eight analyzers
-// (and every rerun) share one type-check per unit. cold_ms is the first
-// run; the timed loop is the warm path; speedup is their ratio.
+// cached passes and graph, so all seven analyzers (and every rerun)
+// share one type-check per unit. cold_ms is the first run; the timed
+// loop is the warm path; speedup is their ratio.
 func BenchmarkWearlintModule(b *testing.B) {
 	mod, err := analysis.LoadModule(".")
 	if err != nil {

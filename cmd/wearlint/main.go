@@ -13,10 +13,7 @@
 // array for CI problem-matchers and artifacts; -json-out writes that
 // same array to a file alongside the primary output, so one
 // load+typecheck serves both the human gate and the machine artifact.
-// Suppress a finding with a justified comment on the flagged line — or,
-// for chain-carrying diagnostics, on any call site along the chain:
-//
-//	//wearlint:ignore <check> <reason>
+// No comment silences a finding: fix the code, or the check.
 package main
 
 import (
@@ -31,12 +28,11 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list the available checks and exit")
-	suppressions := flag.Bool("suppressions", false, "emit the module's //wearlint:ignore inventory as JSON and exit")
 	checks := flag.String("checks", "", "comma-separated allow-list of checks to run (default: all; see -list)")
 	format := flag.String("format", "text", "output format: text or json")
 	jsonOut := flag.String("json-out", "", "also write the JSON report to this file, sharing one load+typecheck with the primary output")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: wearlint [-list] [-suppressions] [-checks a,b] [-format text|json] [-json-out file] [packages]\n\npackages may be ./... (default) or module directories like ./internal/core\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: wearlint [-list] [-checks a,b] [-format text|json] [-json-out file] [packages]\n\npackages may be ./... (default) or module directories like ./internal/core\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -44,13 +40,6 @@ func main() {
 	if *list {
 		for _, a := range analysis.DefaultAnalyzers() {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-	if *suppressions {
-		if err := runSuppressions(); err != nil {
-			fmt.Fprintln(os.Stderr, "wearlint:", err)
-			os.Exit(2)
 		}
 		return
 	}
@@ -97,22 +86,6 @@ func selectChecks(spec string) ([]*analysis.Analyzer, error) {
 		return nil, fmt.Errorf("-checks %q selects no checks", spec)
 	}
 	return out, nil
-}
-
-// runSuppressions scans the module's //wearlint:ignore directives and
-// writes the byte-stable JSON inventory to stdout. Only parsed comments
-// are consulted — no type-checking, so the scan is fast enough for the
-// CI diff gate against the committed LINT_SUPPRESSIONS.json.
-func runSuppressions() error {
-	root, err := findModuleRoot()
-	if err != nil {
-		return err
-	}
-	mod, err := analysis.LoadModule(root)
-	if err != nil {
-		return err
-	}
-	return analysis.WriteSuppressionsJSON(os.Stdout, mod.Suppressions())
 }
 
 func run(args []string, selected []*analysis.Analyzer, format, jsonOut string) error {

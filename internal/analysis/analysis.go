@@ -10,14 +10,8 @@
 // sampling the global math/rand stream, or ranging over a map while
 // emitting figure rows — so these invariants are machine-checked here and
 // enforced by a tier-1 self-lint test (selflint_test.go) and by
-// cmd/wearlint in CI.
-//
-// A diagnostic can be suppressed with a comment on the same line or the
-// line directly above:
-//
-//	//wearlint:ignore <check> <reason>
-//
-// The reason is mandatory; a bare ignore is itself reported.
+// cmd/wearlint in CI. No comment silences a finding: the code is fixed
+// or the check is.
 package analysis
 
 import (
@@ -35,8 +29,8 @@ type Diagnostic struct {
 	Pos     token.Position
 	Message string
 	// Path is the call chain of an interprocedural finding, root call
-	// first; nil for single-position checks. A suppression directive on
-	// any step of the chain silences the whole diagnostic.
+	// first; nil for single-position checks. The text output prints it
+	// one indented line per hop and the JSON output as "path".
 	Path []PathStep
 }
 
@@ -52,7 +46,7 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Check, d.Message)
 }
 
-// Analyzer is one check: a name for diagnostics and ignore comments, a
+// Analyzer is one check: a name for diagnostics and -checks, a
 // one-line description, and the function that inspects the code. Run
 // inspects one type-checked package at a time; RunModule, for
 // interprocedural checks, runs once over the whole module with the call
@@ -160,14 +154,15 @@ func (p *Pass) calleeFunc(call *ast.CallExpr) *types.Func {
 // intraprocedural tripwires (maporder, which covers both emitting and
 // float-folding inside a map range, and errdrop), then the call-graph
 // checks — detreach, the determinism check; lockheld; membound, the
-// generator's hot-path allocation check; randsplit, the RNG-stream
-// discipline — then the concurrency-safety two: ctxflow, the
-// collection-path and WaitGroup check (deadline-guarded conn I/O, bounded
-// hot-loop sends, WaitGroup placement), and atomicmix, which pins the
-// collection tier's snapshot invariant. What a shard.Run callback may
-// write is left to the race detector over the parallel-equivalence
-// tests, and whether a goroutine exits to the leak check
-// (internal/leakcheck) that ends the concurrent packages' tests.
+// generator's hot-path allocation check; randsplit, the Split-key
+// discipline on generator paths — then ctxflow, the collection-path and
+// WaitGroup check (deadline-guarded conn I/O, bounded hot-loop sends,
+// WaitGroup placement). What a shard.Run callback may write, whether two
+// goroutines share one randx stream and whether an atomic counter is
+// also read plainly are left to the race detector over the
+// parallel-equivalence and counter tests, and whether a goroutine exits
+// to the leak check (internal/leakcheck) that ends the concurrent
+// packages' tests.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		MaporderAnalyzer,
@@ -177,12 +172,11 @@ func DefaultAnalyzers() []*Analyzer {
 		MemboundAnalyzer,
 		RandsplitAnalyzer,
 		CtxflowAnalyzer,
-		AtomicmixAnalyzer,
 	}
 }
 
 // Run type-checks every unit of the module and applies the analyzers,
-// returning suppressed-filtered diagnostics sorted by position. Units are
+// returning their diagnostics sorted by position. Units are
 // type-checked once per Module and shared by every analyzer (and by
 // repeat Runs); the call graph is likewise built once, on demand.
 // Type-check failures are returned as error so a broken load never
@@ -192,7 +186,6 @@ func (m *Module) Run(analyzers ...*Analyzer) ([]Diagnostic, error) {
 		analyzers = DefaultAnalyzers()
 	}
 	var diags []Diagnostic
-	ign := m.ignoreIndex(&diags)
 	var typeErrs []string
 	needGraph := false
 	for _, u := range m.Units {
@@ -220,7 +213,6 @@ func (m *Module) Run(analyzers ...*Analyzer) ([]Diagnostic, error) {
 			a.RunModule(mp)
 		}
 	}
-	diags = ign.filter(diags, 0)
 	if len(typeErrs) > 0 {
 		n := len(typeErrs)
 		if n > 10 {

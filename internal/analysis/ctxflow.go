@@ -310,6 +310,24 @@ func receiverJoined(pass *Pass, body *ast.BlockStmt, obj types.Object) bool {
 	return closed && consumed
 }
 
+// fieldOrVarObject resolves an addressable expression to the variable or
+// struct-field object it names: s.n to the field n, plain n to the var.
+func fieldOrVarObject(p *Pass, e ast.Expr) types.Object {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		if v, ok := p.ObjectOf(e).(*types.Var); ok {
+			return v
+		}
+	case *ast.SelectorExpr:
+		if v, ok := p.ObjectOf(e.Sel).(*types.Var); ok {
+			return v
+		}
+	case *ast.IndexExpr:
+		return fieldOrVarObject(p, e.X)
+	}
+	return nil
+}
+
 // connIOSite is one raw Read/Write on a net.Conn.
 type connIOSite struct {
 	pos   token.Pos

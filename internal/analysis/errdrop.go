@@ -10,8 +10,8 @@ import (
 // discarded: a call used as a bare statement (or deferred) whose callee
 // returns an error — the Study.planCost bug class, where a computed error
 // was dropped on the floor and a broken plan-cost table shipped silently.
-// `_ = f()` is the explicit, greppable opt-out, with
-// //wearlint:ignore errdrop for statements that cannot take one.
+// `_ = f()` is the explicit, greppable opt-out; a deferred call takes it
+// inside a literal, `defer func() { _ = f.Close() }()`.
 //
 // Non-test code gets that full rule. _test.go files may shed errors for
 // brevity, so there only the writer path is guarded: a dropped Close or
@@ -89,7 +89,7 @@ func errdropBody(p *Pass, body *ast.BlockStmt, writerOnly bool) {
 			return true
 		}
 		p.Reportf(call.Pos(),
-			"error result of %s is discarded; handle it, or assign to _ (with //wearlint:ignore errdrop where a statement cannot) to opt out",
+			"error result of %s is discarded; handle it, or assign to _ to opt out (for a deferred call, defer func() { _ = f() }())",
 			types.ExprString(call.Fun))
 		return true
 	})

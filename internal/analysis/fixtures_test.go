@@ -337,16 +337,6 @@ func TestLoadTreeDetreach(t *testing.T) {
 	}
 }
 
-// TestLoadTreeDetreachSuppress proves one //wearlint:ignore detreach on
-// the root call site silences every finding whose chain passes through
-// that line.
-func TestLoadTreeDetreachSuppress(t *testing.T) {
-	_, diags := runTree(t, "detreachsuppress", "internal", DetreachAnalyzer)
-	if len(diags) != 0 {
-		t.Errorf("root-site directive left %d finding(s): %v", len(diags), diags)
-	}
-}
-
 // TestLoadTreeDeadline pins ctxflow's conn-I/O rule, the caller-path
 // deadline analysis: own-guard and all-callers-guarded reads stay silent,
 // an unguarded entry and a direction mismatch are flagged.
@@ -379,53 +369,6 @@ func TestLoadTreeLockheld(t *testing.T) {
 	}
 }
 
-// TestGoldenSuppress drives the directive end to end: same-line,
-// line-above and wildcard suppressions silence their findings, a
-// directive naming the wrong check does not, and a malformed directive
-// is itself reported under the unsuppressable "ignore" pseudo-check.
-func TestGoldenSuppress(t *testing.T) {
-	checkFixtureMessages(t)
-	diags := runFixture(t, "suppress", "internal/fixture", DetreachAnalyzer)
-
-	src, err := os.ReadFile(filepath.Join("testdata", "suppress", "suppress.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	malformedLine := 0
-	for i, line := range strings.Split(string(src), "\n") {
-		if strings.TrimSpace(line) == ignorePrefix {
-			malformedLine = i + 1
-		}
-	}
-	if malformedLine == 0 {
-		t.Fatal("fixture lost its bare //wearlint:ignore directive")
-	}
-
-	var detreach, ignore []Diagnostic
-	for _, d := range diags {
-		switch d.Check {
-		case "detreach":
-			detreach = append(detreach, d)
-		case "ignore":
-			ignore = append(ignore, d)
-		default:
-			t.Errorf("unexpected check %q: %s", d.Check, d)
-		}
-	}
-	if len(detreach) != 1 {
-		t.Fatalf("want exactly 1 surviving detreach diagnostic (wrong-check directive), got %d: %v", len(detreach), detreach)
-	}
-	if len(ignore) != 1 {
-		t.Fatalf("want exactly 1 malformed-directive diagnostic, got %d: %v", len(ignore), ignore)
-	}
-	if ignore[0].Pos.Line != malformedLine {
-		t.Errorf("malformed directive reported at line %d, directive is at %d", ignore[0].Pos.Line, malformedLine)
-	}
-	if !strings.Contains(ignore[0].Message, "malformed suppression") {
-		t.Errorf("malformed-directive message = %q", ignore[0].Message)
-	}
-}
-
 // TestLoadTreeMapFold pins maporder's fold rule: every float
 // accumulation spelling (+=, -=, x = x + e, x++) into storage that
 // outlives a map range is flagged, including from a func literal inside
@@ -453,7 +396,8 @@ func TestLoadTreeMapFoldClean(t *testing.T) {
 
 // TestLoadTreeErrdrop pins the discarded-error check over a two-package
 // tree: bare and deferred drops are flagged, every sanctioned spelling
-// (checked, _ =, directive, exempt receiver) stays silent.
+// (checked, _ =, _ = inside a deferred literal, exempt receiver) stays
+// silent.
 func TestLoadTreeErrdrop(t *testing.T) {
 	diags := checkTree(t, "errdrop", "internal", ErrdropAnalyzer)
 	for _, d := range diags {
@@ -484,45 +428,10 @@ func TestGoldenOverlapDedupe(t *testing.T) {
 	checkTree(t, "deadline", "internal/mnet")
 }
 
-// TestWriteJSONSuppressed proves suppression happens before emission:
-// findings silenced by //wearlint:ignore never reach the JSON output,
-// and the output is byte-stable across identical runs.
-func TestWriteJSONSuppressed(t *testing.T) {
-	var bufs [2]bytes.Buffer
-	for i := range bufs {
-		m, err := LoadDir(filepath.Join("testdata", "suppress"), "internal/fixture")
-		if err != nil {
-			t.Fatal(err)
-		}
-		diags, err := m.Run(DetreachAnalyzer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteJSON(&bufs[i], m.Root, diags); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(bufs[0].Bytes(), bufs[1].Bytes()) {
-		t.Errorf("JSON output differs between identical runs:\n--- run 1\n%s\n--- run 2\n%s", bufs[0].String(), bufs[1].String())
-	}
-	out := bufs[0].String()
-	if got := strings.Count(out, `"check": "detreach"`); got != 1 {
-		t.Errorf("want exactly the 1 unsuppressed detreach finding in JSON, got %d:\n%s", got, out)
-	}
-	// The fixture's suppressed violations sit on lines 9, 15 and 20; none
-	// may surface in the emitted JSON.
-	for _, line := range []string{`"line": 9,`, `"line": 15,`, `"line": 20,`} {
-		if strings.Contains(out, line) {
-			t.Errorf("suppressed finding leaked into JSON (%s):\n%s", line, out)
-		}
-	}
-}
-
-// checkFixtureMessages pins the exact user-facing wording of one
+// TestGoldenMessages pins the exact user-facing wording of one
 // representative diagnostic per check, so message regressions are caught
 // and the remediation hint stays present.
-func checkFixtureMessages(t *testing.T) {
-	t.Helper()
+func TestGoldenMessages(t *testing.T) {
 	for _, tc := range []struct {
 		dir, rel string
 		a        *Analyzer
@@ -563,7 +472,6 @@ func TestWriteJSONMemoryChecks(t *testing.T) {
 		{"randsplit", "internal", RandsplitAnalyzer},
 		{"allochot", "internal", MemboundAnalyzer},
 		{"ctxflow", "internal/mnet", CtxflowAnalyzer},
-		{"atomicmix", "internal", AtomicmixAnalyzer},
 		{"chanbound", "internal/mnet", CtxflowAnalyzer},
 	} {
 		var bufs [2]bytes.Buffer
@@ -590,41 +498,22 @@ func TestWriteJSONMemoryChecks(t *testing.T) {
 	}
 }
 
-// TestLoadTreeRandsplit pins the three stream-independence rules over
-// the seeded tree: one parent fanned into two go statements, a
-// loop-spawned capture, a parent drawn after its child was handed off,
-// and every key-discipline violation (loop counter, map-range variable,
-// non-constant label) — while the hand-a-child and stable-identity
-// spellings stay silent and the sub-package finding carries its chain
-// from the gen root.
+// TestLoadTreeRandsplit pins the Split-key discipline over the seeded
+// tree: every violation (loop counter, map-range variable, non-constant
+// label) is flagged, the stable-identity spellings stay silent, and the
+// sub-package finding carries its chain from the gen root.
 func TestLoadTreeRandsplit(t *testing.T) {
 	diags := checkTree(t, "randsplit", "internal", RandsplitAnalyzer)
 
-	var fan, loopSpawn, order, label, chained *Diagnostic
+	var label, chained *Diagnostic
 	for i := range diags {
 		d := &diags[i]
-		switch {
-		case strings.Contains(d.Message, "spawned inside a loop"):
-			loopSpawn = d
-		case strings.Contains(d.Message, "rng fan-out"):
-			fan = d
-		case strings.Contains(d.Message, "rng order"):
-			order = d
-		case strings.Contains(d.Message, "is not a constant"):
+		if strings.Contains(d.Message, "is not a constant") {
 			label = d
 		}
 		if strings.Contains(filepath.ToSlash(d.Pos.Filename), "/sub/") {
 			chained = d
 		}
-	}
-	if fan == nil {
-		t.Errorf("no rng fan-out diagnostic for the two-goroutine flow; got %v", diags)
-	}
-	if loopSpawn == nil {
-		t.Errorf("no diagnostic for the loop-spawned goroutine capture; got %v", diags)
-	}
-	if order == nil {
-		t.Errorf("no rng-order diagnostic for the draw after handoff; got %v", diags)
 	}
 	if label == nil {
 		t.Errorf("no diagnostic for the non-constant Split label; got %v", diags)
@@ -647,12 +536,12 @@ func TestLoadTreeRandsplit(t *testing.T) {
 		t.Errorf("sub finding must render the chain from the gen root: %q", chained.Message)
 	}
 	if len(chained.Path) == 0 {
-		t.Errorf("sub finding must carry Path steps for chain-aware suppression, got none")
+		t.Errorf("sub finding must carry Path steps for the text and JSON chains, got none")
 	}
 }
 
 // TestLoadTreeRandsplitClean runs the check over a tree that splits by
-// stable identity and hands every worker its own child: zero findings.
+// stable identity: zero findings.
 func TestLoadTreeRandsplitClean(t *testing.T) {
 	if _, diags := runTree(t, "randsplitclean", "internal", RandsplitAnalyzer); len(diags) != 0 {
 		t.Errorf("clean tree flagged: %v", diags)
@@ -699,7 +588,7 @@ func TestLoadTreeAllochot(t *testing.T) {
 		t.Errorf("helper finding must render the chain from the sim root: %q", chained.Message)
 	}
 	if len(chained.Path) == 0 {
-		t.Errorf("helper finding must carry Path steps for chain-aware suppression, got none")
+		t.Errorf("helper finding must carry Path steps for the text and JSON chains, got none")
 	}
 }
 
@@ -733,45 +622,6 @@ func TestLoadTreeCtxflowClean(t *testing.T) {
 	}
 }
 
-// TestLoadTreeAtomicmix pins the mixed-access check: both plain reads in
-// the snapshot, the plain reset write, and the cross-package plain read
-// of the hot counter all flag with the arming atomic site named; the
-// mutex-guarded and uniformly atomic paths stay silent.
-func TestLoadTreeAtomicmix(t *testing.T) {
-	diags := checkTree(t, "atomicmix", "internal", AtomicmixAnalyzer)
-
-	var crossPkg, written *Diagnostic
-	for i := range diags {
-		d := &diags[i]
-		if strings.Contains(filepath.ToSlash(d.Pos.Filename), "/report/") {
-			crossPkg = d
-		}
-		if strings.Contains(d.Message, "written plainly") {
-			written = d
-		}
-		if !strings.Contains(d.Message, "accessed via atomic.") {
-			t.Errorf("atomicmix message must cite the arming atomic site: %q", d.Message)
-		}
-		if !strings.Contains(d.Message, "counters.go:") {
-			t.Errorf("atomicmix message must position the atomic site: %q", d.Message)
-		}
-	}
-	if crossPkg == nil {
-		t.Fatalf("no diagnostic for the cross-package plain read of Ops; got %v", diags)
-	}
-	if written == nil {
-		t.Fatalf("no diagnostic distinguishes the plain write in Reset; got %v", diags)
-	}
-}
-
-// TestLoadTreeAtomicmixClean runs the check over typed wrappers, uniform
-// old-API access and the locked-snapshot hybrid: zero findings.
-func TestLoadTreeAtomicmixClean(t *testing.T) {
-	if _, diags := runTree(t, "atomicmixclean", "internal", AtomicmixAnalyzer); len(diags) != 0 {
-		t.Errorf("clean tree flagged: %v", diags)
-	}
-}
-
 // TestLoadTreeChanbound pins ctxflow's hot-loop send rule: the
 // accept-loop push, the record-loop push, the buffered-but-undropped push
 // and the nested-literal push all flag in the root package without a
@@ -801,7 +651,7 @@ func TestLoadTreeChanbound(t *testing.T) {
 		t.Errorf("helper finding must render the chain from the root: %q", chained.Message)
 	}
 	if len(chained.Path) == 0 {
-		t.Errorf("helper finding must carry Path steps for chain-aware suppression, got none")
+		t.Errorf("helper finding must carry Path steps for the text and JSON chains, got none")
 	}
 	if accept == nil {
 		t.Fatalf("no diagnostic names the accept hot loop; got %v", diags)

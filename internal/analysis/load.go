@@ -31,10 +31,6 @@ type Module struct {
 	passErrs map[*Unit][]error
 	// graph is the lazily built module-wide call graph.
 	graph *CallGraph
-	// ign caches the module-wide suppression index; ignMalformed keeps
-	// the malformed-directive diagnostics to re-emit on every Run.
-	ign          ignoreIndex
-	ignMalformed []Diagnostic
 }
 
 // Unit is one lintable package: either a package proper together with its

@@ -30,6 +30,6 @@ func TestSelfLint(t *testing.T) {
 		t.Errorf("%s:%d:%d: %s: %s", pos.Filename, pos.Line, pos.Column, d.Check, d.Message)
 	}
 	if t.Failed() {
-		t.Log("fix the finding, or suppress it with //wearlint:ignore <check> <reason> if the usage is genuinely justified")
+		t.Log("fix the finding")
 	}
 }

@@ -1,7 +1,6 @@
 // Package gen holds only the sanctioned stream spellings: every Split
 // key derives from stable identity (parameters, simtime coordinates,
-// constants), labels are constants, and fan-out hands each worker its
-// own child.
+// constants, shard indices) and labels are constants.
 package gen
 
 import (
@@ -40,14 +39,3 @@ func PerShard(r *randx.Rand) []float64 {
 	})
 	return out
 }
-
-// HandChild hands each goroutine its own child split at the spawn site;
-// after fan-out the parent is only ever split again, never drawn.
-func HandChild(r *randx.Rand, done chan float64) {
-	go consume(r.Split("w", 1), done)
-	go consume(r.Split("w", 2), done)
-	c := r.Split("tail", 0)
-	done <- c.Float64()
-}
-
-func consume(c *randx.Rand, done chan float64) { done <- c.Float64() }

@@ -7,12 +7,12 @@ import (
 	"wearwild/internal/mnet/proxylog"
 )
 
-// TestCountersConcurrentSnapshot pins the atomicmix contract: Counters
+// TestCountersConcurrentSnapshot pins the snapshot contract: Counters
 // must produce a torn-read-free snapshot while the hot path is mutating
 // the accounting. The typed atomic.Uint64 fields make a plain read
-// inexpressible; this test makes the guarantee observable under -race
-// and asserts monotonicity of repeated snapshots against a concurrent
-// writer.
+// inexpressible; under go test -race a counter bumped atomically but
+// read plainly fails here as a data race. The test also asserts
+// monotonicity of repeated snapshots against a concurrent writer.
 func TestCountersConcurrentSnapshot(t *testing.T) {
 	var p Proxy
 	const rounds = 2000
