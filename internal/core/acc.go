@@ -404,23 +404,29 @@ func (d *devices) wearable(id imei.IMEI) bool {
 // adoption and retention counters.
 func (e *engine) addPresence(acc *partial, devs *devices, recs []mme.Record) {
 	study := simtime.FullStudy()
-	days := make(map[simtime.Day]struct{})
+	var days [simtime.StudyDays]bool // indexed by day since study.Start
+	seen := false
 	for _, rec := range recs {
 		if !devs.wearable(rec.IMEI) {
 			continue
 		}
 		d := simtime.DayOf(rec.Time)
 		if study.Contains(d) {
-			days[d] = struct{}{}
+			days[d-study.Start] = true
+			seen = true
 		}
 	}
-	if len(days) == 0 {
+	if !seen {
 		return
 	}
 	first, last := study.FirstWeek(), study.LastWeek()
 	after := simtime.Window{Start: study.End - 4*simtime.DaysPerWeek, End: study.End}
 	var inFirst, inLast, inAfter bool
-	for d := range days {
+	for i, present := range days {
+		if !present {
+			continue
+		}
+		d := study.Start + simtime.Day(i)
 		acc.presence[d]++
 		if first.Contains(d) {
 			inFirst = true

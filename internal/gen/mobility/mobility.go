@@ -293,13 +293,9 @@ func AppendRecords(dst []mme.Record, u *population.User, dev imei.IMEI, visits [
 // sectors of a day's visits — the paper's max-displacement metric, computed
 // on positions the same way the analysis later computes it on sectors.
 func (g *Generator) MaxDisplacementKm(visits []Visit) float64 {
-	var max float64
-	for i := 0; i < len(visits); i++ {
-		for j := i + 1; j < len(visits); j++ {
-			if d := g.topo.DistanceKm(visits[i].Sector, visits[j].Sector); d > max {
-				max = d
-			}
-		}
+	ids := make([]cells.SectorID, len(visits))
+	for i, v := range visits {
+		ids[i] = v.Sector
 	}
-	return max
+	return g.topo.MaxPairwiseKm(ids)
 }

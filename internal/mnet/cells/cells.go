@@ -44,6 +44,7 @@ func DefaultConfig() Config {
 // Topology is an immutable sector map with a grid-indexed nearest lookup.
 type Topology struct {
 	sectors []Sector
+	unit    [][3]float64 // unitVector of each sector, by slice index
 	bounds  geo.Box
 	grid    gridIndex
 }
@@ -98,13 +99,20 @@ func Build(country geo.Country, cfg Config, r *randx.Rand) (*Topology, error) {
 		nextID++
 	}
 
+	return newTopology(sectors), nil
+}
+
+// newTopology indexes sectors, whose IDs must be 1, 2, … in slice order.
+func newTopology(sectors []Sector) *Topology {
 	pts := make([]geo.Point, len(sectors))
+	unit := make([][3]float64, len(sectors))
 	for i, s := range sectors {
 		pts[i] = s.Pos
+		unit[i] = unitVector(s.Pos)
 	}
-	t := &Topology{sectors: sectors, bounds: geo.BoxOf(pts)}
+	t := &Topology{sectors: sectors, unit: unit, bounds: geo.BoxOf(pts)}
 	t.grid = buildGrid(sectors, t.bounds)
-	return t, nil
+	return t
 }
 
 // Len returns the number of sectors.
@@ -133,9 +141,74 @@ func (t *Topology) DistanceKm(a, b SectorID) float64 {
 	return geo.DistanceKm(sa.Pos, sb.Pos)
 }
 
+// MaxPairwiseKm returns the greatest DistanceKm between any two of ids:
+// the paper's daily max displacement over the sectors a user attached to.
+// Unknown IDs contribute 0, and duplicates change nothing.
+//
+// Pairs are ranked by the squared chord |u_a − u_b|² between their unit
+// vectors, which grows strictly with great-circle distance. A pair whose
+// squared chord trails the greatest one by more than chordSlack is
+// shorter, so only the rest pay for the haversine, and the result is
+// DistanceKm's own value for the longest of them, bit for bit. Usually
+// the rest is the greatest pair alone, which the first scan finds; only
+// when the runner-up is within the slack does a second scan measure
+// every pair within it. When the greatest squared chord is itself below
+// chordSlack (colocated or near-colocated sectors, within ~6 m of each
+// other), every pair is within the slack, so every pair is measured.
+func (t *Topology) MaxPairwiseKm(ids []SectorID) float64 {
+	best, second := math.Inf(-1), math.Inf(-1)
+	var a, b SectorID // the pair with the greatest squared chord
+	for i, x := range ids {
+		for _, y := range ids[i+1:] {
+			c, ok := t.chord2(x, y)
+			switch {
+			case !ok:
+			case c > best:
+				best, second, a, b = c, best, x, y
+			case c > second:
+				second = c
+			}
+		}
+	}
+	if second < best-chordSlack {
+		return t.DistanceKm(a, b)
+	}
+	var max float64
+	for i, x := range ids {
+		for _, y := range ids[i+1:] {
+			if c, ok := t.chord2(x, y); ok && c >= best-chordSlack {
+				if d := t.DistanceKm(x, y); d > max {
+					max = d
+				}
+			}
+		}
+	}
+	return max
+}
+
+// chordSlack bounds how far a pair's squared chord may trail the greatest
+// one and still get an exact distance check. A squared chord is off by at
+// most ~1e-14 (each unit-vector component carries a few ulps of 1), and
+// the haversine's own rounding, carried over to squared chords, by about
+// as much, so the slack covers both many times over. Squared chords range
+// over [0, 4], and 1e-12 is a chord of 1e-6 radii: ~6 m.
+const chordSlack = 1e-12
+
+// chord2 returns the squared chord between two sectors' unit vectors; ok
+// is false when either ID is unknown.
+func (t *Topology) chord2(a, b SectorID) (c float64, ok bool) {
+	i, j := int(a)-1, int(b)-1
+	if i < 0 || i >= len(t.unit) || j < 0 || j >= len(t.unit) {
+		return 0, false
+	}
+	ua, ub := &t.unit[i], &t.unit[j]
+	dx, dy, dz := ua[0]-ub[0], ua[1]-ub[1], ua[2]-ub[2]
+	return dx*dx + dy*dy + dz*dz, true
+}
+
 // Nearest returns the sector closest to the point, using the grid index.
 func (t *Topology) Nearest(p geo.Point) SectorID {
-	return t.grid.nearest(t.sectors, p)
+	return t.grid.nearest(t.sectors, t.unit, p)
 }
 
 // NearestLinear is the brute-force baseline for Nearest, kept for
@@ -159,8 +232,7 @@ type gridIndex struct {
 	rows, cols int
 	cellLat    float64
 	cellLon    float64
-	buckets    [][]int      // sector slice indices
-	unit       [][3]float64 // unitVector of each sector, by slice index
+	buckets    [][]int // sector slice indices
 }
 
 const targetGridCells = 64 // per axis upper bound
@@ -186,9 +258,7 @@ func buildGrid(sectors []Sector, bounds geo.Box) gridIndex {
 	g.cellLat = latSpan / float64(side)
 	g.cellLon = lonSpan / float64(side)
 	g.buckets = make([][]int, side*side)
-	g.unit = make([][3]float64, n)
 	for i, s := range sectors {
-		g.unit[i] = unitVector(s.Pos)
 		r, c := g.cellOf(s.Pos)
 		idx := r*g.cols + c
 		g.buckets[idx] = append(g.buckets[idx], i)
@@ -228,7 +298,7 @@ func (g *gridIndex) cellOf(p geo.Point) (row, col int) {
 // get a sector that is not the nearest, e.g. (44.27841, 0.68340) gets sector
 // 2479 at 25.673 km where NearestLinear finds 2645 at 24.621 km. Fixing
 // that would change the generated MME logs, which golden digests pin.
-func (g *gridIndex) nearest(sectors []Sector, p geo.Point) SectorID {
+func (g *gridIndex) nearest(sectors []Sector, unit [][3]float64, p geo.Point) SectorID {
 	if len(sectors) == 0 {
 		return 0
 	}
@@ -258,7 +328,7 @@ func (g *gridIndex) nearest(sectors []Sector, p geo.Point) SectorID {
 				}
 				for _, i := range g.buckets[r*g.cols+c] {
 					found = true
-					u := &g.unit[i]
+					u := &unit[i]
 					dot := q[0]*u[0] + q[1]*u[1] + q[2]*u[2]
 					if dot < bestDot-dotSlack {
 						continue

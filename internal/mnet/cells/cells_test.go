@@ -304,3 +304,107 @@ func BenchmarkNearestLinear(b *testing.B) {
 		topo.NearestLinear(pts[i%len(pts)])
 	}
 }
+
+// bruteMaxKm is the scan MaxPairwiseKm replaces: DistanceKm for every pair.
+func bruteMaxKm(topo *Topology, ids []SectorID) float64 {
+	var max float64
+	for i := range ids {
+		for j := i + 1; j < len(ids); j++ {
+			if d := topo.DistanceKm(ids[i], ids[j]); d > max {
+				max = d
+			}
+		}
+	}
+	return max
+}
+
+// TestMaxPairwiseKmMatchesBruteForce holds the chord-ranked kernel to the
+// haversine over every pair, bit for bit: on fixed edge cases (no sector,
+// one, duplicates, unknown IDs), on random sector sets of the default
+// topology, on colocated and near-colocated sectors, where every chord is
+// below the slack's resolution, and on symmetric near-ties, where two
+// pairs are equally long but for rounding, so the chord and the
+// haversine may order them differently.
+func TestMaxPairwiseKmMatchesBruteForce(t *testing.T) {
+	check := func(what string, topo *Topology, ids []SectorID) {
+		t.Helper()
+		got, want := topo.MaxPairwiseKm(ids), bruteMaxKm(topo, ids)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s %v: MaxPairwiseKm = %v, brute force = %v", what, ids, got, want)
+		}
+	}
+	r := randx.New(13)
+	shuffled := func(ids []SectorID) []SectorID {
+		r.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		return ids
+	}
+
+	topo := buildDefault(t)
+	n := SectorID(topo.Len())
+	for _, ids := range [][]SectorID{nil, {1}, {0}, {n + 1}, {1, 1}, {0, 5}, {5, n + 1}, {0, n + 1}, {3, 0, 7, n + 9, 7}, {2, 2, 2, 9}} {
+		check("fixed", topo, ids)
+	}
+	if got := topo.MaxPairwiseKm([]SectorID{4, 0, 9, n + 1}); got != topo.DistanceKm(4, 9) || got == 0 {
+		t.Fatalf("unknown IDs changed the result: %v, want %v", got, topo.DistanceKm(4, 9))
+	}
+	for range 20000 {
+		ids := make([]SectorID, 1+r.IntN(12))
+		for i := range ids {
+			switch n := r.IntN(40); {
+			case n == 0:
+				ids[i] = 0
+			case n == 1:
+				ids[i] = SectorID(topo.Len() + 1 + r.IntN(3))
+			case n < 6 && i > 0:
+				ids[i] = ids[r.IntN(i)]
+			default:
+				ids[i] = SectorID(1 + r.IntN(topo.Len()))
+			}
+		}
+		check("random", topo, ids)
+	}
+
+	// Clusters of sectors at one point and within millimetres to tens of
+	// metres of it.
+	country := geo.DefaultCountry()
+	var near []Sector
+	for c := range 40 {
+		center := geo.Offset(country.Origin, r.Float64()*country.WidthKm, r.Float64()*country.HeightKm)
+		for k := range 8 {
+			pos := center
+			if k >= 3 {
+				scale := math.Pow(10, -6+5*r.Float64()) // 1 mm to 100 m
+				pos = geo.Offset(center, scale*r.NormFloat64(), scale*r.NormFloat64())
+			}
+			near = append(near, Sector{ID: SectorID(c*8 + k + 1), Pos: pos})
+		}
+	}
+	colocated := newTopology(near)
+	for range 20000 {
+		c := r.IntN(40)
+		ids := make([]SectorID, 2+r.IntN(7))
+		for i := range ids {
+			ids[i] = SectorID(c*8 + 1 + r.IntN(8))
+		}
+		check("near-colocated", colocated, ids)
+	}
+
+	// Isosceles trapezoids mirrored about a meridian: the two diagonals are
+	// the longest pairs and equally long, and only rounding tells them
+	// apart.
+	var trap []Sector
+	const traps = 5000
+	for k := range traps {
+		lon := -5 + 15*r.Float64()
+		latA, latB := 40+10*r.Float64(), 40+10*r.Float64()
+		xa, xb := 2*r.Float64(), 2*r.Float64()
+		for i, p := range []geo.Point{{Lat: latA, Lon: lon - xa}, {Lat: latA, Lon: lon + xa}, {Lat: latB, Lon: lon - xb}, {Lat: latB, Lon: lon + xb}} {
+			trap = append(trap, Sector{ID: SectorID(4*k + i + 1), Pos: p})
+		}
+	}
+	ties := newTopology(trap)
+	for k := range traps {
+		base := SectorID(4 * k)
+		check("near-tie", ties, shuffled([]SectorID{base + 1, base + 2, base + 3, base + 4}))
+	}
+}

@@ -10,7 +10,10 @@
 // wherever an index is needed.
 package simtime
 
-import "time"
+import (
+	"math"
+	"time"
+)
 
 // Epoch is the first instant of the study window. It is a Monday so that
 // week boundaries align with calendar weeks, matching the paper's
@@ -90,8 +93,16 @@ func (d Day) InDetailWindow() bool { return int(d) >= DetailStartDay && int(d) <
 func (w Week) FirstDay() Day { return Day(int(w) * DaysPerWeek) }
 
 // HourOf converts a wall-clock instant to an hour index. Instants before
-// Epoch map to negative hours.
+// Epoch map to negative hours: the nanoseconds since Epoch are divided by
+// an hour, truncating toward zero, as t.Sub(Epoch) / time.Hour does. The
+// integer form skips Sub's overflow checks; it holds while the offset
+// fits a Duration (±292 years), and beyond that HourOf takes Sub's
+// saturated value, as before.
 func HourOf(t time.Time) Hour {
+	const maxSec = math.MaxInt64/int64(time.Second) - 1
+	if sec := t.Unix() - Epoch.Unix(); -maxSec <= sec && sec <= maxSec {
+		return Hour(int((sec*int64(time.Second) + int64(t.Nanosecond()-Epoch.Nanosecond())) / int64(time.Hour)))
+	}
 	return Hour(int(t.Sub(Epoch) / time.Hour))
 }
 

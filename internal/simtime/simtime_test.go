@@ -1,6 +1,8 @@
 package simtime
 
 import (
+	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 	"time"
@@ -110,4 +112,46 @@ func TestWeekFirstDay(t *testing.T) {
 	if Day(20).Week() != 2 || Day(21).Week() != 3 {
 		t.Fatal("day-to-week arithmetic wrong")
 	}
+}
+
+// TestHourOfMatchesSub holds HourOf to the form it replaced,
+// t.Sub(Epoch) / time.Hour: across the study window's hour boundaries,
+// at negative sub-second offsets, in other locations, on instants that
+// carry a monotonic reading, at random instants over ±300 years, and on
+// both sides of the ±292 years where Sub saturates.
+func TestHourOfMatchesSub(t *testing.T) {
+	ref := func(t time.Time) Hour { return Hour(int(t.Sub(Epoch) / time.Hour)) }
+	locs := []*time.Location{time.UTC, time.FixedZone("UTC+5:30", 5*3600+1800), time.FixedZone("UTC-8", -8*3600)}
+	check := func(tm time.Time) {
+		t.Helper()
+		for _, loc := range locs {
+			if got, want := HourOf(tm.In(loc)), ref(tm.In(loc)); got != want {
+				t.Fatalf("HourOf(%v) = %d, t.Sub form = %d", tm.In(loc), got, want)
+			}
+		}
+	}
+	offsets := []time.Duration{0, 1, -1, time.Second - 1, -time.Second + 1, -time.Second - 1, 59*time.Minute + 59*time.Second, -59 * time.Minute}
+	for h := Hour(-48); h <= StudyHours+48; h++ {
+		for _, off := range offsets {
+			check(h.Time().Add(off))
+		}
+	}
+	now := time.Now() // carries a monotonic reading, which Sub ignores against Epoch
+	for _, d := range []time.Duration{0, -1, time.Hour, -37 * time.Hour, 1e18, -1e18} {
+		check(now.Add(d))
+	}
+	r := rand.New(rand.NewPCG(1, 2))
+	const span = 300 * 365 * 24 * 3600 // seconds
+	for range 100000 {
+		check(time.Unix(Epoch.Unix()+r.Int64N(2*span)-span, r.Int64N(1e9)))
+	}
+	maxD := time.Duration(math.MaxInt64)
+	for _, edge := range []time.Time{Epoch.Add(maxD), Epoch.Add(-maxD - 1), time.Unix(math.MaxInt64/int64(time.Second)+Epoch.Unix(), 0)} {
+		for _, off := range []time.Duration{-time.Hour, -time.Second - 1, -1, 0, 1, time.Second + 1, time.Hour} {
+			check(edge.Add(off))
+		}
+	}
+	check(time.Time{})
+	check(time.Unix(1<<62, 999999999))
+	check(time.Unix(-1<<62, 1))
 }

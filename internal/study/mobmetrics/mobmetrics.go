@@ -111,6 +111,7 @@ type Profile struct {
 // them instead of allocating per call.
 type Scratch struct {
 	recs     []mme.Record
+	recDays  []simtime.Day // the day of each of recs
 	days     []dayMax
 	distinct []cells.SectorID
 	dwell    map[cells.SectorID]float64
@@ -129,13 +130,17 @@ type dayMax struct {
 // same IMSI — as Collect does, from the records inside the window that
 // keep accepts (nil keeps all). ok is false when none qualifies.
 func (a *Analyzer) Profile(records []mme.Record, window simtime.Window, keep func(mme.Record) bool, s *Scratch) (p Profile, ok bool) {
-	recs := s.recs[:0]
+	recs, days := s.recs[:0], s.recDays[:0]
 	for _, rec := range records {
-		if (keep == nil || keep(rec)) && window.Contains(simtime.DayOf(rec.Time)) {
+		if keep != nil && !keep(rec) {
+			continue
+		}
+		if d := simtime.DayOf(rec.Time); window.Contains(d) {
 			recs = append(recs, rec)
+			days = append(days, d)
 		}
 	}
-	s.recs = recs
+	s.recs, s.recDays = recs, days
 	if len(recs) == 0 {
 		return Profile{}, false
 	}
@@ -143,6 +148,9 @@ func (a *Analyzer) Profile(records []mme.Record, window simtime.Window, keep fun
 	// the stable sort seldom has work to do.
 	if !slices.IsSortedFunc(recs, byTime) {
 		slices.SortStableFunc(recs, byTime)
+		for i, rec := range recs {
+			days[i] = simtime.DayOf(rec.Time)
+		}
 	}
 
 	// Records are in time order, so each day is one contiguous run and
@@ -155,8 +163,8 @@ func (a *Analyzer) Profile(records []mme.Record, window simtime.Window, keep fun
 	s.days = s.days[:0]
 	dayStart := 0
 	for i, rec := range recs {
-		d := simtime.DayOf(rec.Time)
-		if i+1 == len(recs) || simtime.DayOf(recs[i+1].Time) != d {
+		d := days[i]
+		if i+1 == len(recs) || days[i+1] != d {
 			s.days = append(s.days, dayMax{d, a.maxPairwiseKm(recs[dayStart:i+1], s)})
 			dayStart = i + 1
 		}
@@ -199,24 +207,15 @@ func byTime(a, b mme.Record) int { return a.Time.Compare(b.Time) }
 
 // maxPairwiseKm returns the max distance between any two sectors of a
 // day's time-ordered records. Days have few distinct sectors, so the
-// quadratic scan is cheap, and so is the linear dedup.
+// linear dedup is cheap.
 func (a *Analyzer) maxPairwiseKm(day []mme.Record, s *Scratch) float64 {
 	s.distinct = s.distinct[:0]
-	for _, rec := range day {
-		if !slices.Contains(s.distinct, rec.Sector) {
-			s.distinct = append(s.distinct, rec.Sector)
+	for i := range day {
+		if sec := day[i].Sector; !slices.Contains(s.distinct, sec) {
+			s.distinct = append(s.distinct, sec)
 		}
 	}
-	distinct := s.distinct
-	var max float64
-	for i := 0; i < len(distinct); i++ {
-		for j := i + 1; j < len(distinct); j++ {
-			if d := a.topo.DistanceKm(distinct[i], distinct[j]); d > max {
-				max = d
-			}
-		}
-	}
-	return max
+	return a.topo.MaxPairwiseKm(s.distinct)
 }
 
 // TxSectors joins proxy transactions to the sector the device was attached
