@@ -219,7 +219,7 @@ func BenchmarkAttribute(b *testing.B) {
 
 // Wearlint ablation: the per-unit pass cache. The first Run pays full
 // type-checking plus call-graph construction; repeat Runs reuse the
-// cached passes and graph, so all seven analyzers (and every rerun)
+// cached passes and graph, so all four analyzers (and every rerun)
 // share one type-check per unit. cold_ms is the first run; the timed
 // loop is the warm path; speedup is their ratio.
 func BenchmarkWearlintModule(b *testing.B) {

@@ -3,7 +3,7 @@
 //
 //	go run ./cmd/wearlint ./...
 //	go run ./cmd/wearlint ./internal/core
-//	go run ./cmd/wearlint -checks randsplit,membound ./...
+//	go run ./cmd/wearlint -checks detreach,ctxflow ./...
 //	go run ./cmd/wearlint -format json ./...
 //	go run ./cmd/wearlint -json-out wearlint.json ./...
 //

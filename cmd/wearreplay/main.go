@@ -64,7 +64,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer h.Close()
 
 	start := time.Now()
 	failed := 0
@@ -74,12 +73,10 @@ func main() {
 			log.Printf("record %d (%s %s): %v", i, rec.Scheme, rec.Host, err)
 		}
 	}
-	// Allow the proxy's logging goroutines to drain.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(h.Captured()) < len(sent)-failed && time.Now().Before(deadline) {
-		time.Sleep(20 * time.Millisecond)
-	}
 	elapsed := time.Since(start)
+	// Close drains the proxy's handlers, each of which logs its record
+	// before it exits, so the capture is complete once Close returns.
+	h.Close()
 
 	f := replay.Verify(sent, h.Captured())
 	fmt.Printf("replayed %d records in %v (%.0f conn/s), %d failed\n",

@@ -8,13 +8,16 @@ import (
 
 // TestByteIdenticalRuns is the determinism regression gate: the whole
 // pipeline — generate, study, render, evaluate — executed twice in the
-// same process from the same seed must produce byte-identical text.
-// Go randomises map iteration order per map instance, so any emitting
-// map-range that slipped past the wearlint maporder check (or any
-// float reduction folded in map order) shows up here as a diff between
-// two otherwise identical runs.
+// same process from the same seed must produce byte-identical text, and
+// so must every one of several renders of one run's Results. Go
+// randomises map iteration order per range statement, so an emitting
+// map range anywhere in the render or evaluate path shows up as a diff
+// between two renders of the same Results, and a float reduction folded
+// in map order as a diff between the two runs. Sixteen renders make a
+// two-key map range that happens to agree every time vanishingly rare.
 func TestByteIdenticalRuns(t *testing.T) {
-	render := func() []byte {
+	const rendersPerRun = 8
+	run := func() []byte {
 		ds, err := Generate(SmallConfig(7))
 		if err != nil {
 			t.Fatal(err)
@@ -23,16 +26,24 @@ func TestByteIdenticalRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var out bytes.Buffer
-		Render(&out, res, 0)
-		if err := WriteExperimentsMarkdown(&out, Evaluate(res)); err != nil {
-			t.Fatal(err)
+		var first []byte
+		for i := 0; i < rendersPerRun; i++ {
+			var out bytes.Buffer
+			Render(&out, res, 0)
+			if err := WriteExperimentsMarkdown(&out, Evaluate(res)); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				first = out.Bytes()
+			} else if !bytes.Equal(first, out.Bytes()) {
+				t.Fatalf("render %d of one Results differs from the first: %s", i+1, firstDiff(first, out.Bytes()))
+			}
 		}
-		return out.Bytes()
+		return first
 	}
 
-	first := render()
-	second := render()
+	first := run()
+	second := run()
 	if !bytes.Equal(first, second) {
 		t.Fatal(firstDiff(first, second))
 	}

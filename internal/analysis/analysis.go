@@ -6,10 +6,10 @@
 //
 // The pipeline's whole value is that EXPERIMENTS.md pins target moments
 // and the figures in internal/core are byte-identical run to run. Nothing
-// in the language stops a contributor from calling time.Now in sim code,
-// sampling the global math/rand stream, or ranging over a map while
-// emitting figure rows — so these invariants are machine-checked here and
-// enforced by a tier-1 self-lint test (selflint_test.go) and by
+// in the language stops a contributor from calling time.Now in sim code
+// or sampling the global math/rand stream, and no test sees a clock read
+// that moves no byte today — so these invariants are machine-checked here
+// and enforced by a tier-1 self-lint test (selflint_test.go) and by
 // cmd/wearlint in CI. No comment silences a finding: the code is fixed
 // or the check is.
 package analysis
@@ -150,27 +150,22 @@ func (p *Pass) calleeFunc(call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// DefaultAnalyzers returns every check, in stable order: the two
-// intraprocedural tripwires (maporder, which covers both emitting and
-// float-folding inside a map range, and errdrop), then the call-graph
-// checks — detreach, the determinism check; lockheld; membound, the
-// generator's hot-path allocation check; randsplit, the Split-key
-// discipline on generator paths — then ctxflow, the collection-path and
-// WaitGroup check (deadline-guarded conn I/O, bounded hot-loop sends,
-// WaitGroup placement). What a shard.Run callback may write, whether two
-// goroutines share one randx stream and whether an atomic counter is
-// also read plainly are left to the race detector over the
-// parallel-equivalence and counter tests, and whether a goroutine exits
-// to the leak check (internal/leakcheck) that ends the concurrent
-// packages' tests.
+// DefaultAnalyzers returns every check, in stable order: errdrop, the
+// intraprocedural discarded-error check, then the call-graph checks —
+// detreach, the determinism check; lockheld; ctxflow, the collection-path
+// and WaitGroup check (deadline-guarded conn I/O, bounded hot-loop sends,
+// WaitGroup placement). Each property a deleted check once judged is
+// carried by a tier-1 test instead (DESIGN.md §5's ledger): map-order
+// output and folds by TestByteIdenticalRuns, the golden digests and the
+// parallel-equivalence tests; the generator's allocation rate by
+// TestSweepAllocBudget; shard.Run callback writes, a randx stream shared
+// by two goroutines and an atomic counter read plainly by the race
+// detector; goroutine exits by the leak check (internal/leakcheck).
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
-		MaporderAnalyzer,
 		ErrdropAnalyzer,
 		DetreachAnalyzer,
 		LockheldAnalyzer,
-		MemboundAnalyzer,
-		RandsplitAnalyzer,
 		CtxflowAnalyzer,
 	}
 }
@@ -252,24 +247,4 @@ func matchRel(rel string, patterns []string) bool {
 		}
 	}
 	return false
-}
-
-// rootObject unwraps selectors, indexes, stars and parens to the base
-// identifier's object: the variable a compound write ultimately reaches
-// through.
-func rootObject(p *Pass, e ast.Expr) types.Object {
-	for {
-		switch t := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			return p.ObjectOf(t)
-		case *ast.SelectorExpr:
-			e = t.X
-		case *ast.IndexExpr:
-			e = t.X
-		case *ast.StarExpr:
-			e = t.X
-		default:
-			return nil
-		}
-	}
 }

@@ -279,10 +279,6 @@ func TestGoldenGlobalrandAllowlist(t *testing.T) {
 	}
 }
 
-func TestGoldenMaporder(t *testing.T) {
-	checkFixture(t, "maporder", "internal/core/fixture", MaporderAnalyzer)
-}
-
 // TestGoldenWaitgroup pins ctxflow's WaitGroup placement rule: Add
 // inside the spawned literal and a guarded literal with no Done are
 // flagged, in non-test and test files alike, while the canonical
@@ -369,31 +365,6 @@ func TestLoadTreeLockheld(t *testing.T) {
 	}
 }
 
-// TestLoadTreeMapFold pins maporder's fold rule: every float
-// accumulation spelling (+=, -=, x = x + e, x++) into storage that
-// outlives a map range is flagged, including from a func literal inside
-// the range and in a function that also sorts, and the message carries
-// the sortx.Keys remediation.
-func TestLoadTreeMapFold(t *testing.T) {
-	diags := checkTree(t, "mapfold", "internal", MaporderAnalyzer)
-	if len(diags) == 0 {
-		t.Fatal("no diagnostics over the map-fold tree")
-	}
-	for _, d := range diags {
-		if !strings.Contains(d.Message, "non-associative float fold") || !strings.Contains(d.Message, "sortx.Keys") {
-			t.Errorf("fold message lacks the explanation or the sortx.Keys remediation: %q", d.Message)
-		}
-	}
-}
-
-// TestLoadTreeMapFoldClean runs maporder over integer folds, sorted-key
-// float folds and per-iteration accumulators: zero findings.
-func TestLoadTreeMapFoldClean(t *testing.T) {
-	if _, diags := runTree(t, "mapfoldclean", "internal", MaporderAnalyzer); len(diags) != 0 {
-		t.Errorf("clean tree flagged: %v", diags)
-	}
-}
-
 // TestLoadTreeErrdrop pins the discarded-error check over a two-package
 // tree: bare and deferred drops are flagged, every sanctioned spelling
 // (checked, _ =, _ = inside a deferred literal, exempt receiver) stays
@@ -439,7 +410,6 @@ func TestGoldenMessages(t *testing.T) {
 	}{
 		{"walltime", "internal/core/fixture", DetreachAnalyzer, "internal/simtime"},
 		{"globalrand", "internal/core/fixture", DetreachAnalyzer, "internal/randx"},
-		{"maporder", "internal/core/fixture", MaporderAnalyzer, "collect the keys, sort them"},
 		{"waitgroup", "internal/fixture", CtxflowAnalyzer, "before the go statement"},
 		{"closecheck", "internal/report/fixture", ErrdropAnalyzer, "assign to _"},
 	} {
@@ -460,17 +430,17 @@ func TestGoldenMessages(t *testing.T) {
 	}
 }
 
-// TestWriteJSONMemoryChecks runs each memory- and generator-discipline
-// analyzer over its flagged tree twice and demands byte-identical JSON
-// both times, with the check present in the emitted report — the
-// emitter contract extended to every module-level check.
+// TestWriteJSONMemoryChecks runs the collection-tier analyzers over their
+// flagged trees twice and demands byte-identical JSON both times, with
+// the check present in the emitted report — the emitter contract that
+// TestWriteJSONStable pins for detreach, extended to every other
+// module-level check.
 func TestWriteJSONMemoryChecks(t *testing.T) {
 	for _, tc := range []struct {
 		dir, mount string
 		a          *Analyzer
 	}{
-		{"randsplit", "internal", RandsplitAnalyzer},
-		{"allochot", "internal", MemboundAnalyzer},
+		{"lockheld", "internal/fixture", LockheldAnalyzer},
 		{"ctxflow", "internal/mnet", CtxflowAnalyzer},
 		{"chanbound", "internal/mnet", CtxflowAnalyzer},
 	} {
@@ -495,108 +465,6 @@ func TestWriteJSONMemoryChecks(t *testing.T) {
 		if !strings.Contains(bufs[0].String(), `"check": "`+tc.a.Name+`"`) {
 			t.Errorf("%s: emitted JSON carries no %q finding:\n%s", tc.dir, tc.a.Name, bufs[0].String())
 		}
-	}
-}
-
-// TestLoadTreeRandsplit pins the Split-key discipline over the seeded
-// tree: every violation (loop counter, map-range variable, non-constant
-// label) is flagged, the stable-identity spellings stay silent, and the
-// sub-package finding carries its chain from the gen root.
-func TestLoadTreeRandsplit(t *testing.T) {
-	diags := checkTree(t, "randsplit", "internal", RandsplitAnalyzer)
-
-	var label, chained *Diagnostic
-	for i := range diags {
-		d := &diags[i]
-		if strings.Contains(d.Message, "is not a constant") {
-			label = d
-		}
-		if strings.Contains(filepath.ToSlash(d.Pos.Filename), "/sub/") {
-			chained = d
-		}
-	}
-	if label == nil {
-		t.Errorf("no diagnostic for the non-constant Split label; got %v", diags)
-	}
-	for _, role := range []string{"loop counter", "map-range variable"} {
-		found := false
-		for _, d := range diags {
-			if strings.Contains(d.Message, role) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("no key-discipline diagnostic names the %s role", role)
-		}
-	}
-	if chained == nil {
-		t.Fatalf("no diagnostic for the sub package one hop below the root; got %v", diags)
-	}
-	if !strings.Contains(chained.Message, "reached via internal/gen.Stable") {
-		t.Errorf("sub finding must render the chain from the gen root: %q", chained.Message)
-	}
-	if len(chained.Path) == 0 {
-		t.Errorf("sub finding must carry Path steps for the text and JSON chains, got none")
-	}
-}
-
-// TestLoadTreeRandsplitClean runs the check over a tree that splits by
-// stable identity: zero findings.
-func TestLoadTreeRandsplitClean(t *testing.T) {
-	if _, diags := runTree(t, "randsplitclean", "internal", RandsplitAnalyzer); len(diags) != 0 {
-		t.Errorf("clean tree flagged: %v", diags)
-	}
-}
-
-// TestLoadTreeAllochot pins membound's hot-path allocation rule: every
-// per-iteration shape in the sim root flags (pointer and container
-// literals, cap-unguarded append, bare make, Sprintf, string
-// conversion, closure), the helper one hop below carries its chain, the
-// append and literal findings advise the slab grammar, the
-// reachable-but-exempt population package stays silent, and every reuse
-// discipline passes.
-func TestLoadTreeAllochot(t *testing.T) {
-	diags := checkTree(t, "allochot", "internal", MemboundAnalyzer)
-
-	var chained *Diagnostic
-	slab := 0
-	for i := range diags {
-		d := &diags[i]
-		if strings.Contains(filepath.ToSlash(d.Pos.Filename), "/help/") {
-			chained = d
-		}
-		if !strings.Contains(d.Message, "DESIGN.md §9") {
-			t.Errorf("allochot message lacks the DESIGN.md §9 pointer: %q", d.Message)
-		}
-		if strings.Contains(d.Message, "cap-unguarded append") || strings.Contains(d.Message, "literal allocates per iteration") {
-			slab++
-			if !strings.Contains(d.Message, "(slab grammar)") && !strings.Contains(d.Message, "adopt the slab grammar") {
-				t.Errorf("allochot append/literal message must point at the slab grammar: %q", d.Message)
-			}
-		}
-		if strings.Contains(d.Message, "retain") {
-			t.Errorf("allochot message names the retain rule, which no longer exists: %q", d.Message)
-		}
-	}
-	if slab == 0 {
-		t.Errorf("no append or literal finding to check the slab-grammar advice on; got %v", diags)
-	}
-	if chained == nil {
-		t.Fatalf("no diagnostic for the helper package; got %v", diags)
-	}
-	if !strings.Contains(chained.Message, "reached via internal/gen/sim.Generate") {
-		t.Errorf("helper finding must render the chain from the sim root: %q", chained.Message)
-	}
-	if len(chained.Path) == 0 {
-		t.Errorf("helper finding must carry Path steps for the text and JSON chains, got none")
-	}
-}
-
-// TestLoadTreeAllochotClean runs the check over the all-reuse tree:
-// zero findings.
-func TestLoadTreeAllochotClean(t *testing.T) {
-	if _, diags := runTree(t, "allochotclean", "internal", MemboundAnalyzer); len(diags) != 0 {
-		t.Errorf("clean tree flagged: %v", diags)
 	}
 }
 

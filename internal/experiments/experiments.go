@@ -6,6 +6,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"wearwild/internal/core"
 	"wearwild/internal/gen/apps"
@@ -18,10 +19,13 @@ type Metric struct {
 	Paper    float64 // the paper's reported value
 	Measured float64
 	Lo, Hi   float64 // acceptance band for "shape holds"
+	// Missing marks a rank metric whose app or category has no row in
+	// its figure: there is nothing to measure, so the metric is a miss.
+	Missing bool
 }
 
 // OK reports whether the measured value falls in the acceptance band.
-func (m Metric) OK() bool { return m.Measured >= m.Lo && m.Measured <= m.Hi }
+func (m Metric) OK() bool { return !m.Missing && m.Measured >= m.Lo && m.Measured <= m.Hi }
 
 // String renders one comparison row.
 func (m Metric) String() string {
@@ -29,8 +33,12 @@ func (m Metric) String() string {
 	if !m.OK() {
 		status = "MISS"
 	}
-	return fmt.Sprintf("%-34s paper=%8.2f%-4s measured=%8.2f%-4s band=[%.2f, %.2f] %s",
-		m.Name, m.Paper, m.Unit, m.Measured, m.Unit, m.Lo, m.Hi, status)
+	measured := fmt.Sprintf("%8.2f%-4s", m.Measured, m.Unit)
+	if m.Missing {
+		measured = fmt.Sprintf("%-12s", "missing")
+	}
+	return fmt.Sprintf("%-34s paper=%8.2f%-4s measured=%s band=[%.2f, %.2f] %s",
+		m.Name, m.Paper, m.Unit, measured, m.Lo, m.Hi, status)
 }
 
 // Experiment is one figure's reproduction definition.
@@ -185,10 +193,10 @@ func All() []Experiment {
 			Modules:  "gen/apps, study/appid, study/sessions, core",
 			Extract: func(r *core.Results) []Metric {
 				return []Metric{
-					{Name: "Weather measured rank", Unit: "", Paper: 1, Measured: float64(rankOfApp(r.Fig5a, "Weather") + 1), Lo: 1, Hi: 4},
-					{Name: "Google-Maps measured rank", Unit: "", Paper: 2, Measured: float64(rankOfApp(r.Fig5a, "Google-Maps") + 1), Lo: 1, Hi: 6},
-					{Name: "Accuweather measured rank", Unit: "", Paper: 3, Measured: float64(rankOfApp(r.Fig5a, "Accuweather") + 1), Lo: 1, Hi: 6},
-					{Name: "Samsung-Pay measured rank", Unit: "", Paper: 9, Measured: float64(rankOfApp(r.Fig5a, "Samsung-Pay") + 1), Lo: 1, Hi: 16},
+					ranked(Metric{Name: "Weather measured rank", Paper: 1, Lo: 1, Hi: 4}, rankOfApp(r.Fig5a, "Weather")),
+					ranked(Metric{Name: "Google-Maps measured rank", Paper: 2, Lo: 1, Hi: 6}, rankOfApp(r.Fig5a, "Google-Maps")),
+					ranked(Metric{Name: "Accuweather measured rank", Paper: 3, Lo: 1, Hi: 6}, rankOfApp(r.Fig5a, "Accuweather")),
+					ranked(Metric{Name: "Samsung-Pay measured rank", Paper: 9, Lo: 1, Hi: 16}, rankOfApp(r.Fig5a, "Samsung-Pay")),
 					{Name: "top1/top30 popularity ratio", Unit: "x", Paper: 100, Measured: top30Ratio(r.Fig5a), Lo: 20, Hi: 1e6},
 				}
 			},
@@ -212,10 +220,10 @@ func All() []Experiment {
 			Modules:  "gen/apps, core",
 			Extract: func(r *core.Results) []Metric {
 				return []Metric{
-					{Name: "Communication user rank", Unit: "", Paper: 1, Measured: float64(rankOfCat(r.Fig6, apps.Communication) + 1), Lo: 1, Hi: 3},
-					{Name: "Shopping user rank", Unit: "", Paper: 2, Measured: float64(rankOfCat(r.Fig6, apps.Shopping) + 1), Lo: 1, Hi: 4},
-					{Name: "Weather user rank", Unit: "", Paper: 4, Measured: float64(rankOfCat(r.Fig6, apps.Weather) + 1), Lo: 1, Hi: 5},
-					{Name: "Health-Fitness user rank", Unit: "", Paper: 14, Measured: float64(rankOfCat(r.Fig6, apps.HealthFitness) + 1), Lo: 8, Hi: 15},
+					ranked(Metric{Name: "Communication user rank", Paper: 1, Lo: 1, Hi: 3}, rankOfCat(r.Fig6, apps.Communication)),
+					ranked(Metric{Name: "Shopping user rank", Paper: 2, Lo: 1, Hi: 4}, rankOfCat(r.Fig6, apps.Shopping)),
+					ranked(Metric{Name: "Weather user rank", Paper: 4, Lo: 1, Hi: 5}, rankOfCat(r.Fig6, apps.Weather)),
+					ranked(Metric{Name: "Health-Fitness user rank", Paper: 14, Lo: 8, Hi: 15}, rankOfCat(r.Fig6, apps.HealthFitness)),
 				}
 			},
 		},
@@ -225,9 +233,9 @@ func All() []Experiment {
 			Modules:  "study/sessions, core",
 			Extract: func(r *core.Results) []Metric {
 				return []Metric{
-					{Name: "WhatsApp KB/usage rank", Unit: "", Paper: 1, Measured: float64(rankOfUsage(r.Fig7, "WhatsApp") + 1), Lo: 1, Hi: 9},
-					{Name: "Deezer KB/usage rank", Unit: "", Paper: 2, Measured: float64(rankOfUsage(r.Fig7, "Deezer") + 1), Lo: 1, Hi: 9},
-					{Name: "Snapchat KB/usage rank", Unit: "", Paper: 3, Measured: float64(rankOfUsage(r.Fig7, "Snapchat") + 1), Lo: 1, Hi: 9},
+					ranked(Metric{Name: "WhatsApp KB/usage rank", Paper: 1, Lo: 1, Hi: 9}, rankOfUsage(r.Fig7, "WhatsApp")),
+					ranked(Metric{Name: "Deezer KB/usage rank", Paper: 2, Lo: 1, Hi: 9}, rankOfUsage(r.Fig7, "Deezer")),
+					ranked(Metric{Name: "Snapchat KB/usage rank", Paper: 3, Lo: 1, Hi: 9}, rankOfUsage(r.Fig7, "Snapchat")),
 				}
 			},
 		},
@@ -289,31 +297,27 @@ func Evaluate(res *core.Results) []Evaluated {
 	return out
 }
 
-func rankOfApp(rows []core.AppPopularity, name string) int {
-	for i, r := range rows {
-		if r.App == name {
-			return i
-		}
+// ranked completes a rank metric from a 0-based row index: the 1-based
+// rank, or a miss marked Missing when the row is absent (index -1).
+func ranked(m Metric, i int) Metric {
+	if i < 0 {
+		m.Missing = true
+	} else {
+		m.Measured = float64(i + 1)
 	}
-	return 999
+	return m
+}
+
+func rankOfApp(rows []core.AppPopularity, name string) int {
+	return slices.IndexFunc(rows, func(r core.AppPopularity) bool { return r.App == name })
 }
 
 func rankOfUsage(rows []core.PerUsage, name string) int {
-	for i, r := range rows {
-		if r.App == name {
-			return i
-		}
-	}
-	return 999
+	return slices.IndexFunc(rows, func(r core.PerUsage) bool { return r.App == name })
 }
 
 func rankOfCat(rows []core.CategoryShare, cat apps.Category) int {
-	for i, r := range rows {
-		if r.Category == cat {
-			return i
-		}
-	}
-	return 999
+	return slices.IndexFunc(rows, func(r core.CategoryShare) bool { return r.Category == cat })
 }
 
 func usageOfApp(rows []core.AppUsage, name string) core.AppUsage {

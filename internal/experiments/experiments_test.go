@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wearwild/internal/core"
+	"wearwild/internal/gen/apps"
 	"wearwild/internal/gen/sim"
 )
 
@@ -111,5 +112,44 @@ func TestEvaluateEndToEnd(t *testing.T) {
 	}
 	if strings.Contains(out, "**miss**") {
 		t.Fatal("markdown reports misses on the reference seed")
+	}
+}
+
+// TestMissingRowIsNamedMiss evaluates a Results whose Fig 6 lacks the
+// Health-Fitness category: its rank metric is a miss marked Missing, and
+// both renderings say the row is missing instead of printing a rank.
+func TestMissingRowIsNamedMiss(t *testing.T) {
+	res := &core.Results{Fig6: []core.CategoryShare{
+		{Category: apps.Communication}, {Category: apps.Shopping}, {Category: apps.Weather},
+	}}
+	var hf, weather Metric
+	for _, e := range Evaluate(res) {
+		if e.ID != "F6" {
+			continue
+		}
+		for _, m := range e.Metrics {
+			switch m.Name {
+			case "Health-Fitness user rank":
+				hf = m
+			case "Weather user rank":
+				weather = m
+			}
+		}
+	}
+	if !hf.Missing || hf.OK() {
+		t.Fatalf("Health-Fitness rank with no Fig 6 row: %+v, want a Missing miss", hf)
+	}
+	if weather.Missing || weather.Measured != 3 || !weather.OK() {
+		t.Fatalf("Weather rank: %+v, want rank 3 in band", weather)
+	}
+	if s := hf.String(); !strings.Contains(s, "measured=missing") || !strings.Contains(s, "MISS") {
+		t.Errorf("String does not name the missing row: %q", s)
+	}
+	var buf bytes.Buffer
+	if err := WriteMarkdown(&buf, []Evaluated{{Experiment: Experiment{ID: "F6"}, Metrics: []Metric{hf}}}); err != nil {
+		t.Fatal(err)
+	}
+	if want := "| Health-Fitness user rank | 14.00 | missing | [8.00, 15.00] | **miss** |"; !strings.Contains(buf.String(), want) {
+		t.Errorf("markdown row %q not found in:\n%s", want, buf.String())
 	}
 }

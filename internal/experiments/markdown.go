@@ -32,8 +32,12 @@ func WriteMarkdown(w io.Writer, evals []Evaluated) error {
 			if !m.OK() {
 				status = "**miss**"
 			}
-			fmt.Fprintf(w, "| %s | %.2f%s | %.2f%s | [%.2f, %.2f] | %s |\n",
-				m.Name, m.Paper, m.Unit, m.Measured, m.Unit, m.Lo, m.Hi, status)
+			measured := fmt.Sprintf("%.2f%s", m.Measured, m.Unit)
+			if m.Missing {
+				measured = "missing"
+			}
+			fmt.Fprintf(w, "| %s | %.2f%s | %s | [%.2f, %.2f] | %s |\n",
+				m.Name, m.Paper, m.Unit, measured, m.Lo, m.Hi, status)
 		}
 	}
 	return nil

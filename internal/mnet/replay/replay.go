@@ -120,7 +120,11 @@ func NewHarness() (*Harness, error) {
 // and the per-connection handlers are bounded by their 15s deadlines.
 // Signalling done before closing the listeners means an accept that wins
 // the race is dropped rather than handled, so Close never waits a full
-// handler deadline for a connection nobody will read.
+// handler deadline for a connection nobody will read. The proxy's Close
+// drains every connection handler, and each handler logs its record
+// before it exits, so once Close returns Captured holds a record for
+// every connection the proxy accepted: read it after Close, with no
+// polling.
 func (h *Harness) Close() {
 	h.doneOnce.Do(func() { close(h.done) })
 	_ = h.proxy.Close()
@@ -129,7 +133,9 @@ func (h *Harness) Close() {
 	h.wg.Wait()
 }
 
-// Captured returns a snapshot of the proxy's log.
+// Captured returns a snapshot of the proxy's log. Before Close it may
+// lack the records of connections whose handlers are still finishing;
+// after Close it is complete.
 func (h *Harness) Captured() []proxylog.Record {
 	h.mu.Lock()
 	defer h.mu.Unlock()
