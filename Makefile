@@ -32,7 +32,7 @@ test:
 # goroutines drawing from one randx stream
 # (TestGenerateParallelEquivalence) and a netproxy counter bumped
 # atomically but read plainly (TestCountersConcurrentSnapshot). The same
-# run ends the netproxy, replay, shard, core and gen/sim test binaries
+# run ends the netproxy, replay, shard, stream, core and gen/sim test binaries
 # with the goroutine-leak check (internal/leakcheck), which fails on any
 # goroutine their code started that outlives the tests.
 race:
@@ -62,7 +62,7 @@ lint-fixtures:
 	$(GO) test ./internal/analysis -run 'TestGolden|TestLoadTree'
 
 # Run the native fuzz targets over their seed corpus only (no mutation):
-# the mme/proxylog codec fuzzers, the collection-path parsers (httplog
+# the mme/udr/proxylog codec fuzzers, the collection-path parsers (httplog
 # FuzzReadHead, sni FuzzReadClientHello), the randx Split derivation
 # (FuzzSplitLabel), and the study over truncated or corrupted log
 # encodings (core FuzzRunStreamReaders).

@@ -9,7 +9,7 @@ import "testing"
 // randx Split, over 90% of the count) and the few per-session helper
 // values the traffic model builds. The counts are exact, since one seed
 // always draws the same subscribers and AllocsPerRun runs on one
-// goroutine: 1,169.1 per wearable owner and 437.6 per ordinary user on
+// goroutine: 1,050.0 per wearable owner and 421.3 per ordinary user on
 // go1.24.0, the same under -race. The budget allows less than half an
 // allocation per subscriber above them, so a defect that allocates once
 // per subscriber, day, week or record fails; a toolchain whose runtime
@@ -42,8 +42,8 @@ func TestSweepAllocBudget(t *testing.T) {
 		lo, hi   int
 		measured float64
 	}{
-		{"wearable owners", 0, g.owners, 1169.1},
-		{"ordinary users", g.owners, n, 437.6},
+		{"wearable owners", 0, g.owners, 1050.0},
+		{"ordinary users", g.owners, n, 421.3},
 	} {
 		per := testing.AllocsPerRun(2, gen(tc.lo, tc.hi)) / float64(tc.hi-tc.lo)
 		if per > tc.measured+0.5 {

@@ -197,6 +197,9 @@ type Generator struct {
 	// positive weight map to nil (their sessions emit nothing), matching
 	// the per-session NewCategorical error path this cache replaced.
 	mixes map[*apps.App]*randx.Categorical
+	// shared holds each domain kind's shared-host pool, resolved once:
+	// Catalog.SharedHosts copies its list on every call.
+	shared [apps.NumDomainKinds][]string
 }
 
 // New returns a generator.
@@ -215,7 +218,11 @@ func New(catalog *apps.Catalog, cfg Config) (*Generator, error) {
 		}
 		mixes[app] = mix
 	}
-	return &Generator{catalog: catalog, cfg: cfg, mixes: mixes}, nil
+	g := &Generator{catalog: catalog, cfg: cfg, mixes: mixes}
+	for kind := range g.shared {
+		g.shared[kind] = catalog.SharedHosts(apps.DomainKind(kind))
+	}
+	return g, nil
 }
 
 // Scratch holds the per-worker buffers wearable-day generation reuses
@@ -453,15 +460,15 @@ func (g *Generator) transaction(u *population.User, app *apps.App, kind apps.Dom
 	case apps.KindApplication:
 		host = app.Hosts[r.IntN(len(app.Hosts))]
 	case apps.KindUtilities:
-		pool := g.catalog.SharedHosts(apps.KindUtilities)
+		pool := g.shared[apps.KindUtilities]
 		host = pool[r.IntN(len(pool))]
 		factor = g.cfg.UtilityBytesFactor
 	case apps.KindAdvertising:
-		pool := g.catalog.SharedHosts(apps.KindAdvertising)
+		pool := g.shared[apps.KindAdvertising]
 		host = pool[r.IntN(len(pool))]
 		factor = g.cfg.AdBytesFactor
 	case apps.KindAnalytics:
-		pool := g.catalog.SharedHosts(apps.KindAnalytics)
+		pool := g.shared[apps.KindAnalytics]
 		host = pool[r.IntN(len(pool))]
 		factor = g.cfg.AnalyticsBytesFactor
 	}

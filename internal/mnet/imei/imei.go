@@ -10,7 +10,10 @@ package imei
 
 import (
 	"fmt"
+	"math"
 	"strconv"
+
+	"wearwild/internal/mnet/csvrow"
 )
 
 // TAC is an 8-digit Type Allocation Code. All devices of a given model
@@ -20,7 +23,10 @@ type TAC uint32
 const maxTAC = 99999999
 
 // String renders the TAC as its zero-padded 8-digit form.
-func (t TAC) String() string { return fmt.Sprintf("%08d", uint32(t)) }
+func (t TAC) String() string {
+	var buf [20]byte
+	return string(csvrow.AppendZeroPadded(buf[:0], uint64(t), 8))
+}
 
 // Valid reports whether the TAC fits in 8 digits.
 func (t TAC) Valid() bool { return uint32(t) <= maxTAC }
@@ -51,7 +57,8 @@ func New(tac TAC, serial uint32) (IMEI, error) {
 		return 0, fmt.Errorf("imei: serial %d out of range", serial)
 	}
 	body := uint64(tac)*1000000 + uint64(serial) // 14 digits
-	return IMEI(body*10 + uint64(luhnDigit(body))), nil
+	var buf [20]byte
+	return IMEI(body*10 + uint64(luhnDigit(csvrow.AppendZeroPadded(buf[:0], body, 14)))), nil
 }
 
 // MustNew is New for inputs known to be valid; it panics on error.
@@ -63,41 +70,41 @@ func MustNew(tac TAC, serial uint32) IMEI {
 	return id
 }
 
-// luhnDigit computes the Luhn check digit for a 14-digit body.
-func luhnDigit(body uint64) int {
-	// Walking right-to-left over the body, the rightmost digit is doubled
-	// (it sits in an odd position relative to the check digit).
+// luhnDigit computes the Luhn check digit for a body of ASCII decimal
+// digits. Walking right-to-left over the body, the rightmost digit is
+// doubled (it sits in an odd position relative to the check digit), and
+// so is every second one after it.
+func luhnDigit(body []byte) int {
 	sum := 0
-	double := true
-	for body > 0 {
-		d := int(body % 10)
-		body /= 10
-		if double {
-			d *= 2
-			if d > 9 {
-				d -= 9
-			}
+	for i := len(body) - 1; i >= 0; i -= 2 {
+		d := 2 * int(body[i]-'0')
+		if d > 9 {
+			d -= 9
 		}
 		sum += d
-		double = !double
+		if i > 0 {
+			sum += int(body[i-1] - '0')
+		}
 	}
 	return (10 - sum%10) % 10
 }
 
 // Parse parses a 15-digit IMEI string and verifies its check digit.
-func Parse(s string) (IMEI, error) {
-	if len(s) != 15 {
-		return 0, fmt.Errorf("imei: %q is not 15 digits", s)
+func Parse(s string) (IMEI, error) { return ParseBytes([]byte(s)) }
+
+// ParseBytes is Parse over bytes; it allocates only to report an error.
+func ParseBytes(b []byte) (IMEI, error) {
+	if len(b) != 15 {
+		return 0, fmt.Errorf("imei: %q is not 15 digits", string(b))
 	}
-	v, err := strconv.ParseUint(s, 10, 64)
+	v, err := csvrow.ParseUint(b, math.MaxUint64)
 	if err != nil {
-		return 0, fmt.Errorf("imei: %q: %v", s, err)
+		return 0, fmt.Errorf("imei: %q: %v", string(b), err)
 	}
-	id := IMEI(v)
-	if !id.Valid() {
-		return 0, fmt.Errorf("imei: %q fails the Luhn check", s)
+	if v == 0 || int(b[14]-'0') != luhnDigit(b[:14]) { // Valid, on the digits at hand
+		return 0, fmt.Errorf("imei: %q fails the Luhn check", string(b))
 	}
-	return id, nil
+	return IMEI(v), nil
 }
 
 // Valid reports whether the IMEI is 15 digits with a correct check digit.
@@ -105,8 +112,9 @@ func (i IMEI) Valid() bool {
 	if i == 0 || uint64(i) > 999999999999999 {
 		return false
 	}
-	body := uint64(i) / 10
-	return int(uint64(i)%10) == luhnDigit(body)
+	var buf [20]byte
+	d := csvrow.AppendZeroPadded(buf[:0], uint64(i), 15)
+	return int(d[14]-'0') == luhnDigit(d[:14])
 }
 
 // TAC returns the type allocation code (first 8 digits).
@@ -116,7 +124,10 @@ func (i IMEI) TAC() TAC { return TAC(uint64(i) / 10000000) }
 func (i IMEI) Serial() uint32 { return uint32(uint64(i) / 10 % 1000000) }
 
 // String renders the IMEI as its zero-padded 15-digit form.
-func (i IMEI) String() string { return fmt.Sprintf("%015d", uint64(i)) }
+func (i IMEI) String() string {
+	var buf [20]byte
+	return string(csvrow.AppendZeroPadded(buf[:0], uint64(i), 15))
+}
 
 // Range is a contiguous block of serial numbers under one TAC, the unit in
 // which operators allocate device identities. Lo and Hi are inclusive.

@@ -1,70 +1,44 @@
 package mme
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
-	"strings"
 	"time"
 
 	"wearwild/internal/mnet/cells"
+	"wearwild/internal/mnet/csvrow"
 	"wearwild/internal/mnet/imei"
 	"wearwild/internal/mnet/subs"
 )
 
-// csvHeader is the column layout of the CSV form.
-var csvHeader = []string{"ts_unix", "imsi", "imei", "sector", "event"}
+// csvHeader is the column layout of the CSV form. Every field is a
+// number or an event name, so no row is ever quoted, and the reader
+// rejects a `"` byte (package csvrow).
+const csvHeader = "ts_unix,imsi,imei,sector,event"
 
 // WriteCSV streams records as CSV with a header row.
 func WriteCSV(w io.Writer, records []Record) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return err
-	}
-	row := make([]string, len(csvHeader))
-	for _, r := range records {
-		row[0] = strconv.FormatInt(r.Time.Unix(), 10)
-		row[1] = r.IMSI.String()
-		row[2] = r.IMEI.String()
-		row[3] = strconv.FormatUint(uint64(r.Sector), 10)
-		row[4] = r.Event.String()
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return csvrow.Write(w, csvHeader, records, appendRow)
+}
+
+func appendRow(row []byte, r Record) []byte {
+	row = strconv.AppendInt(row, r.Time.Unix(), 10)
+	row = append(row, ',')
+	row = csvrow.AppendZeroPadded(row, uint64(r.IMSI), 15)
+	row = append(row, ',')
+	row = csvrow.AppendZeroPadded(row, uint64(r.IMEI), 15)
+	row = append(row, ',')
+	row = strconv.AppendUint(row, uint64(r.Sector), 10)
+	row = append(row, ',')
+	return append(row, r.Event.String()...)
 }
 
 // StreamCSV parses a CSV stream written by WriteCSV record by record into
 // fn: the bounded-memory path the streaming study engine consumes.
 func StreamCSV(r io.Reader, fn func(Record) error) error {
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
-	header, err := cr.Read()
-	if err != nil {
-		return fmt.Errorf("mme: reading header: %w", err)
-	}
-	if strings.Join(header, ",") != strings.Join(csvHeader, ",") {
-		return fmt.Errorf("mme: unexpected header %v", header)
-	}
-	for line := 2; ; line++ {
-		row, err := cr.Read()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("mme: line %d: %w", line, err)
-		}
-		rec, err := parseRow(row)
-		if err != nil {
-			return fmt.Errorf("mme: line %d: %w", line, err)
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
+	return csvrow.Stream(r, "mme", csvHeader, parseRow, fn)
 }
 
 // ReadCSV parses a CSV stream written by WriteCSV: the whole-log
@@ -81,27 +55,24 @@ func ReadCSV(r io.Reader) ([]Record, error) {
 	return out, nil
 }
 
-func parseRow(row []string) (Record, error) {
-	if len(row) != len(csvHeader) {
-		return Record{}, fmt.Errorf("want %d fields, got %d", len(csvHeader), len(row))
-	}
-	ts, err := strconv.ParseInt(row[0], 10, 64)
+func parseRow(row [][]byte) (Record, error) {
+	ts, err := csvrow.ParseInt(row[0])
 	if err != nil {
 		return Record{}, fmt.Errorf("timestamp: %v", err)
 	}
-	im, err := subs.Parse(row[1])
+	im, err := subs.ParseBytes(row[1])
 	if err != nil {
 		return Record{}, err
 	}
-	dev, err := imei.Parse(row[2])
+	dev, err := imei.ParseBytes(row[2])
 	if err != nil {
 		return Record{}, err
 	}
-	sector, err := strconv.ParseUint(row[3], 10, 32)
+	sector, err := csvrow.ParseUint(row[3], math.MaxUint32)
 	if err != nil {
 		return Record{}, fmt.Errorf("sector: %v", err)
 	}
-	ev, err := ParseEvent(row[4])
+	ev, err := parseEvent(row[4])
 	if err != nil {
 		return Record{}, err
 	}

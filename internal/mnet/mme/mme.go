@@ -7,6 +7,7 @@ package mme
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"time"
 
 	"wearwild/internal/mnet/cells"
@@ -38,13 +39,15 @@ func (e Event) String() string {
 	case Detach:
 		return "detach"
 	default:
-		return fmt.Sprintf("event(%d)", uint8(e))
+		return "event(" + strconv.Itoa(int(e)) + ")"
 	}
 }
 
 // ParseEvent inverts Event.String.
-func ParseEvent(s string) (Event, error) {
-	switch s {
+func ParseEvent(s string) (Event, error) { return parseEvent([]byte(s)) }
+
+func parseEvent(b []byte) (Event, error) {
+	switch string(b) {
 	case "attach":
 		return Attach, nil
 	case "update":
@@ -52,7 +55,7 @@ func ParseEvent(s string) (Event, error) {
 	case "detach":
 		return Detach, nil
 	default:
-		return 0, fmt.Errorf("mme: unknown event %q", s)
+		return 0, fmt.Errorf("mme: unknown event %q", string(b))
 	}
 }
 

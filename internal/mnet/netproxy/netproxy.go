@@ -252,9 +252,13 @@ func (f *flow) force() {
 // by DrainTimeout, force-closing stragglers — before returning, so no
 // handler goroutine outlives Serve.
 func (p *Proxy) Serve(ln net.Listener) error {
+	// Serve records ln only while the proxy is open, and Close marks it
+	// closed under the same lock, so exactly one of them closes ln.
 	p.mu.Lock()
-	p.ln = ln
 	alreadyClosed := p.closed.Load()
+	if !alreadyClosed {
+		p.ln = ln
+	}
 	p.mu.Unlock()
 	if alreadyClosed {
 		_ = ln.Close()
@@ -296,11 +300,12 @@ func (p *Proxy) Serve(ln net.Listener) error {
 // appears in Counters as ForcedClose and, when bytes were moving, as a
 // DropForced record) and returns once every handler has exited.
 func (p *Proxy) Close() error {
-	p.closed.Store(true)
-	p.doneOnce.Do(func() { close(p.done) })
 	p.mu.Lock()
+	p.closed.Store(true)
 	ln := p.ln
+	p.ln = nil
 	p.mu.Unlock()
+	p.doneOnce.Do(func() { close(p.done) })
 	var err error
 	if ln != nil {
 		err = ln.Close()

@@ -206,7 +206,23 @@ func (d *Decoder) Decode() (Record, error) {
 	}
 }
 
+// readRecord decodes an opRec body from the buffered bytes, buffering
+// more while they hold only part of it. A record that is invalid, cut
+// short by the end of the stream or longer than the buffer is decoded
+// field by field instead, which names what is wrong.
 func (d *Decoder) readRecord() (Record, error) {
+	for {
+		rec, w := d.readBuffered()
+		if w.bad {
+			break
+		}
+		if !w.short {
+			return rec, nil
+		}
+		if _, err := d.r.Peek(d.r.Buffered() + 1); err != nil {
+			break
+		}
+	}
 	delta, err := binary.ReadVarint(d.r)
 	if err != nil {
 		return Record{}, fmt.Errorf("proxylog: time delta: %w", err)
@@ -289,6 +305,96 @@ func (d *Decoder) readRecord() (Record, error) {
 		Duration:  time.Duration(durMs) * time.Millisecond,
 		Drop:      drop,
 	}, nil
+}
+
+// readBuffered decodes a record from the bytes already buffered, without
+// a call per byte, and consumes them if they hold the whole record and
+// it is valid. Otherwise it consumes nothing, and the window it returns
+// tells which.
+func (d *Decoder) readBuffered() (Record, window) {
+	b, _ := d.r.Peek(d.r.Buffered())
+	w := window{b: b}
+	zigzag := w.uvarint()
+	imsiRaw, imeiRaw := w.uvarint(), w.uvarint()
+	scheme := w.octet()
+	hostID := w.uvarint()
+	path := w.take(w.uvarint())
+	up, down, durMs := w.uvarint(), w.uvarint(), w.uvarint()
+	drop := DropNone
+	if d.version >= 2 {
+		drop = DropReason(w.octet())
+	}
+	if !w.short && (scheme > uint8(HTTPS) || hostID >= uint64(len(d.hosts)) || drop >= NumDropReasons) {
+		w.bad = true
+	}
+	if w.short || w.bad {
+		return Record{}, w
+	}
+	_, _ = d.r.Discard(len(b) - len(w.b))
+	delta := int64(zigzag >> 1) // binary.Varint's zigzag decoding
+	if zigzag&1 != 0 {
+		delta = ^delta
+	}
+	d.lastMs += delta
+	return Record{
+		Time:      time.UnixMilli(d.lastMs).UTC(),
+		IMSI:      subs.IMSI(imsiRaw),
+		IMEI:      imei.IMEI(imeiRaw),
+		Scheme:    Scheme(scheme),
+		Host:      d.hosts[hostID],
+		Path:      string(path),
+		BytesUp:   int64(up),
+		BytesDown: int64(down),
+		Duration:  time.Duration(durMs) * time.Millisecond,
+		Drop:      drop,
+	}, w
+}
+
+// window reads a record's fields off the front of b. short turns true at
+// the first field that b holds only part of, and every later field reads
+// as zero; bad turns true at a field that is invalid however many bytes
+// follow.
+type window struct {
+	b          []byte
+	short, bad bool
+}
+
+func (w *window) uvarint() uint64 {
+	v, n := binary.Uvarint(w.b)
+	switch {
+	case n > 0:
+		w.b = w.b[n:]
+	case n == 0:
+		w.short, w.b = true, nil
+	default:
+		w.bad = true
+	}
+	return v
+}
+
+func (w *window) octet() byte {
+	if len(w.b) == 0 {
+		w.short = true
+		return 0
+	}
+	c := w.b[0]
+	w.b = w.b[1:]
+	return c
+}
+
+// take returns the next n bytes, which the format caps at 1<<16.
+func (w *window) take(n uint64) []byte {
+	switch {
+	case n > 1<<16:
+		w.bad = true
+	case n > uint64(len(w.b)):
+		w.short, w.b = true, nil
+	default:
+		s := w.b[:n]
+		w.b = w.b[n:]
+		return s
+	}
+	return nil
 }
 
 // WriteBinary encodes all records to w.

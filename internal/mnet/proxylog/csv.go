@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"wearwild/internal/mnet/csvrow"
 	"wearwild/internal/mnet/imei"
 	"wearwild/internal/mnet/subs"
 )
@@ -34,9 +35,9 @@ func WriteCSV(w io.Writer, records []Record) error {
 		scratch = scratch[:0]
 		scratch = strconv.AppendInt(scratch, r.Time.UnixMilli(), 10)
 		scratch = append(scratch, ',')
-		scratch = appendZeroPadded(scratch, uint64(r.IMSI), 15)
+		scratch = csvrow.AppendZeroPadded(scratch, uint64(r.IMSI), 15)
 		scratch = append(scratch, ',')
-		scratch = appendZeroPadded(scratch, uint64(r.IMEI), 15)
+		scratch = csvrow.AppendZeroPadded(scratch, uint64(r.IMEI), 15)
 		scratch = append(scratch, ',')
 		scratch = append(scratch, r.Scheme.String()...)
 		scratch = append(scratch, ',')
@@ -59,16 +60,6 @@ func WriteCSV(w io.Writer, records []Record) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// appendZeroPadded appends v in decimal, left-padded with zeros to width.
-func appendZeroPadded(dst []byte, v uint64, width int) []byte {
-	var tmp [20]byte
-	s := strconv.AppendUint(tmp[:0], v, 10)
-	for pad := width - len(s); pad > 0; pad-- {
-		dst = append(dst, '0')
-	}
-	return append(dst, s...)
 }
 
 // appendCSVField appends a field, quoting it the way encoding/csv would

@@ -1,0 +1,218 @@
+package proxylog
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"reflect"
+	"strings"
+	"testing"
+	"testing/iotest"
+	"time"
+
+	"wearwild/internal/mnet/imei"
+	"wearwild/internal/mnet/subs"
+)
+
+// refDecode is the binary decoder as it was before it read records from
+// its buffered window: every varint through binary.ReadUvarint, one
+// byte-reader call per byte.
+func refDecode(r io.Reader) ([]Record, error) {
+	br := bufio.NewReader(r)
+	var magic [5]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return nil, fmt.Errorf("proxylog: reading binary header: %w", err)
+	}
+	if string(magic[:4]) != binMagic {
+		return nil, fmt.Errorf("proxylog: bad magic %q", magic[:4])
+	}
+	if magic[4] == 0 || magic[4] > binVersion {
+		return nil, fmt.Errorf("proxylog: unsupported version %d", magic[4])
+	}
+	version := magic[4]
+	var hosts []string
+	var lastMs int64
+	var out []Record
+	readString := func(n uint64) (string, error) {
+		buf := make([]byte, n)
+		_, err := io.ReadFull(br, buf)
+		return string(buf), err
+	}
+	uv := func(what string) (uint64, error) {
+		v, err := binary.ReadUvarint(br)
+		if err != nil {
+			return 0, fmt.Errorf("proxylog: %s: %w", what, err)
+		}
+		return v, nil
+	}
+	for {
+		op, err := br.ReadByte()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		switch op {
+		case opDef:
+			n, err := binary.ReadUvarint(br)
+			if err != nil {
+				return nil, fmt.Errorf("proxylog: host def: %w", err)
+			}
+			if n > 1<<16 {
+				return nil, fmt.Errorf("proxylog: host length %d implausible", n)
+			}
+			if len(hosts) >= MaxHosts {
+				return nil, fmt.Errorf("proxylog: %w (%d hosts)", ErrHostDictLimit, len(hosts))
+			}
+			host, err := readString(n)
+			if err != nil {
+				return nil, fmt.Errorf("proxylog: host def: %w", err)
+			}
+			hosts = append(hosts, host)
+			continue
+		case opRec:
+		default:
+			return nil, fmt.Errorf("proxylog: unknown opcode %#x", op)
+		}
+		delta, err := binary.ReadVarint(br)
+		if err != nil {
+			return nil, fmt.Errorf("proxylog: time delta: %w", err)
+		}
+		lastMs += delta
+		imsiRaw, err := uv("imsi")
+		if err != nil {
+			return nil, err
+		}
+		imeiRaw, err := uv("imei")
+		if err != nil {
+			return nil, err
+		}
+		scheme, err := br.ReadByte()
+		if err != nil {
+			return nil, fmt.Errorf("proxylog: scheme: %w", err)
+		}
+		if scheme > uint8(HTTPS) {
+			return nil, fmt.Errorf("proxylog: invalid scheme byte %d", scheme)
+		}
+		hostID, err := uv("host id")
+		if err != nil {
+			return nil, err
+		}
+		if hostID >= uint64(len(hosts)) {
+			return nil, fmt.Errorf("proxylog: host id %d not defined", hostID)
+		}
+		pathLen, err := uv("path length")
+		if err != nil {
+			return nil, err
+		}
+		if pathLen > 1<<16 {
+			return nil, fmt.Errorf("proxylog: path length %d implausible", pathLen)
+		}
+		var path string
+		if pathLen > 0 {
+			if path, err = readString(pathLen); err != nil {
+				return nil, fmt.Errorf("proxylog: path: %w", err)
+			}
+		}
+		up, err := uv("up bytes")
+		if err != nil {
+			return nil, err
+		}
+		down, err := uv("down bytes")
+		if err != nil {
+			return nil, err
+		}
+		durMs, err := uv("duration")
+		if err != nil {
+			return nil, err
+		}
+		var drop byte
+		if version >= 2 {
+			if drop, err = br.ReadByte(); err != nil {
+				return nil, fmt.Errorf("proxylog: drop reason: %w", err)
+			}
+			if DropReason(drop) >= NumDropReasons {
+				return nil, fmt.Errorf("proxylog: invalid drop reason byte %d", drop)
+			}
+		}
+		out = append(out, Record{
+			Time: time.UnixMilli(lastMs).UTC(), IMSI: subs.IMSI(imsiRaw), IMEI: imei.IMEI(imeiRaw), Scheme: Scheme(scheme),
+			Host: hosts[hostID], Path: path, BytesUp: int64(up), BytesDown: int64(down),
+			Duration: time.Duration(durMs) * time.Millisecond, Drop: DropReason(drop),
+		})
+	}
+}
+
+// sameAsRef decodes in through ReadBinary, over a reader that returns
+// what it has and, unless whole is set, over one that returns a byte per
+// Read, and holds both to refDecode: the same records, or the same error
+// of the same class.
+func sameAsRef(t *testing.T, name string, in []byte, whole bool) {
+	t.Helper()
+	want, werr := refDecode(bytes.NewReader(in))
+	readers := []io.Reader{bytes.NewReader(in), iotest.OneByteReader(bytes.NewReader(in))}
+	if whole {
+		readers = readers[:1]
+	}
+	for _, r := range readers {
+		got, gerr := ReadBinary(r)
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) ||
+			errors.Is(gerr, io.ErrUnexpectedEOF) != errors.Is(werr, io.ErrUnexpectedEOF) ||
+			errors.Is(gerr, ErrHostDictLimit) != errors.Is(werr, ErrHostDictLimit) {
+			t.Fatalf("%s: error %v, reference %v", name, gerr, werr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: records differ from the reference:\n got %v\nwant %v", name, got, want)
+		}
+	}
+}
+
+// TestDecoderMatchesReference holds the buffered-window decoder to the
+// byte-at-a-time one over every truncation and byte flip of a sample
+// stream, over every hundred-and-first cut and flip of a stream longer
+// than the decoder's buffer with one record that is longer too, and
+// over a host-dictionary flood.
+func TestDecoderMatchesReference(t *testing.T) {
+	var small, long bytes.Buffer
+	if err := WriteBinary(&small, sampleRecords()); err != nil {
+		t.Fatal(err)
+	}
+	var recs []Record
+	for i := range 120 {
+		r := sampleRecords()[i%5]
+		r.Time = r.Time.Add(time.Duration(i*i) * time.Millisecond)
+		r.Path = fmt.Sprintf("/p/%d", i*37)
+		r.BytesDown <<= i % 40
+		recs = append(recs, r)
+	}
+	recs[60].Path = strings.Repeat("/p", 2500) // a record longer than the buffer
+	if err := WriteBinary(&long, recs); err != nil {
+		t.Fatal(err)
+	}
+	if long.Len() <= 4096 { // bufio's default buffer
+		t.Fatalf("the long stream is %d bytes, within one buffer", long.Len())
+	}
+	for _, s := range []struct {
+		name string
+		data []byte
+		step int
+	}{{"sample", small.Bytes(), 1}, {"long", long.Bytes(), 101}} {
+		for i := 0; i <= len(s.data); i += s.step {
+			sameAsRef(t, fmt.Sprintf("%s cut to %d", s.name, i), s.data[:i], false)
+		}
+		for i := 0; i < len(s.data); i += s.step {
+			for _, mask := range []byte{0x01, 0x80, 0xff} {
+				in := bytes.Clone(s.data)
+				in[i] ^= mask
+				sameAsRef(t, fmt.Sprintf("%s with byte %d ^ %#x", s.name, i, mask), in, false)
+			}
+		}
+	}
+	if !testing.Short() {
+		sameAsRef(t, "host flood", adversarialDefs(MaxHosts+1), true)
+	}
+}

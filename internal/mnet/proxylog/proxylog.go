@@ -8,6 +8,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 	"time"
 
 	"wearwild/internal/mnet/imei"
@@ -32,7 +33,7 @@ func (s Scheme) String() string {
 	case HTTPS:
 		return "https"
 	default:
-		return fmt.Sprintf("scheme(%d)", uint8(s))
+		return "scheme(" + strconv.Itoa(int(s)) + ")"
 	}
 }
 
@@ -102,7 +103,7 @@ func (d DropReason) String() string {
 	case DropForced:
 		return "forced"
 	default:
-		return fmt.Sprintf("drop(%d)", uint8(d))
+		return "drop(" + strconv.Itoa(int(d)) + ")"
 	}
 }
 

@@ -5,7 +5,9 @@ package subs
 
 import (
 	"fmt"
-	"strconv"
+	"math"
+
+	"wearwild/internal/mnet/csvrow"
 )
 
 // IMSI is a subscriber identity. Synthetic IMSIs are 15 digits: a 5-digit
@@ -42,16 +44,22 @@ func (i IMSI) MSIN() uint64 { return uint64(i) % msinLimit }
 func (i IMSI) Home() bool { return uint64(i)/msinLimit == HomePrefix }
 
 // String renders the 15-digit form.
-func (i IMSI) String() string { return fmt.Sprintf("%015d", uint64(i)) }
+func (i IMSI) String() string {
+	var buf [20]byte
+	return string(csvrow.AppendZeroPadded(buf[:0], uint64(i), 15))
+}
 
 // Parse parses a decimal IMSI string.
-func Parse(s string) (IMSI, error) {
-	if len(s) != 15 {
-		return 0, fmt.Errorf("subs: IMSI %q is not 15 digits", s)
+func Parse(s string) (IMSI, error) { return ParseBytes([]byte(s)) }
+
+// ParseBytes is Parse over bytes; it allocates only to report an error.
+func ParseBytes(b []byte) (IMSI, error) {
+	if len(b) != 15 {
+		return 0, fmt.Errorf("subs: IMSI %q is not 15 digits", string(b))
 	}
-	v, err := strconv.ParseUint(s, 10, 64)
+	v, err := csvrow.ParseUint(b, math.MaxUint64)
 	if err != nil {
-		return 0, fmt.Errorf("subs: IMSI %q: %v", s, err)
+		return 0, fmt.Errorf("subs: IMSI %q: %v", string(b), err)
 	}
 	return IMSI(v), nil
 }

@@ -8,13 +8,12 @@
 package udr
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
-	"strings"
 
+	"wearwild/internal/mnet/csvrow"
 	"wearwild/internal/mnet/imei"
 	"wearwild/internal/mnet/subs"
 	"wearwild/internal/simtime"
@@ -74,77 +73,57 @@ func (l *Log) ByUser() map[subs.IMSI][]Record {
 	return out
 }
 
-var csvHeader = []string{"week", "imsi", "imei", "bytes", "tx"}
+// csvHeader is the column layout of the CSV form. Every field is a
+// number, so no row is ever quoted, and the reader rejects a `"` byte
+// (package csvrow).
+const csvHeader = "week,imsi,imei,bytes,tx"
 
 // WriteCSV streams records as CSV with a header row.
 func WriteCSV(w io.Writer, records []Record) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return err
-	}
-	row := make([]string, len(csvHeader))
-	for _, r := range records {
-		row[0] = strconv.Itoa(int(r.Week))
-		row[1] = r.IMSI.String()
-		row[2] = r.IMEI.String()
-		row[3] = strconv.FormatInt(r.Bytes, 10)
-		row[4] = strconv.FormatInt(r.Transactions, 10)
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return csvrow.Write(w, csvHeader, records, appendRow)
+}
+
+func appendRow(row []byte, r Record) []byte {
+	row = strconv.AppendInt(row, int64(r.Week), 10)
+	row = append(row, ',')
+	row = csvrow.AppendZeroPadded(row, uint64(r.IMSI), 15)
+	row = append(row, ',')
+	row = csvrow.AppendZeroPadded(row, uint64(r.IMEI), 15)
+	row = append(row, ',')
+	row = strconv.AppendInt(row, r.Bytes, 10)
+	row = append(row, ',')
+	return strconv.AppendInt(row, r.Transactions, 10)
 }
 
 // StreamCSV parses a stream written by WriteCSV record by record into fn:
 // the bounded-memory path the streaming study engine consumes.
 func StreamCSV(r io.Reader, fn func(Record) error) error {
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
-	header, err := cr.Read()
+	return csvrow.Stream(r, "udr", csvHeader, parseRow, fn)
+}
+
+func parseRow(row [][]byte) (Record, error) {
+	week, err := csvrow.ParseInt(row[0])
 	if err != nil {
-		return fmt.Errorf("udr: reading header: %w", err)
+		return Record{}, fmt.Errorf("week: %v", err)
 	}
-	if strings.Join(header, ",") != strings.Join(csvHeader, ",") {
-		return fmt.Errorf("udr: unexpected header %v", header)
+	im, err := subs.ParseBytes(row[1])
+	if err != nil {
+		return Record{}, err
 	}
-	for line := 2; ; line++ {
-		row, err := cr.Read()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("udr: line %d: %w", line, err)
-		}
-		week, err := strconv.Atoi(row[0])
-		if err != nil {
-			return fmt.Errorf("udr: line %d: week: %v", line, err)
-		}
-		im, err := subs.Parse(row[1])
-		if err != nil {
-			return fmt.Errorf("udr: line %d: %v", line, err)
-		}
-		dev, err := imei.Parse(row[2])
-		if err != nil {
-			return fmt.Errorf("udr: line %d: %v", line, err)
-		}
-		bytes, err := strconv.ParseInt(row[3], 10, 64)
-		if err != nil {
-			return fmt.Errorf("udr: line %d: bytes: %v", line, err)
-		}
-		tx, err := strconv.ParseInt(row[4], 10, 64)
-		if err != nil {
-			return fmt.Errorf("udr: line %d: tx: %v", line, err)
-		}
-		rec := Record{Week: simtime.Week(week), IMSI: im, IMEI: dev, Bytes: bytes, Transactions: tx}
-		if err := rec.Validate(); err != nil {
-			return fmt.Errorf("udr: line %d: %v", line, err)
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
+	dev, err := imei.ParseBytes(row[2])
+	if err != nil {
+		return Record{}, err
 	}
+	bytes, err := csvrow.ParseInt(row[3])
+	if err != nil {
+		return Record{}, fmt.Errorf("bytes: %v", err)
+	}
+	tx, err := csvrow.ParseInt(row[4])
+	if err != nil {
+		return Record{}, fmt.Errorf("tx: %v", err)
+	}
+	rec := Record{Week: simtime.Week(week), IMSI: im, IMEI: dev, Bytes: bytes, Transactions: tx}
+	return rec, rec.Validate()
 }
 
 // ReadCSV parses a stream written by WriteCSV: the whole-log convenience

@@ -110,9 +110,12 @@ func TestParallelEquivalenceRepeatedRuns(t *testing.T) {
 // so every subscriber is evicted when the engine seals, each worker
 // sealing its own leftovers, and every worker's last batch is a partial
 // one.
-// The reference is the same source at Workers=1, not the in-memory
-// Results: the MME CSV drops sub-second times, so a study of the saved
-// logs differs from one of the generated logs in Fig 4(c).
+// The references are the same source at Workers=1, and a sequential,
+// user-major stream.Logs over the logs ReadBinary and ReadCSV decode from
+// the same encodings, which Readers' three concurrent feeds must match
+// whatever order their chunks arrive in; not the in-memory Results: the
+// MME CSV drops sub-second times, so a study of the saved logs differs
+// from one of the generated logs in Fig 4(c).
 func TestParallelEquivalenceReaders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a full small dataset")
@@ -152,5 +155,32 @@ func TestParallelEquivalenceReaders(t *testing.T) {
 		if got := run(workers); !bytes.Equal(got, ref) {
 			t.Errorf("workers=%d: Readers Results differ from Workers=1 over the same encodings", workers)
 		}
+	}
+
+	p, err := proxylog.ReadBinary(bytes.NewReader(prx.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := mme.ReadCSV(bytes.NewReader(mm.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := udr.ReadCSV(bytes.NewReader(ud.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Workers = 1
+	logs := &stream.Logs{Proxy: &proxylog.Log{Records: p}, MME: &mme.Log{Records: m}, UDR: &udr.Log{Records: u}}
+	res, err := core.RunStream(env, logs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, ref) {
+		t.Error("Readers Results differ from a Workers=1 stream.Logs study of the decoded logs")
 	}
 }
