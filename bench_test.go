@@ -1,8 +1,9 @@
 package wearwild
 
 // Micro-benchmarks under go test -bench: the whole study, its worker
-// sweep, generation, and the ablations DESIGN.md calls out. The
-// repository benchmark, end to end and layer by layer, is cmd/wearperf.
+// sweep, generation, the binary proxy-log codec, and the ablations
+// DESIGN.md calls out. The repository benchmark, end to end and layer by
+// layer, is cmd/wearperf.
 
 import (
 	"bytes"
@@ -98,7 +99,8 @@ func BenchmarkStudyFullParallel(b *testing.B) {
 
 // --- Ablation benches (design choices called out in DESIGN.md) ---
 
-// Codec ablation: the compact binary proxy-log codec vs CSV.
+// The binary proxy-log codec over the wearable records of the benchmark
+// dataset.
 func benchProxyRecords(b *testing.B) []proxylog.Record {
 	b.Helper()
 	ds := benchSetup(b)
@@ -115,21 +117,6 @@ func benchProxyRecords(b *testing.B) []proxylog.Record {
 	return recs
 }
 
-func BenchmarkCodecCSVEncode(b *testing.B) {
-	recs := benchProxyRecords(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var size int
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := proxylog.WriteCSV(&buf, recs); err != nil {
-			b.Fatal(err)
-		}
-		size = buf.Len()
-	}
-	b.ReportMetric(float64(size)/float64(len(recs)), "B/rec")
-}
-
 func BenchmarkCodecBinaryEncode(b *testing.B) {
 	recs := benchProxyRecords(b)
 	b.ReportAllocs()
@@ -143,22 +130,6 @@ func BenchmarkCodecBinaryEncode(b *testing.B) {
 		size = buf.Len()
 	}
 	b.ReportMetric(float64(size)/float64(len(recs)), "B/rec")
-}
-
-func BenchmarkCodecCSVDecode(b *testing.B) {
-	recs := benchProxyRecords(b)
-	var buf bytes.Buffer
-	if err := proxylog.WriteCSV(&buf, recs); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := proxylog.ReadCSV(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkCodecBinaryDecode(b *testing.B) {
@@ -195,9 +166,8 @@ func BenchmarkSessionizeGap30s(b *testing.B) { benchSessionize(b, 30*time.Second
 func BenchmarkSessionizeGap1m(b *testing.B)  { benchSessionize(b, time.Minute) }
 func BenchmarkSessionizeGap5m(b *testing.B)  { benchSessionize(b, 5*time.Minute) }
 
-// App-attribution ablation: the paper's timeframe-correlation (majority
-// vote) against the cheaper first-anchor strategy. The attributed_pct
-// metric shows coverage; agree_pct how often the strategies concur.
+// App attribution by the paper's timeframe correlation (majority vote).
+// The attributed_pct metric shows coverage.
 func BenchmarkAttribute(b *testing.B) {
 	recs := benchProxyRecords(b)
 	usages := sessions.Sessionize(recs, time.Minute)
@@ -253,25 +223,4 @@ func BenchmarkWearlintModule(b *testing.B) {
 	if warm > warmCeiling {
 		b.Fatalf("warm module lint took %v per run, above the %v ceiling", warm, warmCeiling)
 	}
-}
-
-func BenchmarkAttributeAnchor(b *testing.B) {
-	recs := benchProxyRecords(b)
-	usages := sessions.Sessionize(recs, time.Minute)
-	resolver := appid.NewResolver(apps.DefaultWithTail())
-	vote := resolver.Attribute(usages)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var anchor []appid.Attributed
-	for i := 0; i < b.N; i++ {
-		anchor = resolver.AttributeAnchor(usages)
-	}
-	b.StopTimer()
-	agree := 0
-	for i := range anchor {
-		if anchor[i].App == vote[i].App {
-			agree++
-		}
-	}
-	b.ReportMetric(100*float64(agree)/float64(len(anchor)), "agree_pct")
 }

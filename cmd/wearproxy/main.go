@@ -2,7 +2,9 @@
 // address: the paper's measurement middlebox as a standalone tool. It
 // sniffs each connection (TLS ClientHello or HTTP request head), splices
 // it to the origin, and appends one proxy-log record per connection to a
-// CSV file.
+// binary proxy log as the connection ends: the stream proxylog.ReadBinary
+// and stream.Readers decode. Memory does not grow with the number of
+// connections.
 //
 // Hosts are resolved through a plain DNS-less mapping file of
 // "host=address:port" lines (transparent deployments know their routing),
@@ -10,7 +12,7 @@
 //
 // Usage:
 //
-//	wearproxy -listen 127.0.0.1:8443 -log proxy.csv [-map hosts.map | -passthrough]
+//	wearproxy -listen 127.0.0.1:8443 -log proxy.bin [-map hosts.map | -passthrough]
 package main
 
 import (
@@ -36,7 +38,7 @@ func main() {
 
 	var (
 		listen      = flag.String("listen", "127.0.0.1:8443", "listen address")
-		logPath     = flag.String("log", "proxy.csv", "proxy log output (.csv[.gz] or .bin[.gz])")
+		logPath     = flag.String("log", "proxy.bin", "binary proxy log output")
 		mapPath     = flag.String("map", "", "host mapping file: one host=addr:port per line")
 		passthrough = flag.Bool("passthrough", false, "dial hosts directly (443 for TLS, 80 for HTTP)")
 
@@ -57,8 +59,18 @@ func main() {
 		log.Fatal("need -map or -passthrough")
 	}
 
-	var mu sync.Mutex
-	var records []proxylog.Record
+	f, err := os.Create(*logPath)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// mu guards the encoder, the record count and the first encoding
+	// error, after which no record is encoded.
+	var (
+		mu     sync.Mutex
+		enc    = proxylog.NewEncoder(f)
+		n      int
+		encErr error
+	)
 
 	proxy, err := netproxy.New(netproxy.Config{
 		Dial: func(host string, isTLS bool) (net.Conn, error) {
@@ -76,14 +88,17 @@ func main() {
 		},
 		Log: func(r proxylog.Record) {
 			mu.Lock()
-			records = append(records, r)
-			n := len(records)
+			if encErr == nil {
+				encErr = enc.Encode(r)
+			}
+			n++
+			seq := n
 			mu.Unlock()
 			suffix := ""
 			if r.Truncated() {
 				suffix = " [dropped: " + r.Drop.String() + "]"
 			}
-			log.Printf("#%d %s %s %dB up %dB down %v%s", n, r.Scheme, r.Host, r.BytesUp, r.BytesDown, r.Duration, suffix)
+			log.Printf("#%d %s %s %dB up %dB down %v%s", seq, r.Scheme, r.Host, r.BytesUp, r.BytesDown, r.Duration, suffix)
 		},
 		SniffTimeout: *sniffTimeout,
 		DialTimeout:  *dialTimeout,
@@ -122,10 +137,16 @@ func main() {
 
 	mu.Lock()
 	defer mu.Unlock()
-	if err := proxylog.WriteFile(*logPath, records); err != nil {
-		log.Fatal(err)
+	if encErr == nil {
+		encErr = enc.Flush()
 	}
-	log.Printf("wrote %d records to %s", len(records), *logPath)
+	if err := f.Close(); encErr == nil {
+		encErr = err
+	}
+	if encErr != nil {
+		log.Fatalf("writing %s: %v", *logPath, encErr)
+	}
+	log.Printf("wrote %d records to %s", n, *logPath)
 }
 
 // dumpCounters prints the proxy's accounting on shutdown so operators see

@@ -100,15 +100,11 @@ func New(topo *cells.Topology, cfg Config) (*Generator, error) {
 	return &Generator{topo: topo, cfg: cfg}, nil
 }
 
-// DayVisits returns the chronological, per-sector-deduplicated visits of a
-// user on a day. The itinerary is derived only from (user, day, stream),
-// so every device the user carries sees the same movement.
-func (g *Generator) DayVisits(u *population.User, d simtime.Day, r *randx.Rand) []Visit {
-	return g.AppendDayVisits(nil, u, d, r)
-}
-
-// AppendDayVisits is DayVisits writing past len(dst): the generator sweep
-// passes a per-worker slab reset each day, so itinerary generation costs no
+// AppendDayVisits appends past len(dst) the chronological,
+// per-sector-deduplicated visits of a user on a day. The itinerary is
+// derived only from (user, day, stream), so every device the user
+// carries sees the same movement. The generator sweep passes a
+// per-worker slab reset each day, so itinerary generation costs no
 // allocation once the slab has grown to the user's busiest day. Only
 // dst[len(dst):] is sorted and deduplicated; earlier entries are untouched.
 // Visits at home or work take u.HomeSector and u.WorkSector as given, so
@@ -260,17 +256,9 @@ func canonicalizeTail(v []Visit, base int) []Visit {
 	return v[:base+len(out)]
 }
 
-// Records converts a day's visits into MME records for one device: the
-// first visit is an Attach, the rest are Updates.
-func Records(u *population.User, dev imei.IMEI, visits []Visit) []mme.Record {
-	if len(visits) == 0 {
-		return nil
-	}
-	return AppendRecords(make([]mme.Record, 0, len(visits)), u, dev, visits)
-}
-
-// AppendRecords is Records appending into a caller slab; the visit count
-// bounds the growth to at most one reallocation.
+// AppendRecords converts a day's visits into MME records for one device,
+// appended past len(dst): the first visit is an Attach, the rest are
+// Updates. The visit count bounds the growth to at most one reallocation.
 func AppendRecords(dst []mme.Record, u *population.User, dev imei.IMEI, visits []Visit) []mme.Record {
 	dst = slices.Grow(dst, len(visits))[:len(dst)]
 	for i, v := range visits {

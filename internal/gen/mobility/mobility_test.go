@@ -79,7 +79,7 @@ func TestDayVisitsBasics(t *testing.T) {
 	f := newFixture(t)
 	u := f.pop.WearableOwners()[0]
 	r := randx.New(9).Split("day", 1)
-	visits := f.gen.DayVisits(u, simtime.Day(108), r) // a Thursday in detail window
+	visits := f.gen.AppendDayVisits(nil, u, simtime.Day(108), r) // a Thursday in detail window
 
 	if len(visits) < 2 {
 		t.Fatalf("weekday itinerary has %d visits", len(visits))
@@ -114,7 +114,7 @@ func TestWeekdayTouchesWork(t *testing.T) {
 	for i := 0; i < n; i++ {
 		u := f.pop.WearableOwners()[i%50]
 		r := randx.New(31).Split("wd", uint64(i))
-		visits := f.gen.DayVisits(u, simtime.Day(107), r) // Wednesday
+		visits := f.gen.AppendDayVisits(nil, u, simtime.Day(107), r) // Wednesday
 		for _, v := range visits {
 			if v.Sector == u.WorkSector {
 				hits++
@@ -132,8 +132,8 @@ func TestWeekdayTouchesWork(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	f := newFixture(t)
 	u := f.pop.WearableOwners()[3]
-	a := f.gen.DayVisits(u, simtime.Day(110), randx.New(8).Split("d", 42))
-	b := f.gen.DayVisits(u, simtime.Day(110), randx.New(8).Split("d", 42))
+	a := f.gen.AppendDayVisits(nil, u, simtime.Day(110), randx.New(8).Split("d", 42))
+	b := f.gen.AppendDayVisits(nil, u, simtime.Day(110), randx.New(8).Split("d", 42))
 	if len(a) != len(b) {
 		t.Fatal("lengths differ")
 	}
@@ -155,7 +155,7 @@ func TestOwnerDisplacementTargets(t *testing.T) {
 			days := []simtime.Day{105, 106, 107, 108, 109, 110, 111}
 			for _, d := range days {
 				r := randx.New(77).Split("disp", salt+uint64(i)*1000+uint64(d))
-				sum += f.gen.MaxDisplacementKm(f.gen.DayVisits(u, d, r))
+				sum += f.gen.MaxDisplacementKm(f.gen.AppendDayVisits(nil, u, d, r))
 			}
 			out = append(out, sum/float64(len(days)))
 		}
@@ -194,7 +194,7 @@ func TestEntropyGap(t *testing.T) {
 		dwell := map[cells.SectorID]float64{}
 		for d := simtime.Day(105); d < 112; d++ {
 			r := randx.New(13).Split("ent", salt+uint64(d))
-			visits := f.gen.DayVisits(u, d, r)
+			visits := f.gen.AppendDayVisits(nil, u, d, r)
 			for i, v := range visits {
 				end := d.Time().Add(24 * 60 * 60 * 1e9)
 				if i+1 < len(visits) {
@@ -241,7 +241,7 @@ func TestVisitsStayWithinDay(t *testing.T) {
 			r := randx.New(55).Split("wd", uint64(i)*1000+uint64(d))
 			dayStart := d.Time()
 			dayEnd := dayStart.Add(24 * 60 * 60 * 1e9)
-			for _, v := range f.gen.DayVisits(u, d, r) {
+			for _, v := range f.gen.AppendDayVisits(nil, u, d, r) {
 				if v.Time.Before(dayStart) || !v.Time.Before(dayEnd) {
 					t.Fatalf("user %d day %d: visit at %v outside day", i, d, v.Time)
 				}
@@ -253,8 +253,8 @@ func TestVisitsStayWithinDay(t *testing.T) {
 func TestRecords(t *testing.T) {
 	f := newFixture(t)
 	u := f.pop.WearableOwners()[0]
-	visits := f.gen.DayVisits(u, simtime.Day(120), randx.New(3).Split("r", 0))
-	recs := Records(u, u.WearableIMEI, visits)
+	visits := f.gen.AppendDayVisits(nil, u, simtime.Day(120), randx.New(3).Split("r", 0))
+	recs := AppendRecords(nil, u, u.WearableIMEI, visits)
 	if len(recs) != len(visits) {
 		t.Fatalf("records = %d, visits = %d", len(recs), len(visits))
 	}
@@ -272,7 +272,7 @@ func TestRecords(t *testing.T) {
 			t.Fatal("subsequent record not an update")
 		}
 	}
-	if Records(u, u.WearableIMEI, nil) != nil {
+	if AppendRecords(nil, u, u.WearableIMEI, nil) != nil {
 		t.Fatal("empty visits must yield no records")
 	}
 }
@@ -283,7 +283,7 @@ func TestMaxDisplacementKm(t *testing.T) {
 		t.Fatalf("empty displacement = %g", got)
 	}
 	u := f.pop.WearableOwners()[1]
-	visits := f.gen.DayVisits(u, simtime.Day(115), randx.New(4).Split("m", 0))
+	visits := f.gen.AppendDayVisits(nil, u, simtime.Day(115), randx.New(4).Split("m", 0))
 	d := f.gen.MaxDisplacementKm(visits)
 	if d < 0 {
 		t.Fatal("negative displacement")

@@ -47,28 +47,12 @@ func (g *Generator) PhoneWeek(u *population.User, w simtime.Week, r *randx.Rand)
 	}
 }
 
-// AggregateWearableWeek folds a set of wearable proxy records into the
-// device's weekly UDR. The caller guarantees all records fall in the week.
-func AggregateWearableWeek(u *population.User, w simtime.Week, recs []proxylog.Record) udr.Record {
-	out := udr.Record{Week: w, IMSI: u.IMSI, IMEI: u.WearableIMEI}
-	for _, r := range recs {
-		out.Bytes += r.Bytes()
-		out.Transactions++
-	}
-	return out
-}
-
-// PhoneProxyDay generates the sparse phone-side proxy records of one day
-// in the detail window: a sampled trickle of generic traffic (kept small —
-// the full phone stream is represented by UDRs), plus the companion-app
-// bursts that make Through-Device wearables fingerprintable.
-func (g *Generator) PhoneProxyDay(u *population.User, d simtime.Day, r *randx.Rand) []proxylog.Record {
-	return g.AppendPhoneProxyDay(nil, u, d, r)
-}
-
-// AppendPhoneProxyDay is PhoneProxyDay appending past len(dst): the
-// sampled transaction count sizes the growth up front, and companion
-// bursts fold into the same slab.
+// AppendPhoneProxyDay appends past len(dst) the sparse phone-side proxy
+// records of one day in the detail window: a sampled trickle of generic
+// traffic (kept small — the full phone stream is represented by UDRs),
+// plus the companion-app bursts that make Through-Device wearables
+// fingerprintable. The sampled transaction count sizes the growth up
+// front, and companion bursts fold into the same slab.
 func (g *Generator) AppendPhoneProxyDay(dst []proxylog.Record, u *population.User, d simtime.Day, r *randx.Rand) []proxylog.Record {
 	day := d.Time()
 

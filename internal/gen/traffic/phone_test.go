@@ -72,8 +72,8 @@ func TestWearableShareOfTotal(t *testing.T) {
 			for dd := 0; dd < 7; dd++ {
 				d := w.FirstDay() + simtime.Day(dd)
 				rr := f.root.Split("sw", uint64(i)*1000+uint64(d))
-				visits := f.mob.DayVisits(u, d, rr.Split("v", 0))
-				for _, rec := range f.gen.WearableDay(u, d, visits, rr.Split("t", 0)) {
+				visits := f.mob.AppendDayVisits(nil, u, d, rr.Split("v", 0))
+				for _, rec := range f.gen.AppendWearableDay(nil, u, d, visits, rr.Split("t", 0), &Scratch{}) {
 					wear += float64(rec.Bytes())
 				}
 			}
@@ -101,7 +101,7 @@ func TestPhoneProxyDay(t *testing.T) {
 	sawGeneric := false
 	for i, u := range f.pop.OrdinaryUsers() {
 		r := f.root.Split("ppd", uint64(i))
-		recs := f.gen.PhoneProxyDay(u, day, r)
+		recs := f.gen.AppendPhoneProxyDay(nil, u, day, r)
 		for _, rec := range recs {
 			if err := rec.Validate(); err != nil {
 				t.Fatal(err)
@@ -146,7 +146,7 @@ func TestCompanionTrafficMatchesService(t *testing.T) {
 		}
 		for rep := 0; rep < 10; rep++ {
 			r := f.root.Split("svc", uint64(i)*100+uint64(rep))
-			for _, rec := range f.gen.PhoneProxyDay(u, day, r) {
+			for _, rec := range f.gen.AppendPhoneProxyDay(nil, u, day, r) {
 				isCompanion := false
 				for _, h := range population.CompanionHosts() {
 					if rec.Host == h {
@@ -159,38 +159,5 @@ func TestCompanionTrafficMatchesService(t *testing.T) {
 			}
 		}
 		break // one fingerprintable user is enough
-	}
-}
-
-func TestAggregateWearableWeek(t *testing.T) {
-	f := newFixture(t)
-	var u *population.User
-	for _, cand := range f.pop.WearableOwners() {
-		if cand.DataActive() {
-			u = cand
-			break
-		}
-	}
-	w := simtime.Week(18)
-	var total int64
-	var count int64
-	recs := f.gen.WearableDay(u, w.FirstDay(), nil, f.root.Split("agg", 1))
-	for _, rec := range recs {
-		total += rec.Bytes()
-		count++
-	}
-	agg := AggregateWearableWeek(u, w, recs)
-	if agg.Bytes != total || agg.Transactions != count {
-		t.Fatalf("aggregate %d/%d, want %d/%d", agg.Bytes, agg.Transactions, total, count)
-	}
-	if agg.IMEI != u.WearableIMEI || agg.Week != w {
-		t.Fatal("aggregate identity wrong")
-	}
-	empty := AggregateWearableWeek(u, w, nil)
-	if empty.Bytes != 0 || empty.Transactions != 0 {
-		t.Fatal("empty aggregate not zero")
-	}
-	if err := empty.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -250,19 +250,12 @@ func (g *Generator) activeDayProb(u *population.User, weekend bool) float64 {
 	return clamp(p, g.cfg.ActiveDayMin, g.cfg.ActiveDayMax)
 }
 
-// WearableDay generates the wearable's proxy transactions for one day.
-// visits (the user's movement that day) gates single-location users: their
-// transactions happen only while at the home sector. A nil result means an
-// inactive day.
-func (g *Generator) WearableDay(u *population.User, d simtime.Day, visits []mobility.Visit, r *randx.Rand) []proxylog.Record {
-	var s Scratch
-	return g.AppendWearableDay(nil, u, d, visits, r, &s)
-}
-
-// AppendWearableDay is WearableDay appending past len(dst) with reusable
-// buffers: each generator sweep slot passes one Scratch to every day it
-// generates, so a steady-state day allocates only when a session outgrows
-// dst.
+// AppendWearableDay appends past len(dst) the wearable's proxy
+// transactions for one day. visits (the user's movement that day) gates
+// single-location users: their transactions happen only while at the
+// home sector. An inactive day appends nothing. Each generator sweep slot
+// passes one Scratch to every day it generates, so a steady-state day
+// allocates only when a session outgrows dst.
 func (g *Generator) AppendWearableDay(dst []proxylog.Record, u *population.User, d simtime.Day,
 	visits []mobility.Visit, r *randx.Rand, s *Scratch) []proxylog.Record {
 	if !u.DataActive() || !u.WearableActiveOn(d) {

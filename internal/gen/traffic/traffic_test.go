@@ -88,14 +88,14 @@ func TestInactiveUsersProduceNothing(t *testing.T) {
 		if u.DataActive() {
 			continue
 		}
-		visits := f.mob.DayVisits(u, day, r.Split("v", uint64(u.IMSI)))
-		if recs := f.gen.WearableDay(u, day, visits, r.Split("w", uint64(u.IMSI))); recs != nil {
+		visits := f.mob.AppendDayVisits(nil, u, day, r.Split("v", uint64(u.IMSI)))
+		if recs := f.gen.AppendWearableDay(nil, u, day, visits, r.Split("w", uint64(u.IMSI)), &Scratch{}); recs != nil {
 			t.Fatalf("non-data-active user produced %d records", len(recs))
 		}
 	}
 	// Ordinary users have no wearable at all.
 	u := f.pop.OrdinaryUsers()[0]
-	if recs := f.gen.WearableDay(u, day, nil, r); recs != nil {
+	if recs := f.gen.AppendWearableDay(nil, u, day, nil, r, &Scratch{}); recs != nil {
 		t.Fatal("ordinary user produced wearable records")
 	}
 }
@@ -109,8 +109,8 @@ func TestRecordWellFormed(t *testing.T) {
 			continue
 		}
 		r := f.root.Split("wf", uint64(i))
-		visits := f.mob.DayVisits(u, day, r.Split("v", 0))
-		for _, rec := range f.gen.WearableDay(u, day, visits, r.Split("t", 0)) {
+		visits := f.mob.AppendDayVisits(nil, u, day, r.Split("v", 0))
+		for _, rec := range f.gen.AppendWearableDay(nil, u, day, visits, r.Split("t", 0), &Scratch{}) {
 			if err := rec.Validate(); err != nil {
 				t.Fatal(err)
 			}
@@ -145,8 +145,8 @@ func activeStats(t *testing.T, f *fixture) (daysPerWeek, hoursPerDay, txSizes []
 			for dd := 0; dd < 7; dd++ {
 				d := w.FirstDay() + simtime.Day(dd)
 				r := f.root.Split("as", uint64(i)*1000+uint64(d))
-				visits := f.mob.DayVisits(u, d, r.Split("v", 0))
-				recs := f.gen.WearableDay(u, d, visits, r.Split("t", 0))
+				visits := f.mob.AppendDayVisits(nil, u, d, r.Split("v", 0))
+				recs := f.gen.AppendWearableDay(nil, u, d, visits, r.Split("t", 0), &Scratch{})
 				totalDays++
 				if len(recs) == 0 {
 					continue
@@ -238,8 +238,8 @@ func TestOneAppPerDayDominates(t *testing.T) {
 		}
 		for rep := 0; rep < 6; rep++ {
 			r := f.root.Split("apps", uint64(i)*10+uint64(rep))
-			visits := f.mob.DayVisits(u, day, r.Split("v", 0))
-			recs := f.gen.WearableDay(u, day, visits, r.Split("t", 0))
+			visits := f.mob.AppendDayVisits(nil, u, day, r.Split("v", 0))
+			recs := f.gen.AppendWearableDay(nil, u, day, visits, r.Split("t", 0), &Scratch{})
 			if len(recs) == 0 {
 				continue
 			}
@@ -272,8 +272,8 @@ func TestSingleLocationGating(t *testing.T) {
 			continue
 		}
 		r := f.root.Split("loc", uint64(i))
-		visits := f.mob.DayVisits(u, day, r.Split("v", 0))
-		recs := f.gen.WearableDay(u, day, visits, r.Split("t", 0))
+		visits := f.mob.AppendDayVisits(nil, u, day, r.Split("v", 0))
+		recs := f.gen.AppendWearableDay(nil, u, day, visits, r.Split("t", 0), &Scratch{})
 		for _, rec := range recs {
 			hour := rec.Time.Hour()
 			if got := sectorAt(visits, day, hour); got != u.HomeSector {
@@ -319,8 +319,8 @@ func TestThirdPartyVolumeSameOrderOfMagnitude(t *testing.T) {
 		for dd := 0; dd < 14; dd++ {
 			d := simtime.Day(simtime.DetailStartDay + dd)
 			r := f.root.Split("3p", uint64(i)*100+uint64(dd))
-			visits := f.mob.DayVisits(u, d, r.Split("v", 0))
-			for _, rec := range f.gen.WearableDay(u, d, visits, r.Split("t", 0)) {
+			visits := f.mob.AppendDayVisits(nil, u, d, r.Split("v", 0))
+			for _, rec := range f.gen.AppendWearableDay(nil, u, d, visits, r.Split("t", 0), &Scratch{}) {
 				if kind, ok := catalog.SharedKind(rec.Host); ok {
 					byKind[kind] += float64(rec.Bytes())
 				} else {
@@ -351,9 +351,9 @@ func TestDeterminism(t *testing.T) {
 			break
 		}
 	}
-	visits := f.mob.DayVisits(u, day, randx.New(5).Split("v", 0))
-	a := f.gen.WearableDay(u, day, visits, randx.New(5).Split("t", 0))
-	b := f.gen.WearableDay(u, day, visits, randx.New(5).Split("t", 0))
+	visits := f.mob.AppendDayVisits(nil, u, day, randx.New(5).Split("v", 0))
+	a := f.gen.AppendWearableDay(nil, u, day, visits, randx.New(5).Split("t", 0), &Scratch{})
+	b := f.gen.AppendWearableDay(nil, u, day, visits, randx.New(5).Split("t", 0), &Scratch{})
 	if len(a) != len(b) {
 		t.Fatal("lengths differ")
 	}

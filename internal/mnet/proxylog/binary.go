@@ -25,8 +25,8 @@ import (
 // reads version-1 streams, whose records are all DropNone.
 //
 // Hosts repeat massively (a few hundred domains across millions of
-// transactions), so interning plus time deltas makes the binary form
-// several times smaller than CSV; the codec ablation bench quantifies it.
+// transactions), so interning plus time deltas keeps a record to a few
+// dozen bytes (wearperf reports codec.proxy_bytes_per_rec).
 const (
 	binMagic   = "WWPL"
 	binVersion = 2
@@ -129,25 +129,13 @@ type Decoder struct {
 	lastMs  int64
 	version byte
 	started bool
-	scratch []byte
 }
 
-// readString reads n bytes through the reusable scratch buffer, so only
-// the resulting string allocates once the buffer has warmed up.
-func (d *Decoder) readString(n uint64) (string, error) {
-	if uint64(cap(d.scratch)) < n {
-		d.scratch = make([]byte, n)
-	}
-	buf := d.scratch[:n]
-	if _, err := io.ReadFull(d.r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-// NewDecoder returns a decoder reading from r.
+// NewDecoder returns a decoder reading from r. Its buffer holds the
+// longest opDef or opRec the format allows (a 1<<16-byte string and ten
+// varints after the opcode), so every one is decoded from the buffer.
 func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{r: bufio.NewReader(r)}
+	return &Decoder{r: bufio.NewReaderSize(r, 1<<17)}
 }
 
 func (d *Decoder) readHeader() error {
@@ -165,7 +153,8 @@ func (d *Decoder) readHeader() error {
 	return nil
 }
 
-// Decode returns the next record, or io.EOF at end of stream.
+// Decode returns the next record, or io.EOF at end of stream. Every
+// record it returns passes Record.Validate; an invalid one is an error.
 func (d *Decoder) Decode() (Record, error) {
 	if !d.started {
 		if err := d.readHeader(); err != nil {
@@ -175,206 +164,171 @@ func (d *Decoder) Decode() (Record, error) {
 	}
 	for {
 		op, err := d.r.ReadByte()
-		if err == io.EOF {
-			return Record{}, io.EOF
-		}
 		if err != nil {
 			return Record{}, err
 		}
-		switch op {
-		case opDef:
-			n, err := binary.ReadUvarint(d.r)
-			if err != nil {
-				return Record{}, fmt.Errorf("proxylog: host def: %w", err)
-			}
-			if n > 1<<16 {
-				return Record{}, fmt.Errorf("proxylog: host length %d implausible", n)
-			}
-			if len(d.hosts) >= MaxHosts {
-				return Record{}, fmt.Errorf("proxylog: %w (%d hosts)", ErrHostDictLimit, len(d.hosts))
-			}
-			host, err := d.readString(n)
-			if err != nil {
-				return Record{}, fmt.Errorf("proxylog: host def: %w", err)
-			}
-			d.hosts = append(d.hosts, host)
-		case opRec:
-			return d.readRecord()
-		default:
+		if op != opDef && op != opRec {
 			return Record{}, fmt.Errorf("proxylog: unknown opcode %#x", op)
 		}
+		var w window
+		if err := d.read(op, &w); err != nil {
+			return Record{}, err
+		}
+		if op == opDef {
+			d.hosts = append(d.hosts, string(w.str))
+			continue
+		}
+		delta := int64(w.zigzag >> 1) // binary.Varint's zigzag decoding
+		if w.zigzag&1 != 0 {
+			delta = ^delta
+		}
+		d.lastMs += delta
+		rec := Record{
+			Time:      time.UnixMilli(d.lastMs).UTC(),
+			IMSI:      subs.IMSI(w.imsi),
+			IMEI:      imei.IMEI(w.imei),
+			Scheme:    Scheme(w.scheme),
+			Host:      d.hosts[w.hostID],
+			Path:      string(w.str),
+			BytesUp:   int64(w.up),
+			BytesDown: int64(w.down),
+			Duration:  time.Duration(w.durMs) * time.Millisecond,
+			Drop:      DropReason(w.drop),
+		}
+		if err := rec.Validate(); err != nil {
+			return Record{}, err
+		}
+		return rec, nil
 	}
 }
 
-// readRecord decodes an opRec body from the buffered bytes, buffering
-// more while they hold only part of it. A record that is invalid, cut
-// short by the end of the stream or longer than the buffer is decoded
-// field by field instead, which names what is wrong.
-func (d *Decoder) readRecord() (Record, error) {
+// read decodes the body that follows opcode op into w from the buffered
+// bytes, buffering more while they hold only part of it, and consumes
+// it. Its errors are those of a decoder that reads the body a byte at a
+// time: the first failing field names itself, and a field cut short by
+// the end of the stream fails with io.EOF if none of it arrived and
+// io.ErrUnexpectedEOF if some did.
+func (d *Decoder) read(op byte, w *window) error {
+	var readErr error
 	for {
-		rec, w := d.readBuffered()
-		if w.bad {
-			break
+		b, _ := d.r.Peek(d.r.Buffered())
+		*w = window{b: b}
+		if op == opDef {
+			d.parseDef(w)
+		} else {
+			d.parseRec(w)
 		}
-		if !w.short {
-			return rec, nil
+		switch {
+		case w.err != nil:
+			return w.err
+		case !w.failed:
+			_, err := d.r.Discard(len(b) - len(w.b))
+			return err
+		case readErr != nil:
+			if readErr == io.EOF && len(w.rest) > 0 {
+				readErr = io.ErrUnexpectedEOF
+			}
+			return fmt.Errorf("proxylog: %s: %w", w.what, readErr)
 		}
-		if _, err := d.r.Peek(d.r.Buffered() + 1); err != nil {
-			break
-		}
+		_, readErr = d.r.Peek(len(b) - len(w.rest) + w.want)
 	}
-	delta, err := binary.ReadVarint(d.r)
-	if err != nil {
-		return Record{}, fmt.Errorf("proxylog: time delta: %w", err)
-	}
-	d.lastMs += delta
-	uv := func(what string) (uint64, error) {
-		v, err := binary.ReadUvarint(d.r)
-		if err != nil {
-			return 0, fmt.Errorf("proxylog: %s: %w", what, err)
-		}
-		return v, nil
-	}
-	imsiRaw, err := uv("imsi")
-	if err != nil {
-		return Record{}, err
-	}
-	imeiRaw, err := uv("imei")
-	if err != nil {
-		return Record{}, err
-	}
-	schemeByte, err := d.r.ReadByte()
-	if err != nil {
-		return Record{}, fmt.Errorf("proxylog: scheme: %w", err)
-	}
-	if schemeByte > uint8(HTTPS) {
-		return Record{}, fmt.Errorf("proxylog: invalid scheme byte %d", schemeByte)
-	}
-	hostID, err := uv("host id")
-	if err != nil {
-		return Record{}, err
-	}
-	if hostID >= uint64(len(d.hosts)) {
-		return Record{}, fmt.Errorf("proxylog: host id %d not defined", hostID)
-	}
-	pathLen, err := uv("path length")
-	if err != nil {
-		return Record{}, err
-	}
-	if pathLen > 1<<16 {
-		return Record{}, fmt.Errorf("proxylog: path length %d implausible", pathLen)
-	}
-	var path string
-	if pathLen > 0 {
-		if path, err = d.readString(pathLen); err != nil {
-			return Record{}, fmt.Errorf("proxylog: path: %w", err)
-		}
-	}
-	up, err := uv("up bytes")
-	if err != nil {
-		return Record{}, err
-	}
-	down, err := uv("down bytes")
-	if err != nil {
-		return Record{}, err
-	}
-	durMs, err := uv("duration")
-	if err != nil {
-		return Record{}, err
-	}
-	var drop DropReason
-	if d.version >= 2 {
-		dropByte, err := d.r.ReadByte()
-		if err != nil {
-			return Record{}, fmt.Errorf("proxylog: drop reason: %w", err)
-		}
-		if DropReason(dropByte) >= NumDropReasons {
-			return Record{}, fmt.Errorf("proxylog: invalid drop reason byte %d", dropByte)
-		}
-		drop = DropReason(dropByte)
-	}
-	return Record{
-		Time:      time.UnixMilli(d.lastMs).UTC(),
-		IMSI:      subs.IMSI(imsiRaw),
-		IMEI:      imei.IMEI(imeiRaw),
-		Scheme:    Scheme(schemeByte),
-		Host:      d.hosts[hostID],
-		Path:      path,
-		BytesUp:   int64(up),
-		BytesDown: int64(down),
-		Duration:  time.Duration(durMs) * time.Millisecond,
-		Drop:      drop,
-	}, nil
 }
 
-// readBuffered decodes a record from the bytes already buffered, without
-// a call per byte, and consumes them if they hold the whole record and
-// it is valid. Otherwise it consumes nothing, and the window it returns
-// tells which.
-func (d *Decoder) readBuffered() (Record, window) {
-	b, _ := d.r.Peek(d.r.Buffered())
-	w := window{b: b}
-	zigzag := w.uvarint()
-	imsiRaw, imeiRaw := w.uvarint(), w.uvarint()
-	scheme := w.octet()
-	hostID := w.uvarint()
-	path := w.take(w.uvarint())
-	up, down, durMs := w.uvarint(), w.uvarint(), w.uvarint()
-	drop := DropNone
-	if d.version >= 2 {
-		drop = DropReason(w.octet())
+// parseDef reads an opDef body: uvarint(len), host bytes.
+func (d *Decoder) parseDef(w *window) {
+	n := w.uvarint("host def")
+	if !w.failed && n > 1<<16 {
+		w.invalid(fmt.Errorf("proxylog: host length %d implausible", n))
 	}
-	if !w.short && (scheme > uint8(HTTPS) || hostID >= uint64(len(d.hosts)) || drop >= NumDropReasons) {
-		w.bad = true
+	if !w.failed && len(d.hosts) >= MaxHosts {
+		w.invalid(fmt.Errorf("proxylog: %w (%d hosts)", ErrHostDictLimit, len(d.hosts)))
 	}
-	if w.short || w.bad {
-		return Record{}, w
-	}
-	_, _ = d.r.Discard(len(b) - len(w.b))
-	delta := int64(zigzag >> 1) // binary.Varint's zigzag decoding
-	if zigzag&1 != 0 {
-		delta = ^delta
-	}
-	d.lastMs += delta
-	return Record{
-		Time:      time.UnixMilli(d.lastMs).UTC(),
-		IMSI:      subs.IMSI(imsiRaw),
-		IMEI:      imei.IMEI(imeiRaw),
-		Scheme:    Scheme(scheme),
-		Host:      d.hosts[hostID],
-		Path:      string(path),
-		BytesUp:   int64(up),
-		BytesDown: int64(down),
-		Duration:  time.Duration(durMs) * time.Millisecond,
-		Drop:      drop,
-	}, w
+	w.str = w.take("host def", n)
 }
 
-// window reads a record's fields off the front of b. short turns true at
-// the first field that b holds only part of, and every later field reads
-// as zero; bad turns true at a field that is invalid however many bytes
-// follow.
+// parseRec reads an opRec body in the field order of the format comment.
+func (d *Decoder) parseRec(w *window) {
+	w.zigzag = w.uvarint("time delta")
+	w.imsi = w.uvarint("imsi")
+	w.imei = w.uvarint("imei")
+	w.scheme = w.octet("scheme")
+	if !w.failed && w.scheme > uint8(HTTPS) {
+		w.invalid(fmt.Errorf("proxylog: invalid scheme byte %d", w.scheme))
+	}
+	w.hostID = w.uvarint("host id")
+	if !w.failed && w.hostID >= uint64(len(d.hosts)) {
+		w.invalid(fmt.Errorf("proxylog: host id %d not defined", w.hostID))
+	}
+	n := w.uvarint("path length")
+	if !w.failed && n > 1<<16 {
+		w.invalid(fmt.Errorf("proxylog: path length %d implausible", n))
+	}
+	w.str = w.take("path", n)
+	w.up = w.uvarint("up bytes")
+	w.down = w.uvarint("down bytes")
+	w.durMs = w.uvarint("duration")
+	if d.version >= 2 {
+		w.drop = w.octet("drop reason")
+		if !w.failed && DropReason(w.drop) >= NumDropReasons {
+			w.invalid(fmt.Errorf("proxylog: invalid drop reason byte %d", w.drop))
+		}
+	}
+}
+
+// errOverflow is the error encoding/binary's ReadUvarint returns for a
+// varint longer than ten bytes, so the window fails such a stream as a
+// byte-at-a-time reader does.
+var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// window reads the fields of one body off the front of b. At the first
+// field that fails, failed turns true and every later field reads as
+// zero. The failing field either is invalid however many bytes follow,
+// and err holds its error, or b holds only part of it: what names it,
+// rest holds that part and want is the length that would let it go on.
 type window struct {
-	b          []byte
-	short, bad bool
+	b      []byte
+	failed bool
+	err    error
+	what   string
+	rest   []byte
+	want   int
+
+	str                                         []byte // an opDef's host, an opRec's path
+	zigzag, imsi, imei, hostID, up, down, durMs uint64
+	scheme, drop                                byte
 }
 
-func (w *window) uvarint() uint64 {
+func (w *window) invalid(err error) {
+	w.failed, w.err = true, err
+}
+
+func (w *window) short(what string, rest []byte, want int) {
+	w.failed, w.what, w.rest, w.want = true, what, rest, want
+}
+
+func (w *window) uvarint(what string) uint64 {
+	if w.failed {
+		return 0
+	}
 	v, n := binary.Uvarint(w.b)
 	switch {
 	case n > 0:
 		w.b = w.b[n:]
-	case n == 0:
-		w.short, w.b = true, nil
+		return v
+	case n < 0 || len(w.b) >= binary.MaxVarintLen64:
+		w.invalid(fmt.Errorf("proxylog: %s: %w", what, errOverflow))
 	default:
-		w.bad = true
+		w.short(what, w.b, len(w.b)+1)
 	}
-	return v
+	return 0
 }
 
-func (w *window) octet() byte {
+func (w *window) octet(what string) byte {
+	if w.failed {
+		return 0
+	}
 	if len(w.b) == 0 {
-		w.short = true
+		w.short(what, nil, 1)
 		return 0
 	}
 	c := w.b[0]
@@ -382,19 +336,19 @@ func (w *window) octet() byte {
 	return c
 }
 
-// take returns the next n bytes, which the format caps at 1<<16.
-func (w *window) take(n uint64) []byte {
-	switch {
-	case n > 1<<16:
-		w.bad = true
-	case n > uint64(len(w.b)):
-		w.short, w.b = true, nil
-	default:
-		s := w.b[:n]
-		w.b = w.b[n:]
-		return s
+// take returns the next n bytes; the caller has checked n against the
+// format's 1<<16 cap.
+func (w *window) take(what string, n uint64) []byte {
+	if w.failed {
+		return nil
 	}
-	return nil
+	if n > uint64(len(w.b)) {
+		w.short(what, w.b, int(n))
+		return nil
+	}
+	s := w.b[:n]
+	w.b = w.b[n:]
+	return s
 }
 
 // WriteBinary encodes all records to w.

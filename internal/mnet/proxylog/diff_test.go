@@ -144,6 +144,9 @@ func refDecode(r io.Reader) ([]Record, error) {
 			Host: hosts[hostID], Path: path, BytesUp: int64(up), BytesDown: int64(down),
 			Duration: time.Duration(durMs) * time.Millisecond, Drop: DropReason(drop),
 		})
+		if err := out[len(out)-1].Validate(); err != nil {
+			return nil, err
+		}
 	}
 }
 
@@ -214,5 +217,63 @@ func TestDecoderMatchesReference(t *testing.T) {
 	}
 	if !testing.Short() {
 		sameAsRef(t, "host flood", adversarialDefs(MaxHosts+1), true)
+	}
+}
+
+// TestDecoderLargestRecords holds the decoder to the reference on the
+// longest host and path the format allows, 1<<16 bytes each, in a stream
+// longer than the decoder's buffer: cut and flipped at every 97th byte,
+// and read a byte per Read whole and cut at every 4099th. One byte more is
+// implausible, and a varint past ten bytes overflows.
+func TestDecoderLargestRecords(t *testing.T) {
+	small := sampleRecords()[1]
+	bigHost, bigPath := small, small
+	bigHost.Host = strings.Repeat("h", 1<<16)
+	bigPath.Path = "/" + strings.Repeat("p", 1<<16-1)
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, []Record{small, bigHost, bigPath, small}); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	if len(data) <= 1<<17 {
+		t.Fatalf("the stream is %d bytes, within the decoder's buffer", len(data))
+	}
+	got, err := ReadBinary(bytes.NewReader(data))
+	if err != nil || len(got) != 4 || got[1].Host != bigHost.Host || got[2].Path != bigPath.Path {
+		t.Fatalf("decoded %d records: %v", len(got), err)
+	}
+	for i := 0; i <= len(data); i += 97 {
+		sameAsRef(t, fmt.Sprintf("cut to %d", i), data[:i], true)
+		if i < len(data) {
+			for _, mask := range []byte{0x01, 0x80, 0xff} {
+				in := bytes.Clone(data)
+				in[i] ^= mask
+				sameAsRef(t, fmt.Sprintf("byte %d ^ %#x", i, mask), in, true)
+			}
+		}
+	}
+	for i := 0; i <= len(data); i += 4099 {
+		sameAsRef(t, fmt.Sprintf("cut to %d", i), data[:i], false)
+	}
+	sameAsRef(t, "whole", data, false)
+
+	for _, long := range []Record{
+		{Scheme: HTTPS, Host: strings.Repeat("h", 1<<16+1)},
+		{Scheme: HTTP, Host: "a.example", Path: strings.Repeat("p", 1<<16+1)},
+	} {
+		buf.Reset()
+		if err := WriteBinary(&buf, []Record{long}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+		if err == nil || !strings.Contains(err.Error(), "implausible") {
+			t.Fatalf("a %d-byte string decoded with error %v", 1<<16+1, err)
+		}
+		sameAsRef(t, "one byte too long", buf.Bytes(), false)
+	}
+
+	overflow := append([]byte(binMagic+"\x02\x02"), bytes.Repeat([]byte{0xff}, 11)...)
+	for i := len(binMagic) + 2; i <= len(overflow); i++ {
+		sameAsRef(t, fmt.Sprintf("overflowing delta cut to %d", i), overflow[:i], false)
 	}
 }

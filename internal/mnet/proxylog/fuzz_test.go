@@ -2,6 +2,7 @@ package proxylog
 
 import (
 	"bytes"
+	"io"
 	"testing"
 	"testing/quick"
 )
@@ -15,8 +16,7 @@ func TestBinaryDecoderGarbageProperty(t *testing.T) {
 			return true
 		}
 		for _, r := range recs {
-			// Whatever decodes must at least be internally consistent.
-			if r.Host == "" && len(recs) > 0 {
+			if r.Validate() != nil {
 				return false
 			}
 		}
@@ -51,10 +51,13 @@ func TestBinaryDecoderBitflipProperty(t *testing.T) {
 	}
 }
 
-// FuzzReadBinary is the native fuzz entry for the binary decoder. CI
-// runs it in seed-corpus mode (go test -run='^Fuzz' with no -fuzz flag);
-// local fuzzing explores further with
-// go test -fuzz=FuzzReadBinary ./internal/mnet/proxylog.
+// FuzzReadBinary is the native fuzz entry for the binary decoder: on any
+// input it must never panic, never grow the host dictionary past
+// MaxHosts, and return only valid records, which must survive a round
+// trip. CI runs it in seed-corpus mode (go test -run='^Fuzz' with no
+// -fuzz flag); local fuzzing explores further with
+// go test -fuzz=FuzzReadBinary ./internal/mnet/proxylog. The seeds
+// include a truncated adversarial opDef flood.
 func FuzzReadBinary(f *testing.F) {
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, sampleRecords()); err != nil {
@@ -64,10 +67,32 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(binMagic))
 	f.Add(buf.Bytes()[:len(buf.Bytes())/2])
+	f.Add(adversarialDefs(64))
+	f.Add([]byte(binMagic + "\x02"))
+	var valid bytes.Buffer
+	rec := Record{Host: "example.com", Scheme: HTTPS, BytesUp: 10, BytesDown: 20}
+	if err := WriteBinary(&valid, []Record{rec, rec}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return
+		dec := NewDecoder(bytes.NewReader(data))
+		var recs []Record
+		for {
+			rec, err := dec.Decode()
+			if len(dec.hosts) > MaxHosts {
+				t.Fatalf("dictionary grew to %d entries", len(dec.hosts))
+			}
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return
+			}
+			if err := rec.Validate(); err != nil {
+				t.Fatalf("decoder returned an invalid record: %v", err)
+			}
+			recs = append(recs, rec)
 		}
 		// Anything the decoder accepts must survive a round trip.
 		var out bytes.Buffer
@@ -82,47 +107,4 @@ func FuzzReadBinary(f *testing.F) {
 			t.Fatalf("round trip changed record count: %d != %d", len(back), len(recs))
 		}
 	})
-}
-
-// FuzzReadCSV holds the CSV reader to the same bar: never panic, and
-// every accepted record satisfies the Record invariants.
-func FuzzReadCSV(f *testing.F) {
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, sampleRecords()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte("time_ms,imsi,imei\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := ReadCSV(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		for _, r := range recs {
-			if err := r.Validate(); err != nil {
-				t.Fatalf("reader accepted invalid record: %v", err)
-			}
-		}
-	})
-}
-
-// The CSV reader must reject rows whose values violate record invariants
-// rather than propagate them.
-func TestCSVDecoderGarbageProperty(t *testing.T) {
-	f := func(data []byte) bool {
-		recs, err := ReadCSV(bytes.NewReader(data))
-		if err != nil {
-			return true
-		}
-		for _, r := range recs {
-			if r.Validate() != nil {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -72,29 +72,3 @@ func TestEncoderHostDictLimit(t *testing.T) {
 		t.Fatalf("known host rejected at the cap: %v", err)
 	}
 }
-
-// FuzzDecodeBinary feeds arbitrary bytes to the decoder: it must fail
-// cleanly (error, not panic or unbounded growth) on any input. The seed
-// corpus includes a truncated adversarial opDef flood.
-func FuzzDecodeBinary(f *testing.F) {
-	f.Add(adversarialDefs(64))
-	f.Add([]byte(binMagic + "\x02"))
-	f.Add([]byte{})
-	var valid bytes.Buffer
-	rec := Record{Host: "example.com", Scheme: HTTPS, BytesUp: 10, BytesDown: 20}
-	if err := WriteBinary(&valid, []Record{rec, rec}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid.Bytes())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := NewDecoder(bytes.NewReader(data))
-		for i := 0; i < 1_000_000; i++ {
-			if _, err := dec.Decode(); err != nil {
-				break
-			}
-		}
-		if len(dec.hosts) > MaxHosts {
-			t.Fatalf("dictionary grew to %d entries", len(dec.hosts))
-		}
-	})
-}

@@ -37,18 +37,6 @@ func (s Scheme) String() string {
 	}
 }
 
-// ParseScheme inverts Scheme.String.
-func ParseScheme(s string) (Scheme, error) {
-	switch s {
-	case "http":
-		return HTTP, nil
-	case "https":
-		return HTTPS, nil
-	default:
-		return 0, fmt.Errorf("proxylog: unknown scheme %q", s)
-	}
-}
-
 // DropReason classifies why the proxy ended a connection abnormally.
 // DropNone marks a clean transaction; every other value tags a record
 // whose byte counts are partial (the connection was cut mid-flight) so
@@ -104,31 +92,6 @@ func (d DropReason) String() string {
 		return "forced"
 	default:
 		return "drop(" + strconv.Itoa(int(d)) + ")"
-	}
-}
-
-// ParseDropReason inverts DropReason.String. The empty string parses as
-// DropNone: the CSV form leaves the column blank on clean records.
-func ParseDropReason(s string) (DropReason, error) {
-	switch s {
-	case "", "none":
-		return DropNone, nil
-	case "sniff":
-		return DropSniff, nil
-	case "protocol":
-		return DropProtocol, nil
-	case "dial":
-		return DropDial, nil
-	case "replay":
-		return DropReplay, nil
-	case "idle":
-		return DropIdle, nil
-	case "bytecap":
-		return DropByteCap, nil
-	case "forced":
-		return DropForced, nil
-	default:
-		return 0, fmt.Errorf("proxylog: unknown drop reason %q", s)
 	}
 }
 

@@ -2,11 +2,7 @@ package proxylog
 
 import (
 	"bytes"
-	"compress/gzip"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -81,20 +77,36 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestDropReasonRoundTrip carries every drop reason through the binary
+// codec and requires each to name itself apart from the others.
 func TestDropReasonRoundTrip(t *testing.T) {
+	names := map[string]bool{}
 	for d := DropNone; d < NumDropReasons; d++ {
-		got, err := ParseDropReason(d.String())
-		if err != nil || got != d {
-			t.Fatalf("round trip %v: %v", d, err)
+		r := sampleRecords()[0]
+		r.Drop = d
+		got := roundTrip(t, r)
+		if got.Drop != d {
+			t.Fatalf("round trip %v: got %v", d, got.Drop)
 		}
+		if names[d.String()] {
+			t.Fatalf("drop reason name %q repeats", d)
+		}
+		names[d.String()] = true
 	}
-	// The CSV form leaves the column blank on clean records.
-	if got, err := ParseDropReason(""); err != nil || got != DropNone {
-		t.Fatalf("empty drop reason: %v", err)
+}
+
+// roundTrip encodes r alone and decodes it back.
+func roundTrip(t *testing.T, r Record) Record {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, []Record{r}); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ParseDropReason("melted"); err == nil {
-		t.Fatal("unknown drop reason accepted")
+	got, err := ReadBinary(&buf)
+	if err != nil || len(got) != 1 {
+		t.Fatalf("decoded %d records: %v", len(got), err)
 	}
+	return got[0]
 }
 
 func TestTruncated(t *testing.T) {
@@ -135,33 +147,14 @@ func TestBinaryV1StreamCompat(t *testing.T) {
 
 func TestSchemeRoundTrip(t *testing.T) {
 	for _, s := range []Scheme{HTTP, HTTPS} {
-		got, err := ParseScheme(s.String())
-		if err != nil || got != s {
-			t.Fatalf("round trip %v", s)
+		r := sampleRecords()[0]
+		r.Scheme = s
+		if got := roundTrip(t, r); got.Scheme != s {
+			t.Fatalf("round trip %v: got %v", s, got.Scheme)
 		}
 	}
-	if _, err := ParseScheme("gopher"); err == nil {
-		t.Fatal("bad scheme accepted")
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	recs := sampleRecords()
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i := range recs {
-		if !recordsEqual(got[i], recs[i]) {
-			t.Fatalf("record %d: %+v != %+v", i, got[i], recs[i])
-		}
+	if HTTP.String() != "http" || HTTPS.String() != "https" {
+		t.Fatalf("scheme names %q, %q", HTTP, HTTPS)
 	}
 }
 
@@ -255,27 +248,6 @@ func TestBinaryTimeDeltasAcrossOrder(t *testing.T) {
 	}
 }
 
-func TestBinarySmallerThanCSV(t *testing.T) {
-	// Duplicate hosts across many records: interning must pay off.
-	base := sampleRecords()
-	var recs []Record
-	for i := 0; i < 500; i++ {
-		r := base[i%len(base)]
-		r.Time = r.Time.Add(time.Duration(i) * time.Second)
-		recs = append(recs, r)
-	}
-	var csvBuf, binBuf bytes.Buffer
-	if err := WriteCSV(&csvBuf, recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBinary(&binBuf, recs); err != nil {
-		t.Fatal(err)
-	}
-	if binBuf.Len()*2 > csvBuf.Len() {
-		t.Fatalf("binary %d bytes not appreciably smaller than CSV %d bytes", binBuf.Len(), csvBuf.Len())
-	}
-}
-
 func TestCodecRoundTripProperty(t *testing.T) {
 	t0 := time.Date(2018, 2, 1, 0, 0, 0, 0, time.UTC)
 	f := func(seed uint32, hostPick uint8, up, down uint32, durMs uint16, https bool, pathPick uint8) bool {
@@ -296,14 +268,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			r.Scheme = HTTP
 			r.Path = paths[int(pathPick)%len(paths)]
 		}
-		var cb, bb bytes.Buffer
-		if err := WriteCSV(&cb, []Record{r}); err != nil {
-			return false
-		}
-		gotCSV, err := ReadCSV(&cb)
-		if err != nil || len(gotCSV) != 1 || !recordsEqual(gotCSV[0], r) {
-			return false
-		}
+		var bb bytes.Buffer
 		if err := WriteBinary(&bb, []Record{r}); err != nil {
 			return false
 		}
@@ -312,48 +277,6 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestFileRoundTripAllFormats writes every extension WriteFile accepts
-// and decodes each file back with the matching codec.
-func TestFileRoundTripAllFormats(t *testing.T) {
-	dir := t.TempDir()
-	recs := sampleRecords()
-	for _, name := range []string{"p.csv", "p.csv.gz", "p.bin", "p.bin.gz"} {
-		path := filepath.Join(dir, name)
-		if err := WriteFile(path, recs); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var r io.Reader = bytes.NewReader(raw)
-		if strings.HasSuffix(name, ".gz") {
-			if r, err = gzip.NewReader(r); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-		}
-		read := ReadBinary
-		if strings.Contains(name, ".csv") {
-			read = ReadCSV
-		}
-		got, err := read(r)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(got) != len(recs) {
-			t.Fatalf("%s: %d records, want %d", name, len(got), len(recs))
-		}
-		for i := range recs {
-			if !recordsEqual(got[i], recs[i]) {
-				t.Fatalf("%s: record %d = %+v, want %+v", name, i, got[i], recs[i])
-			}
-		}
-	}
-	if err := WriteFile(filepath.Join(dir, "p.weird"), recs); err == nil {
-		t.Fatal("unknown extension accepted for write")
 	}
 }
 

@@ -21,8 +21,9 @@ import (
 )
 
 // codecLogs builds time-ordered logs of the given size whose records all
-// survive the codecs: valid identities, whole-second MME times and UDR
-// aggregates with bytes and transactions together.
+// survive the codecs: valid identities, proxy records that pass
+// Validate, whole-second MME times and UDR aggregates with bytes and
+// transactions together.
 func codecLogs(users, records int) *Logs {
 	r := randx.New(1)
 	week := simtime.Detail().Start.Week()
@@ -32,7 +33,7 @@ func codecLogs(users, records int) *Logs {
 		imsi, dev := subs.MustNew(uint64(u)), imei.MustNew(35000001, uint32(u))
 		switch n := r.IntN(20); {
 		case n < 15:
-			l.Proxy.Append(proxylog.Record{Time: at(i / 100), IMSI: imsi, IMEI: dev, Scheme: proxylog.HTTPS,
+			l.Proxy.Append(proxylog.Record{Time: at(i / 100), IMSI: imsi, IMEI: dev, Scheme: proxylog.HTTP,
 				Host: fmt.Sprintf("h%d.example", n), Path: "/p", BytesUp: int64(n), BytesDown: int64(i), Duration: time.Second})
 		case n < 19:
 			l.MME.Append(mme.Record{Time: at(i / 100), IMSI: imsi, IMEI: dev, Sector: cells.SectorID(n)})

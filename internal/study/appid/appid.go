@@ -7,8 +7,6 @@ package appid
 import (
 	"strings"
 
-	"wearwild/internal/mnet/proxylog"
-
 	"wearwild/internal/gen/apps"
 	"wearwild/internal/study/sessions"
 )
@@ -121,29 +119,4 @@ func (r *Resolver) attributeOne(u sessions.Usage) *apps.App {
 		}
 	}
 	return winner
-}
-
-// AttributeAnchor is the ablation variant of Attribute: instead of a
-// majority vote over the whole timeframe, the first first-party host in
-// the usage claims it. Cheaper and order-sensitive; the ablation bench
-// quantifies how often the two strategies disagree.
-func (r *Resolver) AttributeAnchor(usages []sessions.Usage) []Attributed {
-	out := make([]Attributed, 0, len(usages))
-	for _, u := range usages {
-		var winner *apps.App
-		for _, rec := range u.Records {
-			if app, ok := r.AppOfHost(rec.Host); ok {
-				winner = app
-				break
-			}
-		}
-		out = append(out, Attributed{Usage: u, App: winner})
-	}
-	return out
-}
-
-// KindBytes sums a record's bytes into a per-kind accumulator; a
-// convenience for the Fig 8 aggregation.
-func (r *Resolver) KindBytes(acc *[apps.NumDomainKinds]int64, rec proxylog.Record) {
-	acc[r.KindOfHost(rec.Host)] += rec.Bytes()
 }

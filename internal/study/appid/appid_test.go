@@ -132,36 +132,16 @@ func TestAttributeUnanchored(t *testing.T) {
 	}
 }
 
-func TestAttributeAnchor(t *testing.T) {
-	r := newResolver()
-	// Anchor strategy takes the FIRST first-party host even when another
-	// app dominates the timeframe.
-	u := mkUsage("api.weather.app", "api.facebook.app", "push.facebook.app")
-	gotAnchor := r.AttributeAnchor([]sessions.Usage{u})
-	if gotAnchor[0].App == nil || gotAnchor[0].App.Name != "Weather" {
-		t.Fatalf("anchor app = %v", gotAnchor[0].App)
-	}
-	gotVote := r.Attribute([]sessions.Usage{u})
-	if gotVote[0].App.Name != "Facebook" {
-		t.Fatalf("vote app = %v", gotVote[0].App)
-	}
-	// Third-party-only usages stay unattributed either way.
-	catalog := apps.Default()
-	adOnly := mkUsage(catalog.SharedHosts(apps.KindAdvertising)[0])
-	if got := r.AttributeAnchor([]sessions.Usage{adOnly}); got[0].App != nil {
-		t.Fatalf("anchor attributed third-party-only usage to %v", got[0].App)
-	}
-	if len(r.AttributeAnchor(nil)) != 0 {
-		t.Fatal("nil usages mishandled")
-	}
-}
-
 func TestKindBytes(t *testing.T) {
 	r := newResolver()
 	catalog := apps.Default()
 	var acc [apps.NumDomainKinds]int64
-	r.KindBytes(&acc, proxylog.Record{Host: "api.weather.app", BytesUp: 10, BytesDown: 90})
-	r.KindBytes(&acc, proxylog.Record{Host: catalog.SharedHosts(apps.KindAnalytics)[0], BytesUp: 5, BytesDown: 5})
+	for _, rec := range []proxylog.Record{
+		{Host: "api.weather.app", BytesUp: 10, BytesDown: 90},
+		{Host: catalog.SharedHosts(apps.KindAnalytics)[0], BytesUp: 5, BytesDown: 5},
+	} {
+		acc[r.KindOfHost(rec.Host)] += rec.Bytes()
+	}
 	if acc[apps.KindApplication] != 100 || acc[apps.KindAnalytics] != 10 {
 		t.Fatalf("acc = %v", acc)
 	}
