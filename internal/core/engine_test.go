@@ -15,6 +15,15 @@ import (
 	"wearwild/internal/stream"
 )
 
+// The kinds of a recorded stream's events.
+const (
+	opProxy uint8 = iota
+	opMME
+	opUDR
+	opUserDone
+	opUser
+)
+
 // event is one recorded stream event; user is the subscriber it belongs
 // to, and kind selects the payload (opProxy, opMME, opUDR, opUserDone, or
 // opUser with the subscriber's whole records in recs).
@@ -130,49 +139,81 @@ func recordedStream(t *testing.T) (Env, recorder) {
 	return Env{Devices: ds.Devices, Topology: ds.Topology, Catalog: ds.Catalog}, all
 }
 
-// TestFanOutBatchBoundaries checks the batched fan-out at the batch size's
-// edges: a source giving every worker exactly 0, 1, batchUsers-1,
-// batchUsers, batchUsers+1, batchEvents-1, batchEvents, batchEvents+1
-// or, so that every batch is refilled after its replay,
-// 2·batchesPerWorker·batchEvents events must yield the Results of the
-// one-worker direct path. The source keeps the tiny dataset's user-major
-// order and cuts each worker's share, as the engine's owner hash routes
-// it, at its budget, so the last subscriber of a worker may lose records
-// and UserDone and be sealed. It runs once with per-record events only
-// and once with every third subscriber handed over whole (opUser), so
-// whole subscribers and per-record events share batches and fill them
-// by either limit.
-func TestFanOutBatchBoundaries(t *testing.T) {
+// cutStream keeps, of a user-major stream, the first n subscribers each
+// worker owns at the given worker count. The n-th keeps only the first
+// half of their records and loses their UserDone, so they are still open
+// when the source returns, unless they come whole (opUser). Each
+// worker's queue then carries exactly n jobs: n-1 queued as the stream
+// goes and the last one either then or when the source returns.
+func cutStream(t *testing.T, events recorder, workers, n int) recorder {
+	t.Helper()
+	var out recorder
+	seen := make([]int, workers)
+	for start := 0; start < len(events); {
+		end := start + 1
+		if events[start].kind != opUser {
+			for events[end-1].kind != opUserDone {
+				end++
+			}
+		}
+		w := ownerOf(events[start].user, workers)
+		seen[w]++
+		switch k := seen[w]; {
+		case k < n, k == n && events[start].kind == opUser:
+			out = append(out, events[start:end]...)
+		case k == n:
+			recs := events[start : end-1]
+			out = append(out, recs[:(len(recs)+1)/2]...)
+		}
+		start = end
+	}
+	for w, k := range seen {
+		if k < n {
+			t.Fatalf("workers=%d: worker %d owns %d subscribers, want at least %d; the dataset is too small", workers, w, k, n)
+		}
+	}
+	return out
+}
+
+// TestQueueBoundaries checks the workers' queues at their capacity's
+// edges: a source giving every worker exactly 0, 1, queuedUsers-1,
+// queuedUsers, queuedUsers+1 or, so that every queue slot is reused,
+// 3·queuedUsers finished subscribers must yield the Results of one
+// worker. The source keeps the dataset's user-major order and cuts each
+// worker's share, as the owner hash routes it, at that many subscribers
+// (cutStream), so the last subscriber of a worker may lose records and
+// UserDone and be queued when the source returns. It runs once with
+// per-record events only and once with every third subscriber handed
+// over whole (opUser), so subscribers that end at UserDone, at User
+// and at the end of the stream share the queues.
+func TestQueueBoundaries(t *testing.T) {
 	env, all := recordedStream(t)
-	// study runs the engine over src and checks, before sealing, that
-	// each worker still holds exactly the subscribers the source left open
-	// among those it owns: every UserDone reached its subscriber's worker.
-	study := func(src *recorder, workers int) []byte {
+	// study runs the engine over src and checks, when the source has
+	// returned, that the feed still holds exactly the subscribers the
+	// source left open: every other one was queued as it finished.
+	study := func(src recorder, workers int) []byte {
 		cfg := DefaultConfig()
 		cfg.Workers = workers
 		e, err := newEngine(env, cfg.withDefaults())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.consume(src); err != nil {
+		f := e.start()
+		if err := src.Stream(f); err != nil {
 			t.Fatal(err)
 		}
 		open := map[subs.IMSI]bool{}
-		for _, ev := range *src {
+		for _, ev := range src {
 			open[ev.user] = ev.kind != opUserDone && ev.kind != opUser
 		}
-		want := make([]int, workers)
 		for user, o := range open {
-			if o {
-				want[ownerOf(user, workers)]++
+			if _, ok := f.open[user]; o != ok {
+				t.Errorf("workers=%d: subscriber %d open after the stream: %v, want %v", workers, user, ok, o)
 			}
 		}
-		for i, w := range e.workers {
-			if len(w.pending) != want[i] {
-				t.Errorf("workers=%d: worker %d has %d subscribers pending after the stream, want %d", workers, i, len(w.pending), want[i])
-			}
-		}
-		res, err := e.run(&recorder{}) // the stream has ended: seal, merge, finalize
+		f.flush()
+		f.stop()
+		res, err := e.run(&recorder{}) // the stream has ended: merge, finalize
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,25 +226,10 @@ func TestFanOutBatchBoundaries(t *testing.T) {
 	mixed := wholeUsers(all)
 	for _, workers := range []int{2, 3} {
 		for name, events := range map[string]recorder{"per-record": all, "mixed": mixed} {
-			// batchUsers-1 to batchUsers+1 cut around a batch filled by
-			// whole subscribers; the last size refills every batch after
-			// its replay.
-			for _, n := range []int{0, 1, batchUsers - 1, batchUsers, batchUsers + 1, batchEvents - 1, batchEvents, batchEvents + 1, 2 * batchesPerWorker * batchEvents} {
-				var src recorder
-				got := make([]int, workers)
-				for _, ev := range events {
-					if w := ownerOf(ev.user, workers); got[w] < n {
-						src = append(src, ev)
-						got[w]++
-					}
-				}
-				for w, k := range got {
-					if k != n {
-						t.Fatalf("%s, workers=%d: worker %d gets %d events, want %d; the dataset is too small", name, workers, w, k, n)
-					}
-				}
-				if a, b := study(&src, 1), study(&src, workers); string(a) != string(b) {
-					t.Errorf("%s, workers=%d, %d events per worker: fan-out Results differ from the direct path", name, workers, n)
+			for _, n := range []int{0, 1, queuedUsers - 1, queuedUsers, queuedUsers + 1, 3 * queuedUsers} {
+				src := cutStream(t, events, workers, n)
+				if a, b := study(src, 1), study(src, workers); string(a) != string(b) {
+					t.Errorf("%s, workers=%d, %d subscribers per worker: Results differ from one worker's", name, workers, n)
 				}
 			}
 		}
@@ -212,7 +238,7 @@ func TestFanOutBatchBoundaries(t *testing.T) {
 
 // TestEmptyUserLeavesNoResidue: a whole subscriber whose gather brings no
 // records leaves nothing behind, like a UserDone for a subscriber who
-// sent none, and the bundle goes back to the spare.
+// sent none, and nobody stays open.
 func TestEmptyUserLeavesNoResidue(t *testing.T) {
 	cfg := sim.SmallConfig(7)
 	cfg.Population.WearableUsers = 4
@@ -227,16 +253,20 @@ func TestEmptyUserLeavesNoResidue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := e.workers[0]
-	sink := directSink{e, w}
-	if err := sink.User(5, func(*stream.Records) {}); err != nil {
+	f := e.start()
+	if err := f.User(5, func(*stream.Records) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.UserDone(6); err != nil {
+	if err := f.UserDone(6); err != nil {
 		t.Fatal(err)
 	}
-	if len(w.acc.stats) != 0 || len(w.pending) != 0 || w.spare == nil {
-		t.Errorf("after empty subscribers: %d residues, %d pending, spare %v; want 0, 0 and a spare", len(w.acc.stats), len(w.pending), w.spare != nil)
+	f.stop()
+	residues := 0
+	for _, w := range e.workers {
+		residues += len(w.acc.stats)
+	}
+	if residues != 0 || len(f.open) != 0 {
+		t.Errorf("after empty subscribers: %d residues, %d open; want 0 and 0", residues, len(f.open))
 	}
 }
 

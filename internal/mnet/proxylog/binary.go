@@ -68,8 +68,13 @@ func (e *Encoder) writeHeader() error {
 	return e.w.WriteByte(binVersion)
 }
 
-// Encode appends one record.
+// Encode appends one record. A record that fails Validate, which the
+// decoder would reject, is not written: Encode returns its error and the
+// stream stays as it was.
 func (e *Encoder) Encode(r Record) error {
+	if err := r.Validate(); err != nil {
+		return err
+	}
 	if !e.started {
 		if err := e.writeHeader(); err != nil {
 			return err

@@ -176,9 +176,10 @@ func sameAsRef(t *testing.T, name string, in []byte, whole bool) {
 
 // TestDecoderMatchesReference holds the buffered-window decoder to the
 // byte-at-a-time one over every truncation and byte flip of a sample
-// stream, over every hundred-and-first cut and flip of a stream longer
-// than the decoder's buffer with one record that is longer too, and
-// over a host-dictionary flood.
+// stream, over every hundred-and-first cut and flip of a 120-record
+// stream of both schemes that decodes in full, and over a host-dictionary
+// flood. TestDecoderLargestRecords covers streams longer than the
+// decoder's buffer.
 func TestDecoderMatchesReference(t *testing.T) {
 	var small, long bytes.Buffer
 	if err := WriteBinary(&small, sampleRecords()); err != nil {
@@ -188,16 +189,18 @@ func TestDecoderMatchesReference(t *testing.T) {
 	for i := range 120 {
 		r := sampleRecords()[i%5]
 		r.Time = r.Time.Add(time.Duration(i*i) * time.Millisecond)
-		r.Path = fmt.Sprintf("/p/%d", i*37)
+		if i%2 == 0 { // only an HTTP record may carry a path
+			r.Scheme, r.Path = HTTP, fmt.Sprintf("/p/%d", i*37)
+		}
 		r.BytesDown <<= i % 40
 		recs = append(recs, r)
 	}
-	recs[60].Path = strings.Repeat("/p", 2500) // a record longer than the buffer
+	recs[60].Path = strings.Repeat("/p", 2500)
 	if err := WriteBinary(&long, recs); err != nil {
 		t.Fatal(err)
 	}
-	if long.Len() <= 4096 { // bufio's default buffer
-		t.Fatalf("the long stream is %d bytes, within one buffer", long.Len())
+	if got, err := ReadBinary(bytes.NewReader(long.Bytes())); err != nil || len(got) != len(recs) {
+		t.Fatalf("the long stream decodes to %d of %d records: %v", len(got), len(recs), err)
 	}
 	for _, s := range []struct {
 		name string

@@ -77,6 +77,46 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestEncoderRejectsInvalid: Encode refuses a record that fails
+// Validate, as the decoder would, and writes nothing of it, so the
+// records encoded before it still decode in full.
+func TestEncoderRejectsInvalid(t *testing.T) {
+	httpsPath := sampleRecords()[0]
+	httpsPath.Path = "/x"
+	noHost := sampleRecords()[1]
+	noHost.Host = ""
+	for _, bad := range []struct {
+		name string
+		rec  Record
+	}{{"HTTPS record with a path", httpsPath}, {"empty host", noHost}} {
+		for _, n := range []int{0, len(sampleRecords())} {
+			before := sampleRecords()[:n]
+			var buf bytes.Buffer
+			enc := NewEncoder(&buf)
+			for _, r := range before {
+				if err := enc.Encode(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := enc.Encode(bad.rec); err == nil {
+				t.Errorf("%s after %d records: encoded", bad.name, n)
+			}
+			if err := enc.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadBinary(&buf)
+			if err != nil || len(got) != n {
+				t.Fatalf("%s after %d records: decoded %d records: %v", bad.name, n, len(got), err)
+			}
+			for i := range got {
+				if !recordsEqual(got[i], before[i]) {
+					t.Errorf("%s after %d records: record %d = %+v, want %+v", bad.name, n, i, got[i], before[i])
+				}
+			}
+		}
+	}
+}
+
 // TestDropReasonRoundTrip carries every drop reason through the binary
 // codec and requires each to name itself apart from the others.
 func TestDropReasonRoundTrip(t *testing.T) {

@@ -19,8 +19,8 @@
 //     shared mutable state, no wall clock, no global rand. The wearlint
 //     detreach check enforces the latter two transitively. The first is
 //     enforced by CI's go test -race ./... over the parallel-equivalence
-//     tests, which run both Run callbacks (the generator sweep and the
-//     engine's seal) at several worker counts.
+//     tests, which run both Run callers (the generator sweep and
+//     stream.Logs' index build) at several worker counts.
 package shard
 
 import (
