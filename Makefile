@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt test race lint lint-json lint-only lint-fixtures fuzz-smoke bench-smoke check
+.PHONY: build vet fmt test race lint lint-json lint-only lint-fixtures lint-perf fuzz-smoke bench-smoke check
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,12 @@ lint-only:
 lint-fixtures:
 	$(GO) test ./internal/analysis -run 'TestGolden|TestLoadTree'
 
+# One warm analyzer pass over the real module must stay under the
+# benchmark's 30s wall-clock ceiling, so growing the check catalog can't
+# silently make `make lint` crawl.
+lint-perf:
+	$(GO) test -run '^$$' -bench '^BenchmarkWearlintModule$$' -benchtime 1x .
+
 # Run the native fuzz targets over their seed corpus only (no mutation):
 # the mme/udr/proxylog codec fuzzers, the collection-path parsers (httplog
 # FuzzReadHead, sni FuzzReadClientHello), the randx Split derivation
@@ -74,8 +80,8 @@ fuzz-smoke:
 # seed-1234 golden digests pinned in cmd/wearperf/golden.go. batch is the
 # only workload whose passes re-run the generator and check its re-encoded
 # logs against those digests; study-resident is the only one that drives
-# the engine's user-major fan-out, whose passes must match a Workers=1
-# reference; study-files is the only one that streams stream.Readers over
+# the engine's per-worker queues of whole subscribers, whose passes must
+# match a Workers=1 reference; study-files is the only one that streams stream.Readers over
 # saved logs; collect is the only one that studies a live proxy log through
 # stream.Tail.
 bench-smoke:
@@ -84,4 +90,4 @@ bench-smoke:
 	bash cmd/wearperf/run.sh --workload batch --seconds 3 --trace 0
 	bash cmd/wearperf/run.sh --workload collect --seconds 3 --trace 0
 
-check: build vet fmt lint lint-fixtures race fuzz-smoke
+check: build vet fmt lint lint-fixtures race fuzz-smoke lint-perf bench-smoke

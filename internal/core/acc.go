@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"wearwild/internal/mnet/devicedb"
 	"wearwild/internal/mnet/imei"
@@ -22,11 +23,21 @@ import (
 // transaction-size distribution (Fig 3c): relative error < 2^-9.
 const sizeSigBits = 10
 
-// hourCell is one (day, hour) cell of the Fig 3(a) grid.
+// hourCell is one (day, hour) cell of the wearable traffic grid.
 type hourCell struct {
 	users int64
 	tx    int64
 	bytes int64
+}
+
+// dayCell is one day of the wearable traffic grid: the distinct
+// subscribers active that day and its 24 hour cells. Every temporal
+// figure (Fig 3(a), the weekly stability check, the plan-cost span and
+// the SIM hourly profile of the Through-Device comparison) is a sum over
+// these cells at finalise time.
+type dayCell struct {
+	users int64
+	hours [24]hourCell
 }
 
 // appAgg is one application's whole-study aggregate. Every field is an
@@ -45,13 +56,7 @@ type appAgg struct {
 type kindAcc struct {
 	tx       int64
 	bytes    int64
-	dayUsers map[simtime.Day]int64 // distinct users per day
-}
-
-// weekCell is one detail week's Weekly totals.
-type weekCell struct {
-	tx    int64
-	bytes int64
+	userDays int64 // distinct (subscriber, day) pairs
 }
 
 // mobScalar is the per-user residue of a mobility profile: the handful of
@@ -110,7 +115,7 @@ type userStat struct {
 
 // partial accumulates one worker's share of every figure. All fields are
 // either integer counters, domain-keyed maps of integer counters (days,
-// weeks, hours, app names — never record counts), per-subscriber residues
+// weeks, app names — never record counts), per-subscriber residues
 // keyed by IMSI, or mergeable stats accumulators; merge is therefore exact
 // and the engine's output is identical at every Workers setting.
 type partial struct {
@@ -119,17 +124,15 @@ type partial struct {
 
 	stats map[subs.IMSI]*userStat
 
-	// Fig 2(a/b): wearable MME presence.
-	presence  map[simtime.Day]int64
+	// Fig 2(a/b): wearable MME presence, indexed by day of the study.
+	presence  [simtime.StudyDays]int64
 	firstWeek int64
 	retained  int64
 	abandoned int64
 
-	// Fig 3(a).
-	grid                                    map[simtime.Day]*[24]hourCell
+	// Wearable traffic by (day, hour), and distinct users per week.
+	grid                                    map[simtime.Day]*dayCell
 	weekUsers                               map[simtime.Week]int64
-	dayUsers                                map[simtime.Day]int64
-	wearTx, wearWeekendTx, wearEveningTx    int64
 	phoneTx, phoneWeekendTx, phoneEveningTx int64
 
 	// Fig 3(c): transaction sizes.
@@ -151,43 +154,23 @@ type partial struct {
 	// Fig 8.
 	kinds [apps.NumDomainKinds]kindAcc
 
-	// Weekly stability.
-	byWeek     map[simtime.Week]*weekCell
-	dowTx      [7]int64
-	dowBytes   [7]int64
-	dailyTx    map[simtime.Day]int64
-	dailyBytes map[simtime.Day]int64
-
-	// Plan-cost observation span.
-	haveWearDay    bool
-	minDay, maxDay simtime.Day
-
 	// §4.4 single-location takeaway.
 	txWithData  int64
 	txSingleLoc int64
 
-	// Through-Device.
-	simHours [24]int64
-	tdHours  [24]int64
+	// Through-Device: companion-service transactions by hour.
+	tdHours [24]int64
 }
 
 func newPartial() *partial {
 	a := &partial{
 		stats:       make(map[subs.IMSI]*userStat),
-		presence:    make(map[simtime.Day]int64),
-		grid:        make(map[simtime.Day]*[24]hourCell),
+		grid:        make(map[simtime.Day]*dayCell),
 		weekUsers:   make(map[simtime.Week]int64),
-		dayUsers:    make(map[simtime.Day]int64),
 		sizes:       stats.NewCountingECDF(),
 		hoursPerDay: stats.NewCountingECDF(),
 		apps:        make(map[string]*appAgg),
 		catDayPairs: make(map[apps.Category]int64),
-		byWeek:      make(map[simtime.Week]*weekCell),
-		dailyTx:     make(map[simtime.Day]int64),
-		dailyBytes:  make(map[simtime.Day]int64),
-	}
-	for k := range a.kinds {
-		a.kinds[k].dayUsers = make(map[simtime.Day]int64)
 	}
 	// Sizes span several orders of magnitude; the log layout matches the
 	// "sharply centred around 3 KB" claim the histogram supports.
@@ -211,27 +194,22 @@ func (a *partial) merge(o *partial) {
 	a.firstWeek += o.firstWeek
 	a.retained += o.retained
 	a.abandoned += o.abandoned
-	for d, row := range o.grid {
+	for d, cell := range o.grid {
 		dst := a.grid[d]
 		if dst == nil {
-			a.grid[d] = row
+			a.grid[d] = cell
 			continue
 		}
-		for h := 0; h < 24; h++ {
-			dst[h].users += row[h].users
-			dst[h].tx += row[h].tx
-			dst[h].bytes += row[h].bytes
+		dst.users += cell.users
+		for h := range dst.hours {
+			dst.hours[h].users += cell.hours[h].users
+			dst.hours[h].tx += cell.hours[h].tx
+			dst.hours[h].bytes += cell.hours[h].bytes
 		}
 	}
 	for w, n := range o.weekUsers {
 		a.weekUsers[w] += n
 	}
-	for d, n := range o.dayUsers {
-		a.dayUsers[d] += n
-	}
-	a.wearTx += o.wearTx
-	a.wearWeekendTx += o.wearWeekendTx
-	a.wearEveningTx += o.wearEveningTx
 	a.phoneTx += o.phoneTx
 	a.phoneWeekendTx += o.phoneWeekendTx
 	a.phoneEveningTx += o.phoneEveningTx
@@ -260,42 +238,11 @@ func (a *partial) merge(o *partial) {
 	for k := range a.kinds {
 		a.kinds[k].tx += o.kinds[k].tx
 		a.kinds[k].bytes += o.kinds[k].bytes
-		for d, n := range o.kinds[k].dayUsers {
-			a.kinds[k].dayUsers[d] += n
-		}
-	}
-	for w, c := range o.byWeek {
-		dst := a.byWeek[w]
-		if dst == nil {
-			a.byWeek[w] = c
-			continue
-		}
-		dst.tx += c.tx
-		dst.bytes += c.bytes
-	}
-	for i := 0; i < 7; i++ {
-		a.dowTx[i] += o.dowTx[i]
-		a.dowBytes[i] += o.dowBytes[i]
-	}
-	for d, n := range o.dailyTx {
-		a.dailyTx[d] += n
-	}
-	for d, n := range o.dailyBytes {
-		a.dailyBytes[d] += n
-	}
-	if o.haveWearDay {
-		if !a.haveWearDay || o.minDay < a.minDay {
-			a.minDay = o.minDay
-		}
-		if !a.haveWearDay || o.maxDay > a.maxDay {
-			a.maxDay = o.maxDay
-		}
-		a.haveWearDay = true
+		a.kinds[k].userDays += o.kinds[k].userDays
 	}
 	a.txWithData += o.txWithData
 	a.txSingleLoc += o.txSingleLoc
-	for h := 0; h < 24; h++ {
-		a.simHours[h] += o.simHours[h]
+	for h := range a.tdHours {
 		a.tdHours[h] += o.tdHours[h]
 	}
 }
@@ -426,8 +373,8 @@ func (e *engine) addPresence(acc *partial, devs *devices, recs []mme.Record) {
 		if !present {
 			continue
 		}
+		acc.presence[i]++
 		d := study.Start + simtime.Day(i)
-		acc.presence[d]++
 		if first.Contains(d) {
 			inFirst = true
 		}
@@ -470,110 +417,82 @@ func (e *engine) addUDR(acc *partial, st *userStat, devs *devices, recs []udr.Re
 	}
 }
 
-// addWearTraffic folds the user's wearable transactions: the Fig 3(a)
-// hourly grid, the Fig 3(b/c/d) per-user activity scalars, the size
-// distribution, the Weekly stability counters, the plan-cost residue, and
-// the SIM hourly profile the Through-Device comparison normalises against.
+// addWearTraffic folds the user's wearable transactions in one pass: the
+// (day, hour) grid every temporal figure sums, the Fig 3(b/c/d) per-user
+// activity scalars, the size distribution, the plan-cost residue and the
+// Fig 8 category counters.
 func (e *engine) addWearTraffic(acc *partial, st *userStat, recs []proxylog.Record) {
 	if len(recs) == 0 {
 		return
 	}
 	weekSeen := make(map[simtime.Week]struct{})
-	cellSeen := make(map[simtime.Day]uint32) // bitmask of hours seen per day
+	// daySeen[d] holds the hours (bits 0-23) and the Fig 8 kinds (bits
+	// 24 up) the user touched on day d.
+	const hourBits = 1<<24 - 1
+	const _ = uint32(1) << (24 + apps.NumDomainKinds - 1) // kinds fit
+	daySeen := make(map[simtime.Day]uint32)
+	st.planKinds = new([apps.NumDomainKinds]int64)
+	var bytes int64
 	for _, rec := range recs {
 		d := simtime.DayOf(rec.Time)
 		h := rec.Time.Hour()
-		w := d.Week()
+		k := e.resolver.KindOfHost(rec.Host)
+		b := rec.Bytes()
+		bytes += b
 
-		row := acc.grid[d]
-		if row == nil {
-			row = new([24]hourCell)
-			acc.grid[d] = row
+		cell := acc.grid[d]
+		if cell == nil {
+			cell = new(dayCell)
+			acc.grid[d] = cell
 		}
-		if cellSeen[d]&(1<<uint(h)) == 0 {
-			if cellSeen[d] == 0 {
-				acc.dayUsers[d]++
+		seen := daySeen[d]
+		if seen == 0 {
+			cell.users++
+			w := d.Week()
+			if _, ok := weekSeen[w]; !ok {
+				weekSeen[w] = struct{}{}
+				acc.weekUsers[w]++
 			}
-			cellSeen[d] |= 1 << uint(h)
-			row[h].users++
 		}
-		row[h].tx++
-		row[h].bytes += rec.Bytes()
-		if _, ok := weekSeen[w]; !ok {
-			weekSeen[w] = struct{}{}
-			acc.weekUsers[w]++
+		if bit := uint32(1) << h; seen&bit == 0 {
+			seen |= bit
+			cell.hours[h].users++
 		}
-
-		acc.wearTx++
-		if d.IsWeekend() {
-			acc.wearWeekendTx++
+		if bit := uint32(1) << (24 + k); seen&bit == 0 {
+			seen |= bit
+			acc.kinds[k].userDays++
 		}
-		if h >= 18 {
-			acc.wearEveningTx++
-		}
+		daySeen[d] = seen
+		cell.hours[h].tx++
+		cell.hours[h].bytes += b
+		acc.kinds[k].tx++
+		acc.kinds[k].bytes += b
+		st.planKinds[k] += b
 
 		// Sizes are near-continuous (lognormal), so the counting ECDF is
 		// fed log-quantized values: ~28k possible keys at 10 significant
 		// bits (< 0.2% error) instead of one key per distinct size — the
 		// map stays domain-bounded at any record count.
-		acc.sizes.Add(stats.LogQuantize(rec.Bytes(), sizeSigBits))
-		acc.sizeHist.Add(float64(rec.Bytes()))
-		if b := rec.Bytes(); b > 0 {
+		acc.sizes.Add(stats.LogQuantize(b, sizeSigBits))
+		acc.sizeHist.Add(float64(b))
+		if b > 0 {
 			st.wearLog.Add(math.Log(float64(b)))
 		}
-
-		cell := acc.byWeek[w]
-		if cell == nil {
-			cell = &weekCell{}
-			acc.byWeek[w] = cell
-		}
-		cell.tx++
-		cell.bytes += rec.Bytes()
-		acc.dowTx[int(d)%7]++ // epoch is a Monday
-		acc.dowBytes[int(d)%7] += rec.Bytes()
-		acc.dailyTx[d]++
-		acc.dailyBytes[d] += rec.Bytes()
-
-		if !acc.haveWearDay || d < acc.minDay {
-			acc.minDay = d
-		}
-		if !acc.haveWearDay || d > acc.maxDay {
-			acc.maxDay = d
-		}
-		acc.haveWearDay = true
-
-		acc.simHours[h]++
-
-		if st.planKinds == nil {
-			st.planKinds = new([apps.NumDomainKinds]int64)
-		}
-		st.planKinds[e.resolver.KindOfHost(rec.Host)] += rec.Bytes()
 	}
 
-	acts := usermetrics.Collect(recs, nil)
-	for _, a := range acts {
-		st.active = true
-		st.daysPerWeek = a.DaysPerWeek(detailWeeks())
-		st.txPerHour = a.TxPerActiveHour()
-		st.kbPerHour = a.BytesPerActiveHour() / 1024
-		st.meanHours = a.MeanHoursPerActiveDay()
-		for _, h := range a.HoursPerActiveDay() {
-			acc.hoursPerDay.Add(int64(h))
-		}
+	// Fig 3(b/d) activity, with the operands and divisions of
+	// usermetrics.Activity (TestActivityMatchesCollect).
+	activeHours := 0
+	for _, seen := range daySeen {
+		n := bits.OnesCount32(seen & hourBits)
+		acc.hoursPerDay.Add(int64(n))
+		activeHours += n
 	}
-
-	// Fig 8: per-category volumes with distinct (kind, day) user counts.
-	kindDays := make(map[simtime.Day]uint8) // bitmask of kinds seen per day
-	for _, rec := range recs {
-		k := e.resolver.KindOfHost(rec.Host)
-		d := simtime.DayOf(rec.Time)
-		if kindDays[d]&(1<<uint(k)) == 0 {
-			kindDays[d] |= 1 << uint(k)
-			acc.kinds[k].dayUsers[d]++
-		}
-		acc.kinds[k].tx++
-		acc.kinds[k].bytes += rec.Bytes()
-	}
+	st.active = true
+	st.daysPerWeek = float64(len(daySeen)) / float64(detailWeeks())
+	st.txPerHour = float64(len(recs)) / float64(activeHours)
+	st.kbPerHour = float64(bytes) / float64(activeHours) / 1024
+	st.meanHours = float64(activeHours) / float64(len(daySeen))
 }
 
 // addPhoneTraffic folds the user's handset transactions: the comparison
@@ -701,9 +620,11 @@ func (e *engine) addThroughDevice(acc *partial, st *userStat, recs []proxylog.Re
 		return // SIM-wearable users are identified directly by TAC
 	}
 	svcTx := make(map[string]int64)
+	var hours [24]int64
 	for _, rec := range recs {
 		if svc, ok := e.detector.ServiceOfHost(rec.Host); ok {
 			svcTx[svc]++
+			hours[rec.Time.Hour()]++
 		}
 	}
 	if len(svcTx) == 0 {
@@ -717,9 +638,7 @@ func (e *engine) addThroughDevice(acc *partial, st *userStat, recs []proxylog.Re
 	}
 	st.tdService = best
 	st.tdKinds = svcTx[best]
-	for _, rec := range recs {
-		if _, ok := e.detector.ServiceOfHost(rec.Host); ok {
-			acc.tdHours[rec.Time.Hour()]++
-		}
+	for h, n := range hours {
+		acc.tdHours[h] += n
 	}
 }

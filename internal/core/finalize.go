@@ -20,27 +20,32 @@ import (
 // residues in ascending IMSI order.
 func (e *engine) finalize(acc *partial, users []residue) (*Results, error) {
 	res := &Results{}
+	days := sortx.Keys(acc.grid) // days with wearable traffic, ascending
 	e.adoption(res, acc)
 	e.retention(res, acc)
 	e.hourlyPattern(res, acc)
 	// planCost reads the per-user residues before userFigures, which
 	// releases each userStat as it folds it.
-	if err := e.planCost(res, acc, users); err != nil {
+	if err := e.planCost(res, days, users); err != nil {
 		return nil, err
 	}
 	e.userFigures(res, acc, users)
 	e.sizeFigures(res, acc)
 	e.appFigures(res, acc)
-	res.Weekly = weeklyFrom(acc)
+	res.Weekly = weeklyFrom(acc, days)
 	return res, nil
 }
 
 // adoption computes Fig 2(a).
 func (e *engine) adoption(res *Results, acc *partial) {
-	days := sortx.Keys(acc.presence)
-	counts := make([]float64, len(days))
-	for i, d := range days {
-		counts[i] = float64(acc.presence[d])
+	// Days stays non-nil without presence, so it encodes as [], not null.
+	days := []simtime.Day{}
+	var counts []float64
+	for i, n := range acc.presence {
+		if n > 0 {
+			days = append(days, simtime.FullStudy().Start+simtime.Day(i))
+			counts = append(counts, float64(n))
+		}
 	}
 	norm := make([]float64, len(counts))
 	if n := len(counts); n > 0 && counts[n-1] > 0 {
@@ -86,26 +91,30 @@ func (e *engine) retention(res *Results, acc *partial) {
 
 // hourlyPattern computes Fig 3(a) from the integer grid.
 func (e *engine) hourlyPattern(res *Results, acc *partial) {
-	var weekdayDays, weekendDays int64
+	var weekdayDays, weekendDays, dayUsers int64
 	var wu, eu, wt, et, wb, eb [24]int64
-	var totTx, totBytes int64
-	for d, row := range acc.grid {
+	var totTx, totBytes, weekendTx, eveningTx int64
+	for d, cell := range acc.grid {
 		weekend := d.IsWeekend()
 		if weekend {
 			weekendDays++
 		} else {
 			weekdayDays++
 		}
-		for h := 0; h < 24; h++ {
-			c := row[h]
+		dayUsers += cell.users
+		for h, c := range cell.hours {
 			if weekend {
 				eu[h] += c.users
 				et[h] += c.tx
 				eb[h] += c.bytes
+				weekendTx += c.tx
 			} else {
 				wu[h] += c.users
 				wt[h] += c.tx
 				wb[h] += c.bytes
+			}
+			if h >= 18 {
+				eveningTx += c.tx
 			}
 			totTx += c.tx
 			totBytes += c.bytes
@@ -143,12 +152,8 @@ func (e *engine) hourlyPattern(res *Results, acc *partial) {
 	res.Fig3a.WeekdayBytes = norm(wb, weekdayDays, weeklyBytes)
 	res.Fig3a.WeekendBytes = norm(eb, weekendDays, weeklyBytes)
 
-	var dailySum int64
-	for _, n := range acc.dayUsers {
-		dailySum += n
-	}
-	if len(acc.dayUsers) > 0 && weeklyUsers > 0 {
-		res.Fig3a.DailyActiveShare = float64(dailySum) / float64(len(acc.dayUsers)) / weeklyUsers
+	if len(acc.grid) > 0 && weeklyUsers > 0 {
+		res.Fig3a.DailyActiveShare = float64(dayUsers) / float64(len(acc.grid)) / weeklyUsers
 	}
 
 	// Relative weekend/evening usage vs the ISP baseline (§4.2): the
@@ -162,10 +167,10 @@ func (e *engine) hourlyPattern(res *Results, acc *partial) {
 		return float64(hit) / float64(total)
 	}
 	if base := share(acc.phoneWeekendTx, acc.phoneTx); base > 0 {
-		res.Fig3a.RelativeWeekendFactor = share(acc.wearWeekendTx, acc.wearTx) / base
+		res.Fig3a.RelativeWeekendFactor = share(weekendTx, totTx) / base
 	}
 	if base := share(acc.phoneEveningTx, acc.phoneTx); base > 0 {
-		res.Fig3a.RelativeEveningFactor = share(acc.wearEveningTx, acc.wearTx) / base
+		res.Fig3a.RelativeEveningFactor = share(eveningTx, totTx) / base
 	}
 }
 
@@ -397,9 +402,15 @@ func (e *engine) userFigures(res *Results, acc *partial, users []residue) {
 	res.TD.MeanDispTDKm = tdDisp.Mean()
 	res.TD.MeanPhoneYearTD = tdYear.Mean()
 	res.TD.MeanPhoneYearOther = otherYear.Mean()
+	var simTx [24]int64
+	for _, cell := range acc.grid {
+		for h, c := range cell.hours {
+			simTx[h] += c.tx
+		}
+	}
 	var sim, td [24]float64
-	for h := 0; h < 24; h++ {
-		sim[h] = float64(acc.simHours[h])
+	for h := range sim {
+		sim[h] = float64(simTx[h])
 		td[h] = float64(acc.tdHours[h])
 	}
 	res.TD.PatternSimilarity = cosine(sim[:], td[:])
@@ -512,11 +523,7 @@ func (e *engine) appFigures(res *Results, acc *partial) {
 	var totKindUsers, totKindTx, totKindBytes float64
 	kindUsers := make([]float64, apps.NumDomainKinds)
 	for i := range acc.kinds {
-		var usersN int64
-		for _, n := range acc.kinds[i].dayUsers {
-			usersN += n
-		}
-		kindUsers[i] = float64(usersN)
+		kindUsers[i] = float64(acc.kinds[i].userDays)
 		totKindUsers += kindUsers[i]
 		totKindTx += float64(acc.kinds[i].tx)
 		totKindBytes += float64(acc.kinds[i].bytes)
@@ -532,11 +539,12 @@ func (e *engine) appFigures(res *Results, acc *partial) {
 }
 
 // planCost computes the Fig 8 discussion's data-plan overhead from the
-// per-user per-kind byte residues.
-func (e *engine) planCost(res *Results, acc *partial, users []residue) error {
+// per-user per-kind byte residues, over the span of the ascending days
+// with wearable traffic.
+func (e *engine) planCost(res *Results, days []simtime.Day, users []residue) error {
 	windowDays := 1
-	if acc.haveWearDay {
-		windowDays = int(acc.maxDay-acc.minDay) + 1
+	if n := len(days); n > 0 {
+		windowDays = int(days[n-1]-days[0]) + 1
 	}
 	b, err := plancost.NewBuilder(windowDays, 0)
 	if err != nil {
@@ -557,43 +565,47 @@ func (e *engine) planCost(res *Results, acc *partial, users []residue) error {
 	return nil
 }
 
-// weeklyFrom derives the §4.2 weekly stability analysis from the exact
-// integer counters.
-func weeklyFrom(acc *partial) WeeklyTrend {
+// weeklyFrom derives the §4.2 weekly stability analysis from the grid's
+// per-day totals, folded over days in ascending order.
+func weeklyFrom(acc *partial, days []simtime.Day) WeeklyTrend {
 	var out WeeklyTrend
-	for w := simtime.Detail().Start.Week(); int(w) < int(simtime.Detail().End.Week()); w++ {
-		cell := acc.byWeek[w]
-		if cell == nil {
-			out.Weeks = append(out.Weeks, WeekRow{Week: w})
-			continue
-		}
-		out.Weeks = append(out.Weeks, WeekRow{
-			Week: w, ActiveUsers: int(acc.weekUsers[w]), Tx: cell.tx, Bytes: cell.bytes,
-		})
+	first, end := simtime.Detail().Start.Week(), simtime.Detail().End.Week()
+	for w := first; w < end; w++ {
+		out.Weeks = append(out.Weeks, WeekRow{Week: w, ActiveUsers: int(acc.weekUsers[w])})
 	}
 
+	var dowTx [7]int64
 	var totTx int64
-	for _, v := range acc.dowTx {
-		totTx += v
+	var dailyTx, dailyBytes stats.Summary
+	for _, d := range days {
+		var tx, bytes int64
+		for _, c := range acc.grid[d].hours {
+			tx += c.tx
+			bytes += c.bytes
+		}
+		if w := d.Week(); w >= first && w < end {
+			out.Weeks[w-first].Tx += tx
+			out.Weeks[w-first].Bytes += bytes
+		}
+		dowTx[(int(d)%7+7)%7] += tx // epoch is a Monday; floor mod for days before it
+		totTx += tx
+		dailyTx.Add(float64(tx))
+		dailyBytes.Add(float64(bytes))
 	}
 	if totTx > 0 {
-		for i, v := range acc.dowTx {
+		for i, v := range dowTx {
 			out.DayOfWeekTxShare[i] = float64(v) / float64(totTx)
 		}
 	}
 
-	cv := func(m map[simtime.Day]int64) float64 {
-		var s stats.Summary
-		for _, d := range sortx.Keys(m) {
-			s.Add(float64(m[d]))
-		}
+	cv := func(s stats.Summary) float64 {
 		if s.Mean() == 0 {
 			return 0
 		}
 		return s.Std() / s.Mean()
 	}
-	out.TxCV = cv(acc.dailyTx)
-	out.BytesCV = cv(acc.dailyBytes)
+	out.TxCV = cv(dailyTx)
+	out.BytesCV = cv(dailyBytes)
 	return out
 }
 

@@ -71,9 +71,10 @@ func (d Day) Start() Hour { return Hour(int(d) * HoursPerDay) }
 // Week returns the week the day falls in.
 func (d Day) Week() Week { return Week(int(d) / DaysPerWeek) }
 
-// Weekday returns the day of week; Epoch is a Monday.
+// Weekday returns the day of week; Epoch is a Monday. The mod is a floor
+// mod, so days before the epoch get valid weekdays too.
 func (d Day) Weekday() time.Weekday {
-	return time.Weekday((int(time.Monday) + int(d)) % 7)
+	return time.Weekday(((int(time.Monday)+int(d))%7 + 7) % 7)
 }
 
 // IsWeekend reports whether the day is a Saturday or Sunday.

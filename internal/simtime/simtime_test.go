@@ -67,6 +67,20 @@ func TestWeekend(t *testing.T) {
 	}
 }
 
+// TestWeekdayBeforeEpoch pins Weekday on days before the epoch to the
+// calendar's, so IsWeekend holds there too.
+func TestWeekdayBeforeEpoch(t *testing.T) {
+	for d := Day(-14); d < 0; d++ {
+		want := Epoch.AddDate(0, 0, int(d)).Weekday()
+		if got := d.Weekday(); got != want {
+			t.Fatalf("day %d weekday = %v, want %v", d, got, want)
+		}
+		if weekend := want == time.Saturday || want == time.Sunday; d.IsWeekend() != weekend {
+			t.Fatalf("day %d (%v): IsWeekend = %v", d, want, d.IsWeekend())
+		}
+	}
+}
+
 func TestDetailWindowMembership(t *testing.T) {
 	if Day(DetailStartDay - 1).InDetailWindow() {
 		t.Fatal("day before detail window flagged as inside")

@@ -2,8 +2,10 @@
 // aggregation deterministic. Go randomises map iteration order per run;
 // every loop that emits rows, appends samples, or accumulates floats from
 // a map must walk it through Keys so the byte output of a study is a pure
-// function of its seed. The wearlint maporder check enforces the
-// discipline; this package is the one-line way to comply.
+// function of its seed. No lint check enforces the discipline; the
+// determinism tests (TestByteIdenticalRuns renders each Results several
+// times in one process) catch a loop that skips it, and this package is
+// the one-line way to comply.
 package sortx
 
 import (

@@ -2,9 +2,10 @@
 // engine consumes: one callback per proxy, MME and UDR record, plus a
 // per-subscriber completion hint, and an optional per-subscriber
 // handover for sources that know where a subscriber starts and ends.
-// Every data source — the traffic generator, the binary/CSV log decoders,
-// the resident in-memory logs and the live proxy tail — implements
-// Source, so the engine never needs a materialised whole log.
+// Every data source — the traffic generator, the log decoders (binary
+// proxy, CSV MME and UDR), the resident in-memory logs and the live
+// proxy tail — implements Source, so the engine never needs a
+// materialised whole log.
 package stream
 
 import (
