@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt test race lint lint-json lint-only lint-fixtures lint-perf fuzz-smoke bench-smoke check
+.PHONY: build vet fmt test race tz lint lint-json lint-only lint-fixtures lint-perf fuzz-smoke bench-smoke check
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,14 @@ test:
 # goroutine their code started that outlives the tests.
 race:
 	$(GO) test -race ./...
+
+# The calendar, the engine, the codecs and the golden subset under a
+# local zone that is not UTC. Log records carry zone-free int64 instants,
+# so the one way a zone can get back into the study is an instant
+# converted through the time package in Local; this run catches it.
+tz:
+	TZ=Asia/Kolkata $(GO) test -count=1 ./internal/simtime ./internal/core ./internal/mnet/...
+	TZ=Asia/Kolkata $(GO) test -count=1 -run 'TestGoldenDigests|TestSaveLoadRoundTrip' .
 
 # wearlint walks the module and reports determinism/concurrency
 # violations; see DESIGN.md "Static analysis". -json-out writes the
@@ -90,4 +98,4 @@ bench-smoke:
 	bash cmd/wearperf/run.sh --workload batch --seconds 3 --trace 0
 	bash cmd/wearperf/run.sh --workload collect --seconds 3 --trace 0
 
-check: build vet fmt lint lint-fixtures race fuzz-smoke lint-perf bench-smoke
+check: build vet fmt lint lint-fixtures race tz fuzz-smoke lint-perf bench-smoke

@@ -47,7 +47,7 @@ var goldenResults = map[string]string{
 
 // goldenMarkdown is the SHA-256 of the rendered EXPERIMENTS markdown,
 // WriteExperimentsMarkdown(Evaluate(res)), for the same study.
-const goldenMarkdown = "cdaa812091520588cfcfde1966d7bd888911ac78ba5013b8550821678f9c284d"
+const goldenMarkdown = "fbf3e16f5e067111e8b5884a63fc2d436ca5f2f8aed28ccd1798bb7d68b7722f"
 
 func sha256Hex(b []byte) string {
 	sum := sha256.Sum256(b)

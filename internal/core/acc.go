@@ -434,8 +434,8 @@ func (e *engine) addWearTraffic(acc *partial, st *userStat, recs []proxylog.Reco
 	st.planKinds = new([apps.NumDomainKinds]int64)
 	var bytes int64
 	for _, rec := range recs {
-		d := simtime.DayOf(rec.Time)
-		h := rec.Time.Hour()
+		hr := simtime.HourOf(rec.Time)
+		d, h := hr.Day(), hr.OfDay()
 		k := e.resolver.KindOfHost(rec.Host)
 		b := rec.Bytes()
 		bytes += b
@@ -500,10 +500,11 @@ func (e *engine) addWearTraffic(acc *partial, st *userStat, recs []proxylog.Reco
 func (e *engine) addPhoneTraffic(acc *partial, st *userStat, recs []proxylog.Record) {
 	for _, rec := range recs {
 		acc.phoneTx++
-		if simtime.DayOf(rec.Time).IsWeekend() {
+		hr := simtime.HourOf(rec.Time)
+		if hr.Day().IsWeekend() {
 			acc.phoneWeekendTx++
 		}
-		if rec.Time.Hour() >= 18 {
+		if hr.OfDay() >= 18 {
 			acc.phoneEveningTx++
 		}
 		if b := rec.Bytes(); b > 0 {
@@ -624,7 +625,7 @@ func (e *engine) addThroughDevice(acc *partial, st *userStat, recs []proxylog.Re
 	for _, rec := range recs {
 		if svc, ok := e.detector.ServiceOfHost(rec.Host); ok {
 			svcTx[svc]++
-			hours[rec.Time.Hour()]++
+			hours[simtime.HourOf(rec.Time).OfDay()]++
 		}
 	}
 	if len(svcTx) == 0 {

@@ -22,7 +22,7 @@ import (
 func TestWearRecordBeforeEpoch(t *testing.T) {
 	w := newIdentWorld(t)
 	rec := w.tx(w.alice, w.watch, "h.example")
-	rec.Time = time.Date(2017, time.January, 3, 0, 0, 0, 0, time.UTC) // a Tuesday
+	rec.Time = simtime.Instant(time.Date(2017, time.January, 3, 0, 0, 0, 0, time.UTC).UnixNano()) // a Tuesday
 	src := &stream.Logs{Proxy: &proxylog.Log{Records: []proxylog.Record{rec}}, MME: &mme.Log{}, UDR: &udr.Log{}}
 	res, err := RunStream(w.env, src, DefaultConfig())
 	if err != nil {
@@ -30,6 +30,24 @@ func TestWearRecordBeforeEpoch(t *testing.T) {
 	}
 	if want := [7]float64{0, 1, 0, 0, 0, 0, 0}; res.Weekly.DayOfWeekTxShare != want {
 		t.Fatalf("day-of-week tx share = %v, want all on Tuesday %v", res.Weekly.DayOfWeekTxShare, want)
+	}
+}
+
+// TestRegistrationBeforeEpochAddsNoPresence: a wearable registration at
+// 2017-12-10 23:00, the last hour before the study, falls on day -1 and
+// adds no Fig 2 presence. A division that truncates toward zero put it on
+// day 0.
+func TestRegistrationBeforeEpochAddsNoPresence(t *testing.T) {
+	w := newIdentWorld(t)
+	reg := w.reg(w.alice, w.watch)
+	reg.Time = simtime.Epoch.Add(-time.Hour)
+	src := &stream.Logs{Proxy: &proxylog.Log{}, MME: &mme.Log{Records: []mme.Record{reg}}, UDR: &udr.Log{}}
+	res, err := RunStream(w.env, src, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Fig2a.Days) != 0 {
+		t.Fatalf("presence on days %v, want none", res.Fig2a.Days)
 	}
 }
 

@@ -109,7 +109,7 @@ func All() []Experiment {
 		{
 			ID: "F3b", Title: "Fig 3(b) — active days and hours",
 			Workload: "per-user active days/week and hours/day CDFs over the 7-week window",
-			Modules:  "study/usermetrics, stats, core",
+			Modules:  "stats, core",
 			Extract: func(r *core.Results) []Metric {
 				return []Metric{
 					{Name: "mean active days/week", Unit: "d", Paper: 1, Measured: r.Fig3b.MeanDays, Lo: 0.7, Hi: 2.8},
@@ -122,7 +122,7 @@ func All() []Experiment {
 		{
 			ID: "F3c", Title: "Fig 3(c) — transaction sizes",
 			Workload: "size distribution of all wearable transactions; per-user hourly rates",
-			Modules:  "gen/traffic, study/usermetrics, core",
+			Modules:  "gen/traffic, stats, core",
 			Extract: func(r *core.Results) []Metric {
 				return []Metric{
 					{Name: "median size", Unit: "B", Paper: 3000, Measured: r.Fig3c.MedianSizeBytes, Lo: 1800, Hi: 4800},
@@ -134,7 +134,7 @@ func All() []Experiment {
 		{
 			ID: "F3d", Title: "Fig 3(d) — transactions vs active hours",
 			Workload: "per-user (active hours/day, tx/hour) correlation",
-			Modules:  "study/usermetrics, stats, core",
+			Modules:  "stats, core",
 			Extract: func(r *core.Results) []Metric {
 				return []Metric{
 					{Name: "Spearman(hours, tx/hour)", Unit: "", Paper: 0.5, Measured: r.Fig3d.Spearman, Lo: 0.2, Hi: 1},
@@ -256,7 +256,7 @@ func All() []Experiment {
 		{
 			ID: "T1", Title: "§4.3 — apps per user",
 			Workload: "distinct apps observed per user; one-app days",
-			Modules:  "gen/traffic, core",
+			Modules:  "gen/traffic, study/sessions, study/appid, core",
 			Extract: func(r *core.Results) []Metric {
 				return []Metric{
 					{Name: "mean apps/user (observed)", Unit: "", Paper: 8, Measured: r.Takeaways.MeanAppsPerUser, Lo: 3, Hi: 11},

@@ -6,6 +6,7 @@
 package mobility
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -78,7 +79,7 @@ func (c Config) Validate() error {
 
 // Visit is one stop in a day's itinerary.
 type Visit struct {
-	Time   time.Time
+	Time   simtime.Instant
 	Sector cells.SectorID
 	Pos    geo.Point
 }
@@ -155,9 +156,7 @@ func (g *Generator) AppendDayVisits(dst []Visit, u *population.User, d simtime.D
 	// its day's identity through every downstream per-day analysis.
 	lastInstant := day.Add(24*time.Hour - time.Second)
 	for i := base; i < len(dst); i++ {
-		if dst[i].Time.After(lastInstant) {
-			dst[i].Time = lastInstant
-		}
+		dst[i].Time = min(dst[i].Time, lastInstant)
 	}
 
 	return canonicalizeTail(dst, base)
@@ -182,7 +181,7 @@ func poissonAsProb(mean float64) float64 { return 1 - math.Exp(-mean) }
 // appendCommuteLeg emits the intermediate and final sectors of one commute
 // leg departing at the given minute of day; toSector is to's sector. The
 // stop count is known before the loop, so dst grows at most once.
-func (g *Generator) appendCommuteLeg(dst []Visit, from, to geo.Point, toSector cells.SectorID, departMin float64, day time.Time, r *randx.Rand) []Visit {
+func (g *Generator) appendCommuteLeg(dst []Visit, from, to geo.Point, toSector cells.SectorID, departMin float64, day simtime.Instant, r *randx.Rand) []Visit {
 	dist := geo.DistanceKm(from, to)
 	stops := int(dist / 8)
 	if stops > g.cfg.MaxCommuteStops {
@@ -217,14 +216,14 @@ func interpolate(a, b geo.Point, f float64) geo.Point {
 
 // appendTrip goes somewhere near the anchor, whose sector is anchorSector,
 // and comes back.
-func (g *Generator) appendTrip(dst []Visit, u *population.User, anchor geo.Point, anchorSector cells.SectorID, startMin float64, day time.Time, r *randx.Rand) []Visit {
+func (g *Generator) appendTrip(dst []Visit, u *population.User, anchor geo.Point, anchorSector cells.SectorID, startMin float64, day simtime.Instant, r *randx.Rand) []Visit {
 	dist := r.LogNormalMedian(g.cfg.TripKmMedian, g.cfg.TripKmSigma) * math.Max(u.MobilityScale, 0.3)
 	return g.appendExcursion(dst, anchor, anchorSector, dist, startMin, day, r)
 }
 
 // appendExcursion visits a point dist km away and returns to the anchor,
 // whose sector is anchorSector.
-func (g *Generator) appendExcursion(dst []Visit, anchor geo.Point, anchorSector cells.SectorID, dist, startMin float64, day time.Time, r *randx.Rand) []Visit {
+func (g *Generator) appendExcursion(dst []Visit, anchor geo.Point, anchorSector cells.SectorID, dist, startMin float64, day simtime.Instant, r *randx.Rand) []Visit {
 	angle := r.Float64() * 2 * math.Pi
 	dest := geo.Offset(anchor, dist*math.Cos(angle), dist*math.Sin(angle))
 	stay := 30 + 90*r.Float64() // minutes
@@ -237,7 +236,7 @@ func (g *Generator) appendExcursion(dst []Visit, anchor geo.Point, anchorSector 
 
 // visitCmp orders visits chronologically; ties keep insertion order under a
 // stable sort, which downstream per-day analyses rely on.
-func visitCmp(a, b Visit) int { return a.Time.Compare(b.Time) }
+func visitCmp(a, b Visit) int { return cmp.Compare(a.Time, b.Time) }
 
 // canonicalizeTail sorts v[base:] chronologically in place and drops
 // consecutive repeats of the same sector, truncating v accordingly.

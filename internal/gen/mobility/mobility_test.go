@@ -2,6 +2,7 @@ package mobility
 
 import (
 	"testing"
+	"time"
 
 	"wearwild/internal/geo"
 	"wearwild/internal/mnet/cells"
@@ -89,11 +90,11 @@ func TestDayVisitsBasics(t *testing.T) {
 		if v.Sector == 0 {
 			t.Fatal("visit without sector")
 		}
-		if v.Time.Before(day) || !v.Time.Before(day.Add(26*60*60*1e9)) {
+		if v.Time < day || v.Time >= day.Add(26*60*60*1e9) {
 			t.Fatalf("visit %d time %v outside day", i, v.Time)
 		}
 		if i > 0 {
-			if v.Time.Before(visits[i-1].Time) {
+			if v.Time < visits[i-1].Time {
 				t.Fatal("visits not chronological")
 			}
 			if v.Sector == visits[i-1].Sector {
@@ -200,7 +201,7 @@ func TestEntropyGap(t *testing.T) {
 				if i+1 < len(visits) {
 					end = visits[i+1].Time
 				}
-				dwell[v.Sector] += end.Sub(v.Time).Hours()
+				dwell[v.Sector] += time.Duration(end - v.Time).Hours()
 			}
 		}
 		var w []float64
@@ -242,7 +243,7 @@ func TestVisitsStayWithinDay(t *testing.T) {
 			dayStart := d.Time()
 			dayEnd := dayStart.Add(24 * 60 * 60 * 1e9)
 			for _, v := range f.gen.AppendDayVisits(nil, u, d, r) {
-				if v.Time.Before(dayStart) || !v.Time.Before(dayEnd) {
+				if v.Time < dayStart || v.Time >= dayEnd {
 					t.Fatalf("user %d day %d: visit at %v outside day", i, d, v.Time)
 				}
 			}
@@ -265,7 +266,7 @@ func TestRecords(t *testing.T) {
 		if rec.IMSI != u.IMSI || rec.IMEI != u.WearableIMEI {
 			t.Fatal("identity mismatch")
 		}
-		if rec.Sector != visits[i].Sector || !rec.Time.Equal(visits[i].Time) {
+		if rec.Sector != visits[i].Sector || rec.Time != visits[i].Time {
 			t.Fatal("visit mapping mismatch")
 		}
 		if i > 0 && rec.Event != mme.Update {

@@ -304,7 +304,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		// The MME CSV codec writes whole seconds and drops the fraction
 		// (ROADMAP item 1's open sub-second bug); the fix must make this
 		// an exact comparison.
-		want.Time = time.Unix(want.Time.Unix(), 0).UTC()
+		want.Time, _ = simtime.FromUnix(want.Time.Unix(), time.Second)
 		if got := back.MME.Records[i]; got != want {
 			t.Fatalf("MME record %d = %+v after reload, want %+v", i, got, want)
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"slices"
 
 	"wearwild/internal/gen/apps"
@@ -67,31 +68,17 @@ func NewStreamSource(cfg Config) (*StreamSource, error) {
 // whole log equals the stable per-user sort of their own records. The UDR
 // keys are unique within a user (one wearable and one phone aggregate per
 // week, distinct IMEIs), so an unstable sort suffices there.
-func proxyTimeCmp(a, b proxylog.Record) int { return a.Time.Compare(b.Time) }
-func mmeTimeCmp(a, b mme.Record) int        { return a.Time.Compare(b.Time) }
 func udrKeyCmp(a, b udr.Record) int {
-	if a.Week != b.Week {
-		if a.Week < b.Week {
-			return -1
-		}
-		return 1
-	}
-	if a.IMEI != b.IMEI {
-		if a.IMEI < b.IMEI {
-			return -1
-		}
-		return 1
-	}
-	return 0
+	return cmp.Or(cmp.Compare(a.Week, b.Week), cmp.Compare(a.IMEI, b.IMEI))
 }
 
 // sortCanonical puts the scratch slabs into their per-user stream order.
 // A subscriber's MME slab is usually generated in time order already, so
 // the stable sort runs only when it is not.
 func (s *genScratch) sortCanonical() {
-	slices.SortStableFunc(s.proxy, proxyTimeCmp)
-	if !slices.IsSortedFunc(s.mme, mmeTimeCmp) {
-		slices.SortStableFunc(s.mme, mmeTimeCmp)
+	slices.SortStableFunc(s.proxy, proxylog.ByTime)
+	if !slices.IsSortedFunc(s.mme, mme.ByTime) {
+		slices.SortStableFunc(s.mme, mme.ByTime)
 	}
 	slices.SortFunc(s.udr, udrKeyCmp)
 }

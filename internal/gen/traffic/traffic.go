@@ -355,7 +355,7 @@ func sectorAt(visits []mobility.Visit, d simtime.Day, hourOfDay int) cells.Secto
 	at := d.Time().Add(time.Duration(hourOfDay) * time.Hour)
 	var cur cells.SectorID
 	for _, v := range visits {
-		if v.Time.After(at) {
+		if v.Time > at {
 			break
 		}
 		cur = v.Sector
@@ -374,11 +374,9 @@ func atHomeThrough(visits []mobility.Visit, d simtime.Day, hourOfDay int, u *pop
 	}
 	start := d.Time().Add(time.Duration(hourOfDay) * time.Hour)
 	end := start.Add(75 * time.Minute)
-	if dayEndT := d.Time().Add(24 * time.Hour); end.After(dayEndT) {
-		end = dayEndT
-	}
+	end = min(end, (d + 1).Time())
 	for _, v := range visits {
-		if v.Time.After(start) && v.Time.Before(end) && v.Sector != u.HomeSector {
+		if v.Time > start && v.Time < end && v.Sector != u.HomeSector {
 			return false
 		}
 	}
@@ -410,15 +408,13 @@ func (g *Generator) pickApps(u *population.User, r *randx.Rand, s *Scratch) []*a
 // dayEnd is the last instant a transaction may carry while still belonging
 // to the day; late-evening sessions clamp here so a day's traffic never
 // bleeds into the next day's (or week's) accounting.
-func dayEnd(d simtime.Day) time.Time {
-	return d.Time().Add(24*time.Hour - time.Second)
-}
+func dayEnd(d simtime.Day) simtime.Instant { return (d + 1).Time() - simtime.Instant(time.Second) }
 
 // appendSession emits the transactions of one usage: bursts less than a
 // minute apart, so the analysis-side sessioniser (gap ≥ 1 min) recovers
 // them. The transaction count is drawn before the mix lookup so the stream
 // advances identically whether or not the app's mix is degenerate.
-func (g *Generator) appendSession(dst []proxylog.Record, u *population.User, app *apps.App, start, latest time.Time, r *randx.Rand) []proxylog.Record {
+func (g *Generator) appendSession(dst []proxylog.Record, u *population.User, app *apps.App, start, latest simtime.Instant, r *randx.Rand) []proxylog.Record {
 	n := r.Poisson(app.Shape.TxPerUsage)
 	if n < 1 {
 		n = 1
@@ -430,9 +426,7 @@ func (g *Generator) appendSession(dst []proxylog.Record, u *population.User, app
 	dst = slices.Grow(dst, n)[:len(dst)]
 	t := start
 	for i := 0; i < n; i++ {
-		if t.After(latest) {
-			t = latest
-		}
+		t = min(t, latest)
 		kind := apps.KindApplication
 		if i > 0 { // the first transaction anchors on the app's own server
 			kind = apps.DomainKind(mix.Sample(r))
@@ -446,7 +440,7 @@ func (g *Generator) appendSession(dst []proxylog.Record, u *population.User, app
 }
 
 // transaction builds one proxy record.
-func (g *Generator) transaction(u *population.User, app *apps.App, kind apps.DomainKind, t time.Time, r *randx.Rand) proxylog.Record {
+func (g *Generator) transaction(u *population.User, app *apps.App, kind apps.DomainKind, t simtime.Instant, r *randx.Rand) proxylog.Record {
 	var host string
 	factor := 1.0
 	switch kind {

@@ -154,7 +154,7 @@ func activeStats(t *testing.T, f *fixture) (daysPerWeek, hoursPerDay, txSizes []
 				activeDays++
 				hours := map[int]bool{}
 				for _, rec := range recs {
-					hours[rec.Time.Hour()] = true
+					hours[simtime.HourOf(rec.Time).OfDay()] = true
 					txSizes = append(txSizes, float64(rec.Bytes()))
 				}
 				dayHours = append(dayHours, len(hours))
@@ -275,7 +275,7 @@ func TestSingleLocationGating(t *testing.T) {
 		visits := f.mob.AppendDayVisits(nil, u, day, r.Split("v", 0))
 		recs := f.gen.AppendWearableDay(nil, u, day, visits, r.Split("t", 0), &Scratch{})
 		for _, rec := range recs {
-			hour := rec.Time.Hour()
+			hour := simtime.HourOf(rec.Time).OfDay()
 			if got := sectorAt(visits, day, hour); got != u.HomeSector {
 				t.Fatalf("single-location user %d transacted at sector %d (home %d) hour %d",
 					i, got, u.HomeSector, hour)

@@ -88,7 +88,7 @@ func refWriteMME(w io.Writer, records []mme.Record) error {
 		return err
 	}
 	for _, r := range records {
-		row := []string{strconv.FormatInt(r.Time.Unix(), 10), fmt.Sprintf("%015d", uint64(r.IMSI)),
+		row := []string{strconv.FormatInt(time.Unix(0, int64(r.Time)).Unix(), 10), fmt.Sprintf("%015d", uint64(r.IMSI)),
 			fmt.Sprintf("%015d", uint64(r.IMEI)), strconv.FormatUint(uint64(r.Sector), 10), r.Event.String()}
 		if err := cw.Write(row); err != nil {
 			return err
@@ -166,6 +166,9 @@ func refReadMME(data []byte) ([]mme.Record, error) {
 		if err != nil {
 			return err
 		}
+		if ts > math.MaxInt64/int64(time.Second) || ts < math.MinInt64/int64(time.Second) {
+			return errors.New("timestamp outside the Instant range")
+		}
 		im, err := refIMSI(row[1])
 		if err != nil {
 			return err
@@ -182,7 +185,7 @@ func refReadMME(data []byte) ([]mme.Record, error) {
 		if err != nil {
 			return err
 		}
-		out = append(out, mme.Record{Time: time.Unix(ts, 0).UTC(), IMSI: im, IMEI: dev, Sector: cells.SectorID(sector), Event: ev})
+		out = append(out, mme.Record{Time: simtime.Instant(ts * int64(time.Second)), IMSI: im, IMEI: dev, Sector: cells.SectorID(sector), Event: ev})
 		return nil
 	})
 	if err != nil {
@@ -240,12 +243,12 @@ type codec struct {
 }
 
 func codecs(t *testing.T) []codec {
-	t0 := time.Date(2018, 1, 10, 8, 0, 0, 0, time.UTC)
+	t0 := simtime.Instant(time.Date(2018, 1, 10, 8, 0, 0, 0, time.UTC).UnixNano())
 	dev := func(n uint32) imei.IMEI { return imei.MustNew(35332011, n) }
 	mmeRecs := []mme.Record{
 		{Time: t0, IMSI: subs.MustNew(1), IMEI: dev(1), Sector: 5, Event: mme.Attach},
 		{Time: t0.Add(time.Hour), IMSI: subs.MustNew(2), IMEI: dev(2), Sector: 4294967295, Event: mme.Update},
-		{Time: time.Unix(-1, 0).UTC(), IMSI: subs.MustNew(1), IMEI: dev(1), Sector: 0, Event: mme.Detach},
+		{Time: simtime.Instant(-time.Second), IMSI: subs.MustNew(1), IMEI: dev(1), Sector: 0, Event: mme.Detach},
 	}
 	udrRecs := []udr.Record{
 		{Week: 0, IMSI: subs.MustNew(1), IMEI: dev(1), Bytes: 480000, Transactions: 120},
@@ -324,7 +327,7 @@ func TestWritersMatchEncodingCSV(t *testing.T) {
 		var us []udr.Record
 		for range r.IntN(5) {
 			v := r.Uint64()
-			ms = append(ms, mme.Record{Time: time.Unix(int64(v)>>r.IntN(64), 0).UTC(), IMSI: subs.IMSI(v >> r.IntN(64)),
+			ms = append(ms, mme.Record{Time: simtime.Instant(int64(v) >> r.IntN(64)), IMSI: subs.IMSI(v >> r.IntN(64)),
 				IMEI: imei.IMEI(r.Uint64() >> r.IntN(64)), Sector: cells.SectorID(v), Event: mme.Event(r.IntN(5))})
 			us = append(us, udr.Record{Week: simtime.Week(int64(v) >> r.IntN(64)), IMSI: subs.IMSI(v), IMEI: imei.IMEI(v >> 13),
 				Bytes: int64(r.Uint64()) >> r.IntN(64), Transactions: -int64(v) >> r.IntN(64)})
@@ -349,6 +352,27 @@ func TestWritersMatchEncodingCSV(t *testing.T) {
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("udr:\n got %q\nwant %q", got.Bytes(), want.Bytes())
+		}
+	}
+}
+
+// TestMMERejectsSecondsPastInstant: a timestamp of more seconds than an
+// Instant holds fails to decode with simtime.ErrRange instead of
+// wrapping, and the last second on either side decodes exactly.
+func TestMMERejectsSecondsPastInstant(t *testing.T) {
+	const maxSec = math.MaxInt64 / int64(time.Second)
+	read := func(ts int64) ([]mme.Record, error) {
+		return mme.ReadCSV(strings.NewReader(fmt.Sprintf("ts_unix,imsi,imei,sector,event\n%d,%s,%s,5,attach\n",
+			ts, subs.MustNew(1), imei.MustNew(35332011, 1))))
+	}
+	for _, ts := range []int64{-maxSec, maxSec} {
+		if recs, err := read(ts); err != nil || len(recs) != 1 || recs[0].Time.Unix() != ts {
+			t.Errorf("ts %d: got %v, %v", ts, recs, err)
+		}
+	}
+	for _, ts := range []int64{math.MinInt64, -maxSec - 1, maxSec + 1, math.MaxInt64} {
+		if _, err := read(ts); !errors.Is(err, simtime.ErrRange) || !strings.Contains(err.Error(), "line 2:") {
+			t.Errorf("ts %d: got %v, want a line-2 simtime.ErrRange", ts, err)
 		}
 	}
 }

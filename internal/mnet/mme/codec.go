@@ -11,6 +11,7 @@ import (
 	"wearwild/internal/mnet/csvrow"
 	"wearwild/internal/mnet/imei"
 	"wearwild/internal/mnet/subs"
+	"wearwild/internal/simtime"
 )
 
 // csvHeader is the column layout of the CSV form. Every field is a
@@ -57,8 +58,12 @@ func ReadCSV(r io.Reader) ([]Record, error) {
 
 func parseRow(row [][]byte) (Record, error) {
 	ts, err := csvrow.ParseInt(row[0])
+	var t simtime.Instant
+	if err == nil {
+		t, err = simtime.FromUnix(ts, time.Second)
+	}
 	if err != nil {
-		return Record{}, fmt.Errorf("timestamp: %v", err)
+		return Record{}, fmt.Errorf("timestamp: %w", err)
 	}
 	im, err := subs.ParseBytes(row[1])
 	if err != nil {
@@ -77,7 +82,7 @@ func parseRow(row [][]byte) (Record, error) {
 		return Record{}, err
 	}
 	return Record{
-		Time:   time.Unix(ts, 0).UTC(),
+		Time:   t,
 		IMSI:   im,
 		IMEI:   dev,
 		Sector: cells.SectorID(sector),

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+
+	"wearwild/internal/mnet/imei"
+	"wearwild/internal/mnet/subs"
 )
 
 // The CSV reader must reject malformed rows cleanly for arbitrary input —
@@ -44,6 +47,9 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte("time_ms,imsi,imei,event,sector\n"))
+	// One second past the largest count of seconds an Instant holds.
+	f.Add([]byte("ts_unix,imsi,imei,sector,event\n9223372037," + subs.MustNew(1).String() + "," +
+		imei.MustNew(35332011, 1).String() + ",5,attach\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := ReadCSV(bytes.NewReader(data))
 		if err != nil {

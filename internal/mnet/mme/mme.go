@@ -5,14 +5,15 @@
 package mme
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strconv"
-	"time"
 
 	"wearwild/internal/mnet/cells"
 	"wearwild/internal/mnet/imei"
 	"wearwild/internal/mnet/subs"
+	"wearwild/internal/simtime"
 )
 
 // Event is the kind of MME record.
@@ -61,7 +62,7 @@ func parseEvent(b []byte) (Event, error) {
 
 // Record is one MME log line.
 type Record struct {
-	Time   time.Time
+	Time   simtime.Instant
 	IMSI   subs.IMSI
 	IMEI   imei.IMEI
 	Sector cells.SectorID
@@ -79,21 +80,15 @@ func (l *Log) Append(r Record) { l.Records = append(l.Records, r) }
 // Len returns the record count.
 func (l *Log) Len() int { return len(l.Records) }
 
+// ByTime orders records chronologically.
+func ByTime(a, b Record) int { return cmp.Compare(a.Time, b.Time) }
+
 // SortByTime orders records chronologically (stable, so equal-time records
 // keep generation order).
-func (l *Log) SortByTime() {
-	slices.SortStableFunc(l.Records, func(a, b Record) int { return a.Time.Compare(b.Time) })
-}
+func (l *Log) SortByTime() { slices.SortStableFunc(l.Records, ByTime) }
 
 // Sorted reports whether the log is in chronological order.
-func (l *Log) Sorted() bool {
-	for i := 1; i < len(l.Records); i++ {
-		if l.Records[i].Time.Before(l.Records[i-1].Time) {
-			return false
-		}
-	}
-	return true
-}
+func (l *Log) Sorted() bool { return slices.IsSortedFunc(l.Records, ByTime) }
 
 // ByUser groups record indices per subscriber, preserving order.
 func (l *Log) ByUser() map[subs.IMSI][]Record {

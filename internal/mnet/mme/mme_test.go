@@ -11,10 +11,11 @@ import (
 	"wearwild/internal/mnet/cells"
 	"wearwild/internal/mnet/imei"
 	"wearwild/internal/mnet/subs"
+	"wearwild/internal/simtime"
 )
 
 func sampleRecords() []Record {
-	t0 := time.Date(2018, 1, 10, 8, 0, 0, 0, time.UTC)
+	t0 := simtime.Instant(time.Date(2018, 1, 10, 8, 0, 0, 0, time.UTC).UnixNano())
 	return []Record{
 		{Time: t0, IMSI: subs.MustNew(1), IMEI: imei.MustNew(35332011, 1), Sector: 5, Event: Attach},
 		{Time: t0.Add(30 * time.Minute), IMSI: subs.MustNew(1), IMEI: imei.MustNew(35332011, 1), Sector: 9, Event: Update},
@@ -61,7 +62,7 @@ func TestLogSort(t *testing.T) {
 // their original order, element for element the order sort.SliceStable
 // gives, on a log where every timestamp is shared by hundreds of records.
 func TestSortByTimeStable(t *testing.T) {
-	t0 := time.Date(2018, 1, 10, 0, 0, 0, 0, time.UTC)
+	t0 := simtime.Instant(time.Date(2018, 1, 10, 0, 0, 0, 0, time.UTC).UnixNano())
 	var l Log
 	for i := 0; i < 5000; i++ {
 		l.Append(Record{
@@ -72,7 +73,7 @@ func TestSortByTimeStable(t *testing.T) {
 		})
 	}
 	want := slices.Clone(l.Records)
-	sort.SliceStable(want, func(i, j int) bool { return want[i].Time.Before(want[j].Time) })
+	sort.SliceStable(want, func(i, j int) bool { return want[i].Time < want[j].Time })
 	l.SortByTime()
 	for i := range want {
 		if l.Records[i] != want[i] {
@@ -111,7 +112,7 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Fatalf("len = %d", len(got))
 	}
 	for i := range recs {
-		if !got[i].Time.Equal(recs[i].Time) || got[i].IMSI != recs[i].IMSI ||
+		if got[i].Time != recs[i].Time || got[i].IMSI != recs[i].IMSI ||
 			got[i].IMEI != recs[i].IMEI || got[i].Sector != recs[i].Sector || got[i].Event != recs[i].Event {
 			t.Fatalf("record %d: got %+v want %+v", i, got[i], recs[i])
 		}

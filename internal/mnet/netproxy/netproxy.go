@@ -32,6 +32,7 @@ import (
 	"wearwild/internal/mnet/proxylog"
 	"wearwild/internal/mnet/sni"
 	"wearwild/internal/mnet/subs"
+	"wearwild/internal/simtime"
 )
 
 // Identity is the subscriber attribution of a connection. A real
@@ -54,7 +55,7 @@ type Config struct {
 	Identify func(remote net.Addr) Identity
 	// Log receives one record per proxied connection. Required.
 	Log func(proxylog.Record)
-	// Now stamps records; defaults to time.Now.
+	// Now stamps records as zone-free instants; defaults to time.Now.
 	Now func() time.Time
 	// SniffTimeout bounds how long the proxy waits for the complete first
 	// flight (ClientHello or HTTP head). Default 10s.
@@ -457,7 +458,7 @@ func (p *Proxy) handle(client net.Conn) {
 	}
 
 	rec := proxylog.Record{
-		Time:      start,
+		Time:      simtime.Instant(start.UnixNano()),
 		Scheme:    scheme,
 		Host:      host,
 		Path:      path,

@@ -20,6 +20,7 @@ import (
 	"wearwild/internal/mnet/imei"
 	"wearwild/internal/mnet/proxylog"
 	"wearwild/internal/mnet/subs"
+	"wearwild/internal/simtime"
 )
 
 // selfSigned builds a throwaway TLS certificate for the origin.
@@ -250,6 +251,42 @@ func TestHTTPThroughProxy(t *testing.T) {
 	}
 	if err := r.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecordTimeIgnoresZone: a clock that reads in a zone other than UTC
+// stamps the same instant, and so the same hour of day, as one that reads
+// it in UTC. 2018-03-20 20:40 UTC is 02:10 on the 21st at UTC+5:30.
+func TestRecordTimeIgnoresZone(t *testing.T) {
+	at := time.Date(2018, time.March, 20, 20, 40, 0, 0, time.UTC)
+	stamp := func(loc *time.Location) proxylog.Record {
+		r := newRig(t, Config{Now: func() time.Time { return at.In(loc) }}, func(string, bool) (net.Conn, error) {
+			proxySide, originSide := net.Pipe()
+			go func() {
+				defer originSide.Close()
+				if readHTTPHead(originSide) == nil {
+					_, _ = io.WriteString(originSide, "HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n")
+				}
+			}()
+			return proxySide, nil
+		})
+		conn, err := net.Dial("tcp", r.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.WriteString(conn, "GET / HTTP/1.1\r\nHost: tz.example\r\n\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.ReadAll(conn)
+		conn.Close()
+		return r.col.wait(t, 1)[0]
+	}
+	utc, local := stamp(time.UTC), stamp(time.FixedZone("", 5*3600+1800))
+	if want := simtime.Instant(at.UnixNano()); utc.Time != want || local.Time != want {
+		t.Fatalf("record times %d (UTC clock), %d (UTC+5:30 clock), want %d", utc.Time, local.Time, want)
+	}
+	if h := simtime.HourOf(local.Time).OfDay(); h != simtime.HourOf(utc.Time).OfDay() || h != 20 {
+		t.Fatalf("hour of day %d, want 20 from either clock", h)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"wearwild/internal/mnet/imei"
 	"wearwild/internal/mnet/subs"
+	"wearwild/internal/simtime"
 )
 
 // The binary format is a compact streaming encoding for large logs:
@@ -187,9 +188,14 @@ func (d *Decoder) Decode() (Record, error) {
 		if w.zigzag&1 != 0 {
 			delta = ^delta
 		}
-		d.lastMs += delta
+		ms := d.lastMs + delta // a sum past int64 wraps out of the Instant range
+		t, err := simtime.FromUnix(ms, time.Millisecond)
+		if err != nil {
+			return Record{}, fmt.Errorf("proxylog: time %d ms: %w", ms, err)
+		}
+		d.lastMs = ms
 		rec := Record{
-			Time:      time.UnixMilli(d.lastMs).UTC(),
+			Time:      t,
 			IMSI:      subs.IMSI(w.imsi),
 			IMEI:      imei.IMEI(w.imei),
 			Scheme:    Scheme(w.scheme),

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -15,6 +16,7 @@ import (
 
 	"wearwild/internal/mnet/imei"
 	"wearwild/internal/mnet/subs"
+	"wearwild/internal/simtime"
 )
 
 // refDecode is the binary decoder as it was before it read records from
@@ -139,8 +141,11 @@ func refDecode(r io.Reader) ([]Record, error) {
 				return nil, fmt.Errorf("proxylog: invalid drop reason byte %d", drop)
 			}
 		}
+		if lastMs > math.MaxInt64/int64(time.Millisecond) || lastMs < math.MinInt64/int64(time.Millisecond) {
+			return nil, fmt.Errorf("proxylog: time %d ms: %w", lastMs, simtime.ErrRange)
+		}
 		out = append(out, Record{
-			Time: time.UnixMilli(lastMs).UTC(), IMSI: subs.IMSI(imsiRaw), IMEI: imei.IMEI(imeiRaw), Scheme: Scheme(scheme),
+			Time: simtime.Instant(lastMs * int64(time.Millisecond)), IMSI: subs.IMSI(imsiRaw), IMEI: imei.IMEI(imeiRaw), Scheme: Scheme(scheme),
 			Host: hosts[hostID], Path: path, BytesUp: int64(up), BytesDown: int64(down),
 			Duration: time.Duration(durMs) * time.Millisecond, Drop: DropReason(drop),
 		})

@@ -2,9 +2,13 @@ package proxylog
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"math"
 	"testing"
 	"testing/quick"
+
+	"wearwild/internal/simtime"
 )
 
 // Decoder robustness: arbitrary bytes must never panic and must either
@@ -75,6 +79,7 @@ func FuzzReadBinary(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
+	f.Add(pastInstantStream(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := NewDecoder(bytes.NewReader(data))
 		var recs []Record
@@ -107,4 +112,35 @@ func FuzzReadBinary(f *testing.F) {
 			t.Fatalf("round trip changed record count: %d != %d", len(back), len(recs))
 		}
 	})
+}
+
+// pastInstantStream is a stream of two records: one at the last
+// millisecond an Instant holds, then one whose time delta repeats the
+// first, so the decoder's running sum of milliseconds passes the range.
+func pastInstantStream(t testing.TB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	last := Record{Time: simtime.Instant(math.MaxInt64), Host: "example.com", Scheme: HTTPS}
+	if err := WriteBinary(&buf, []Record{last}); err != nil {
+		t.Fatal(err)
+	}
+	// The record follows the header and the host's opDef.
+	rec := buf.Bytes()[len(binMagic)+1+2+len(last.Host):]
+	if rec[0] != opRec {
+		t.Fatalf("record starts with %#x, not opRec", rec[0])
+	}
+	return append(buf.Bytes(), rec...)
+}
+
+// TestDecoderRejectsTimePastInstant: the first record decodes at the
+// range's last millisecond, and the second fails with simtime.ErrRange
+// instead of wrapping.
+func TestDecoderRejectsTimePastInstant(t *testing.T) {
+	dec := NewDecoder(bytes.NewReader(pastInstantStream(t)))
+	if rec, err := dec.Decode(); err != nil || rec.Time.UnixMilli() != math.MaxInt64/int64(1e6) {
+		t.Fatalf("first record: %+v, %v", rec, err)
+	}
+	if rec, err := dec.Decode(); !errors.Is(err, simtime.ErrRange) {
+		t.Fatalf("second record: %+v, %v; want simtime.ErrRange", rec, err)
+	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"wearwild/internal/mnet/imei"
 	"wearwild/internal/mnet/subs"
+	"wearwild/internal/simtime"
 )
 
 // Scheme is the transaction's protocol as the proxy sees it.
@@ -97,7 +98,7 @@ func (d DropReason) String() string {
 
 // Record is one proxy log line.
 type Record struct {
-	Time   time.Time
+	Time   simtime.Instant
 	IMSI   subs.IMSI
 	IMEI   imei.IMEI
 	Scheme Scheme
@@ -154,6 +155,9 @@ func (l *Log) Append(r Record) { l.Records = append(l.Records, r) }
 // Len returns the record count.
 func (l *Log) Len() int { return len(l.Records) }
 
+// ByTime orders records chronologically.
+func ByTime(a, b Record) int { return cmp.Compare(a.Time, b.Time) }
+
 // SortByTime orders records chronologically (stable). Records are large,
 // so rather than moving them through a merge sort it sorts a permutation
 // keyed on (time, original index), which is the stable order, then
@@ -166,7 +170,7 @@ func (l *Log) SortByTime() {
 		perm[i] = int32(i)
 	}
 	slices.SortFunc(perm, func(a, b int32) int {
-		if c := recs[a].Time.Compare(recs[b].Time); c != 0 {
+		if c := cmp.Compare(recs[a].Time, recs[b].Time); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
@@ -191,14 +195,7 @@ func (l *Log) SortByTime() {
 }
 
 // Sorted reports whether the log is chronological.
-func (l *Log) Sorted() bool {
-	for i := 1; i < len(l.Records); i++ {
-		if l.Records[i].Time.Before(l.Records[i-1].Time) {
-			return false
-		}
-	}
-	return true
-}
+func (l *Log) Sorted() bool { return slices.IsSortedFunc(l.Records, ByTime) }
 
 // ByUser groups records per subscriber, preserving order.
 func (l *Log) ByUser() map[subs.IMSI][]Record {

@@ -12,10 +12,11 @@ import (
 
 	"wearwild/internal/mnet/imei"
 	"wearwild/internal/mnet/subs"
+	"wearwild/internal/simtime"
 )
 
 func sampleRecords() []Record {
-	t0 := time.Date(2018, 3, 1, 7, 30, 0, 0, time.UTC)
+	t0 := simtime.Instant(time.Date(2018, 3, 1, 7, 30, 0, 0, time.UTC).UnixNano())
 	return []Record{
 		{Time: t0, IMSI: subs.MustNew(1), IMEI: imei.MustNew(35332011, 1), Scheme: HTTPS,
 			Host: "api.weather.example.com", BytesUp: 412, BytesDown: 2831, Duration: 320 * time.Millisecond},
@@ -32,7 +33,7 @@ func sampleRecords() []Record {
 }
 
 func recordsEqual(a, b Record) bool {
-	return a.Time.Equal(b.Time) && a.IMSI == b.IMSI && a.IMEI == b.IMEI &&
+	return a.Time == b.Time && a.IMSI == b.IMSI && a.IMEI == b.IMEI &&
 		a.Scheme == b.Scheme && a.Host == b.Host && a.Path == b.Path &&
 		a.BytesUp == b.BytesUp && a.BytesDown == b.BytesDown && a.Duration == b.Duration &&
 		a.Drop == b.Drop
@@ -270,7 +271,7 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 
 func TestBinaryTimeDeltasAcrossOrder(t *testing.T) {
 	// Out-of-order times must survive (negative deltas).
-	t0 := time.Date(2018, 3, 1, 12, 0, 0, 0, time.UTC)
+	t0 := simtime.Instant(time.Date(2018, 3, 1, 12, 0, 0, 0, time.UTC).UnixNano())
 	recs := []Record{
 		{Time: t0, IMSI: subs.MustNew(1), IMEI: imei.MustNew(35332011, 1), Scheme: HTTPS, Host: "a.example", BytesUp: 1, BytesDown: 1, Duration: time.Millisecond},
 		{Time: t0.Add(-time.Hour), IMSI: subs.MustNew(1), IMEI: imei.MustNew(35332011, 1), Scheme: HTTPS, Host: "b.example", BytesUp: 2, BytesDown: 2, Duration: time.Millisecond},
@@ -283,13 +284,13 @@ func TestBinaryTimeDeltasAcrossOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got[1].Time.Equal(recs[1].Time) {
+	if got[1].Time != recs[1].Time {
 		t.Fatalf("time = %v", got[1].Time)
 	}
 }
 
 func TestCodecRoundTripProperty(t *testing.T) {
-	t0 := time.Date(2018, 2, 1, 0, 0, 0, 0, time.UTC)
+	t0 := simtime.Instant(time.Date(2018, 2, 1, 0, 0, 0, 0, time.UTC).UnixNano())
 	f := func(seed uint32, hostPick uint8, up, down uint32, durMs uint16, https bool, pathPick uint8) bool {
 		hosts := []string{"a.example", "b.example.org", "xn--caf-dma.example", "very-long-subdomain.cdn.example.net"}
 		paths := []string{"", "/", "/a/b/c?q=1", "/with,comma", "/with\"quote"}
@@ -324,7 +325,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 // their original order, element for element the order sort.SliceStable
 // gives, on a log where every timestamp is shared by hundreds of records.
 func TestSortByTimeStable(t *testing.T) {
-	t0 := time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC)
+	t0 := simtime.Instant(time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC).UnixNano())
 	var l Log
 	for i := 0; i < 5000; i++ {
 		l.Append(Record{
@@ -336,7 +337,7 @@ func TestSortByTimeStable(t *testing.T) {
 		})
 	}
 	want := slices.Clone(l.Records)
-	sort.SliceStable(want, func(i, j int) bool { return want[i].Time.Before(want[j].Time) })
+	sort.SliceStable(want, func(i, j int) bool { return want[i].Time < want[j].Time })
 	l.SortByTime()
 	for i := range want {
 		if l.Records[i] != want[i] {

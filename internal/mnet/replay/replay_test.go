@@ -7,10 +7,11 @@ import (
 	"wearwild/internal/mnet/imei"
 	"wearwild/internal/mnet/proxylog"
 	"wearwild/internal/mnet/subs"
+	"wearwild/internal/simtime"
 )
 
 func sampleRecords() []proxylog.Record {
-	t0 := time.Date(2018, 3, 20, 10, 0, 0, 0, time.UTC)
+	t0 := simtime.Instant(time.Date(2018, 3, 20, 10, 0, 0, 0, time.UTC).UnixNano())
 	mk := func(scheme proxylog.Scheme, host, path string, up, down int64) proxylog.Record {
 		return proxylog.Record{
 			Time: t0, IMSI: subs.MustNew(1), IMEI: imei.MustNew(35332011, 1),

@@ -4,21 +4,56 @@
 // to mid-May 2018) and keeps full logs for the final seven weeks. The
 // calendar counts whole hours, days and weeks since the study epoch: hour 0
 // is midnight on the first study day, and windows, grids and per-day keys
-// are these integer indices. Log records keep their instants as time.Time:
-// mme.Record and proxylog.Record carry one through the generator, the
-// engine and mobmetrics, and HourOf and DayOf map it onto the calendar
-// wherever an index is needed.
+// are these integer indices. Log records keep their instants as an
+// Instant, int64 nanoseconds with no time zone: mme.Record and
+// proxylog.Record carry one through the generator, the engine and
+// mobmetrics, and HourOf and DayOf floor-divide it onto the calendar.
 package simtime
 
 import (
+	"errors"
 	"math"
 	"time"
 )
 
-// Epoch is the first instant of the study window. It is a Monday so that
-// week boundaries align with calendar weeks, matching the paper's
-// first-week/last-week comparisons.
-var Epoch = time.Date(2017, time.December, 11, 0, 0, 0, 0, time.UTC)
+// Instant is a point in time: nanoseconds since the Unix epoch, UTC. It
+// spans the years 1677 to 2262.
+type Instant int64
+
+// Epoch is the first instant of the study window, 2017-12-11 00:00 UTC.
+// It is a Monday so that week boundaries align with calendar weeks,
+// matching the paper's first-week/last-week comparisons.
+const Epoch = Instant(1512950400 * time.Second)
+
+// ErrRange reports a timestamp outside the span an Instant holds.
+var ErrRange = errors.New("simtime: timestamp outside the Instant range")
+
+// FromUnix returns the instant n units after the Unix epoch, or ErrRange
+// if it falls outside the Instant range.
+func FromUnix(n int64, unit time.Duration) (Instant, error) {
+	if n > math.MaxInt64/int64(unit) || n < math.MinInt64/int64(unit) {
+		return 0, ErrRange
+	}
+	return Instant(n * int64(unit)), nil
+}
+
+// Unix returns the seconds since the Unix epoch, rounded down.
+func (t Instant) Unix() int64 { return floorDiv(int64(t), int64(time.Second)) }
+
+// UnixMilli returns the milliseconds since the Unix epoch, rounded down.
+func (t Instant) UnixMilli() int64 { return floorDiv(int64(t), int64(time.Millisecond)) }
+
+// Add returns the instant d after t.
+func (t Instant) Add(d time.Duration) Instant { return t + Instant(d) }
+
+// floorDiv divides a by b > 0, rounding toward negative infinity.
+func floorDiv(a, b int64) int64 {
+	q := a / b
+	if a%b < 0 {
+		q--
+	}
+	return q
+}
 
 const (
 	// HoursPerDay and DaysPerWeek are spelled out to keep index arithmetic
@@ -54,14 +89,11 @@ type Day int
 // Week is a week index since Epoch.
 type Week int
 
-// Time returns the wall-clock instant at the start of the hour.
-func (h Hour) Time() time.Time { return Epoch.Add(time.Duration(h) * time.Hour) }
-
 // Day returns the day the hour falls in.
-func (h Hour) Day() Day { return Day(int(h) / HoursPerDay) }
+func (h Hour) Day() Day { return Day(floorDiv(int64(h), HoursPerDay)) }
 
 // OfDay returns the hour of day in [0, 24).
-func (h Hour) OfDay() int { return int(h) % HoursPerDay }
+func (h Hour) OfDay() int { return int(h - h.Day().Start()) }
 
 // Day and week arithmetic.
 
@@ -69,7 +101,7 @@ func (h Hour) OfDay() int { return int(h) % HoursPerDay }
 func (d Day) Start() Hour { return Hour(int(d) * HoursPerDay) }
 
 // Week returns the week the day falls in.
-func (d Day) Week() Week { return Week(int(d) / DaysPerWeek) }
+func (d Day) Week() Week { return Week(floorDiv(int64(d), DaysPerWeek)) }
 
 // Weekday returns the day of week; Epoch is a Monday. The mod is a floor
 // mod, so days before the epoch get valid weekdays too.
@@ -83,8 +115,8 @@ func (d Day) IsWeekend() bool {
 	return wd == time.Saturday || wd == time.Sunday
 }
 
-// Time returns the wall-clock instant at the start of the day.
-func (d Day) Time() time.Time { return d.Start().Time() }
+// Time returns the instant at the start of the day.
+func (d Day) Time() Instant { return Epoch.Add(time.Duration(d.Start()) * time.Hour) }
 
 // InDetailWindow reports whether the day is inside the final seven-week
 // detailed-log window.
@@ -93,22 +125,15 @@ func (d Day) InDetailWindow() bool { return int(d) >= DetailStartDay && int(d) <
 // FirstDay returns the first day of the week.
 func (w Week) FirstDay() Day { return Day(int(w) * DaysPerWeek) }
 
-// HourOf converts a wall-clock instant to an hour index. Instants before
-// Epoch map to negative hours: the nanoseconds since Epoch are divided by
-// an hour, truncating toward zero, as t.Sub(Epoch) / time.Hour does. The
-// integer form skips Sub's overflow checks; it holds while the offset
-// fits a Duration (±292 years), and beyond that HourOf takes Sub's
-// saturated value, as before.
-func HourOf(t time.Time) Hour {
-	const maxSec = math.MaxInt64/int64(time.Second) - 1
-	if sec := t.Unix() - Epoch.Unix(); -maxSec <= sec && sec <= maxSec {
-		return Hour(int((sec*int64(time.Second) + int64(t.Nanosecond()-Epoch.Nanosecond())) / int64(time.Hour)))
-	}
-	return Hour(int(t.Sub(Epoch) / time.Hour))
+// HourOf converts an instant to an hour index: the hours since the Unix
+// epoch, rounded down, less Epoch's. Instants before Epoch map to
+// negative hours.
+func HourOf(t Instant) Hour {
+	return Hour(floorDiv(int64(t), int64(time.Hour)) - int64(Epoch)/int64(time.Hour))
 }
 
-// DayOf converts a wall-clock instant to a day index.
-func DayOf(t time.Time) Day { return HourOf(t).Day() }
+// DayOf converts an instant to a day index.
+func DayOf(t Instant) Day { return HourOf(t).Day() }
 
 // Window is a half-open [Start, End) day range used to scope analyses.
 type Window struct {

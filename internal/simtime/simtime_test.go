@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"errors"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -9,8 +10,8 @@ import (
 )
 
 func TestEpochIsMonday(t *testing.T) {
-	if Epoch.Weekday() != time.Monday {
-		t.Fatalf("epoch weekday = %v, want Monday", Epoch.Weekday())
+	if e := utc(Epoch); e != time.Date(2017, time.December, 11, 0, 0, 0, 0, time.UTC) || e.Weekday() != time.Monday {
+		t.Fatalf("epoch = %v (%v), want Monday 2017-12-11", e, e.Weekday())
 	}
 	if Day(0).Weekday() != time.Monday {
 		t.Fatalf("day 0 weekday = %v", Day(0).Weekday())
@@ -45,7 +46,7 @@ func TestHourDayRoundTrip(t *testing.T) {
 		if d.Start() > h || d.Start()+HoursPerDay <= h {
 			return false
 		}
-		return HourOf(h.Time()) == h && DayOf(d.Time()) == d
+		return HourOf(Epoch.Add(time.Duration(h)*time.Hour)) == h && DayOf(d.Time()) == d
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -71,7 +72,7 @@ func TestWeekend(t *testing.T) {
 // calendar's, so IsWeekend holds there too.
 func TestWeekdayBeforeEpoch(t *testing.T) {
 	for d := Day(-14); d < 0; d++ {
-		want := Epoch.AddDate(0, 0, int(d)).Weekday()
+		want := utc(Epoch).AddDate(0, 0, int(d)).Weekday()
 		if got := d.Weekday(); got != want {
 			t.Fatalf("day %d weekday = %v, want %v", d, got, want)
 		}
@@ -128,44 +129,77 @@ func TestWeekFirstDay(t *testing.T) {
 	}
 }
 
-// TestHourOfMatchesSub holds HourOf to the form it replaced,
-// t.Sub(Epoch) / time.Hour: across the study window's hour boundaries,
-// at negative sub-second offsets, in other locations, on instants that
-// carry a monotonic reading, at random instants over ±300 years, and on
-// both sides of the ±292 years where Sub saturates.
-func TestHourOfMatchesSub(t *testing.T) {
-	ref := func(t time.Time) Hour { return Hour(int(t.Sub(Epoch) / time.Hour)) }
-	locs := []*time.Location{time.UTC, time.FixedZone("UTC+5:30", 5*3600+1800), time.FixedZone("UTC-8", -8*3600)}
-	check := func(tm time.Time) {
+// utc is the time.Time form of an instant, in UTC.
+func utc(t Instant) time.Time { return time.Unix(0, int64(t)).UTC() }
+
+// TestInstantMatchesTime holds the calendar arithmetic to the time.Time
+// forms of the same UTC instant: the hour of day and the calendar date
+// give HourOf, DayOf and OfDay, and Unix and UnixMilli must agree.
+// It covers every hour of the study window and a year before the epoch
+// at offsets around each hour boundary, random instants over the whole
+// Instant range, and the range's ends.
+func TestInstantMatchesTime(t *testing.T) {
+	epochDay := utc(Epoch).Unix() / (24 * 3600)
+	check := func(in Instant) {
 		t.Helper()
-		for _, loc := range locs {
-			if got, want := HourOf(tm.In(loc)), ref(tm.In(loc)); got != want {
-				t.Fatalf("HourOf(%v) = %d, t.Sub form = %d", tm.In(loc), got, want)
+		tm := utc(in)
+		y, m, d := tm.Date()
+		day := Day(time.Date(y, m, d, 0, 0, 0, 0, time.UTC).Unix()/(24*3600) - epochDay)
+		hour := day.Start() + Hour(tm.Hour())
+		if HourOf(in) != hour || DayOf(in) != day || HourOf(in).OfDay() != tm.Hour() || HourOf(in).Day() != day {
+			t.Fatalf("%v: HourOf %d (day %d, hour of day %d), DayOf %d; time.Time gives hour %d, day %d",
+				tm, HourOf(in), HourOf(in).Day(), HourOf(in).OfDay(), DayOf(in), hour, day)
+		}
+		if in.Unix() != tm.Unix() || in.UnixMilli() != tm.UnixMilli() {
+			t.Fatalf("%v: Unix %d, UnixMilli %d; time.Time gives %d, %d", tm, in.Unix(), in.UnixMilli(), tm.Unix(), tm.UnixMilli())
+		}
+	}
+	offsets := []time.Duration{0, 1, -1, time.Millisecond - 1, -time.Millisecond, -time.Millisecond - 1,
+		time.Second - 1, -time.Second + 1, -time.Second - 1, 59*time.Minute + 59*time.Second, -59 * time.Minute}
+	for h := Hour(-365 * HoursPerDay); h <= StudyHours+48; h++ {
+		for _, off := range offsets {
+			check(Epoch.Add(time.Duration(h)*time.Hour + off))
+		}
+	}
+	r := rand.New(rand.NewPCG(1, 2))
+	for range 100000 {
+		check(Instant(int64(r.Uint64()) >> r.IntN(64)))
+	}
+	for _, edge := range []Instant{math.MinInt64, math.MinInt64 + 1, math.MaxInt64 - 1, math.MaxInt64} {
+		check(edge)
+	}
+}
+
+// TestBeforeEpoch pins instants before the study to the hour and day that
+// hold them: the divisions round down, not toward zero.
+func TestBeforeEpoch(t *testing.T) {
+	late := Instant(time.Date(2017, time.December, 10, 23, 0, 0, 0, time.UTC).UnixNano())
+	if h := HourOf(late); h != -1 || h.Day() != -1 || h.OfDay() != 23 || DayOf(late) != -1 {
+		t.Fatalf("2017-12-10 23:00: hour %d, day %d, hour of day %d", h, h.Day(), h.OfDay())
+	}
+	early := Instant(time.Date(2017, time.January, 3, 10, 0, 0, 0, time.UTC).UnixNano())
+	if d := DayOf(early); d != -342 || d.Weekday() != time.Tuesday || d.Week() != -49 {
+		t.Fatalf("2017-01-03 10:00: day %d (%v), week %d", d, d.Weekday(), d.Week())
+	}
+	if Day(-1).Week() != -1 || Day(-7).Week() != -1 || Day(-8).Week() != -2 {
+		t.Fatal("weeks before the epoch should round down")
+	}
+}
+
+// TestFromUnixRange: every count of seconds or milliseconds an Instant
+// can hold converts exactly, and one past either end fails with ErrRange.
+func TestFromUnixRange(t *testing.T) {
+	for _, unit := range []time.Duration{time.Second, time.Millisecond} {
+		lo, hi := math.MinInt64/int64(unit), math.MaxInt64/int64(unit)
+		for _, v := range []int64{lo, lo + 1, -1, 0, 1, 1512950400, hi - 1, hi} {
+			if got, err := FromUnix(v, unit); err != nil || int64(got) != v*int64(unit) {
+				t.Errorf("%d x %v -> %d, %v", v, unit, got, err)
+			}
+		}
+		for _, v := range []int64{math.MinInt64, lo - 1, hi + 1, math.MaxInt64} {
+			if got, err := FromUnix(v, unit); !errors.Is(err, ErrRange) {
+				t.Errorf("%d x %v -> %d, %v; want ErrRange", v, unit, got, err)
 			}
 		}
 	}
-	offsets := []time.Duration{0, 1, -1, time.Second - 1, -time.Second + 1, -time.Second - 1, 59*time.Minute + 59*time.Second, -59 * time.Minute}
-	for h := Hour(-48); h <= StudyHours+48; h++ {
-		for _, off := range offsets {
-			check(h.Time().Add(off))
-		}
-	}
-	now := time.Now() // carries a monotonic reading, which Sub ignores against Epoch
-	for _, d := range []time.Duration{0, -1, time.Hour, -37 * time.Hour, 1e18, -1e18} {
-		check(now.Add(d))
-	}
-	r := rand.New(rand.NewPCG(1, 2))
-	const span = 300 * 365 * 24 * 3600 // seconds
-	for range 100000 {
-		check(time.Unix(Epoch.Unix()+r.Int64N(2*span)-span, r.Int64N(1e9)))
-	}
-	maxD := time.Duration(math.MaxInt64)
-	for _, edge := range []time.Time{Epoch.Add(maxD), Epoch.Add(-maxD - 1), time.Unix(math.MaxInt64/int64(time.Second)+Epoch.Unix(), 0)} {
-		for _, off := range []time.Duration{-time.Hour, -time.Second - 1, -1, 0, 1, time.Second + 1, time.Hour} {
-			check(edge.Add(off))
-		}
-	}
-	check(time.Time{})
-	check(time.Unix(1<<62, 999999999))
-	check(time.Unix(-1<<62, 1))
 }

@@ -57,7 +57,9 @@ func (s *traceSink) UserDone(imsi subs.IMSI) error {
 	return s.step(event{"done", imsi, ""})
 }
 
-func at(h int) time.Time { return simtime.Detail().Start.Time().Add(time.Duration(h) * time.Hour) }
+func at(h int) simtime.Instant {
+	return simtime.Detail().Start.Time().Add(time.Duration(h) * time.Hour)
+}
 
 // testLogs builds small interleaved logs for two subscribers: global log
 // order mixes the users, so a user-major replay must regroup them.

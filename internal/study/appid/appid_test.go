@@ -9,6 +9,7 @@ import (
 	"wearwild/internal/mnet/subs"
 
 	"wearwild/internal/gen/apps"
+	"wearwild/internal/simtime"
 	"wearwild/internal/study/sessions"
 )
 
@@ -66,7 +67,7 @@ func TestKindOfHost(t *testing.T) {
 }
 
 func mkUsage(hosts ...string) sessions.Usage {
-	t0 := time.Date(2018, 3, 10, 12, 0, 0, 0, time.UTC)
+	t0 := simtime.Instant(time.Date(2018, 3, 10, 12, 0, 0, 0, time.UTC).UnixNano())
 	u := sessions.Usage{
 		IMSI:  subs.MustNew(1),
 		IMEI:  imei.MustNew(35332011, 1),

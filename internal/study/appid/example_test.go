@@ -8,6 +8,7 @@ import (
 	"wearwild/internal/mnet/imei"
 	"wearwild/internal/mnet/proxylog"
 	"wearwild/internal/mnet/subs"
+	"wearwild/internal/simtime"
 	"wearwild/internal/study/appid"
 	"wearwild/internal/study/sessions"
 )
@@ -19,7 +20,7 @@ func ExampleResolver_Attribute() {
 	catalog := apps.Default()
 	resolver := appid.NewResolver(catalog)
 
-	t0 := time.Date(2018, 3, 10, 12, 0, 0, 0, time.UTC)
+	t0 := simtime.Instant(time.Date(2018, 3, 10, 12, 0, 0, 0, time.UTC).UnixNano())
 	user := subs.MustNew(1)
 	dev := imei.MustNew(35332011, 1)
 	rec := func(offset time.Duration, host string) proxylog.Record {

@@ -146,8 +146,8 @@ func (a *Analyzer) Profile(records []mme.Record, window simtime.Window, keep fun
 	}
 	// Every source emits a subscriber's MME records in time order, so
 	// the stable sort seldom has work to do.
-	if !slices.IsSortedFunc(recs, byTime) {
-		slices.SortStableFunc(recs, byTime)
+	if !slices.IsSortedFunc(recs, mme.ByTime) {
+		slices.SortStableFunc(recs, mme.ByTime)
 		for i, rec := range recs {
 			days[i] = simtime.DayOf(rec.Time)
 		}
@@ -172,11 +172,11 @@ func (a *Analyzer) Profile(records []mme.Record, window simtime.Window, keep fun
 		// Dwell until the next record or the end of the record's day,
 		// whichever comes first; this is the "time a user stays in a
 		// single location" normalisation of the entropy metric.
-		end := d.Time().Add(24 * time.Hour)
-		if i+1 < len(recs) && recs[i+1].Time.Before(end) {
-			end = recs[i+1].Time
+		end := (d + 1).Time()
+		if i+1 < len(recs) {
+			end = min(end, recs[i+1].Time)
 		}
-		if dur := end.Sub(rec.Time).Hours(); dur > 0 {
+		if dur := time.Duration(end - rec.Time).Hours(); dur > 0 {
 			s.dwell[rec.Sector] += dur
 		}
 	}
@@ -202,8 +202,6 @@ func (a *Analyzer) Profile(records []mme.Record, window simtime.Window, keep fun
 	p.MeanDailyMaxKm = sum / float64(len(s.days))
 	return p, true
 }
-
-func byTime(a, b mme.Record) int { return a.Time.Compare(b.Time) }
 
 // maxPairwiseKm returns the max distance between any two sectors of a
 // day's time-ordered records. Days have few distinct sectors, so the
@@ -257,8 +255,8 @@ func (s *Scratch) TxSectors(mmeRecords []mme.Record, proxyRecords []proxylog.Rec
 		}
 	}
 	s.recs = timeline
-	if !slices.IsSortedFunc(timeline, byTime) {
-		slices.SortStableFunc(timeline, byTime)
+	if !slices.IsSortedFunc(timeline, mme.ByTime) {
+		slices.SortStableFunc(timeline, mme.ByTime)
 	}
 
 	if s.joined == nil {
@@ -278,8 +276,8 @@ func (s *Scratch) TxSectors(mmeRecords []mme.Record, proxyRecords []proxylog.Rec
 
 // attachedAt returns the sector of a time-sorted timeline's last record
 // at or before t, if that record is from t's day.
-func attachedAt(timeline []mme.Record, t time.Time) (cells.SectorID, bool) {
-	i := sort.Search(len(timeline), func(i int) bool { return timeline[i].Time.After(t) })
+func attachedAt(timeline []mme.Record, t simtime.Instant) (cells.SectorID, bool) {
+	i := sort.Search(len(timeline), func(i int) bool { return timeline[i].Time > t })
 	if i == 0 {
 		return 0, false
 	}

@@ -37,11 +37,11 @@ func buildTopo(t testing.TB) *cells.Topology {
 	return topo
 }
 
-func at(day simtime.Day, hour int) time.Time {
+func at(day simtime.Day, hour int) simtime.Instant {
 	return day.Time().Add(time.Duration(hour) * time.Hour)
 }
 
-func mrec(user subs.IMSI, dev imei.IMEI, t time.Time, sector cells.SectorID) mme.Record {
+func mrec(user subs.IMSI, dev imei.IMEI, t simtime.Instant, sector cells.SectorID) mme.Record {
 	ev := mme.Update
 	return mme.Record{Time: t, IMSI: user, IMEI: dev, Sector: sector, Event: ev}
 }
@@ -136,7 +136,7 @@ func TestTxSectors(t *testing.T) {
 		// Previous-day context must not leak into the next day.
 		mrec(bob, phone, at(d, 23), 7),
 	}
-	tx := func(user subs.IMSI, t time.Time) proxylog.Record {
+	tx := func(user subs.IMSI, t simtime.Instant) proxylog.Record {
 		return proxylog.Record{Time: t, IMSI: user, IMEI: watch, Scheme: proxylog.HTTPS,
 			Host: "h.example", BytesUp: 1, BytesDown: 1}
 	}
@@ -191,7 +191,7 @@ func collectRef(a *Analyzer, records []mme.Record, window simtime.Window, keep f
 	}
 	out := make(map[subs.IMSI]*Mobility, len(perUser))
 	for user, recs := range perUser {
-		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time.Before(recs[j].Time) })
+		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time < recs[j].Time })
 		m := &Mobility{IMSI: user, DailyMaxKm: make(map[simtime.Day]float64)}
 		dwell := make(map[cells.SectorID]float64)
 		perDay := make(map[simtime.Day][]cells.SectorID)
@@ -199,10 +199,10 @@ func collectRef(a *Analyzer, records []mme.Record, window simtime.Window, keep f
 			d := simtime.DayOf(rec.Time)
 			perDay[d] = append(perDay[d], rec.Sector)
 			end := d.Time().Add(24 * time.Hour)
-			if i+1 < len(recs) && recs[i+1].Time.Before(end) {
+			if i+1 < len(recs) && recs[i+1].Time < end {
 				end = recs[i+1].Time
 			}
-			if dur := end.Sub(rec.Time).Hours(); dur > 0 {
+			if dur := time.Duration(end - rec.Time).Hours(); dur > 0 {
 				dwell[rec.Sector] += dur
 			}
 		}
@@ -249,7 +249,7 @@ func txSectorsRef(mmeRecords []mme.Record, proxyRecords []proxylog.Record,
 		}
 	}
 	for _, recs := range timeline {
-		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time.Before(recs[j].Time) })
+		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time < recs[j].Time })
 	}
 	out := make(map[subs.IMSI]map[cells.SectorID]int64)
 	for _, tx := range proxyRecords {
@@ -257,7 +257,7 @@ func txSectorsRef(mmeRecords []mme.Record, proxyRecords []proxylog.Record,
 			continue
 		}
 		recs := timeline[tx.IMSI]
-		i := sort.Search(len(recs), func(i int) bool { return recs[i].Time.After(tx.Time) })
+		i := sort.Search(len(recs), func(i int) bool { return recs[i].Time > tx.Time })
 		if i == 0 || simtime.DayOf(recs[i-1].Time) != simtime.DayOf(tx.Time) {
 			continue
 		}

@@ -7,13 +7,14 @@ import (
 	"wearwild/internal/mnet/imei"
 	"wearwild/internal/mnet/proxylog"
 	"wearwild/internal/mnet/subs"
+	"wearwild/internal/simtime"
 	"wearwild/internal/study/sessions"
 )
 
 // ExampleSessionize reconstructs usages from raw transactions: bursts less
 // than a minute apart form one usage, the paper's §5.1 definition.
 func ExampleSessionize() {
-	t0 := time.Date(2018, 3, 10, 9, 0, 0, 0, time.UTC)
+	t0 := simtime.Instant(time.Date(2018, 3, 10, 9, 0, 0, 0, time.UTC).UnixNano())
 	user := subs.MustNew(1)
 	dev := imei.MustNew(35332011, 1)
 	rec := func(offset time.Duration, host string) proxylog.Record {

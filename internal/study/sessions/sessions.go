@@ -12,6 +12,7 @@ import (
 	"wearwild/internal/mnet/imei"
 	"wearwild/internal/mnet/proxylog"
 	"wearwild/internal/mnet/subs"
+	"wearwild/internal/simtime"
 )
 
 // DefaultGap is the paper's one-minute usage boundary.
@@ -21,8 +22,8 @@ const DefaultGap = time.Minute
 type Usage struct {
 	IMSI    subs.IMSI
 	IMEI    imei.IMEI
-	Start   time.Time
-	End     time.Time
+	Start   simtime.Instant
+	End     simtime.Instant
 	Records []proxylog.Record // chronological
 }
 
@@ -80,8 +81,10 @@ func (s *Scratch) Append(dst []Usage, records []proxylog.Record, gap time.Durati
 	recs := s.recs
 	start := 0
 	for i := 1; i <= len(recs); i++ {
+		// A device's records are in time order: the unsigned difference
+		// is exact past the Duration range.
 		if i < len(recs) && recs[i].IMSI == recs[start].IMSI && recs[i].IMEI == recs[start].IMEI &&
-			recs[i].Time.Sub(recs[i-1].Time) < gap {
+			uint64(recs[i].Time-recs[i-1].Time) < uint64(gap) {
 			continue
 		}
 		chunk := recs[start:i]
@@ -102,21 +105,9 @@ func (s *Scratch) Append(dst []Usage, records []proxylog.Record, gap time.Durati
 }
 
 func byDeviceTime(a, b proxylog.Record) int {
-	if a.IMSI != b.IMSI {
-		return cmp.Compare(a.IMSI, b.IMSI)
-	}
-	if a.IMEI != b.IMEI {
-		return cmp.Compare(a.IMEI, b.IMEI)
-	}
-	return a.Time.Compare(b.Time)
+	return cmp.Or(cmp.Compare(a.IMSI, b.IMSI), cmp.Compare(a.IMEI, b.IMEI), cmp.Compare(a.Time, b.Time))
 }
 
 func byStart(a, b Usage) int {
-	if c := a.Start.Compare(b.Start); c != 0 {
-		return c
-	}
-	if a.IMSI != b.IMSI {
-		return cmp.Compare(a.IMSI, b.IMSI)
-	}
-	return cmp.Compare(a.IMEI, b.IMEI)
+	return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.IMSI, b.IMSI), cmp.Compare(a.IMEI, b.IMEI))
 }

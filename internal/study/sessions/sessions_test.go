@@ -11,6 +11,7 @@ import (
 	"wearwild/internal/mnet/imei"
 	"wearwild/internal/mnet/proxylog"
 	"wearwild/internal/mnet/subs"
+	"wearwild/internal/simtime"
 	"wearwild/internal/sortx"
 )
 
@@ -19,10 +20,10 @@ var (
 	bob   = subs.MustNew(2)
 	dev1  = imei.MustNew(35332011, 1)
 	dev2  = imei.MustNew(35332011, 2)
-	t0    = time.Date(2018, 3, 10, 9, 0, 0, 0, time.UTC)
+	t0    = simtime.Instant(time.Date(2018, 3, 10, 9, 0, 0, 0, time.UTC).UnixNano())
 )
 
-func rec(user subs.IMSI, dev imei.IMEI, at time.Time, host string, bytes int64) proxylog.Record {
+func rec(user subs.IMSI, dev imei.IMEI, at simtime.Instant, host string, bytes int64) proxylog.Record {
 	return proxylog.Record{
 		Time: at, IMSI: user, IMEI: dev, Scheme: proxylog.HTTPS,
 		Host: host, BytesUp: bytes / 4, BytesDown: bytes - bytes/4,
@@ -47,7 +48,7 @@ func TestSessionizeSplitsOnGap(t *testing.T) {
 	if usages[0].Bytes() != 3500 {
 		t.Fatalf("bytes = %d", usages[0].Bytes())
 	}
-	if !usages[0].Start.Equal(t0) || !usages[0].End.Equal(t0.Add(50*time.Second)) {
+	if usages[0].Start != t0 || usages[0].End != t0.Add(50*time.Second) {
 		t.Fatal("usage bounds wrong")
 	}
 	hosts := usages[0].Hosts()
@@ -106,7 +107,7 @@ func TestEmptyAndSingle(t *testing.T) {
 	if len(one) != 1 || one[0].Transactions() != 1 {
 		t.Fatal("single record mishandled")
 	}
-	if !one[0].Start.Equal(one[0].End) {
+	if one[0].Start != one[0].End {
 		t.Fatal("single-record usage bounds wrong")
 	}
 }
@@ -153,7 +154,7 @@ func TestSessionizeInvariants(t *testing.T) {
 			totalTx += u.Transactions()
 			totalBytes += u.Bytes()
 			for i := 1; i < len(u.Records); i++ {
-				d := u.Records[i].Time.Sub(u.Records[i-1].Time)
+				d := time.Duration(u.Records[i].Time - u.Records[i-1].Time)
 				if d < 0 || d >= gap {
 					return false
 				}
@@ -187,10 +188,10 @@ func sessionizeRef(records []proxylog.Record, gap time.Duration) []Usage {
 	}
 	var out []Usage
 	for k, recs := range byDev {
-		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time.Before(recs[j].Time) })
+		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time < recs[j].Time })
 		start := 0
 		for i := 1; i <= len(recs); i++ {
-			if i == len(recs) || recs[i].Time.Sub(recs[i-1].Time) >= gap {
+			if i == len(recs) || time.Duration(recs[i].Time-recs[i-1].Time) >= gap {
 				chunk := recs[start:i]
 				out = append(out, Usage{IMSI: k.user, IMEI: k.dev, Start: chunk[0].Time, End: chunk[len(chunk)-1].Time, Records: chunk})
 				start = i
@@ -199,8 +200,8 @@ func sessionizeRef(records []proxylog.Record, gap time.Duration) []Usage {
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
-		if !a.Start.Equal(b.Start) {
-			return a.Start.Before(b.Start)
+		if a.Start != b.Start {
+			return a.Start < b.Start
 		}
 		if a.IMSI != b.IMSI {
 			return a.IMSI < b.IMSI

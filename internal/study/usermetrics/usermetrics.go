@@ -102,13 +102,14 @@ func Collect(records []proxylog.Record, keep func(proxylog.Record) bool) map[sub
 			a = &Activity{IMSI: rec.IMSI, hours: make(map[simtime.Day]map[int]struct{})}
 			out[rec.IMSI] = a
 		}
-		d := simtime.DayOf(rec.Time)
+		h := simtime.HourOf(rec.Time)
+		d := h.Day()
 		hs := a.hours[d]
 		if hs == nil {
 			hs = make(map[int]struct{}, 4)
 			a.hours[d] = hs
 		}
-		hs[rec.Time.Hour()] = struct{}{}
+		hs[h.OfDay()] = struct{}{}
 		a.Transactions++
 		a.Bytes += rec.Bytes()
 	}

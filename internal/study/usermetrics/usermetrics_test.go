@@ -18,11 +18,11 @@ var (
 	phone = imei.MustNew(35733009, 1)
 )
 
-func at(day simtime.Day, hour, minute int) time.Time {
+func at(day simtime.Day, hour, minute int) simtime.Instant {
 	return day.Time().Add(time.Duration(hour)*time.Hour + time.Duration(minute)*time.Minute)
 }
 
-func rec(user subs.IMSI, dev imei.IMEI, t time.Time, bytes int64) proxylog.Record {
+func rec(user subs.IMSI, dev imei.IMEI, t simtime.Instant, bytes int64) proxylog.Record {
 	return proxylog.Record{Time: t, IMSI: user, IMEI: dev, Scheme: proxylog.HTTPS,
 		Host: "h.example", BytesUp: bytes / 5, BytesDown: bytes - bytes/5}
 }
