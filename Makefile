@@ -34,7 +34,8 @@ test:
 # atomically but read plainly (TestCountersConcurrentSnapshot). The same
 # run ends the netproxy, replay, shard, stream, core and gen/sim test binaries
 # with the goroutine-leak check (internal/leakcheck), which fails on any
-# goroutine their code started that outlives the tests.
+# goroutine their code started that outlives the tests. No lint rule
+# checks any of these.
 race:
 	$(GO) test -race ./...
 

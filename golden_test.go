@@ -45,9 +45,11 @@ var goldenResults = map[string]string{
 	"TD":        "4b86db41ef853ed612d90752aae85b1d810fdda4bb1c1eafd39cab958dbc0d45",
 }
 
-// goldenMarkdown is the SHA-256 of the rendered EXPERIMENTS markdown,
-// WriteExperimentsMarkdown(Evaluate(res)), for the same study.
-const goldenMarkdown = "fbf3e16f5e067111e8b5884a63fc2d436ca5f2f8aed28ccd1798bb7d68b7722f"
+// goldenMetrics is the SHA-256 of the JSON of Evaluate(res)'s metrics,
+// one list per experiment, for the same study. The experiments' prose
+// (titles, workloads, module lists) is left out, so a documentation edit
+// does not move it; TestExperimentsFileMatchesRun checks the rendered file.
+const goldenMetrics = "fd0e2c66ec3a03a70b03b7e5910b3a83648de5554ea809af1753db5d99fcb48c"
 
 func sha256Hex(b []byte) string {
 	sum := sha256.Sum256(b)
@@ -56,8 +58,8 @@ func sha256Hex(b []byte) string {
 
 // TestGoldenDigests is the behaviour oracle: digests recorded outside the
 // engine pin the generator, the codecs, every figure of the study and the
-// rendered markdown, so a refactor that moves a byte fails here and names
-// the log, Results field or markdown that diverged.
+// paper-vs-measured metrics, so a refactor that moves a byte fails here and
+// names the log, Results field or metrics that diverged.
 func TestGoldenDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a full small dataset")
@@ -99,11 +101,16 @@ func TestGoldenDigests(t *testing.T) {
 		t.Errorf("%d golden Results fields for %d in Results", len(goldenResults), v.NumField())
 	}
 
-	var md bytes.Buffer
-	if err := WriteExperimentsMarkdown(&md, Evaluate(res)); err != nil {
+	evals := Evaluate(res)
+	metrics := make([]any, len(evals))
+	for i, e := range evals {
+		metrics[i] = e.Metrics
+	}
+	raw, err := json.Marshal(metrics)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sha256Hex(md.Bytes()); got != goldenMarkdown {
-		t.Errorf("markdown: digest %s, golden %s", got, goldenMarkdown)
+	if got := sha256Hex(raw); got != goldenMetrics {
+		t.Errorf("metrics: digest %s, golden %s", got, goldenMetrics)
 	}
 }

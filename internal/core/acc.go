@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"wearwild/internal/mnet/devicedb"
 	"wearwild/internal/mnet/imei"
@@ -254,6 +255,13 @@ func (e *engine) addUser(w *worker, user subs.IMSI, b *stream.Records) {
 	acc, st := w.acc, &userStat{}
 	devs := &w.devs
 	devs.reset()
+
+	// The folds below follow record order, so a source that delivers a
+	// subscriber's proxy records out of time order is put back in it;
+	// equal instants keep their arrival order.
+	if !slices.IsSortedFunc(b.Proxy, proxylog.ByTime) {
+		slices.SortStableFunc(b.Proxy, proxylog.ByTime)
+	}
 
 	// Device classification (§3.2), from this user's own observations.
 	classify := func(dev imei.IMEI) {

@@ -297,7 +297,7 @@ func (e *engine) userFigures(res *Results, acc *partial, users []residue) {
 	// active day here.
 	ed := stats.NewECDF(daysPerWeek)
 	res.Fig3b.DaysPerWeek = e.series(ed)
-	hx, hp := acc.hoursPerDay.Points(e.cfg.CDFPoints)
+	hx, hp := acc.hoursPerDay.Points(cdfPoints)
 	res.Fig3b.HoursPerDay = Series{X: hx, P: hp}
 	res.Fig3b.MeanDays = ed.Mean()
 	res.Fig3b.MeanHours = acc.hoursPerDay.Mean()
@@ -419,7 +419,7 @@ func (e *engine) userFigures(res *Results, acc *partial, users []residue) {
 // sizeFigures computes the size-distribution half of Fig 3(c) from the
 // counting ECDF and the log-binned histogram.
 func (e *engine) sizeFigures(res *Results, acc *partial) {
-	xs, ps := acc.sizes.Points(e.cfg.CDFPoints)
+	xs, ps := acc.sizes.Points(cdfPoints)
 	res.Fig3c.SizeCDF = Series{X: xs, P: ps}
 	res.Fig3c.MedianSizeBytes = acc.sizes.Quantile(0.5)
 	res.Fig3c.FracUnder10KB = acc.sizes.At(10 * 1024)
@@ -616,7 +616,7 @@ func (e *engine) cdf(sample []float64) Series {
 
 // series exports an already-built ECDF.
 func (e *engine) series(ec *stats.ECDF) Series {
-	xs, ps := ec.Points(e.cfg.CDFPoints)
+	xs, ps := ec.Points(cdfPoints)
 	return Series{X: xs, P: ps}
 }
 

@@ -15,25 +15,23 @@ type Config struct {
 	// SessionGap is the usage boundary (§5.1). Zero selects the paper's
 	// one minute.
 	SessionGap time.Duration
-	// CDFPoints bounds the resolution of exported CDF series.
-	CDFPoints int
 	// Workers bounds analysis parallelism (0 = one worker per CPU).
 	// Results are byte-identical at every setting.
 	Workers int
 }
 
+// cdfPoints bounds the resolution of exported CDF series.
+const cdfPoints = 200
+
 // DefaultConfig returns the paper's analysis parameters.
 func DefaultConfig() Config {
-	return Config{SessionGap: time.Minute, CDFPoints: 200}
+	return Config{SessionGap: time.Minute}
 }
 
 // withDefaults resolves zero fields to the paper's parameters.
 func (c Config) withDefaults() Config {
 	if c.SessionGap <= 0 {
 		c.SessionGap = time.Minute
-	}
-	if c.CDFPoints <= 0 {
-		c.CDFPoints = 200
 	}
 	return c
 }

@@ -237,16 +237,7 @@ func (c *Catalog) SampleApp(r *randx.Rand) int { return c.usage.Sample(r) }
 
 // SampleInstall draws k distinct app indices weighted by popularity: the
 // install set of a new device.
-func (c *Catalog) SampleInstall(r *randx.Rand, k int) []int { return c.usage.SampleK(r, k) }
-
-// ByCategory groups apps per category.
-func (c *Catalog) ByCategory() map[Category][]*App {
-	out := make(map[Category][]*App)
-	for _, a := range c.apps {
-		out[a.Category] = append(out[a.Category], a)
-	}
-	return out
-}
+func (c *Catalog) SampleInstall(r *randx.Rand, k int) []int { return c.usage.SampleKInto(r, k, nil) }
 
 // Validate checks catalogue invariants: unique names, unique first-party
 // hosts, sane shapes, and full category coverage.

@@ -22,60 +22,26 @@ import (
 	"wearwild/internal/gen/population"
 )
 
-// Config holds the movement parameters.
-type Config struct {
-	// LeisureTripMeanWeekday/Weekend are the mean numbers of discretionary
-	// trips per day, before engagement scaling.
-	LeisureTripMeanWeekday float64
-	LeisureTripMeanWeekend float64
-	// TripKmMedian/TripKmSigma shape the lognormal leisure-trip radius,
+// Movement calibration, set with the population's mobility boost to the
+// paper's mobility findings.
+const (
+	// leisureTripMeanWeekday/Weekend are the mean numbers of
+	// discretionary trips per day, before engagement scaling.
+	leisureTripMeanWeekday = 0.5
+	leisureTripMeanWeekend = 1.2
+	// tripKmMedian/tripKmSigma shape the lognormal leisure-trip radius,
 	// before the user's mobility scale.
-	TripKmMedian float64
-	TripKmSigma  float64
-	// LongTripProb is the per-day probability of a long-range excursion
-	// of at least LongTripKmMin km (Pareto shape LongTripAlpha).
-	LongTripProb  float64
-	LongTripKmMin float64
-	LongTripAlpha float64
-	// MaxCommuteStops bounds the intermediate sector updates recorded
+	tripKmMedian = 3.5
+	tripKmSigma  = 0.8
+	// longTripProb is the per-day probability of a long-range excursion
+	// of at least longTripKmMin km (Pareto shape longTripAlpha).
+	longTripProb  = 0.015
+	longTripKmMin = 50
+	longTripAlpha = 2.2
+	// maxCommuteStops bounds the intermediate sector updates recorded
 	// along a commute leg.
-	MaxCommuteStops int
-}
-
-// DefaultConfig returns movement parameters calibrated with the population
-// defaults to the paper's mobility findings.
-func DefaultConfig() Config {
-	return Config{
-		LeisureTripMeanWeekday: 0.5,
-		LeisureTripMeanWeekend: 1.2,
-		TripKmMedian:           3.5,
-		TripKmSigma:            0.8,
-		LongTripProb:           0.015,
-		LongTripKmMin:          50,
-		LongTripAlpha:          2.2,
-		MaxCommuteStops:        3,
-	}
-}
-
-// Validate rejects out-of-range parameters.
-func (c Config) Validate() error {
-	if c.TripKmMedian <= 0 || c.TripKmSigma <= 0 {
-		return fmt.Errorf("mobility: trip distribution parameters must be positive")
-	}
-	if c.LongTripProb < 0 || c.LongTripProb > 1 {
-		return fmt.Errorf("mobility: LongTripProb outside [0,1]")
-	}
-	if c.LongTripKmMin <= 0 || c.LongTripAlpha <= 0 {
-		return fmt.Errorf("mobility: long-trip parameters must be positive")
-	}
-	if c.LeisureTripMeanWeekday < 0 || c.LeisureTripMeanWeekend < 0 {
-		return fmt.Errorf("mobility: negative leisure trip mean")
-	}
-	if c.MaxCommuteStops < 0 {
-		return fmt.Errorf("mobility: negative MaxCommuteStops")
-	}
-	return nil
-}
+	maxCommuteStops = 3
+)
 
 // Visit is one stop in a day's itinerary.
 type Visit struct {
@@ -87,18 +53,14 @@ type Visit struct {
 // Generator produces itineraries over one topology.
 type Generator struct {
 	topo *cells.Topology
-	cfg  Config
 }
 
 // New returns a generator.
-func New(topo *cells.Topology, cfg Config) (*Generator, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func New(topo *cells.Topology) (*Generator, error) {
 	if topo == nil || topo.Len() == 0 {
 		return nil, fmt.Errorf("mobility: empty topology")
 	}
-	return &Generator{topo: topo, cfg: cfg}, nil
+	return &Generator{topo: topo}, nil
 }
 
 // AppendDayVisits appends past len(dst) the chronological,
@@ -121,7 +83,7 @@ func (g *Generator) AppendDayVisits(dst []Visit, u *population.User, d simtime.D
 		leave := (6.5 + 2*r.Float64()) * 60
 		dst = g.appendCommuteLeg(dst, u.Home, u.Work, u.WorkSector, leave, day, r)
 		// Optional midday errand near work.
-		if r.Bool(poissonAsProb(g.cfg.LeisureTripMeanWeekday * engagementScale(u))) {
+		if r.Bool(poissonAsProb(leisureTripMeanWeekday * engagementScale(u))) {
 			dst = g.appendTrip(dst, u, u.Work, u.WorkSector, (12+2*r.Float64())*60, day, r)
 		}
 		// Evening commute, 4–8pm window.
@@ -129,14 +91,14 @@ func (g *Generator) AppendDayVisits(dst []Visit, u *population.User, d simtime.D
 		dst = g.appendCommuteLeg(dst, u.Work, u.Home, u.HomeSector, back, day, r)
 	} else if !d.IsWeekend() {
 		// Non-commuters: occasional daytime leisure trips from home.
-		trips := r.Poisson(g.cfg.LeisureTripMeanWeekday * 1.5 * engagementScale(u))
+		trips := r.Poisson(leisureTripMeanWeekday * 1.5 * engagementScale(u))
 		start := 9 * 60.0
 		for i := 0; i < trips && start < 20*60; i++ {
 			dst = g.appendTrip(dst, u, u.Home, u.HomeSector, start, day, r)
 			start += (2 + 3*r.Float64()) * 60
 		}
 	} else {
-		trips := r.Poisson(g.cfg.LeisureTripMeanWeekend * engagementScale(u))
+		trips := r.Poisson(leisureTripMeanWeekend * engagementScale(u))
 		start := 10 * 60.0
 		for i := 0; i < trips && start < 20*60; i++ {
 			dst = g.appendTrip(dst, u, u.Home, u.HomeSector, start, day, r)
@@ -147,8 +109,8 @@ func (g *Generator) AppendDayVisits(dst []Visit, u *population.User, d simtime.D
 	// Occasional long-range excursion regardless of weekday. Its distance
 	// is set by geography (visiting another city), not the user's local
 	// movement scale.
-	if r.Bool(g.cfg.LongTripProb * math.Min(engagementScale(u), 2)) {
-		dist := r.Pareto(g.cfg.LongTripKmMin, g.cfg.LongTripAlpha)
+	if r.Bool(longTripProb * math.Min(engagementScale(u), 2)) {
+		dist := r.Pareto(longTripKmMin, longTripAlpha)
 		dst = g.appendExcursion(dst, u.Home, u.HomeSector, dist, (10+4*r.Float64())*60, day, r)
 	}
 
@@ -183,10 +145,7 @@ func poissonAsProb(mean float64) float64 { return 1 - math.Exp(-mean) }
 // stop count is known before the loop, so dst grows at most once.
 func (g *Generator) appendCommuteLeg(dst []Visit, from, to geo.Point, toSector cells.SectorID, departMin float64, day simtime.Instant, r *randx.Rand) []Visit {
 	dist := geo.DistanceKm(from, to)
-	stops := int(dist / 8)
-	if stops > g.cfg.MaxCommuteStops {
-		stops = g.cfg.MaxCommuteStops
-	}
+	stops := min(int(dist/8), maxCommuteStops)
 	legMinutes := 10 + dist // ~1 min/km plus overhead
 	dst = slices.Grow(dst, stops+1)[:len(dst)]
 	for i := 1; i <= stops; i++ {
@@ -217,7 +176,7 @@ func interpolate(a, b geo.Point, f float64) geo.Point {
 // appendTrip goes somewhere near the anchor, whose sector is anchorSector,
 // and comes back.
 func (g *Generator) appendTrip(dst []Visit, u *population.User, anchor geo.Point, anchorSector cells.SectorID, startMin float64, day simtime.Instant, r *randx.Rand) []Visit {
-	dist := r.LogNormalMedian(g.cfg.TripKmMedian, g.cfg.TripKmSigma) * math.Max(u.MobilityScale, 0.3)
+	dist := r.LogNormalMedian(tripKmMedian, tripKmSigma) * math.Max(u.MobilityScale, 0.3)
 	return g.appendExcursion(dst, anchor, anchorSector, dist, startMin, day, r)
 }
 

@@ -36,43 +36,16 @@ func newFixture(t testing.TB) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := New(topo, DefaultConfig())
+	gen, err := New(topo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return &fixture{gen: gen, pop: pop}
 }
 
-func TestConfigValidate(t *testing.T) {
-	good := DefaultConfig()
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, mutate := range []func(*Config){
-		func(c *Config) { c.TripKmMedian = 0 },
-		func(c *Config) { c.LongTripProb = 2 },
-		func(c *Config) { c.LongTripKmMin = -1 },
-		func(c *Config) { c.LeisureTripMeanWeekend = -0.1 },
-		func(c *Config) { c.MaxCommuteStops = -1 },
-	} {
-		c := DefaultConfig()
-		mutate(&c)
-		if c.Validate() == nil {
-			t.Fatalf("mutated config accepted: %+v", c)
-		}
-	}
-}
-
 func TestNewErrors(t *testing.T) {
-	if _, err := New(nil, DefaultConfig()); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Fatal("nil topology accepted")
-	}
-	bad := DefaultConfig()
-	bad.TripKmMedian = 0
-	country := geo.DefaultCountry()
-	topo, _ := cells.Build(country, cells.Config{RuralSectors: 5}, randx.New(1))
-	if _, err := New(topo, bad); err == nil {
-		t.Fatal("invalid config accepted")
 	}
 }
 

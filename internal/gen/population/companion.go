@@ -15,12 +15,3 @@ var CompanionDomains = map[string][]string{
 	"Strava":           {"wearable.strava-sync.com"},
 	"Runtastic":        {"watch.runtastic-hub.com"},
 }
-
-// CompanionHosts returns the flattened host set of all companion services.
-func CompanionHosts() []string {
-	var out []string
-	for _, svc := range TDFingerprintServices {
-		out = append(out, CompanionDomains[svc]...)
-	}
-	return out
-}

@@ -118,7 +118,8 @@ func (u *User) WearableActiveOn(d simtime.Day) bool {
 	return u.OwnsWearable() && d >= u.AdoptDay && d < u.ChurnDay
 }
 
-// Config holds the population parameters. Defaults reproduce the paper.
+// Config holds the population parameters a scenario sets. Defaults
+// reproduce the paper.
 type Config struct {
 	// WearableUsers is the number of SIM-wearable owners at the END of the
 	// window ("in the order of thousands", §3.2).
@@ -129,91 +130,68 @@ type Config struct {
 
 	// MonthlyGrowth is the adoption growth rate (§4.1).
 	MonthlyGrowth float64
-	// ChurnFrac is the fraction of first-week users who abandon the
-	// wearable before the last week (§4.1).
-	ChurnFrac float64
-	// SteadyRegProb is the daily registration probability of habitual
-	// wearers; IntermittentFrac of users instead draw a low probability,
-	// which reproduces the 77% first-week→last-week retention.
-	SteadyRegProb    float64
-	IntermittentFrac float64
-
-	// DataPlanFrac is the share of wearable SIMs with a data subscription;
-	// WiFiMostlyFrac is the share of plan-holders who stay on WiFi. The
-	// product of (plan, not-wifi) yields the paper's 34% data-active.
-	DataPlanFrac   float64
-	WiFiMostlyFrac float64
-
-	// SingleLocFrac pins that share of data-active users to one location.
-	SingleLocFrac float64
-
-	// InstallMedian/InstallSigma parameterise the lognormal install count
-	// (mean ≈8, 90% <20, a tail above 100; §4.3).
-	InstallMedian float64
-	InstallSigma  float64
-
-	// EngagementSigma is the lognormal sigma of the latent activity
-	// factor.
-	EngagementSigma float64
-	// OwnerEngagementBoost multiplies wearable owners' engagement,
-	// producing the +26% data / +48% transactions of Fig 4(a).
-	OwnerEngagementBoost float64
-
-	// CommuteMedianKm/CommuteSigma shape home-work distances.
-	CommuteMedianKm float64
-	CommuteSigma    float64
 	// OwnerMobilityBoost stretches owners' movement; combined with the
 	// employment mix it yields the ≈2× displacement and +70% location
 	// entropy of §4.4.
 	OwnerMobilityBoost float64
-	// EmployedFracOwner/Ordinary are the commuting shares per segment.
-	EmployedFracOwner    float64
-	EmployedFracOrdinary float64
-	// PhoneLevelSigma is the lognormal sigma of the persistent per-user
-	// handset volume factor.
-	PhoneLevelSigma float64
-
-	// ThroughDeviceFrac is the share of ordinary users with phone-paired
-	// wearables; TDFingerprintFrac the share of those identifiable from
-	// companion-app traffic (≈16%, conclusion).
-	ThroughDeviceFrac float64
-	TDFingerprintFrac float64
 }
+
+// Population calibration.
+const (
+	// churnFrac is the fraction of first-week users who abandon the
+	// wearable before the last week (§4.1).
+	churnFrac = 0.07
+	// steadyRegProb is the daily registration probability of habitual
+	// wearers; intermittentFrac of users instead draw a low probability,
+	// which reproduces the 77% first-week→last-week retention.
+	steadyRegProb    = 0.95
+	intermittentFrac = 0.30
+
+	// dataPlanFrac is the share of wearable SIMs with a data subscription;
+	// wifiMostlyFrac is the share of plan-holders who stay on WiFi. The
+	// product of (plan, not-wifi) yields the paper's 34% data-active.
+	dataPlanFrac   = 0.60
+	wifiMostlyFrac = 0.42
+
+	// singleLocFrac pins that share of data-active users to one location.
+	singleLocFrac = 0.60
+
+	// installMedian/installSigma parameterise the lognormal install count
+	// (mean ≈8, 90% <20, a tail above 100; §4.3).
+	installMedian = 5.5
+	installSigma  = 0.9
+
+	// engagementSigma is the lognormal sigma of the latent activity
+	// factor.
+	engagementSigma = 0.75
+	// ownerEngagementBoost multiplies wearable owners' engagement,
+	// producing the +26% data / +48% transactions of Fig 4(a).
+	ownerEngagementBoost = 1.30
+
+	// commuteMedianKm/commuteSigma shape home-work distances.
+	commuteMedianKm = 7
+	commuteSigma    = 0.6
+	// employedFracOwner/Ordinary are the commuting shares per segment.
+	employedFracOwner    = 0.90
+	employedFracOrdinary = 0.55
+	// phoneLevelSigma is the lognormal sigma of the persistent per-user
+	// handset volume factor.
+	phoneLevelSigma = 0.9
+
+	// throughDeviceFrac is the share of ordinary users with phone-paired
+	// wearables; tdFingerprintFrac the share of those identifiable from
+	// companion-app traffic (≈16%, conclusion).
+	throughDeviceFrac = 0.15
+	tdFingerprintFrac = 0.16
+)
 
 // DefaultConfig returns parameters calibrated to the paper's findings.
 func DefaultConfig() Config {
 	return Config{
-		WearableUsers: 3000,
-		OrdinaryUsers: 12000,
-
-		MonthlyGrowth: 0.015,
-		ChurnFrac:     0.07,
-
-		SteadyRegProb:    0.95,
-		IntermittentFrac: 0.30,
-
-		DataPlanFrac:   0.60,
-		WiFiMostlyFrac: 0.42,
-
-		SingleLocFrac: 0.60,
-
-		InstallMedian: 5.5,
-		InstallSigma:  0.9,
-
-		EngagementSigma:      0.75,
-		OwnerEngagementBoost: 1.30,
-
-		CommuteMedianKm: 7,
-		CommuteSigma:    0.6,
-
+		WearableUsers:      3000,
+		OrdinaryUsers:      12000,
+		MonthlyGrowth:      0.015,
 		OwnerMobilityBoost: 1.6,
-
-		EmployedFracOwner:    0.90,
-		EmployedFracOrdinary: 0.55,
-		PhoneLevelSigma:      0.9,
-
-		ThroughDeviceFrac: 0.15,
-		TDFingerprintFrac: 0.16,
 	}
 }
 
@@ -222,36 +200,11 @@ func (c Config) Validate() error {
 	if c.WearableUsers <= 0 || c.OrdinaryUsers <= 0 {
 		return fmt.Errorf("population: user counts must be positive")
 	}
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{
-		{"ChurnFrac", c.ChurnFrac},
-		{"SteadyRegProb", c.SteadyRegProb},
-		{"IntermittentFrac", c.IntermittentFrac},
-		{"DataPlanFrac", c.DataPlanFrac},
-		{"WiFiMostlyFrac", c.WiFiMostlyFrac},
-		{"SingleLocFrac", c.SingleLocFrac},
-		{"ThroughDeviceFrac", c.ThroughDeviceFrac},
-		{"TDFingerprintFrac", c.TDFingerprintFrac},
-		{"EmployedFracOwner", c.EmployedFracOwner},
-		{"EmployedFracOrdinary", c.EmployedFracOrdinary},
-	} {
-		if p.v < 0 || p.v > 1 {
-			return fmt.Errorf("population: %s = %g outside [0,1]", p.name, p.v)
-		}
-	}
 	if c.MonthlyGrowth < 0 || c.MonthlyGrowth > 1 {
 		return fmt.Errorf("population: MonthlyGrowth = %g outside [0,1]", c.MonthlyGrowth)
 	}
-	if c.InstallMedian <= 0 || c.InstallSigma <= 0 || c.EngagementSigma <= 0 {
-		return fmt.Errorf("population: distribution parameters must be positive")
-	}
-	if c.OwnerEngagementBoost <= 0 || c.OwnerMobilityBoost <= 0 || c.CommuteMedianKm <= 0 || c.CommuteSigma <= 0 {
-		return fmt.Errorf("population: boost/commute parameters must be positive")
-	}
-	if c.PhoneLevelSigma <= 0 {
-		return fmt.Errorf("population: PhoneLevelSigma must be positive")
+	if c.OwnerMobilityBoost <= 0 {
+		return fmt.Errorf("population: OwnerMobilityBoost must be positive")
 	}
 	return nil
 }
@@ -348,11 +301,11 @@ func Build(cfg Config, country geo.Country, topo *cells.Topology, db *devicedb.D
 		r := root.Split("user", u.IMSI.MSIN()-100000)
 
 		// Engagement: wearable owners skew young/tech-oriented.
-		u.Engagement = r.LogNormal(0, cfg.EngagementSigma)
+		u.Engagement = r.LogNormal(0, engagementSigma)
 		if owner {
-			u.Engagement *= cfg.OwnerEngagementBoost
+			u.Engagement *= ownerEngagementBoost
 		}
-		u.PhoneLevel = r.LogNormal(0, cfg.PhoneLevelSigma)
+		u.PhoneLevel = r.LogNormal(0, phoneLevelSigma)
 
 		if owner {
 			model := wearableModels[wearPick.Sample(r)]
@@ -363,18 +316,18 @@ func Build(cfg Config, country geo.Country, topo *cells.Topology, db *devicedb.D
 			u.WearableModel = model
 
 			u.AdoptDay = adoptionDay(cfg, i, cfg.WearableUsers)
-			u.ChurnDay = churnDay(cfg, r, u.AdoptDay)
-			if r.Bool(cfg.IntermittentFrac) {
+			u.ChurnDay = churnDay(r, u.AdoptDay)
+			if r.Bool(intermittentFrac) {
 				// Intermittent wearers: weekly presence well below 1.
 				u.RegProb = 0.03 + 0.12*r.Float64()
 			} else {
-				u.RegProb = cfg.SteadyRegProb
+				u.RegProb = steadyRegProb
 			}
-			u.HasDataPlan = r.Bool(cfg.DataPlanFrac)
-			u.WiFiMostly = r.Bool(cfg.WiFiMostlyFrac)
-			u.SingleLocOnly = r.Bool(cfg.SingleLocFrac)
+			u.HasDataPlan = r.Bool(dataPlanFrac)
+			u.WiFiMostly = r.Bool(wifiMostlyFrac)
+			u.SingleLocOnly = r.Bool(singleLocFrac)
 
-			n := int(math.Round(r.LogNormalMedian(cfg.InstallMedian, cfg.InstallSigma)))
+			n := int(math.Round(r.LogNormalMedian(installMedian, installSigma)))
 			if n < 1 {
 				n = 1
 			}
@@ -384,13 +337,13 @@ func Build(cfg Config, country geo.Country, topo *cells.Topology, db *devicedb.D
 			u.InstalledApps = catalog.SampleInstall(r, n)
 		} else {
 			u.ChurnDay = NeverChurns
-			if r.Bool(cfg.ThroughDeviceFrac) {
+			if r.Bool(throughDeviceFrac) {
 				u.ThroughDevice = true
 				// TD users behave like SIM-wearable users (conclusion):
 				// engagement lifts here, mobility lifts with the shared
 				// boost in the geography block below.
-				u.Engagement *= cfg.OwnerEngagementBoost
-				if r.Bool(cfg.TDFingerprintFrac) {
+				u.Engagement *= ownerEngagementBoost
+				if r.Bool(tdFingerprintFrac) {
 					u.TDFingerprint = TDFingerprintServices[r.IntN(len(TDFingerprintServices))]
 				}
 			}
@@ -413,10 +366,10 @@ func Build(cfg Config, country geo.Country, topo *cells.Topology, db *devicedb.D
 		// this is what yields the ≈2x displacement and +70% entropy of
 		// §4.4.
 		boost := 1.0
-		employedFrac := cfg.EmployedFracOrdinary
+		employedFrac := employedFracOrdinary
 		if owner || u.ThroughDevice {
 			boost = cfg.OwnerMobilityBoost
-			employedFrac = cfg.EmployedFracOwner
+			employedFrac = employedFracOwner
 		}
 		u.Employed = r.Bool(employedFrac)
 		u.Home = homePick.sample(r)
@@ -425,7 +378,7 @@ func Build(cfg Config, country geo.Country, topo *cells.Topology, db *devicedb.D
 		// engagement: the paper observes that the users generating more
 		// transactions per hour also travel further (Fig 4(d)), and this
 		// is where that association is planted.
-		u.CommuteKm = r.LogNormalMedian(cfg.CommuteMedianKm*boost, cfg.CommuteSigma) *
+		u.CommuteKm = r.LogNormalMedian(commuteMedianKm*boost, commuteSigma) *
 			math.Pow(u.Engagement, 0.3)
 		if u.CommuteKm > country.WidthKm/2 {
 			u.CommuteKm = country.WidthKm / 2
@@ -443,12 +396,12 @@ func Build(cfg Config, country geo.Country, topo *cells.Topology, db *devicedb.D
 // adoptionDay spreads adoption so that the registered-user count grows by
 // MonthlyGrowth per month across the window NET of churn: the first N0
 // users predate the study, the rest adopt at a constant daily rate
-// (Fig 2(a) is a line). Since ≈ChurnFrac of the initial base disappears by
+// (Fig 2(a) is a line). Since ≈churnFrac of the initial base disappears by
 // the last week, the initial base is shrunk so the visible curve still
 // ends MonthlyGrowth·months above where it starts.
 func adoptionDay(cfg Config, idx, total int) simtime.Day {
 	growthTotal := cfg.MonthlyGrowth * float64(simtime.StudyDays) / 30.44
-	n0 := int(float64(total) / (1 + growthTotal + cfg.ChurnFrac))
+	n0 := int(float64(total) / (1 + growthTotal + churnFrac))
 	if idx < n0 {
 		// Existing base: pretend they adopted before the window.
 		return simtime.Day(-1 - idx%90)
@@ -461,13 +414,13 @@ func adoptionDay(cfg Config, idx, total int) simtime.Day {
 	return simtime.Day(pos * float64(simtime.StudyDays))
 }
 
-// churnDay gives ChurnFrac of pre-study adopters a churn day before the
+// churnDay gives churnFrac of pre-study adopters a churn day before the
 // final week; everyone else keeps the device.
-func churnDay(cfg Config, r *randx.Rand, adopt simtime.Day) simtime.Day {
+func churnDay(r *randx.Rand, adopt simtime.Day) simtime.Day {
 	if adopt >= simtime.Day(simtime.DaysPerWeek) {
 		return NeverChurns // churn is measured on first-week users
 	}
-	if !r.Bool(cfg.ChurnFrac) {
+	if !r.Bool(churnFrac) {
 		return NeverChurns
 	}
 	// Uniform between week 2 and the start of the last week.

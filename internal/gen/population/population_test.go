@@ -41,14 +41,9 @@ func TestValidateRejects(t *testing.T) {
 		t.Fatal("zero wearable users accepted")
 	}
 	bad = DefaultConfig()
-	bad.ChurnFrac = 1.5
+	bad.MonthlyGrowth = 1.5
 	if bad.Validate() == nil {
-		t.Fatal("churn > 1 accepted")
-	}
-	bad = DefaultConfig()
-	bad.InstallMedian = 0
-	if bad.Validate() == nil {
-		t.Fatal("zero install median accepted")
+		t.Fatal("growth > 1 accepted")
 	}
 	bad = DefaultConfig()
 	bad.OwnerMobilityBoost = 0

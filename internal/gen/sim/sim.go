@@ -42,18 +42,12 @@ type Config struct {
 
 	Population population.Config
 	Cells      cells.Config
-	Mobility   mobility.Config
-	Traffic    traffic.Config
 
 	// OrdinaryMobilitySample is how many ordinary users receive full MME
 	// sector logging in the detail window (the mobility comparison
 	// sample). The paper compares against all customers; we compare
 	// against a sample, which normalised plots absorb.
 	OrdinaryMobilitySample int
-
-	// WithTailApps selects the long-tail catalogue (needed for the
-	// install-count distribution of §4.3).
-	WithTailApps bool
 
 	// IncludeAppleWatch enables the what-if scenario the paper's
 	// conclusion anticipates: the operator supports the SIM-enabled Apple
@@ -74,10 +68,7 @@ func DefaultConfig(seed uint64) Config {
 		Seed:                   seed,
 		Population:             population.DefaultConfig(),
 		Cells:                  cells.DefaultConfig(),
-		Mobility:               mobility.DefaultConfig(),
-		Traffic:                traffic.DefaultConfig(),
 		OrdinaryMobilitySample: 3000,
-		WithTailApps:           true,
 	}
 }
 
@@ -94,12 +85,6 @@ func SmallConfig(seed uint64) Config {
 // Validate rejects inconsistent configurations.
 func (c Config) Validate() error {
 	if err := c.Population.Validate(); err != nil {
-		return err
-	}
-	if err := c.Mobility.Validate(); err != nil {
-		return err
-	}
-	if err := c.Traffic.Validate(); err != nil {
 		return err
 	}
 	if c.OrdinaryMobilitySample < 0 {
@@ -143,12 +128,9 @@ func generateSubstrate(cfg Config) (*Dataset, error) {
 	if cfg.IncludeAppleWatch {
 		db = devicedb.DefaultWithAppleWatch()
 	}
-	var catalog *apps.Catalog
-	if cfg.WithTailApps {
-		catalog = apps.DefaultWithTail()
-	} else {
-		catalog = apps.Default()
-	}
+	// The long-tail catalogue carries the install-count distribution of
+	// §4.3.
+	catalog := apps.DefaultWithTail()
 	pop, err := population.Build(cfg.Population, country, topo, db, catalog, root.Split("pop", 0))
 	if err != nil {
 		return nil, err
@@ -245,11 +227,11 @@ type userGen struct {
 
 func newUserGen(cfg Config, pop *population.Population, topo *cells.Topology,
 	catalog *apps.Catalog) (*userGen, error) {
-	mob, err := mobility.New(topo, cfg.Mobility)
+	mob, err := mobility.New(topo)
 	if err != nil {
 		return nil, err
 	}
-	tgen, err := traffic.New(catalog, cfg.Traffic)
+	tgen, err := traffic.New(catalog)
 	if err != nil {
 		return nil, err
 	}

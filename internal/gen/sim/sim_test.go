@@ -51,16 +51,6 @@ func TestValidateRejects(t *testing.T) {
 	if _, err := Generate(cfg); err == nil {
 		t.Fatal("invalid population accepted")
 	}
-	cfg = tinyConfig(1)
-	cfg.Traffic.HoursSigma = -1
-	if _, err := Generate(cfg); err == nil {
-		t.Fatal("invalid traffic config accepted")
-	}
-	cfg = tinyConfig(1)
-	cfg.Mobility.TripKmMedian = 0
-	if _, err := Generate(cfg); err == nil {
-		t.Fatal("invalid mobility config accepted")
-	}
 }
 
 func TestProxyOnlyInDetailWindow(t *testing.T) {

@@ -14,6 +14,21 @@ import (
 	"wearwild/internal/gen/population"
 )
 
+// Phone-side calibration.
+const (
+	phoneBytesMedianPerDay = 12e6 // bytes/day at engagement 1
+	phoneBytesSigma        = 0.45
+	phoneTxMedianBytes     = 3000
+	phoneDataExp           = 1.0  // engagement exponent on data volume
+	phoneTxExp             = 1.55 // engagement exponent on transactions
+	phoneGenericPerDay     = 0.6  // sampled generic phone proxy records/day
+	tdCompanionPerDay      = 1.3  // companion sync sessions/day for TD users
+	// phoneSizeSpread is the extra lognormal sigma on handset transaction
+	// sizes: smartphone traffic mixes far more app types, so its size
+	// distribution is less sharply centred than the wearables' (§4.3).
+	phoneSizeSpread = 0.9
+)
+
 // PhoneWeek generates the weekly usage aggregate of a user's handset. The
 // handset dwarfs the wearable (three orders of magnitude, Fig 4(b)) and its
 // volume scales with engagement: since wearable owners carry a boosted
@@ -21,16 +36,16 @@ import (
 // transaction exponent — ≈48% more transactions than the remaining
 // customers (Fig 4(a)).
 func (g *Generator) PhoneWeek(u *population.User, w simtime.Week, r *randx.Rand) udr.Record {
-	weekly := g.cfg.PhoneBytesMedianPerDay * 7
+	weekly := phoneBytesMedianPerDay * 7
 	// The user's persistent level carries the cross-user spread; the
 	// weekly lognormal is only short-term noise, so per-user totals over
 	// several weeks keep their heavy tail (Fig 4(a/b)).
-	bytes := r.LogNormalMedian(weekly, g.cfg.PhoneBytesSigma) * u.PhoneLevel *
-		math.Pow(u.Engagement, g.cfg.PhoneDataExp)
+	bytes := r.LogNormalMedian(weekly, phoneBytesSigma) * u.PhoneLevel *
+		math.Pow(u.Engagement, phoneDataExp)
 	// Mean transaction size varies mildly per user-week; the extra
 	// engagement exponent makes heavy users chattier, not just heavier.
-	avgTx := r.LogNormalMedian(g.cfg.PhoneTxMedianBytes, 0.35)
-	tx := bytes / avgTx * math.Pow(u.Engagement, g.cfg.PhoneTxExp-g.cfg.PhoneDataExp)
+	avgTx := r.LogNormalMedian(phoneTxMedianBytes, 0.35)
+	tx := bytes / avgTx * math.Pow(u.Engagement, phoneTxExp-phoneDataExp)
 	if bytes < 1 {
 		bytes = 0
 		tx = 0
@@ -59,15 +74,15 @@ func (g *Generator) AppendPhoneProxyDay(dst []proxylog.Record, u *population.Use
 	// Generic sample: popular-app hosts as seen from handsets. Handset
 	// traffic spans a far wider app variety than wearables, so its size
 	// distribution is less sharply centred (the §4.3 comparison with
-	// smartphone studies); PhoneSizeSpread widens the lognormal.
-	n := r.Poisson(g.cfg.PhoneGenericPerDay * math.Min(u.Engagement, 3))
+	// smartphone studies); phoneSizeSpread widens the lognormal.
+	n := r.Poisson(phoneGenericPerDay * math.Min(u.Engagement, 3))
 	dst = slices.Grow(dst, n)[:len(dst)]
 	for i := 0; i < n; i++ {
 		app := g.catalog.Apps()[g.catalog.SampleApp(r)]
 		t := day.Add(diurnalOffset(phoneHourPick, r))
 		rec := g.transaction(u, app, pickKind(r), t, r)
 		rec.IMEI = u.PhoneIMEI
-		spread := r.LogNormal(0, g.cfg.PhoneSizeSpread)
+		spread := r.LogNormal(0, phoneSizeSpread)
 		rec.BytesUp = int64(float64(rec.BytesUp) * spread)
 		rec.BytesDown = int64(float64(rec.BytesDown) * spread)
 		if rec.BytesUp+rec.BytesDown < 200 {
@@ -82,7 +97,7 @@ func (g *Generator) AppendPhoneProxyDay(dst []proxylog.Record, u *population.Use
 		// Companion syncs follow the wearer's day (the wearable relays
 		// whenever it is worn and active), so detected TD users show the
 		// same macroscopic hourly pattern as SIM-enabled ones.
-		sessions := r.Poisson(g.cfg.TDCompanionPerDay)
+		sessions := r.Poisson(tdCompanionPerDay)
 		for s := 0; s < sessions && len(hosts) > 0; s++ {
 			t := day.Add(diurnalOffset(wearerHourPick(d.IsWeekend()), r))
 			burst := 2 + r.IntN(4)

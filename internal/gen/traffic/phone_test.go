@@ -94,6 +94,17 @@ func TestWearableShareOfTotal(t *testing.T) {
 	}
 }
 
+// companionHosts is the host set of every Through-Device companion service.
+var companionHosts = func() map[string]bool {
+	set := map[string]bool{}
+	for _, hosts := range population.CompanionDomains {
+		for _, h := range hosts {
+			set[h] = true
+		}
+	}
+	return set
+}()
+
 func TestPhoneProxyDay(t *testing.T) {
 	f := newFixture(t)
 	day := simtime.Day(simtime.DetailStartDay + 4)
@@ -109,13 +120,7 @@ func TestPhoneProxyDay(t *testing.T) {
 			if rec.IMEI != u.PhoneIMEI {
 				t.Fatal("phone record with wrong IMEI")
 			}
-			isCompanion := false
-			for _, h := range population.CompanionHosts() {
-				if rec.Host == h {
-					isCompanion = true
-				}
-			}
-			if isCompanion {
+			if companionHosts[rec.Host] {
 				sawCompanion = true
 				if u.TDFingerprint == "" {
 					t.Fatal("companion traffic from non-fingerprintable user")
@@ -147,13 +152,7 @@ func TestCompanionTrafficMatchesService(t *testing.T) {
 		for rep := 0; rep < 10; rep++ {
 			r := f.root.Split("svc", uint64(i)*100+uint64(rep))
 			for _, rec := range f.gen.AppendPhoneProxyDay(nil, u, day, r) {
-				isCompanion := false
-				for _, h := range population.CompanionHosts() {
-					if rec.Host == h {
-						isCompanion = true
-					}
-				}
-				if isCompanion && !allowed[rec.Host] {
+				if companionHosts[rec.Host] && !allowed[rec.Host] {
 					t.Fatalf("user fingerprinted as %s hit foreign companion host %s", u.TDFingerprint, rec.Host)
 				}
 			}

@@ -34,135 +34,48 @@ import (
 	"wearwild/internal/gen/population"
 )
 
-// Config holds the traffic parameters.
-type Config struct {
-	// ActiveDayBase/Exp/Min/Max set the per-day probability that a
-	// data-active wearable user produces traffic:
-	// clamp(Base·engagement^Exp, Min, Max).
-	ActiveDayBase float64
-	ActiveDayExp  float64
-	ActiveDayMin  float64
-	ActiveDayMax  float64
-	// WeekendBoost lifts wearable activity slightly on weekends (§4.2).
-	WeekendBoost float64
+// Wearable activity calibration. A data-active wearable user produces
+// traffic on a day with probability
+// clamp(activeDayBase·engagement^activeDayExp, activeDayMin, activeDayMax),
+// lifted by weekendBoost on weekends (§4.2).
+const (
+	activeDayBase = 0.16
+	activeDayExp  = 0.8
+	activeDayMin  = 0.02
+	activeDayMax  = 0.85
+	weekendBoost  = 1.15
+)
 
-	// HoursMedianBase is the median active hours on an active day for a
-	// user at engagement 1; HoursSigma the lognormal spread.
-	HoursMedianBase float64
-	HoursSigma      float64
+// Active-hour and session calibration.
+const (
+	// hoursMedianBase is the median active hours on an active day for a
+	// user at engagement 1; hoursSigma the lognormal spread.
+	hoursMedianBase = 1.9
+	hoursSigma      = 0.85
 
-	// SessionsPerHour is the mean usage sessions per active hour at
-	// engagement 1; SessionsEngExp is the engagement exponent that makes
+	// sessionsPerHour is the mean usage sessions per active hour at
+	// engagement 1; sessionsEngExp is the engagement exponent that makes
 	// highly active users also chattier per hour (the Fig 3(d)
 	// correlation: activity is sustained, not bursty).
-	SessionsPerHour float64
-	SessionsEngExp  float64
-	// MultiAppDayProb is the probability an active day uses more than one
+	sessionsPerHour = 0.95
+	sessionsEngExp  = 0.55
+	// multiAppDayProb is the probability an active day uses more than one
 	// app (the paper: 93% use exactly one).
-	MultiAppDayProb float64
+	multiAppDayProb = 0.07
+)
 
-	// HTTPSShare is the fraction of transactions the proxy sees as TLS.
-	HTTPSShare float64
-	// UpShareMean is the mean uplink fraction of a transaction's bytes.
-	UpShareMean float64
+// Transaction calibration.
+const (
+	// httpsShare is the fraction of transactions the proxy sees as TLS.
+	httpsShare = 0.86
+	// upShareMean is the mean uplink fraction of a transaction's bytes.
+	upShareMean = 0.20
 
 	// Byte scaling per domain kind relative to the app's base size.
-	UtilityBytesFactor   float64
-	AdBytesFactor        float64
-	AnalyticsBytesFactor float64
-
-	// Phone-side model.
-	PhoneBytesMedianPerDay float64 // bytes/day at engagement 1
-	PhoneBytesSigma        float64
-	PhoneTxMedianBytes     float64
-	PhoneDataExp           float64 // engagement exponent on data volume
-	PhoneTxExp             float64 // engagement exponent on transactions
-	PhoneGenericPerDay     float64 // sampled generic phone proxy records/day
-	TDCompanionPerDay      float64 // companion sync sessions/day for TD users
-	// PhoneSizeSpread is the extra lognormal sigma on handset transaction
-	// sizes: smartphone traffic mixes far more app types, so its size
-	// distribution is less sharply centred than the wearables' (§4.3).
-	PhoneSizeSpread float64
-}
-
-// DefaultConfig returns traffic parameters calibrated to the paper.
-func DefaultConfig() Config {
-	return Config{
-		ActiveDayBase: 0.16,
-		ActiveDayExp:  0.8,
-		ActiveDayMin:  0.02,
-		ActiveDayMax:  0.85,
-		WeekendBoost:  1.15,
-
-		HoursMedianBase: 1.9,
-		HoursSigma:      0.85,
-
-		SessionsPerHour: 0.95,
-		SessionsEngExp:  0.55,
-		MultiAppDayProb: 0.07,
-
-		HTTPSShare:  0.86,
-		UpShareMean: 0.20,
-
-		UtilityBytesFactor:   1.2,
-		AdBytesFactor:        0.5,
-		AnalyticsBytesFactor: 0.4,
-
-		PhoneBytesMedianPerDay: 12e6,
-		PhoneBytesSigma:        0.45,
-		PhoneTxMedianBytes:     3000,
-		PhoneDataExp:           1.0,
-		PhoneTxExp:             1.55,
-		PhoneGenericPerDay:     0.6,
-		TDCompanionPerDay:      1.3,
-		PhoneSizeSpread:        0.9,
-	}
-}
-
-// Validate rejects out-of-range parameters.
-func (c Config) Validate() error {
-	probs := []struct {
-		name string
-		v    float64
-	}{
-		{"ActiveDayBase", c.ActiveDayBase}, {"ActiveDayMin", c.ActiveDayMin},
-		{"ActiveDayMax", c.ActiveDayMax}, {"MultiAppDayProb", c.MultiAppDayProb},
-		{"HTTPSShare", c.HTTPSShare}, {"UpShareMean", c.UpShareMean},
-	}
-	for _, p := range probs {
-		if p.v < 0 || p.v > 1 {
-			return fmt.Errorf("traffic: %s = %g outside [0,1]", p.name, p.v)
-		}
-	}
-	if c.ActiveDayMin > c.ActiveDayMax {
-		return fmt.Errorf("traffic: ActiveDayMin > ActiveDayMax")
-	}
-	pos := []struct {
-		name string
-		v    float64
-	}{
-		{"ActiveDayExp", c.ActiveDayExp}, {"WeekendBoost", c.WeekendBoost},
-		{"HoursMedianBase", c.HoursMedianBase}, {"HoursSigma", c.HoursSigma},
-		{"SessionsPerHour", c.SessionsPerHour}, {"SessionsEngExp", c.SessionsEngExp},
-		{"UtilityBytesFactor", c.UtilityBytesFactor}, {"AdBytesFactor", c.AdBytesFactor},
-		{"AnalyticsBytesFactor", c.AnalyticsBytesFactor},
-		{"PhoneBytesMedianPerDay", c.PhoneBytesMedianPerDay}, {"PhoneBytesSigma", c.PhoneBytesSigma},
-		{"PhoneTxMedianBytes", c.PhoneTxMedianBytes}, {"PhoneDataExp", c.PhoneDataExp},
-		{"PhoneTxExp", c.PhoneTxExp},
-	}
-	for _, p := range pos {
-		if p.v <= 0 {
-			return fmt.Errorf("traffic: %s must be positive, got %g", p.name, p.v)
-		}
-	}
-	if c.PhoneGenericPerDay < 0 || c.TDCompanionPerDay < 0 {
-		return fmt.Errorf("traffic: negative phone rates")
-	}
-	if c.PhoneSizeSpread < 0 {
-		return fmt.Errorf("traffic: negative PhoneSizeSpread")
-	}
-	return nil
-}
+	utilityBytesFactor   = 1.2
+	adBytesFactor        = 0.5
+	analyticsBytesFactor = 0.4
+)
 
 // Diurnal activity profiles: relative weights per hour of day. The weekday
 // curve carries the commuting bumps at 4–9am and 4–8pm that Fig 3(a)
@@ -191,7 +104,6 @@ func Profile(weekend bool, hourOfDay int) float64 {
 // Generator produces traffic over one app catalogue.
 type Generator struct {
 	catalog *apps.Catalog
-	cfg     Config
 	// mixes caches one alias table per app for its domain-kind mix; the
 	// table is immutable, so all workers share it. Apps whose mix has no
 	// positive weight map to nil (their sessions emit nothing), matching
@@ -203,10 +115,7 @@ type Generator struct {
 }
 
 // New returns a generator.
-func New(catalog *apps.Catalog, cfg Config) (*Generator, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func New(catalog *apps.Catalog) (*Generator, error) {
 	if catalog == nil || catalog.Len() == 0 {
 		return nil, fmt.Errorf("traffic: empty catalogue")
 	}
@@ -218,7 +127,7 @@ func New(catalog *apps.Catalog, cfg Config) (*Generator, error) {
 		}
 		mixes[app] = mix
 	}
-	g := &Generator{catalog: catalog, cfg: cfg, mixes: mixes}
+	g := &Generator{catalog: catalog, mixes: mixes}
 	for kind := range g.shared {
 		g.shared[kind] = catalog.SharedHosts(apps.DomainKind(kind))
 	}
@@ -242,12 +151,12 @@ func (g *Generator) Catalog() *apps.Catalog { return g.catalog }
 
 // activeDayProb is the probability a data-active user produces wearable
 // traffic on the given day.
-func (g *Generator) activeDayProb(u *population.User, weekend bool) float64 {
-	p := g.cfg.ActiveDayBase * math.Pow(u.Engagement, g.cfg.ActiveDayExp)
+func activeDayProb(u *population.User, weekend bool) float64 {
+	p := activeDayBase * math.Pow(u.Engagement, activeDayExp)
 	if weekend {
-		p *= g.cfg.WeekendBoost
+		p *= weekendBoost
 	}
-	return clamp(p, g.cfg.ActiveDayMin, g.cfg.ActiveDayMax)
+	return clamp(p, activeDayMin, activeDayMax)
 }
 
 // AppendWearableDay appends past len(dst) the wearable's proxy
@@ -262,13 +171,13 @@ func (g *Generator) AppendWearableDay(dst []proxylog.Record, u *population.User,
 		return dst
 	}
 	weekend := d.IsWeekend()
-	if !r.Bool(g.activeDayProb(u, weekend)) {
+	if !r.Bool(activeDayProb(u, weekend)) {
 		return dst
 	}
 
 	// Active hours: lognormal around an engagement-scaled median.
-	median := g.cfg.HoursMedianBase * math.Sqrt(u.Engagement)
-	h := int(math.Round(r.LogNormalMedian(median, g.cfg.HoursSigma)))
+	median := hoursMedianBase * math.Sqrt(u.Engagement)
+	h := int(math.Round(r.LogNormalMedian(median, hoursSigma)))
 	if h < 1 {
 		h = 1
 	}
@@ -283,7 +192,7 @@ func (g *Generator) AppendWearableDay(dst []proxylog.Record, u *population.User,
 
 	appsToday := g.pickApps(u, r, s)
 	for _, hour := range hours {
-		sessions := r.Poisson(g.cfg.SessionsPerHour * math.Pow(u.Engagement, g.cfg.SessionsEngExp))
+		sessions := r.Poisson(sessionsPerHour * math.Pow(u.Engagement, sessionsEngExp))
 		if sessions < 1 {
 			sessions = 1
 		}
@@ -390,7 +299,7 @@ func atHomeThrough(visits []mobility.Visit, d simtime.Day, hourOfDay int, u *pop
 // the study approach the installed count the paper reports (§4.3).
 func (g *Generator) pickApps(u *population.User, r *randx.Rand, s *Scratch) []*apps.App {
 	n := 1
-	if r.Bool(g.cfg.MultiAppDayProb) {
+	if r.Bool(multiAppDayProb) {
 		n = 2 + r.IntN(2)
 	}
 	if n > len(u.InstalledApps) {
@@ -449,22 +358,22 @@ func (g *Generator) transaction(u *population.User, app *apps.App, kind apps.Dom
 	case apps.KindUtilities:
 		pool := g.shared[apps.KindUtilities]
 		host = pool[r.IntN(len(pool))]
-		factor = g.cfg.UtilityBytesFactor
+		factor = utilityBytesFactor
 	case apps.KindAdvertising:
 		pool := g.shared[apps.KindAdvertising]
 		host = pool[r.IntN(len(pool))]
-		factor = g.cfg.AdBytesFactor
+		factor = adBytesFactor
 	case apps.KindAnalytics:
 		pool := g.shared[apps.KindAnalytics]
 		host = pool[r.IntN(len(pool))]
-		factor = g.cfg.AnalyticsBytesFactor
+		factor = analyticsBytesFactor
 	}
 
 	bytes := r.LogNormalMedian(app.Shape.TxBytes*factor, app.Shape.TxBytesSigma)
 	if bytes < 200 {
 		bytes = 200
 	}
-	up := int64(bytes * clamp(g.cfg.UpShareMean+0.08*r.NormFloat64(), 0.03, 0.8))
+	up := int64(bytes * clamp(upShareMean+0.08*r.NormFloat64(), 0.03, 0.8))
 	down := int64(bytes) - up
 	if down < 0 {
 		down = 0
@@ -474,7 +383,7 @@ func (g *Generator) transaction(u *population.User, app *apps.App, kind apps.Dom
 	path := ""
 	// Payments always ride TLS; otherwise a fixed share is cleartext HTTP
 	// where the proxy logs the full URL.
-	if app.Class != apps.Payment && !r.Bool(g.cfg.HTTPSShare) {
+	if app.Class != apps.Payment && !r.Bool(httpsShare) {
 		scheme = proxylog.HTTP
 		path = httpPaths[r.IntN(len(httpPaths))]
 	}

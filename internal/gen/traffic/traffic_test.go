@@ -38,45 +38,20 @@ func newFixture(t testing.TB) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := New(apps.DefaultWithTail(), DefaultConfig())
+	gen, err := New(apps.DefaultWithTail())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mob, err := mobility.New(topo, mobility.DefaultConfig())
+	mob, err := mobility.New(topo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return &fixture{gen: gen, mob: mob, pop: pop, root: randx.New(99)}
 }
 
-func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, mutate := range []func(*Config){
-		func(c *Config) { c.ActiveDayBase = -0.1 },
-		func(c *Config) { c.ActiveDayMin = 0.9 }, // min > max
-		func(c *Config) { c.HTTPSShare = 1.2 },
-		func(c *Config) { c.HoursSigma = 0 },
-		func(c *Config) { c.PhoneBytesMedianPerDay = 0 },
-		func(c *Config) { c.PhoneGenericPerDay = -1 },
-	} {
-		c := DefaultConfig()
-		mutate(&c)
-		if c.Validate() == nil {
-			t.Fatalf("mutated config accepted: %+v", c)
-		}
-	}
-}
-
 func TestNewErrors(t *testing.T) {
-	if _, err := New(nil, DefaultConfig()); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Fatal("nil catalogue accepted")
-	}
-	bad := DefaultConfig()
-	bad.HoursSigma = 0
-	if _, err := New(apps.Default(), bad); err == nil {
-		t.Fatal("invalid config accepted")
 	}
 }
 

@@ -32,9 +32,12 @@ func TestDefaultWithAppleWatch(t *testing.T) {
 }
 
 func TestModelYearsPopulated(t *testing.T) {
-	for _, m := range Default().Models() {
-		if m.Year < 2010 || m.Year > 2018 {
-			t.Fatalf("model %q has implausible year %d", m.Name, m.Year)
+	db := Default()
+	for c := Smartphone; c <= M2M; c++ {
+		for _, m := range db.ModelsOfClass(c) {
+			if m.Year < 2010 || m.Year > 2018 {
+				t.Fatalf("model %q has implausible year %d", m.Name, m.Year)
+			}
 		}
 	}
 }

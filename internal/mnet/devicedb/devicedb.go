@@ -2,12 +2,11 @@
 // from IMEI (via its TAC prefix) to device model, vendor, operating system
 // and device class. The paper's wearable identification (§3.2) is exactly a
 // join of observed IMEIs against the TAC set of known SIM-enabled wearable
-// models; DB.Lookup and DB.WearableTACs provide that join.
+// models; DB.Lookup and DB.IsWearable provide that join.
 package devicedb
 
 import (
 	"fmt"
-	"sort"
 
 	"wearwild/internal/mnet/imei"
 )
@@ -107,9 +106,6 @@ func (db *DB) LookupTAC(t imei.TAC) (*Model, bool) {
 	return m, ok
 }
 
-// Models returns all registered models in registration order.
-func (db *DB) Models() []*Model { return db.models }
-
 // ModelsOfClass returns the models of one class.
 func (db *DB) ModelsOfClass(c Class) []*Model {
 	var out []*Model
@@ -118,19 +114,6 @@ func (db *DB) ModelsOfClass(c Class) []*Model {
 			out = append(out, m)
 		}
 	}
-	return out
-}
-
-// WearableTACs returns the sorted TAC set of all SIM-enabled wearable
-// models: the identification list of §3.2.
-func (db *DB) WearableTACs() []imei.TAC {
-	var out []imei.TAC
-	for _, m := range db.models {
-		if m.Class == WearableSIM {
-			out = append(out, m.TACs...)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -83,27 +83,16 @@ func TestDefaultCatalog(t *testing.T) {
 	if samsungLG*2 < len(wearables) {
 		t.Fatalf("Samsung+LG are only %d of %d wearables", samsungLG, len(wearables))
 	}
-}
-
-func TestWearableTACsSortedAndExclusive(t *testing.T) {
-	db := Default()
-	tacs := db.WearableTACs()
-	if len(tacs) == 0 {
-		t.Fatal("no wearable TACs")
-	}
-	for i := 1; i < len(tacs); i++ {
-		if tacs[i] <= tacs[i-1] {
-			t.Fatal("TACs not strictly increasing")
+	// Every wearable TAC resolves to a wearable and no smartphone TAC
+	// classifies as one: the identification join of §3.2.
+	for _, m := range wearables {
+		for _, tac := range m.TACs {
+			if got, ok := db.LookupTAC(tac); !ok || got.Class != WearableSIM {
+				t.Fatalf("TAC %s resolves to %v", tac, got)
+			}
 		}
 	}
-	for _, tac := range tacs {
-		m, ok := db.LookupTAC(tac)
-		if !ok || m.Class != WearableSIM {
-			t.Fatalf("TAC %s resolves to %v", tac, m)
-		}
-	}
-	// No smartphone TAC may classify as wearable.
-	for _, m := range db.ModelsOfClass(Smartphone) {
+	for _, m := range phones {
 		for _, tac := range m.TACs {
 			if db.IsWearable(imei.MustNew(tac, 0)) {
 				t.Fatalf("smartphone TAC %s classified wearable", tac)

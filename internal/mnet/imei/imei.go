@@ -11,7 +11,6 @@ package imei
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"wearwild/internal/mnet/csvrow"
 )
@@ -30,18 +29,6 @@ func (t TAC) String() string {
 
 // Valid reports whether the TAC fits in 8 digits.
 func (t TAC) Valid() bool { return uint32(t) <= maxTAC }
-
-// ParseTAC parses an 8-digit TAC string.
-func ParseTAC(s string) (TAC, error) {
-	if len(s) != 8 {
-		return 0, fmt.Errorf("imei: TAC %q is not 8 digits", s)
-	}
-	v, err := strconv.ParseUint(s, 10, 32)
-	if err != nil {
-		return 0, fmt.Errorf("imei: TAC %q: %v", s, err)
-	}
-	return TAC(v), nil
-}
 
 // IMEI is a full 15-digit equipment identity, stored as its numeric value.
 // The all-zero value is not a valid IMEI and doubles as "unknown".
@@ -148,13 +135,4 @@ func (r Range) Size() int {
 		return 0
 	}
 	return int(r.Hi-r.Lo) + 1
-}
-
-// Nth returns the nth IMEI of the range (0-based). It panics if n is out
-// of bounds, since allocation code always iterates within Size.
-func (r Range) Nth(n int) IMEI {
-	if n < 0 || n >= r.Size() {
-		panic(fmt.Sprintf("imei: index %d outside range of %d", n, r.Size()))
-	}
-	return MustNew(r.TAC, r.Lo+uint32(n))
 }

@@ -98,44 +98,11 @@ func (c *Categorical) Sample(r *Rand) int {
 	return c.alias[i]
 }
 
-// SampleK draws k distinct indices, weighted without replacement. It is
-// O(k) draws in the common case and falls back to a weighted reservoir scan
-// when k approaches the category count.
-func (c *Categorical) SampleK(r *Rand, k int) []int {
-	n := len(c.prob)
-	if k >= n {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	out := make([]int, 0, k)
-	seen := make(map[int]struct{}, k)
-	// Rejection sampling is fast while k << n.
-	attempts := 0
-	for len(out) < k && attempts < 12*k {
-		i := c.Sample(r)
-		attempts++
-		if _, dup := seen[i]; dup {
-			continue
-		}
-		seen[i] = struct{}{}
-		out = append(out, i)
-	}
-	for i := 0; len(out) < k && i < n; i++ {
-		if _, dup := seen[i]; !dup {
-			seen[i] = struct{}{}
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SampleKInto is SampleK writing into a caller-reused slab: the draw
-// sequence is identical (duplicate detection never touches the stream), but
-// the per-call result slice and dedup map are replaced by dst's backing
-// array and a linear scan — k is small wherever this is hot.
+// SampleKInto draws k distinct indices, weighted without replacement, into
+// dst's backing array, which it reuses. It is O(k) draws in the common case
+// and falls back to a scan in index order when the draws keep repeating or
+// k approaches the category count. Duplicates are found by a linear scan of
+// the result, since k is small wherever this is hot.
 func (c *Categorical) SampleKInto(r *Rand, k int, dst []int) []int {
 	n := len(c.prob)
 	if k >= n {

@@ -166,24 +166,3 @@ func ZipfWeights(n int, s float64) []float64 {
 	}
 	return w
 }
-
-// ExpDecayWeights returns weights proportional to decay^rank, normalised to
-// sum to 1. Used for the exponentially decreasing app popularity the paper
-// observes in Fig 5(a).
-func ExpDecayWeights(n int, decay float64) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	w := make([]float64, n)
-	var sum float64
-	v := 1.0
-	for i := range w {
-		w[i] = v
-		sum += v
-		v *= decay
-	}
-	for i := range w {
-		w[i] /= sum
-	}
-	return w
-}

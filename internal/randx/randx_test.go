@@ -141,39 +141,19 @@ func TestZipfWeights(t *testing.T) {
 	}
 }
 
-func TestExpDecayWeights(t *testing.T) {
-	w := ExpDecayWeights(4, 0.5)
-	var sum float64
-	for _, v := range w {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("sum = %g", sum)
-	}
-	if math.Abs(w[0]/w[1]-2) > 1e-12 {
-		t.Fatalf("decay ratio wrong: %g", w[0]/w[1])
-	}
-}
-
-// Property: weights produced by both weight helpers are a valid simplex for
-// any size and parameter in range.
+// Property: ZipfWeights is a valid simplex for any size and shape in range.
 func TestWeightsSimplexProperty(t *testing.T) {
 	f := func(n uint8, s uint8) bool {
 		size := int(n%50) + 1
 		shape := 0.1 + float64(s%30)/10
-		for _, w := range [][]float64{ZipfWeights(size, shape), ExpDecayWeights(size, 0.3+float64(s%7)/10)} {
-			var sum float64
-			for _, v := range w {
-				if v < 0 || math.IsNaN(v) {
-					return false
-				}
-				sum += v
-			}
-			if math.Abs(sum-1) > 1e-9 {
+		var sum float64
+		for _, v := range ZipfWeights(size, shape) {
+			if v < 0 || math.IsNaN(v) {
 				return false
 			}
+			sum += v
 		}
-		return true
+		return math.Abs(sum-1) <= 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -182,5 +183,33 @@ func TestParallelEquivalenceReaders(t *testing.T) {
 	}
 	if !bytes.Equal(raw, ref) {
 		t.Error("Readers Results differ from a Workers=1 stream.Logs study of the decoded logs")
+	}
+}
+
+// TestStudyIgnoresProxyArrivalOrder feeds the proxy log through
+// stream.Logs in descending time order, equal instants kept in log order,
+// so every subscriber's proxy records arrive newest first. The study must
+// not see the difference: the engine puts each subscriber's records back in
+// time order before folding them.
+func TestStudyIgnoresProxyArrivalOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a full small dataset")
+	}
+	ds := eqDataset(t)
+	_, want := runWith(t, ds, 0)
+
+	rev := proxylog.Log{Records: slices.Clone(ds.Proxy.Records)}
+	slices.SortStableFunc(rev.Records, func(a, b proxylog.Record) int { return proxylog.ByTime(b, a) })
+	env := core.Env{Devices: ds.Devices, Topology: ds.Topology, Catalog: ds.Catalog}
+	res, err := core.RunStream(env, &stream.Logs{Proxy: &rev, MME: &ds.MME, UDR: &ds.UDR}, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("Results depend on the order a subscriber's proxy records arrive in")
 	}
 }

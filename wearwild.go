@@ -39,7 +39,7 @@ type Dataset = sim.Dataset
 // per-figure structures.
 type Results = core.Results
 
-// StudyConfig tunes the analysis (session gap, CDF resolution).
+// StudyConfig tunes the analysis (session gap, parallelism).
 type StudyConfig = core.Config
 
 // Evaluated pairs one experiment with its paper-vs-measured metrics.

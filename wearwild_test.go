@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestFacadeEndToEnd exercises the whole public API surface on a small
@@ -68,13 +69,21 @@ func TestStudyWithCustomConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultStudyConfig()
-	cfg.CDFPoints = 10
-	res, err := RunStudyWith(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
+	usages := func(gap time.Duration) int {
+		cfg := DefaultStudyConfig()
+		cfg.SessionGap = gap
+		res, err := RunStudyWith(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, row := range res.Fig7 {
+			n += row.UsageSamples
+		}
+		return n
 	}
-	if len(res.Fig3c.SizeCDF.X) > 10 {
-		t.Fatalf("CDF resolution not honoured: %d points", len(res.Fig3c.SizeCDF.X))
+	// A wider gap merges usages that the paper's one minute keeps apart.
+	if paper, wide := usages(time.Minute), usages(time.Hour); wide >= paper {
+		t.Fatalf("session gap not honoured: %d usages at 1h, %d at 1m", wide, paper)
 	}
 }
